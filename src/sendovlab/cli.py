@@ -12,11 +12,9 @@ Usage:  sendov-lab <command> --config cfg.json [--n N] [--seed S]
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -27,6 +25,7 @@ from . import __version__
 from .contour import select_radius, winding_number, zero_pole_count
 from .families import (
     FamilyParams,
+    FamilyReport,
     example_circle,
     example_origin,
     family_critical_points,
@@ -37,7 +36,7 @@ from .families import (
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance
 from .potential import balayage, circle_fourier_coeff, verify_basic_identities
-from .rootfind import find_roots
+from .rootfind import RootSet, find_roots
 from .sendov_check import critical_points, sendov_margin
 from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
 
@@ -201,6 +200,15 @@ def _zeros_of(inst: SendovInstance) -> np.ndarray:
     return rs.points
 
 
+def _crit_of(inst: SendovInstance, crit: RootSet | None) -> RootSet:
+    """The given critical points, or solved ones; either must be certified."""
+    if crit is None:
+        crit = critical_points(inst.f)
+    if not crit.converged:
+        raise RuntimeError("critical point finding did not converge")
+    return crit
+
+
 def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> np.ndarray:
     """Sample points with |z| <= 2 at distance >= 0.05 from the avoid set."""
     out = []
@@ -214,7 +222,7 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 def _run_check(cfg, rng):
     rows = []
     for label, inst, crit in _build_instances(cfg, rng):
-        crit = crit if crit is not None else critical_points(inst.f)
+        crit = _crit_of(inst, crit)
         rep = sendov_margin(inst, crit=crit)
         zeros = _zeros_of(inst)
         rows.append(
@@ -245,7 +253,7 @@ def _run_identities(cfg, rng):
     means = []
     for label, inst, crit in _build_instances(cfg, rng):
         zeros = _zeros_of(inst)
-        crit = crit if crit is not None else critical_points(inst.f)
+        crit = _crit_of(inst, crit)
         avoid = np.concatenate([zeros, crit.points])
         zs = _sample_points(rng, points, avoid)
         rep = verify_basic_identities(inst.f, zs, crit=crit)
@@ -280,7 +288,7 @@ def _run_balayage(cfg, rng):
     N = int(N) if N is not None else None
     label, inst, crit = _build_instances(cfg, rng)[0]
     zeros = _zeros_of(inst)
-    crit = crit if crit is not None else critical_points(inst.f)
+    crit = _crit_of(inst, crit)
     dz = balayage(empirical_measure(zeros), R, N)
     dx = balayage(empirical_measure(crit.points), R, len(dz.samples))
     gap = float(np.max(np.abs(dz.samples - dx.samples)))
@@ -311,7 +319,7 @@ def _run_winding(cfg, rng):
     label, inst, crit = _build_instances(cfg, rng)[0]
     rs = find_roots(inst.f) if inst.f.roots is None else None
     zeros_rs = rs if rs is not None else None
-    crit = crit if crit is not None else critical_points(inst.f)
+    crit = _crit_of(inst, crit)
     sel = select_radius(inst.f, r1, r2, rs=zeros_rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
     count = zero_pole_count(inst.f, sel.radius, rs=zeros_rs, crit=crit)
@@ -329,8 +337,7 @@ def _run_winding(cfg, rng):
     return results, bool(wind.winding == count)
 
 
-def _family_result(params: FamilyParams, theta_grid: int) -> dict:
-    rep = verify_family(params, theta_grid=theta_grid)
+def _family_result(params: FamilyParams, rep: FamilyReport) -> dict:
     fine = rep.fine
     sigma2 = fine["sigma2"]
     return {
@@ -363,7 +370,7 @@ def _run_family(cfg, rng):
     params = _family_params(cfg)
     theta_grid = int(cfg.options.get("theta_grid", 2048))
     rep = verify_family(params, theta_grid=theta_grid)
-    flat = _family_result(params, theta_grid)
+    flat = _family_result(params, rep)
     flat["lamin_thetas"] = [float(t) for t in rep.lamin_thetas]
     flat["lamin_values"] = [float(v) for v in rep.lamin_values]
     tol = float(cfg.options.get("tol", 1e-9))
@@ -404,9 +411,9 @@ def _sweep_case(template: dict, n: int, theta_grid: int) -> dict:
             c2=float(template.get("c2", 1.0)),
             lambdas=np.array([from_cpair(v) for v in template.get("lambdas", [])]),
         )
-        return _family_result(params, theta_grid)
+        return _family_result(params, verify_family(params, theta_grid=theta_grid))
     inst = example_circle(n) if kind == "circle" else example_origin(n)
-    crit = critical_points(inst.f)
+    crit = _crit_of(inst, None)
     rep = sendov_margin(inst, crit=crit)
     diag = quantitative_zetas(inst, crit=crit)
     return {
@@ -428,9 +435,7 @@ def _run_sweep(cfg, rng):
     if not n_list:
         raise ValueError("sweep needs options.n_list")
     theta_grid = int(cfg.options.get("theta_grid", 2048))
-    workers = max(1, int(os.environ.get("SENDOV_LAB_THREADS", "4")))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda n: _sweep_case(fam_cfg, n, theta_grid), n_list))
+    rows = [_sweep_case(fam_cfg, n, theta_grid) for n in n_list]
     return {"kind": fam_cfg.get("kind"), "rows": rows}, True
 
 

@@ -196,6 +196,7 @@ def family_critical_points(params: FamilyParams) -> RootSet:
         np.concatenate([base, extra.points]),
         np.concatenate([np.zeros(nm - 1), extra.residuals]),
         True,
+        extra.iterations,
     )
 
 

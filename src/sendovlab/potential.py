@@ -182,9 +182,16 @@ def verify_basic_identities(
             _rel(u_x, math.log(n) / (n - 1) - math.log(abs(fpz)) / (n - 1)),
             _rel(s_z, fpz / (n * fz)),
             _rel(s_x, fppz / ((n - 1) * fpz)),
-            _rel(u_z - (n - 1) / n * u_x, math.log(abs(s_z)) / n),
-            _rel(s_z - (n - 1) / n * s_x, -sd_z / (n * s_z)),
         ]
+        if s_z == 0:
+            # log|s_z| and 1/s_z are infinite; 1.0 is the limit of _rel
+            # as one side goes to infinity
+            r += [1.0, 1.0]
+        else:
+            r += [
+                _rel(u_z - (n - 1) / n * u_x, math.log(abs(s_z)) / n),
+                _rel(s_z - (n - 1) / n * s_x, -sd_z / (n * s_z)),
+            ]
         rows.append(r)
         kept.append(z)
     residuals = (

@@ -6,9 +6,12 @@ is certified in the backward sense: the scaled residual
 |p(z)| / sum_k |c_k| |z|^k is the exact relative coefficient
 perturbation that would make z a true root, so iterates below the
 tolerance are roots of a polynomial indistinguishable from the input
-at that precision.  Multiple roots are reported as clusters of simple
-roots (their intrinsic resolution in coefficient form is eps**(1/m));
-:func:`cluster_multiplicities` regroups them.
+at that precision.  Start points come from the Newton polygon of the
+coefficients, and evaluation outside the unit disk goes through the
+reversed polynomial, so no degree overflows.  Multiple roots are
+reported as clusters of simple roots (their intrinsic resolution in
+coefficient form is eps**(1/m)); :func:`cluster_multiplicities`
+regroups them.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ class RootSet:
 
     ``converged`` is False when any residual still exceeds the requested
     tolerance after the iteration budget; the best iterates are returned
-    regardless, never silently wrong values.
+    regardless, never silently wrong values.  ``iterations`` counts the
+    solver's evaluation passes (0 for roots known without iterating).
     """
 
     points: np.ndarray
     residuals: np.ndarray
     converged: bool
+    iterations: int = 0
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.complex128)
@@ -58,65 +63,152 @@ class RootSet:
         return self.points.size
 
 
-def _horner_batch(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Evaluate each row polynomial at the matching row of iterates.
+# Angular offset of the start points (Bini 1996); it keeps them off the
+# symmetric root configurations of z^n - a and friends.
+_START_ROTATION = 0.7
 
-    coeffs has shape (B, d+1) ascending; z has shape (B, d).
+
+def _upper_hull(logc: list[float]) -> list[int]:
+    """Vertices of the upper convex hull of the points (k, logc[k]).
+
+    Entries equal to -inf (zero coefficients) are skipped; collinear
+    points are dropped so each hull edge is as long as possible.
     """
-    acc = np.zeros_like(z)
-    for k in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * z + coeffs[:, k, None]
-    return acc
+    hull: list[int] = []
+    for k, v in enumerate(logc):
+        if v == -np.inf:
+            continue
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (logc[j] - logc[i]) * (k - i) <= (v - logc[i]) * (j - i):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    return hull
+
+
+def _start_points(abs_coeffs: np.ndarray) -> np.ndarray:
+    """Start iterates from the Newton polygon of each coefficient row.
+
+    About j - i roots lie near the circle of radius
+    (|c_i|/|c_j|)**(1/(j-i)) for each edge i -> j of the upper convex
+    hull of (k, log|c_k|) (Bini 1996), so j - i start points go on that
+    circle, rotated past the points placed on earlier edges.
+    """
+    b, w = abs_coeffs.shape
+    d = w - 1
+    with np.errstate(divide="ignore"):
+        logc = np.log(abs_coeffs)
+    z = np.empty((b, d), dtype=np.complex128)
+    for row in range(b):
+        lc = logc[row].tolist()
+        hull = _upper_hull(lc)
+        offset = 0
+        for i, j in zip(hull[:-1], hull[1:]):
+            m = j - i
+            radius = np.exp((lc[i] - lc[j]) / m)
+            ell = np.arange(m)
+            angles = (
+                2.0 * np.pi * ell / m
+                + 2.0 * np.pi * offset / d
+                + _START_ROTATION
+                + 1e-3 * np.cos(3.0 * ell)
+            )
+            z[row, offset : offset + m] = radius * np.exp(1j * angles)
+            offset += m
+    return z
+
+
+def _newton_pass(coeffs, abs_coeffs, rows, z):
+    """Newton corrections p/p' and backward errors at the iterates z.
+
+    One Horner pass computes p, p' and the scale sum_k |c_k| |z|^k
+    together.  Iterates with |z| > 1 are evaluated through the reversed
+    polynomial q(y) = y^d p(1/y) at y = 1/z, where p/p' = z / (d - y q'/q)
+    and the backward error |q(y)| / sum_k |c_{d-k}| |y|^k equals
+    |p(z)| / sum_k |c_k| |z|^k, so no power of |z| above 1 is formed.
+    ``rows`` maps each iterate to its coefficient row.
+    """
+    d = coeffs.shape[1] - 1
+    outside = np.abs(z) > 1.0
+    x = np.where(outside, 1.0 / z, z)
+    ax = np.abs(x)
+    # column of coefficient step t: c_{d-t} for p, c_t for the reversed q
+    t = np.arange(d + 1)[:, None]
+    cols = np.where(outside[None, :], t, d - t)
+    k = coeffs[rows[None, :], cols]
+    ak = abs_coeffs[rows[None, :], cols]
+    p = k[0].copy()
+    dp = np.zeros_like(p)
+    scale = ak[0].copy()
+    for step in range(1, d + 1):
+        dp = dp * x + p
+        p = p * x + k[step]
+        scale = scale * ax + ak[step]
+    den = np.where(outside, x * (d * p - x * dp), dp)
+    den = np.where(den == 0, 1e-300, den)
+    return p / den, np.abs(p) / scale
+
+
+def _aberth_step(z, wn, rows, cols):
+    """Aberth corrections for the iterates z[rows, cols] given p/p' there."""
+    diff = z[rows, cols][:, None] - z[rows]
+    diff[np.arange(rows.size), cols] = np.inf
+    s = np.sum(1.0 / diff, axis=1)
+    denom = 1.0 - wn * s
+    denom = np.where(denom == 0, 1.0, denom)
+    return wn / denom
 
 
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
     """Core batched Aberth iteration on monic-normalized coefficient rows.
 
     Returns (points, residuals, iterations_used).  coeffs: (B, d+1).
+    Iterates freeze once their backward error is at most tol and are no
+    longer evaluated.  After the loop every iterate takes one more
+    Aberth step, kept only where it does not raise the backward error:
+    freezing at tol leaves an m-fold cluster spread over about
+    tol**(1/m), which the extra step tightens.
     """
     b, w = coeffs.shape
     d = w - 1
     coeffs = coeffs / coeffs[:, -1, None]
-    dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)
     abs_coeffs = np.abs(coeffs)
+    z = _start_points(abs_coeffs)
+    restart = z * np.exp(0.37j)
 
-    # Cauchy bound radius; perturbed angles break root symmetries that
-    # would otherwise trap the symmetric initial configuration.
-    radius = 1.0 + np.max(abs_coeffs[:, :-1], axis=1)
-    j = np.arange(d)
-    angles = 2.0 * np.pi * j / d + np.pi / (2.0 * d) + 1e-3 * np.cos(3.0 * j)
-    z = radius[:, None] * np.exp(1j * angles)[None, :]
-
+    wn = np.zeros((b, d), dtype=np.complex128)
+    residual = np.full((b, d), np.inf)
     frozen = np.zeros((b, d), dtype=bool)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        pv = _horner_batch(coeffs, z)
-        scale = _horner_batch(abs_coeffs.astype(np.complex128), np.abs(z).astype(np.complex128)).real
-        residual = np.abs(pv) / scale
-        frozen |= residual <= tol
-        if frozen.all():
-            break
-        pdv = _horner_batch(dcoeffs, z)
-        bad = pdv == 0
-        if bad.any():
-            pdv = np.where(bad, 1e-300, pdv)
-        wn = pv / pdv
-        diff = z[:, :, None] - z[:, None, :]
-        idx = np.arange(d)
-        diff[:, idx, idx] = np.inf
-        s = np.sum(1.0 / diff, axis=2)
-        denom = 1.0 - wn * s
-        denom = np.where(denom == 0, 1.0, denom)
-        step = wn / denom
-        step = np.where(frozen, 0.0, step)
-        z = z - step
-        lost = ~np.isfinite(z)
-        if lost.any():
-            z = np.where(lost, radius[:, None] * np.exp(1j * (angles[None, :] + 0.37)), z)
 
-    pv = _horner_batch(coeffs, z)
-    scale = _horner_batch(abs_coeffs.astype(np.complex128), np.abs(z).astype(np.complex128)).real
-    residual = np.abs(pv) / scale
+    def refresh(rows, cols):
+        wn[rows, cols], residual[rows, cols] = _newton_pass(
+            coeffs, abs_coeffs, rows, z[rows, cols]
+        )
+
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, max_iter + 1):
+            rows, cols = np.nonzero(~frozen)
+            refresh(rows, cols)
+            frozen[rows, cols] = residual[rows, cols] <= tol
+            if frozen.all():
+                break
+            rows, cols = np.nonzero(~frozen)
+            z[rows, cols] -= _aberth_step(z, wn[rows, cols], rows, cols)
+            lost = ~np.isfinite(z)
+            if lost.any():
+                z[lost] = restart[lost]
+        else:
+            refresh(*np.nonzero(~frozen))
+
+        rows, cols = np.divmod(np.arange(b * d), d)
+        trial = z - _aberth_step(z, wn.ravel(), rows, cols).reshape(b, d)
+        _, trial_res = _newton_pass(coeffs, abs_coeffs, rows, trial.ravel())
+        keep = (trial_res <= residual.ravel()).reshape(b, d)
+        z = np.where(keep, trial, z)
+        residual = np.where(keep, trial_res.reshape(b, d), residual)
     return z, residual, iterations
 
 
@@ -137,10 +229,10 @@ def find_roots(p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_
     zero_residuals = np.zeros(k, dtype=np.float64)
     if d == 0:
         return RootSet(zero_points, zero_residuals, True)
-    pts, res, _ = _aberth(coeffs[k:][None, :], tol, max_iter)
+    pts, res, iterations = _aberth(coeffs[k:][None, :], tol, max_iter)
     points = np.concatenate([zero_points, pts[0]])
     residuals = np.concatenate([zero_residuals, res[0]])
-    return RootSet(points, residuals, bool(np.all(residuals <= tol)))
+    return RootSet(points, residuals, bool(np.all(residuals <= tol)), iterations)
 
 
 def find_roots_batch(

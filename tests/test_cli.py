@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from sendovlab import cli
 from sendovlab.cli import (
     ExperimentConfig,
     emit_plot_data,
@@ -10,6 +11,8 @@ from sendovlab.cli import (
     run,
     write_record,
 )
+from sendovlab.poly_core import derivative
+from sendovlab.rootfind import RootSet, find_roots
 
 
 def _cfg(command, instance, options=None, seed=0):
@@ -75,6 +78,26 @@ class TestRunners:
         assert rec.ok
         assert rec.results["max_residual"] < 1e-8
 
+    def test_identities_zero_stieltjes_is_a_failure(self):
+        # the root sum s_zeta cancels near the family's fat critical point,
+        # down to exactly 0 at some sample points: identities 5 and 6 must
+        # then fail rather than raise
+        instance = {"family": dict(MILLER["family"], n=128)}
+        rec = run(_cfg("identities", instance, {"points": 40}))
+        assert not rec.ok
+
+    @pytest.mark.parametrize(
+        "command", ["check", "identities", "balayage", "winding", "sweep"]
+    )
+    def test_unconverged_critical_points_raise(self, monkeypatch, command):
+        def unconverged(p, *args, **kwargs):
+            rs = find_roots(derivative(p))
+            return RootSet(rs.points, rs.residuals + 1e-3, False)
+
+        monkeypatch.setattr(cli, "critical_points", unconverged)
+        with pytest.raises(RuntimeError, match="critical point"):
+            run(_cfg(command, ORIGIN64, {"n_list": [64]}))
+
     def test_balayage_origin(self):
         rec = run(_cfg("balayage", ORIGIN64, {"R": 1.2}))
         assert rec.ok
@@ -98,8 +121,7 @@ class TestRunners:
         assert rec.ok
         assert rec.results["max_residual"] <= 1e-8
 
-    def test_sweep_ordering(self, monkeypatch):
-        monkeypatch.setenv("SENDOV_LAB_THREADS", "2")
+    def test_sweep_ordering(self):
         opts = {"n_list": [48, 32, 64], "theta_grid": 64}
         rec = run(_cfg("sweep", MILLER, opts))
         assert [row["n"] for row in rec.results["rows"]] == [48, 32, 64]

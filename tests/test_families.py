@@ -149,6 +149,14 @@ class TestVerifyFamily:
         assert rep.fine["sigma2"] > 0
         assert rep.fine["one_minus_a"] == pytest.approx(1.0 / 64.0)
 
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_large_degree_member(self, n):
+        # the degrees where the paper's asymptotics matter
+        params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        rep = verify_family(params, theta_grid=512)
+        assert rep.ten_residuals.max() < 1e-9
+        assert params.n * rep.t_prediction_errors.max() < 20.0
+
     def test_arc_lambda_mean_obstruction(self):
         # mean of the profile t - c2 cos over theta equals
         # sum_j log|1 - lambda_j| + (c2 - c1) = 0 for this member, yet a

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import match_max_distance
+from sendovlab.families import FamilyParams, example_origin, miller_family
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots, from_roots_batch
 from sendovlab.rootfind import (
     DerivativeVanishes,
@@ -97,6 +99,47 @@ class TestFindRoots:
         rs = find_roots(from_roots(roots))
         assert rs.converged
         assert match_max_distance(rs.points, roots) < 1e-5
+
+
+    @pytest.mark.parametrize("low", [0, 1])
+    def test_degree_1024_binomials(self, low):
+        # z^1024 - 1 and z^1024 - z: every power of |z| > 1 would overflow
+        coeffs = np.zeros(1025, dtype=complex)
+        coeffs[low], coeffs[1024] = -1.0, 1.0
+        rs = find_roots(Polynomial(coeffs))
+        assert rs.converged
+        assert np.all(np.isfinite(rs.residuals))
+        assert np.all(np.isfinite(rs.points))
+
+    def test_iteration_counts(self):
+        # Newton-polygon start circles sit on the root moduli, so the
+        # count stays flat in the degree
+        params = FamilyParams(n=256, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        rs = find_roots(miller_family(params).f)
+        assert rs.converged
+        assert rs.iterations <= 30
+        crit = find_roots(derivative(example_origin(512).f))
+        assert crit.converged
+        assert crit.iterations <= 8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=13,
+        )
+    )
+    def test_matches_mpmath_oracle(self, coeffs):
+        # degrees 3 to 12 with arbitrary coefficients, against
+        # 50-digit roots
+        assume(abs(coeffs[0]) > 1e-3 and abs(coeffs[-1]) > 1e-3)
+        rs = find_roots(Polynomial(coeffs))
+        with mpmath.workdps(50):
+            exact = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        exact = np.array([complex(r) for r in exact])
+        assert rs.converged
+        assert match_max_distance(rs.points, exact) < 1e-6 * max(1.0, np.abs(exact).max())
 
 
 class TestFindRootsBatch:
