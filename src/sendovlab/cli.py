@@ -36,8 +36,8 @@ from .families import (
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance
 from .potential import balayage, circle_fourier_coeff, verify_basic_identities
-from .rootfind import RootSet, find_roots
-from .sendov_check import critical_points, sendov_margin
+from .rootfind import RootSet, certified, critical_points, find_roots, zeros_of
+from .sendov_check import sendov_margin
 from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "emit_plot_data", "main", "run"]
@@ -169,44 +169,24 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     if fam == "origin":
         return [("origin", example_origin(n), None)]
     if fam == "miller":
-        params = FamilyParams(
-            n=n,
-            c1=float(fam_cfg.get("c1", 1.0)),
-            c2=float(fam_cfg.get("c2", 1.0)),
-            lambdas=np.array([from_cpair(v) for v in fam_cfg.get("lambdas", [])]),
-        )
+        params = _family_params(fam_cfg, n)
         return [("miller", miller_family(params), family_critical_points(params))]
     raise ValueError(f"unknown family kind {fam!r}; expected circle, origin, or miller")
 
 
-def _family_params(cfg: ExperimentConfig) -> FamilyParams:
-    fam_cfg = cfg.instance.get("family")
-    if not fam_cfg or fam_cfg.get("kind") != "miller":
-        raise ValueError("this command needs instance.family of kind 'miller'")
+def _family_params(fam_cfg: dict, n: int) -> FamilyParams:
+    """Parameters of a miller family config at degree n."""
     return FamilyParams(
-        n=int(fam_cfg["n"]),
+        n=n,
         c1=float(fam_cfg.get("c1", 1.0)),
         c2=float(fam_cfg.get("c2", 1.0)),
         lambdas=np.array([from_cpair(v) for v in fam_cfg.get("lambdas", [])]),
     )
 
 
-def _zeros_of(inst: SendovInstance) -> np.ndarray:
-    if inst.f.roots is not None:
-        return inst.f.roots
-    rs = find_roots(inst.f)
-    if not rs.converged:
-        raise RuntimeError("zero finding did not converge")
-    return rs.points
-
-
 def _crit_of(inst: SendovInstance, crit: RootSet | None) -> RootSet:
     """The given critical points, or solved ones; either must be certified."""
-    if crit is None:
-        crit = critical_points(inst.f)
-    if not crit.converged:
-        raise RuntimeError("critical point finding did not converge")
-    return crit
+    return certified(crit if crit is not None else critical_points(inst.f), "critical point")
 
 
 def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> np.ndarray:
@@ -224,7 +204,7 @@ def _run_check(cfg, rng):
     for label, inst, crit in _build_instances(cfg, rng):
         crit = _crit_of(inst, crit)
         rep = sendov_margin(inst, crit=crit)
-        zeros = _zeros_of(inst)
+        zeros = zeros_of(inst.f)
         rows.append(
             {
                 "label": label,
@@ -252,7 +232,7 @@ def _run_identities(cfg, rng):
     worst = 0.0
     means = []
     for label, inst, crit in _build_instances(cfg, rng):
-        zeros = _zeros_of(inst)
+        zeros = zeros_of(inst.f)
         crit = _crit_of(inst, crit)
         avoid = np.concatenate([zeros, crit.points])
         zs = _sample_points(rng, points, avoid)
@@ -287,7 +267,7 @@ def _run_balayage(cfg, rng):
     N = cfg.options.get("N")
     N = int(N) if N is not None else None
     label, inst, crit = _build_instances(cfg, rng)[0]
-    zeros = _zeros_of(inst)
+    zeros = zeros_of(inst.f)
     crit = _crit_of(inst, crit)
     dz = balayage(empirical_measure(zeros), R, N)
     dx = balayage(empirical_measure(crit.points), R, len(dz.samples))
@@ -317,12 +297,12 @@ def _run_winding(cfg, rng):
     r1 = float(cfg.options.get("r1", 0.2))
     r2 = float(cfg.options.get("r2", 0.4))
     label, inst, crit = _build_instances(cfg, rng)[0]
+    # solve the zeros once here, and only when none are attached
     rs = find_roots(inst.f) if inst.f.roots is None else None
-    zeros_rs = rs if rs is not None else None
     crit = _crit_of(inst, crit)
-    sel = select_radius(inst.f, r1, r2, rs=zeros_rs, crit=crit)
+    sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
-    count = zero_pole_count(inst.f, sel.radius, rs=zeros_rs, crit=crit)
+    count = zero_pole_count(inst.f, sel.radius, rs=rs, crit=crit)
     results = {
         "label": label,
         "n": inst.n,
@@ -367,7 +347,10 @@ def _family_result(params: FamilyParams, rep: FamilyReport) -> dict:
 
 
 def _run_family(cfg, rng):
-    params = _family_params(cfg)
+    fam_cfg = cfg.instance.get("family")
+    if not fam_cfg or fam_cfg.get("kind") != "miller":
+        raise ValueError("this command needs instance.family of kind 'miller'")
+    params = _family_params(fam_cfg, int(fam_cfg["n"]))
     theta_grid = int(cfg.options.get("theta_grid", 2048))
     rep = verify_family(params, theta_grid=theta_grid)
     flat = _family_result(params, rep)
@@ -383,7 +366,7 @@ def _run_fourier(cfg, rng):
     ks = [int(k) for k in cfg.options.get("ks", list(range(0, 9)))]
     N = int(cfg.options.get("N", 4096))
     label, inst, crit = _build_instances(cfg, rng)[0]
-    zeros = _zeros_of(inst)
+    zeros = zeros_of(inst.f)
     mz = empirical_measure(zeros)
     rows = []
     worst = 0.0
@@ -405,12 +388,7 @@ def _run_fourier(cfg, rng):
 def _sweep_case(template: dict, n: int, theta_grid: int) -> dict:
     kind = template.get("kind")
     if kind == "miller":
-        params = FamilyParams(
-            n=n,
-            c1=float(template.get("c1", 1.0)),
-            c2=float(template.get("c2", 1.0)),
-            lambdas=np.array([from_cpair(v) for v in template.get("lambdas", [])]),
-        )
+        params = _family_params(template, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     inst = example_circle(n) if kind == "circle" else example_origin(n)
     crit = _crit_of(inst, None)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, derivative
-from .rootfind import RootSet, find_roots
+from .poly_core import Polynomial, derivative, evaluate
+from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
     "AmbiguousCountError",
@@ -73,12 +73,8 @@ def winding_number(
 
     def g(thetas: np.ndarray) -> np.ndarray:
         z = r * np.exp(1j * thetas)
-        num = np.zeros_like(z)
-        for c in fp.coeffs[::-1]:
-            num = num * z + c
-        den = np.zeros_like(z)
-        for c in f.coeffs[::-1]:
-            den = den * z + c
+        num = evaluate(fp, z)
+        den = evaluate(f, z)
         if np.any(den == 0) or np.any(num == 0):
             raise AmbiguousCountError("a zero of f or f' lies on the circle")
         return num / (n * den)
@@ -146,22 +142,16 @@ def select_radius(
     candidates at distance >= n^-10 from every zero and critical-point
     modulus.  An averaging argument keeps the minimum O(log n / n)
     when the small-modulus zeros carry O(1) mass; the attained
-    objective is returned alongside the radius.
+    objective is returned alongside the radius.  The zeros are rs, else
+    the attached roots of f, else solved; solved or given root sets must
+    be converged.
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
     n = f.degree
-    if rs is None:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-    if crit is None:
-        crit = find_roots(derivative(f))
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge")
     floor = float(n) ** -10.0
-    moduli = np.abs(rs.points)
-    all_moduli = np.concatenate([moduli, np.abs(crit.points)])
+    moduli = np.abs(zeros_of(f, rs))
+    all_moduli = np.concatenate([moduli, np.abs(certified_crit(f, crit).points)])
     grid = np.linspace(r1, r2, 10 * n)
     inner = moduli[moduli <= 0.5]
     admissible = np.min(np.abs(grid[:, None] - all_moduli[None, :]), axis=1) >= floor
@@ -187,20 +177,12 @@ def zero_pole_count(
 
     The direct count the winding number must reproduce.  Raises
     :class:`AmbiguousCountError` when any computed root sits within
-    1e-8 of the circle.
+    1e-8 of the circle.  Root sets are taken as in :func:`select_radius`.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if rs is None:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-    if crit is None:
-        crit = find_roots(derivative(f))
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge")
-    zm = np.abs(rs.points)
-    cm = np.abs(crit.points)
+    zm = np.abs(zeros_of(f, rs))
+    cm = np.abs(certified_crit(f, crit).points)
     if np.any(np.abs(zm - r) < COUNT_BAND) or np.any(np.abs(cm - r) < COUNT_BAND):
         raise AmbiguousCountError("a root modulus lies within 1e-8 of r")
     return int(np.sum(cm < r)) - int(np.sum(zm < r))

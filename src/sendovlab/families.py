@@ -32,8 +32,7 @@ from .poly_core import (
     normalize_sendov,
 )
 from .potential import circle_fourier_coeff, log_potential
-from .rootfind import RootSet, find_roots
-from .sendov_check import critical_points
+from .rootfind import RootSet, certified, certified_crit, find_roots
 
 __all__ = [
     "FamilyParams",
@@ -189,9 +188,7 @@ def family_critical_points(params: FamilyParams) -> RootSet:
         q[k] = pcoeffs[k] + k * pcoeffs[k] / nm
         if k + 1 <= m:
             q[k] += (c2 / n) * (k + 1) * pcoeffs[k + 1] / nm
-    extra = find_roots(Polynomial(q))
-    if not extra.converged:
-        raise RuntimeError("bracket-factor root finding did not converge")
+    extra = certified(find_roots(Polynomial(q)), "bracket-factor root")
     return RootSet(
         np.concatenate([base, extra.points]),
         np.concatenate([np.zeros(nm - 1), extra.residuals]),
@@ -249,10 +246,7 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
     m = params.m
     a = params.a
     nm = n - m
-    rs = find_roots(inst.f)
-    if not rs.converged:
-        raise RuntimeError("family zero finding did not converge")
-    zeta = rs.points
+    zeta = certified(find_roots(inst.f), "family zero").points
     w = zeta + c2 / n
     radius = np.abs(w)
     theta = np.angle(w)
@@ -326,11 +320,7 @@ def second_moment_test(
     exactly.  Also reports Re E[xi^2] / Var as the anticoncentration
     ratio of interest on near-extremal instances.
     """
-    if crit is None:
-        crit = critical_points(inst.f)
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge; pass crit=")
-    mx = empirical_measure(crit.points)
+    mx = empirical_measure(certified_crit(inst.f, crit).points)
     stats = summary(mx)
     direct = stats.second_moment
     four = 4.0 * circle_fourier_coeff(mx, 1.0, 2, N=N)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, SendovInstance, derivative
-from .rootfind import RootSet, find_roots
-from .sendov_check import Region, critical_points
+from .poly_core import Polynomial, SendovInstance
+from .rootfind import RootSet, certified_crit, zeros_of
+from .sendov_check import Region
 
 __all__ = [
     "EmpiricalMeasure",
@@ -127,17 +127,8 @@ def check_matching_mean(
     Both means equal -c_{n-1}/(n c_n), so this is a cross-validation of
     the computed zeros against the computed critical points.
     """
-    if f.roots is not None:
-        zeros = f.roots
-    else:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-        zeros = rs.points
-    if crit is None:
-        crit = critical_points(f)
-    zm = complex(np.mean(zeros))
-    cm = complex(np.mean(crit.points))
+    zm = complex(np.mean(zeros_of(f)))
+    cm = complex(np.mean(certified_crit(f, crit).points))
     diff = abs(zm - cm)
     return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=diff <= tol)
 
@@ -185,19 +176,8 @@ def quantitative_zetas(
 ) -> ZetaDiagnostics:
     """Expected log quantities controlling zero/critical concentration."""
     f, a, n = inst.f, inst.a, inst.n
-    if f.roots is not None:
-        zeros = f.roots
-    else:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-        zeros = rs.points
-    if crit is None:
-        crit = critical_points(f)
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge; pass crit=")
-    mz = empirical_measure(zeros)
-    mx = empirical_measure(crit.points)
+    mz = empirical_measure(zeros_of(f))
+    mx = empirical_measure(certified_crit(f, crit).points)
     e_zeta = -expect_log_distance(mz, 0.0)
     e_xi = expect_log_distance(mx, complex(a))
     return ZetaDiagnostics(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure
 from .poly_core import AtomCollisionError, Polynomial, derivative, evaluate
-from .rootfind import RootSet, find_roots
+from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
     "CircleDensity",
@@ -139,17 +139,8 @@ def verify_basic_identities(
     n = f.degree
     if n < 2:
         raise ValueError("degree must be at least 2")
-    if f.roots is not None:
-        zeros = f.roots
-    else:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-        zeros = rs.points
-    if crit is None:
-        crit = find_roots(derivative(f))
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge; pass crit=")
+    zeros = zeros_of(f)
+    crit = certified_crit(f, crit)
     mz = empirical_measure(zeros)
     mx = empirical_measure(crit.points)
     fp = derivative(f)
@@ -234,13 +225,7 @@ def integrated_log_derivative(p: Polynomial, contour, rtol: float = 1e-13) -> co
     pts = np.asarray(contour, dtype=np.complex128)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("contour must be a polyline of at least two points")
-    if p.roots is not None:
-        zeros = p.roots
-    else:
-        rs = find_roots(p)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-        zeros = rs.points
+    zeros = zeros_of(p)
     for z0, z1 in zip(pts[:-1], pts[1:]):
         seg = z1 - z0
         L2 = abs(seg) ** 2

@@ -12,6 +12,12 @@ reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
 coefficient form is eps**(1/m)); :func:`cluster_multiplicities`
 regroups them.
+
+This module is also the one point where a solve is certified.  Every
+layer takes its zeros through :func:`zeros_of` (attached roots as
+given, otherwise a converged solve) and its critical points through
+:func:`certified_crit`, which checks a caller's ``crit=`` exactly like
+a solved one; an unconverged solve raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -24,10 +30,14 @@ from .poly_core import Polynomial, derivative
 
 __all__ = [
     "RootSet",
+    "certified",
+    "certified_crit",
     "cluster_multiplicities",
+    "critical_points",
     "find_roots",
     "find_roots_batch",
     "refine_root",
+    "zeros_of",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -257,6 +267,39 @@ def find_roots_batch(
         raise ValueError("batched rows need nonzero leading and constant coefficients")
     pts, res, _ = _aberth(coeffs, tol, max_iter)
     return pts, res, np.all(res <= tol, axis=1)
+
+
+def certified(rs: RootSet, what: str = "zero") -> RootSet:
+    """rs itself; raises RuntimeError unless its certificate holds."""
+    if not rs.converged:
+        raise RuntimeError(f"{what} finding did not converge")
+    return rs
+
+
+def zeros_of(p: Polynomial, rs: RootSet | None = None) -> np.ndarray:
+    """The zeros of p: rs once certified, else the attached roots, else a certified solve."""
+    if rs is not None:
+        return certified(rs).points
+    if p.roots is not None:
+        return p.roots
+    return certified(find_roots(p)).points
+
+
+def critical_points(
+    p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> RootSet:
+    """Zeros of p', with the solver's backward-error certificates.
+
+    A k-fold zero of p' is returned as a cluster of k nearby points
+    whose radius reflects its conditioning in coefficient form, not as
+    a single point; see :func:`cluster_multiplicities`.
+    """
+    return find_roots(derivative(p), tol=tol, max_iter=max_iter)
+
+
+def certified_crit(p: Polynomial, crit: RootSet | None = None) -> RootSet:
+    """The given critical points, or solved ones; either must be certified."""
+    return certified(crit if crit is not None else critical_points(p), "critical point")
 
 
 class DerivativeVanishes(ArithmeticError):

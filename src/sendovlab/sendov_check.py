@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import Polynomial, SendovInstance, derivative, evaluate
-from .rootfind import DEFAULT_MAX_ITER, DEFAULT_TOL, RootSet, find_roots
+from .rootfind import RootSet, certified_crit, critical_points, zeros_of
 
 __all__ = [
     "DegotReport",
@@ -130,18 +130,6 @@ class Region:
         return bool(self.mask([z])[0])
 
 
-def critical_points(
-    p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> RootSet:
-    """Zeros of p', with the solver's backward-error certificates.
-
-    A k-fold zero of p' is returned as a cluster of k nearby points
-    whose radius reflects its conditioning in coefficient form, not as
-    a single point; see :func:`sendovlab.rootfind.cluster_multiplicities`.
-    """
-    return find_roots(derivative(p), tol=tol, max_iter=max_iter)
-
-
 @dataclass(frozen=True, eq=False)
 class SendovReport:
     """Per-zero margins 1 - dist(zero, nearest critical point)."""
@@ -162,22 +150,11 @@ def sendov_margin(inst: SendovInstance, crit: RootSet | None = None) -> SendovRe
         Precomputed critical points.  Pass these when the derivative has
         high-multiplicity zeros known analytically; the generic solver
         can only resolve an m-fold zero to a cluster of radius
-        ~eps**(1/m) from coefficients.
+        ~eps**(1/m) from coefficients.  Given or solved, they must be
+        converged, or the call raises RuntimeError.
     """
-    f = inst.f
-    if f.roots is not None:
-        zeros = f.roots
-    else:
-        rs = find_roots(f)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge; supply roots explicitly")
-        zeros = rs.points
-    if crit is None:
-        crit = critical_points(f)
-        if not crit.converged:
-            raise RuntimeError(
-                "critical point finding did not converge; pass crit= explicitly"
-            )
+    zeros = zeros_of(inst.f)
+    crit = certified_crit(inst.f, crit)
     dist = np.abs(zeros[:, None] - crit.points[None, :])
     margins = 1.0 - dist.min(axis=1)
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
@@ -262,16 +239,8 @@ def _hull_distance(hull: np.ndarray, z: complex) -> float:
 
 def gauss_lucas_check(p: Polynomial, crit: RootSet | None = None, tol: float = 1e-8) -> bool:
     """Every critical point lies within tol of the convex hull of the zeros."""
-    if p.roots is not None:
-        zeros = p.roots
-    else:
-        rs = find_roots(p)
-        if not rs.converged:
-            raise RuntimeError("zero finding did not converge")
-        zeros = rs.points
-    if crit is None:
-        crit = critical_points(p)
-    hull = _convex_hull(zeros)
+    hull = _convex_hull(zeros_of(p))
+    crit = certified_crit(p, crit)
     return all(_hull_distance(hull, complex(x)) <= tol for x in crit.points)
 
 
@@ -317,10 +286,7 @@ def degot_suite(
     for d in deltas:
         if not (0.0 < d < a):
             raise ValueError(f"delta {d} outside (0, a) with a = {a}")
-    if crit is None:
-        crit = critical_points(f)
-        if not crit.converged:
-            raise RuntimeError("critical point finding did not converge; pass crit=")
+    crit = certified_crit(f, crit)
     nearest = float(np.min(np.abs(crit.points - a)))
     if nearest > 1.0 + MARGIN_TOL:
         hypothesis = "holds"

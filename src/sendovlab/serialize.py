@@ -12,26 +12,15 @@ import json
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
-from .poly_core import Polynomial, SendovInstance
-from .potential import CircleDensity
-from .rootfind import RootSet
-from .sendov_check import SendovReport
+from .poly_core import Polynomial
 
 __all__ = [
     "cpair",
     "cpairs",
-    "density_to_json",
     "dumps",
     "fmt17",
     "from_cpair",
-    "instance_to_json",
-    "measure_from_json",
-    "measure_to_json",
     "poly_from_json",
-    "poly_to_json",
-    "report_to_json",
-    "rootset_to_json",
 ]
 
 
@@ -60,14 +49,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
 
 
-def poly_to_json(p: Polynomial) -> dict:
-    return {
-        "coeffs": cpairs(p.coeffs),
-        "roots": cpairs(p.roots) if p.roots is not None else None,
-        "leading": cpair(p.leading),
-    }
-
-
 def poly_from_json(obj: dict) -> Polynomial:
     try:
         coeffs = [from_cpair(c) for c in obj["coeffs"]]
@@ -80,38 +61,3 @@ def poly_from_json(obj: dict) -> Polynomial:
     if "leading" in obj and from_cpair(obj["leading"]) != p.leading:
         raise ValueError("leading field disagrees with the last coefficient")
     return p
-
-
-def measure_to_json(m: EmpiricalMeasure) -> dict:
-    return {"points": cpairs(m.points), "weights": [float(w) for w in m.weights]}
-
-
-def measure_from_json(obj: dict) -> EmpiricalMeasure:
-    return EmpiricalMeasure(
-        np.array([from_cpair(p) for p in obj["points"]]),
-        np.array([float(w) for w in obj["weights"]]),
-    )
-
-
-def rootset_to_json(rs: RootSet) -> dict:
-    return {
-        "points": cpairs(rs.points),
-        "residuals": [float(r) for r in rs.residuals],
-        "converged": bool(rs.converged),
-    }
-
-
-def report_to_json(rep: SendovReport) -> dict:
-    return {
-        "margins": [float(v) for v in rep.margins],
-        "min_margin": float(rep.min_margin),
-        "holds": bool(rep.holds),
-    }
-
-
-def density_to_json(d: CircleDensity) -> dict:
-    return {"R": float(d.R), "samples": [float(s) for s in d.samples]}
-
-
-def instance_to_json(inst: SendovInstance) -> dict:
-    return {"polynomial": poly_to_json(inst.f), "a": float(inst.a)}
