@@ -35,7 +35,7 @@ from .families import (
 )
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance
-from .potential import balayage, circle_fourier_coeff, verify_basic_identities
+from .potential import balayage, circle_fourier_coeffs, verify_basic_identities
 from .rootfind import RootSet, certified, critical_points, find_roots, zeros_of
 from .sendov_check import sendov_margin
 from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
@@ -189,6 +189,11 @@ def _crit_of(inst: SendovInstance, crit: RootSet | None) -> RootSet:
     return certified(crit if crit is not None else critical_points(inst.f), "critical point")
 
 
+def _solved_zeros(inst: SendovInstance) -> RootSet | None:
+    """The zeros of inst.f solved once for a record, or None when they are attached."""
+    return find_roots(inst.f) if inst.f.roots is None else None
+
+
 def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> np.ndarray:
     """Sample points with |z| <= 2 at distance >= 0.05 from the avoid set."""
     out = []
@@ -203,8 +208,9 @@ def _run_check(cfg, rng):
     rows = []
     for label, inst, crit in _build_instances(cfg, rng):
         crit = _crit_of(inst, crit)
-        rep = sendov_margin(inst, crit=crit)
-        zeros = zeros_of(inst.f)
+        rs = _solved_zeros(inst)
+        rep = sendov_margin(inst, crit=crit, rs=rs)
+        zeros = zeros_of(inst.f, rs)
         rows.append(
             {
                 "label": label,
@@ -232,11 +238,12 @@ def _run_identities(cfg, rng):
     worst = 0.0
     means = []
     for label, inst, crit in _build_instances(cfg, rng):
-        zeros = zeros_of(inst.f)
+        rs = _solved_zeros(inst)
+        zeros = zeros_of(inst.f, rs)
         crit = _crit_of(inst, crit)
         avoid = np.concatenate([zeros, crit.points])
         zs = _sample_points(rng, points, avoid)
-        rep = verify_basic_identities(inst.f, zs, crit=crit)
+        rep = verify_basic_identities(inst.f, zs, crit=crit, rs=rs)
         per = {
             lab: float(rep.residuals[i].max()) if rep.residuals.size else 0.0
             for i, lab in enumerate(rep.labels)
@@ -282,9 +289,9 @@ def _run_balayage(cfg, rng):
         "label": label,
         "n": n,
         "R": R,
-        "thetas": [float(t) for t in dz.thetas],
-        "zero_density": [float(v) for v in dz.samples],
-        "crit_density": [float(v) for v in dx.samples],
+        "thetas": dz.thetas.tolist(),
+        "zero_density": dz.samples.tolist(),
+        "crit_density": dx.samples.tolist(),
         "sup_gap": gap,
         "normalized_gap": normalized,
         "zero_mean": dz.mean(),
@@ -297,8 +304,7 @@ def _run_winding(cfg, rng):
     r1 = float(cfg.options.get("r1", 0.2))
     r2 = float(cfg.options.get("r2", 0.4))
     label, inst, crit = _build_instances(cfg, rng)[0]
-    # solve the zeros once here, and only when none are attached
-    rs = find_roots(inst.f) if inst.f.roots is None else None
+    rs = _solved_zeros(inst)
     crit = _crit_of(inst, crit)
     sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
@@ -370,8 +376,7 @@ def _run_fourier(cfg, rng):
     mz = empirical_measure(zeros)
     rows = []
     worst = 0.0
-    for k in ks:
-        coeff = circle_fourier_coeff(mz, R, k, N=N)
+    for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N)):
         if k == 0:
             closed = complex(-math.log(R))
         else:

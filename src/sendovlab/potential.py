@@ -30,6 +30,7 @@ __all__ = [
     "IdentityReport",
     "balayage",
     "circle_fourier_coeff",
+    "circle_fourier_coeffs",
     "integrated_log_derivative",
     "log_potential",
     "poisson_kernel",
@@ -115,7 +116,7 @@ def _rel(lhs, rhs) -> float:
 
 
 def verify_basic_identities(
-    f: Polynomial, zs, crit: RootSet | None = None
+    f: Polynomial, zs, crit: RootSet | None = None, rs: RootSet | None = None
 ) -> IdentityReport:
     """Check the identities tying potentials and transforms to f and f'.
 
@@ -132,14 +133,16 @@ def verify_basic_identities(
     Left sides come from root sums, right sides from coefficient-form
     Horner evaluation, so the two routes are independent.  Sample
     points within 0.05 of a zero or critical point are skipped and
-    reported in ``skipped``.
+    reported in ``skipped``.  Precomputed zeros ``rs`` and critical
+    points ``crit`` are used once certified; otherwise the attached
+    roots are used, or they are solved.
     """
     if not f.monic:
         raise ValueError("identity suite requires a monic polynomial")
     n = f.degree
     if n < 2:
         raise ValueError("degree must be at least 2")
-    zeros = zeros_of(f)
+    zeros = zeros_of(f, rs)
     crit = certified_crit(f, crit)
     mz = empirical_measure(zeros)
     mx = empirical_measure(crit.points)
@@ -344,12 +347,32 @@ def balayage(m: EmpiricalMeasure, R: float, N: int | None = None) -> CircleDensi
     if N < 16:
         raise ValueError("N too small")
     thetas = 2.0 * np.pi * np.arange(N) / N
-    # direct: kernel expectation, chunked broadcast over (nodes, atoms)
+    # direct: kernel expectation in blocks of (rows nodes, all atoms),
+    # about 2**15 entries each, computed in two buffers reused for every
+    # block.  The samples must equal, bit for bit, those of one
+    # matrix-vector product per 8192 nodes.  BLAS may split a product's
+    # rows between threads at points set by its row count and groups the
+    # rows from there, so blocks are a power of two dividing 8192: they
+    # keep the grouping of every whole 8192-node chunk, and of the last
+    # chunk when it is whole blocks.  A last chunk that would end in a
+    # partial block stays one product, as before.
+    M = len(m.points)
+    rows = min(8192, max(16, 1 << max(0, (2**15 // M).bit_length() - 1)))
+    blocked = N if N % rows == 0 else N - N % 8192
+    c = np.empty((rows, M), dtype=np.complex128)
+    k = np.empty((rows, M), dtype=float)
     direct = np.empty(N, dtype=float)
     numer = R * R - np.abs(m.points) ** 2
-    for lo in range(0, N, 8192):
-        zc = R * np.exp(1j * thetas[lo : lo + 8192])
-        direct[lo : lo + 8192] = (
+    for lo in range(0, blocked, rows):
+        zc = R * np.exp(1j * thetas[lo : lo + rows])
+        np.subtract(zc[:, None], m.points[None, :], out=c)
+        np.abs(c, out=k)
+        np.multiply(k, k, out=k)
+        np.divide(numer, k, out=k)
+        direct[lo : lo + rows] = k @ m.weights
+    if blocked < N:
+        zc = R * np.exp(1j * thetas[blocked:])
+        direct[blocked:] = (
             numer[None, :] / np.abs(zc[:, None] - m.points[None, :]) ** 2
         ) @ m.weights
 
@@ -384,36 +407,54 @@ def circle_fourier_coeff(
 ) -> complex:
     """Fourier coefficient (1/2pi) int e^{i k theta} U(R e^{i theta}) dtheta.
 
-    For k >= 1 this equals E[eta^k] / (2 k R^k) for any measure inside
+    The one-index case of :func:`circle_fourier_coeffs`.
+    """
+    return circle_fourier_coeffs(m, R, [k], N)[0]
+
+
+def circle_fourier_coeffs(
+    m: EmpiricalMeasure, R: float, ks, N: int = 4096
+) -> list[complex]:
+    """Fourier coefficients (1/2pi) int e^{i k theta} U(R e^{i theta}) dtheta, k in ks.
+
+    For k >= 1 each equals E[eta^k] / (2 k R^k) for any measure inside
     the closed disk; for k = 0 it is -log R.  Atoms within 0.05 of the
     circle contribute through that closed form directly (exact up to
     rounding, including atoms on the circle itself); the smooth
-    remainder is quadratured on N equispaced nodes.
+    remainder is quadratured on N equispaced nodes.  The potential on
+    the nodes is computed once and shared by every k, so each
+    coefficient equals the one computed for its k alone.
     """
     R = float(R)
     if R < 1.0:
         raise ValueError("R must be >= 1")
-    if k < 0 or k != int(k):
-        raise ValueError("k must be a nonnegative integer")
-    k = int(k)
-    if N < 8 * (k + 1):
+    ks = list(ks)
+    for k in ks:
+        if k < 0 or k != int(k):
+            raise ValueError("k must be a nonnegative integer")
+    ks = [int(k) for k in ks]
+    if not ks:
+        return []
+    if N < 8 * (max(ks) + 1):
         raise ValueError("N too small for this k")
     top = float(np.max(np.abs(m.points)))
     if top > 1.0 + 1e-10:
         raise ValueError("atoms must lie in the closed unit disk")
     rho = np.abs(m.points)
     near = (R - rho) < NEAR_CIRCLE
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j for _ in ks]
     if np.any(near):
         wn, pn = m.weights[near], m.points[near]
-        if k == 0:
-            total += -math.log(R) * float(np.sum(wn))
-        else:
-            total += complex(np.sum(wn * pn**k)) / (2.0 * k * R**k)
+        for i, k in enumerate(ks):
+            if k == 0:
+                totals[i] += -math.log(R) * float(np.sum(wn))
+            else:
+                totals[i] += complex(np.sum(wn * pn**k)) / (2.0 * k * R**k)
     if np.any(~near):
         wf, pf = m.weights[~near], m.points[~near]
         thetas = 2.0 * np.pi * np.arange(N) / N
         z = R * np.exp(1j * thetas)
         u = -(np.log(np.abs(z[:, None] - pf[None, :])) @ wf)
-        total += complex(np.mean(u * np.exp(1j * k * thetas)))
-    return total
+        for i, k in enumerate(ks):
+            totals[i] += complex(np.mean(u * np.exp(1j * k * thetas)))
+    return totals

@@ -140,7 +140,9 @@ class SendovReport:
     holds: bool
 
 
-def sendov_margin(inst: SendovInstance, crit: RootSet | None = None) -> SendovReport:
+def sendov_margin(
+    inst: SendovInstance, crit: RootSet | None = None, rs: RootSet | None = None
+) -> SendovReport:
     """Margin of every zero of the instance polynomial.
 
     Parameters
@@ -152,8 +154,11 @@ def sendov_margin(inst: SendovInstance, crit: RootSet | None = None) -> SendovRe
         can only resolve an m-fold zero to a cluster of radius
         ~eps**(1/m) from coefficients.  Given or solved, they must be
         converged, or the call raises RuntimeError.
+    rs : RootSet, optional
+        Precomputed zeros of inst.f, certified like crit; without it the
+        attached roots are used, or the zeros are solved.
     """
-    zeros = zeros_of(inst.f)
+    zeros = zeros_of(inst.f, rs)
     crit = certified_crit(inst.f, crit)
     dist = np.abs(zeros[:, None] - crit.points[None, :])
     margins = 1.0 - dist.min(axis=1)

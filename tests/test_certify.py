@@ -73,3 +73,21 @@ def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
     assert cli.run(cfg).ok
     # only the critical points are solved; the attached zeros are used as given
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "identities"])
+def test_miller_zeros_solved_once_per_record(monkeypatch, command):
+    solves = []
+    aberth = rootfind._aberth
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return aberth(*args, **kwargs)
+
+    monkeypatch.setattr(rootfind, "_aberth", counting)
+    family = {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
+    cfg = cli.ExperimentConfig(command=command, instance={"family": family}, options={}, seed=0)
+    cli.run(cfg)
+    # the family carries its critical points but no zeros: the runner
+    # solves the degree-64 zeros once and hands them to the layer function
+    assert solves.count((1, 65)) == 1

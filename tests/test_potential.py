@@ -13,6 +13,7 @@ from sendovlab.potential import (
     ContourTooCloseError,
     balayage,
     circle_fourier_coeff,
+    circle_fourier_coeffs,
     integrated_log_derivative,
     log_potential,
     poisson_kernel,
@@ -196,6 +197,48 @@ class TestBalayage:
         d = balayage(empirical_measure(pts), 1.25)
         assert d.mean() == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "atoms, N",
+        [(1, None), (5, None), (127, None), (300, None), (300, 19201), (117, 12345)],
+    )
+    def test_direct_route_matches_reference_sums(self, atoms, N):
+        # the direct route runs in blocks of nodes; its samples equal bit for
+        # bit those of kernel matrices of 8192 nodes each (a block size that
+        # does not divide 8192, or a partial last block, lets the
+        # matrix-vector product sum some rows differently: 19201 nodes are
+        # 300 blocks of 64 plus one, 12345 are 96 blocks of 128 plus 57),
+        # and match one kernel sum over all nodes at once
+        rng = np.random.default_rng(atoms)
+        pts = 0.9 * np.sqrt(rng.uniform(0, 1, atoms)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, atoms)
+        )
+        m, R = empirical_measure(pts), 1.1
+        d = balayage(m, R, N)
+        numer = R * R - np.abs(pts) ** 2
+
+        def kernel_sums(th):
+            return (
+                numer[None, :] / np.abs(R * np.exp(1j * th)[:, None] - pts[None, :]) ** 2
+            ) @ m.weights
+
+        chunked = np.concatenate(
+            [kernel_sums(th) for th in np.split(d.thetas, range(8192, d.thetas.size, 8192))]
+        )
+        assert d.samples.tobytes() == chunked.tobytes()
+        one_shot = kernel_sums(d.thetas)
+        assert np.max(np.abs(d.samples - one_shot)) <= 1e-14 * np.max(np.abs(one_shot))
+
+    def test_more_atoms_than_a_block_holds(self):
+        # 2**15 + 1 atoms leave no room for even one node per 2**15 entries;
+        # the block still has its minimum of 16 nodes
+        rng = np.random.default_rng(15)
+        pts = 0.01 * np.sqrt(rng.uniform(0, 1, 2**15 + 1)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 2**15 + 1)
+        )
+        d = balayage(empirical_measure(pts), 1.0, N=64)
+        assert d.samples.size == 64
+        assert np.max(np.abs(d.samples - 1.0)) < 0.03
+
     def test_atom_hugging_circle_rejected(self):
         m = empirical_measure(np.array([1.4999985 + 0j]))
         with pytest.raises(AtomCollisionError):
@@ -249,3 +292,33 @@ class TestCircleFourier:
             circle_fourier_coeff(m, 1.0, -1)
         with pytest.raises(ValueError, match="unit disk"):
             circle_fourier_coeff(empirical_measure(np.array([1.2 + 0j])), 1.5, 1)
+
+
+class TestCircleFourierBatch:
+    KS = [5, 0, 3, 3, 8, 1]  # unsorted, with a repeat
+
+    @pytest.mark.parametrize(
+        "pts, R",
+        [
+            (np.exp(2j * np.pi * np.arange(12) / 12), 1.0),  # every atom near the circle
+            (0.6 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j), 1.2),  # every atom far
+            (np.array([0.2 + 0.1j, 0.97j, -0.5, 0.99 + 0j]), 1.0),  # both kinds
+        ],
+        ids=["near", "far", "mixed"],
+    )
+    def test_equals_one_index_at_a_time(self, pts, R):
+        m = empirical_measure(pts)
+        batch = circle_fourier_coeffs(m, R, self.KS, N=512)
+        assert batch == [circle_fourier_coeff(m, R, k, N=512) for k in self.KS]
+
+    def test_empty_ks(self):
+        assert circle_fourier_coeffs(_unity_measure(8), 1.0, []) == []
+
+    def test_validation_uses_largest_k(self):
+        m = _unity_measure(8)
+        # 8 * (15 + 1) = 128 nodes are enough for k = 15, 127 are not
+        assert len(circle_fourier_coeffs(m, 1.0, [15, 0], N=128)) == 2
+        with pytest.raises(ValueError, match="N too small"):
+            circle_fourier_coeffs(m, 1.0, [0, 15, 1], N=127)
+        with pytest.raises(ValueError, match="nonnegative"):
+            circle_fourier_coeffs(m, 1.0, [2, -1], N=4096)
