@@ -30,13 +30,20 @@ from .families import (
     example_origin,
     family_critical_points,
     miller_family,
-    random_instance,
+    random_instances,
     verify_family,
 )
 from .measures import empirical_measure, moment, quantitative_zetas
-from .poly_core import SendovInstance
+from .poly_core import SendovInstance, derivative
 from .potential import balayage, circle_fourier_coeffs, verify_basic_identities
-from .rootfind import RootSet, certified, critical_points, find_roots, zeros_of
+from .rootfind import (
+    RootSet,
+    certified,
+    critical_points,
+    find_roots,
+    find_roots_many,
+    zeros_of,
+)
 from .sendov_check import sendov_margin
 from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
 
@@ -138,7 +145,9 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
     """Resolve the instance source into (label, instance, crit_or_None) triples.
 
     Family members built in coefficient form carry their analytic
-    critical points; everything else leaves crit to the generic solver.
+    critical points, and the critical points of two or more random
+    instances are solved in one batch; everything else leaves crit to
+    the generic solver.  Each crit is certified where it is used.
     """
     src = cfg.instance
     keys = [k for k in ("family", "polynomial", "random") if k in src]
@@ -157,10 +166,10 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
         degree = int(rnd.get("degree", 8))
         if count < 1 or degree < 2:
             raise ValueError("random instances need count >= 1 and degree >= 2")
-        return [
-            (f"random-{i}", random_instance(rng, degree), None)
-            for i in range(count)
-        ]
+        insts = random_instances(rng, degree, count)
+        # a lone instance leaves crit to the runner, since fourier never reads it
+        crits = find_roots_many([derivative(i.f) for i in insts]) if count > 1 else [None]
+        return [(f"random-{i}", inst, crit) for i, (inst, crit) in enumerate(zip(insts, crits))]
     fam_cfg = dict(src["family"])
     fam = fam_cfg.get("kind", "")
     n = int(fam_cfg.get("n", 0))

@@ -27,9 +27,9 @@ from .measures import empirical_measure, summary
 from .poly_core import (
     Polynomial,
     SendovInstance,
+    _sendov_instances,
     evaluate,
     from_roots,
-    normalize_sendov,
 )
 from .potential import circle_fourier_coeff, log_potential
 from .rootfind import RootSet, certified, certified_crit, find_roots
@@ -44,6 +44,7 @@ __all__ = [
     "miller_family",
     "predicted_zero_shift",
     "random_instance",
+    "random_instances",
     "second_moment_test",
     "verify_family",
 ]
@@ -334,20 +335,29 @@ def second_moment_test(
     )
 
 
-def random_instance(rng: np.random.Generator, n: int) -> SendovInstance:
-    """A random instance with angularly separated zeros.
+def random_instances(rng: np.random.Generator, n: int, count: int) -> list[SendovInstance]:
+    """``count`` random instances with angularly separated zeros.
 
     Zeros at jittered equispaced angles with radii in [0.7, 1], rotated
     so the largest-modulus zero lands on the positive real axis.  The
     angular separation keeps the coefficient representation well
     conditioned (dense uniform configurations lose ~n digits in the
     products of pairwise distances), so computed roots and critical
-    points carry ~1e-10 forward accuracy up to n ~ 32.
+    points carry ~1e-10 forward accuracy up to n ~ 32.  Each instance
+    draws its angles and then its radii, so the instances, and the state
+    ``rng`` is left in, match ``count`` calls of
+    :func:`random_instance`.  All of them are expanded in one batch.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
-    radii = rng.uniform(0.7, 1.0, n)
-    roots = radii * np.exp(1j * angles)
-    p = from_roots(roots)
-    return normalize_sendov(p, int(np.argmax(np.abs(roots))))
+    roots = np.empty((count, n), dtype=np.complex128)
+    for row in range(count):
+        angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
+        radii = rng.uniform(0.7, 1.0, n)
+        roots[row] = radii * np.exp(1j * angles)
+    return _sendov_instances(roots, np.argmax(np.abs(roots), axis=1))
+
+
+def random_instance(rng: np.random.Generator, n: int) -> SendovInstance:
+    """One instance of :func:`random_instances`."""
+    return random_instances(rng, n, 1)[0]

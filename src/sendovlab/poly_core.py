@@ -50,6 +50,15 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _root_vector(values, degree: int) -> np.ndarray:
+    """Read-only root vector of a degree-``degree`` polynomial."""
+    roots = _as_complex_vector(values, "roots")
+    if roots.size != degree:
+        raise ValueError(f"root count {roots.size} does not match degree {degree}")
+    roots.setflags(write=False)
+    return roots
+
+
 def _horner(coeffs: np.ndarray, z):
     """Evaluate sum coeffs[k] z^k by Horner's rule (z scalar or array)."""
     acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
@@ -83,15 +92,10 @@ class Polynomial:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.roots is not None:
-            roots = _as_complex_vector(self.roots, "roots")
-            if roots.size != self.degree:
-                raise ValueError(
-                    f"root count {roots.size} does not match degree {self.degree}"
-                )
-            roots.setflags(write=False)
+            roots = _root_vector(self.roots, self.degree)
             object.__setattr__(self, "roots", roots)
             if self.degree <= _EXPAND_CHECK_MAX_DEGREE:
-                expanded = _expand_roots(roots, coeffs[-1])
+                expanded = from_roots_batch(roots[None, :], coeffs[-1])[0]
                 scale = np.max(np.abs(coeffs))
                 err = np.max(np.abs(expanded - coeffs))
                 if err > _EXPAND_CHECK_RTOL * scale:
@@ -113,64 +117,87 @@ class Polynomial:
         return abs(self.leading - 1.0) <= MONIC_TOL
 
 
-def _leja_order(roots: np.ndarray) -> np.ndarray:
-    """Greedy max-distance-product ordering for stable expansion.
+def _leja_orders(roots: np.ndarray) -> np.ndarray:
+    """Greedy max-distance-product order of each row, as column indices.
 
-    Incremental convolution in caller order can grow intermediate
+    Each row starts at its largest-modulus root; each next root is the
+    unchosen one with the largest product of distances to the roots
+    chosen so far, the first such index on ties.  Rows of two or fewer
+    roots keep their order.
+    """
+    b, m = roots.shape
+    order = np.tile(np.arange(m), (b, 1))
+    if m <= 2:
+        return order
+    rows = np.arange(b)
+    chosen = np.zeros((b, m), dtype=bool)
+    order[:, 0] = np.argmax(np.abs(roots), axis=1)
+    chosen[rows, order[:, 0]] = True
+    score = np.zeros((b, m))
+    for k in range(1, m):
+        with np.errstate(divide="ignore"):
+            score += np.log(np.abs(roots - roots[rows, order[:, k - 1], None]))
+        masked = np.where(chosen, -np.inf, score)
+        best = masked.max(axis=1)
+        # repeated roots leave unchosen scores at -inf, which chosen
+        # entries share, so the tie is broken among unchosen ones only
+        nxt = np.argmax(~chosen & (masked == best[:, None]), axis=1)
+        order[:, k] = nxt
+        chosen[rows, nxt] = True
+    return order
+
+
+def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
+    """Multiply out leading * prod (z - r) for every row of roots.
+
+    Each row is expanded in its Leja order (:func:`_leja_orders`).
+    Incremental convolution in caller order can grow the intermediate
     coefficients exponentially (e.g. roots of unity sorted by angle);
     Leja ordering keeps the partial products tame.  The product itself
     is order-independent, so this only changes the floating-point path.
+    Every step is the same per-row arithmetic at any batch size, so a
+    row's coefficients do not depend on the batch it is expanded in.
+
+    Parameters
+    ----------
+    roots : ndarray of complex, shape (B, m)
+        One root multiset per row.
+    leading : complex
+        Leading coefficient of every row.
+
+    Returns
+    -------
+    ndarray of complex, shape (B, m+1)
+        Ascending coefficient rows.
     """
-    m = roots.size
-    if m <= 2:
-        return roots
-    order = np.empty(m, dtype=np.intp)
-    chosen = np.zeros(m, dtype=bool)
-    first = int(np.argmax(np.abs(roots)))
-    order[0] = first
-    chosen[first] = True
-    score = np.zeros(m)
-    for k in range(1, m):
-        with np.errstate(divide="ignore"):
-            score += np.log(np.abs(roots - roots[order[k - 1]]))
-        cand = np.flatnonzero(~chosen)
-        nxt = int(cand[np.argmax(score[cand])])
-        order[k] = nxt
-        chosen[nxt] = True
-    return roots[order]
-
-
-def _expand_roots(roots: np.ndarray, leading: complex) -> np.ndarray:
-    """Multiply out leading * prod (z - r) into ascending coefficients."""
-    coeffs = np.array([leading], dtype=np.complex128)
-    for r in _leja_order(roots):
-        nxt = np.zeros(coeffs.size + 1, dtype=np.complex128)
-        nxt[1:] = coeffs
-        nxt[:-1] -= r * coeffs
+    roots = np.asarray(roots, dtype=np.complex128)
+    if roots.ndim != 2:
+        raise ValueError("roots must be a 2-d array")
+    if not np.all(np.isfinite(roots)):
+        raise ValueError("roots contains non-finite entries")
+    roots = np.take_along_axis(roots, _leja_orders(roots), axis=1)
+    b, m = roots.shape
+    coeffs = np.full((b, 1), leading, dtype=np.complex128)
+    for j in range(m):
+        nxt = np.zeros((b, j + 2), dtype=np.complex128)
+        nxt[:, 1:] = coeffs
+        nxt[:, :-1] -= roots[:, j, None] * coeffs
         coeffs = nxt
     return coeffs
 
 
-def _expand_roots_compensated(roots: np.ndarray, leading: complex) -> np.ndarray:
-    """Same expansion with Kahan-compensated accumulation per step."""
-    coeffs = np.array([leading], dtype=np.complex128)
-    comp = np.zeros(1, dtype=np.complex128)
-    for r in _leja_order(roots):
-        nxt = np.zeros(coeffs.size + 1, dtype=np.complex128)
-        nxt[1:] = coeffs
-        nxt_comp = np.zeros_like(nxt)
-        nxt_comp[1:] = comp
-        delta = np.zeros_like(nxt)
-        delta[:-1] = -r * coeffs
-        delta[1:] += -r * comp
-        y = delta - nxt_comp
-        t = nxt + y
-        comp = (t - nxt) - y
-        coeffs = t
-    return coeffs
+def _expanded(coeffs: np.ndarray, roots: np.ndarray) -> Polynomial:
+    """Polynomial(coeffs, roots) for coefficients just expanded from these roots.
+
+    Skips the constructor's expansion check, which would repeat the
+    expansion bit for bit; roots from anywhere else go through it.
+    """
+    p = Polynomial(coeffs)
+    object.__setattr__(p, "roots", _root_vector(roots, p.degree))
+    return p
 
 
-def from_roots(roots, leading: complex = 1.0, compensated: bool = False) -> Polynomial:
+def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """Build a polynomial from its zero multiset.
 
     Parameters
@@ -179,9 +206,6 @@ def from_roots(roots, leading: complex = 1.0, compensated: bool = False) -> Poly
         Zeros with multiplicity, any order.
     leading : complex
         Leading coefficient; must be nonzero.
-    compensated : bool
-        Use compensated accumulation in the expansion.  Worth switching
-        on above degree ~512 where plain convolution loses digits.
     """
     roots = _as_complex_vector(roots, "roots")
     if roots.size == 0:
@@ -189,36 +213,7 @@ def from_roots(roots, leading: complex = 1.0, compensated: bool = False) -> Poly
     leading = complex(leading)
     if leading == 0:
         raise ValueError("leading coefficient must be nonzero")
-    expand = _expand_roots_compensated if compensated else _expand_roots
-    coeffs = expand(roots, leading)
-    return Polynomial(coeffs, roots)
-
-
-def from_roots_batch(roots: np.ndarray) -> np.ndarray:
-    """Expand a batch of monic polynomials from root rows.
-
-    Parameters
-    ----------
-    roots : ndarray of complex, shape (B, n)
-        One root multiset per row.
-
-    Returns
-    -------
-    ndarray of complex, shape (B, n+1)
-        Ascending coefficient rows (monic).
-    """
-    roots = np.asarray(roots, dtype=np.complex128)
-    if roots.ndim != 2:
-        raise ValueError("roots must be a 2-d array")
-    b, n = roots.shape
-    coeffs = np.zeros((b, n + 1), dtype=np.complex128)
-    coeffs[:, 0] = 1.0
-    for j in range(n):
-        head = coeffs[:, : j + 1].copy()
-        coeffs[:, 1 : j + 2] = head
-        coeffs[:, 0] = 0.0
-        coeffs[:, : j + 1] -= roots[:, j, None] * head
-    return coeffs
+    return _expanded(from_roots_batch(roots[None, :], leading)[0], roots)
 
 
 def evaluate(p: Polynomial, z):
@@ -292,6 +287,29 @@ class SendovInstance:
         return self.f.degree
 
 
+def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
+    """normalize_sendov of the monic polynomial on each row of roots.
+
+    Each row is rotated on its own and all rows are expanded together.
+    """
+    rotated = np.empty_like(roots)
+    tops = []
+    for row, k in enumerate(zero_index):
+        z0 = complex(roots[row, k])
+        a = abs(z0)
+        if a > 1.0 + DISK_TOL:
+            raise ValueError("selected zero lies outside the closed unit disk")
+        u = z0.conjugate() / a if z0 != 0 else 1.0
+        rotated[row] = roots[row] * u
+        rotated[row, k] = a  # exact by construction: z0 * conj(z0)/|z0| = |z0|
+        tops.append(a)
+    coeffs = from_roots_batch(rotated)
+    return [
+        SendovInstance(_expanded(c, r), min(a, 1.0))
+        for c, r, a in zip(coeffs, rotated, tops)
+    ]
+
+
 def normalize_sendov(p: Polynomial, zero_index: int) -> SendovInstance:
     """Rotate and rescale so the selected zero lands on [0, 1].
 
@@ -302,12 +320,4 @@ def normalize_sendov(p: Polynomial, zero_index: int) -> SendovInstance:
         raise ValueError("normalize_sendov requires the root list")
     if not (0 <= zero_index < p.roots.size):
         raise IndexError("zero_index out of range")
-    z0 = complex(p.roots[zero_index])
-    a = abs(z0)
-    if a > 1.0 + DISK_TOL:
-        raise ValueError("selected zero lies outside the closed unit disk")
-    u = z0.conjugate() / a if z0 != 0 else 1.0
-    rotated = p.roots * u
-    rotated[zero_index] = a  # exact by construction: z0 * conj(z0)/|z0| = |z0|
-    f = from_roots(rotated, 1.0)
-    return SendovInstance(f, min(a, 1.0))
+    return _sendov_instances(p.roots[None, :], [zero_index])[0]

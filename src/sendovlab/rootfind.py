@@ -36,6 +36,7 @@ __all__ = [
     "critical_points",
     "find_roots",
     "find_roots_batch",
+    "find_roots_many",
     "refine_root",
     "zeros_of",
 ]
@@ -51,7 +52,9 @@ class RootSet:
     ``converged`` is False when any residual still exceeds the requested
     tolerance after the iteration budget; the best iterates are returned
     regardless, never silently wrong values.  ``iterations`` counts the
-    solver's evaluation passes (0 for roots known without iterating).
+    solver's evaluation passes (0 for roots known without iterating); a
+    set solved in a batch carries the batch's count, the passes until
+    its slowest row converged.
     """
 
     points: np.ndarray
@@ -222,27 +225,56 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
     return z, residual, iterations
 
 
+def _solve(polys, tol: float, max_iter: int) -> list[RootSet]:
+    """Solve each polynomial, one Aberth batch per degree after stripping."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    stripped = []
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(polys):
+        k = 0
+        while p.coeffs[k] == 0:
+            k += 1
+        stripped.append((k, p.coeffs[k:]))
+        groups.setdefault(p.degree - k, []).append(i)
+    out: list[RootSet | None] = [None] * len(stripped)
+    for d, members in groups.items():
+        if d == 0:
+            pts = res = np.zeros((len(members), 0))
+            iterations = 0
+        else:
+            rows = np.stack([stripped[i][1] for i in members])
+            pts, res, iterations = _aberth(rows, tol, max_iter)
+        for i, row_pts, row_res in zip(members, pts, res):
+            k = stripped[i][0]
+            points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
+            residuals = np.concatenate([np.zeros(k, dtype=np.float64), row_res])
+            converged = bool(np.all(residuals <= tol))
+            out[i] = RootSet(points, residuals, converged, iterations)
+    return out
+
+
 def find_roots(p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
     """Find all roots of p simultaneously.
 
     Exact zero coefficients at the low end are stripped first, so
     polynomials like z**n - z report their origin roots exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    coeffs = p.coeffs
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    d = p.degree - k
-    zero_points = np.zeros(k, dtype=np.complex128)
-    zero_residuals = np.zeros(k, dtype=np.float64)
-    if d == 0:
-        return RootSet(zero_points, zero_residuals, True)
-    pts, res, iterations = _aberth(coeffs[k:][None, :], tol, max_iter)
-    points = np.concatenate([zero_points, pts[0]])
-    residuals = np.concatenate([zero_residuals, res[0]])
-    return RootSet(points, residuals, bool(np.all(residuals <= tol)), iterations)
+    return _solve([p], tol, max_iter)[0]
+
+
+def find_roots_many(
+    polys, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> list[RootSet]:
+    """:func:`find_roots` of each polynomial, in input order.
+
+    Polynomials of equal degree after their zero roots are stripped are
+    solved in one batched Aberth call.  Each row's arithmetic is the
+    same at any batch size, so every returned set equals ``find_roots``
+    of its polynomial bit for bit; only ``iterations`` is the count of
+    the whole batch, since a batch iterates until its last row is done.
+    """
+    return _solve(list(polys), tol, max_iter)
 
 
 def find_roots_batch(

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from sendovlab import (
+    Polynomial,
+    attach_roots,
     check_matching_mean,
     critical_points,
     degot_suite,
+    from_roots,
     gauss_lucas_check,
     quantitative_zetas,
     random_instance,
@@ -91,3 +94,47 @@ def test_miller_zeros_solved_once_per_record(monkeypatch, command):
     # the family carries its critical points but no zeros: the runner
     # solves the degree-64 zeros once and hands them to the layer function
     assert solves.count((1, 65)) == 1
+
+
+def _check_random(count, degree):
+    instance = {"random": {"count": count, "degree": degree}}
+    return cli.ExperimentConfig(command="check", instance=instance, options={}, seed=0)
+
+
+def test_random_record_solves_its_critical_points_in_one_batch(monkeypatch):
+    solves = []
+    aberth = rootfind._aberth
+
+    def counting(*args, **kwargs):
+        solves.append(args[0].shape)
+        return aberth(*args, **kwargs)
+
+    monkeypatch.setattr(rootfind, "_aberth", counting)
+    assert cli.run(_check_random(64, 24)).ok
+    # the zeros are attached; the 64 derivatives of degree 23 are one batch
+    assert solves == [(64, 24)]
+
+
+def test_one_unconverged_batch_row_fails_the_record(monkeypatch):
+    aberth = rootfind._aberth
+
+    def one_row_stuck(coeffs, tol, max_iter):
+        pts, res, iterations = aberth(coeffs, tol, max_iter)
+        res[5, 0] = 10 * tol
+        return pts, res, iterations
+
+    monkeypatch.setattr(rootfind, "_aberth", one_row_stuck)
+    polys = [from_roots(np.exp(2j * np.pi * (np.arange(4) + 0.1 * s) / 4)) for s in range(8)]
+    flags = [rs.converged for rs in rootfind.find_roots_many(polys)]
+    assert flags == [i != 5 for i in range(8)]
+    with pytest.raises(RuntimeError, match="critical point"):
+        cli.run(_check_random(8, 12))
+
+
+def test_foreign_roots_are_still_checked():
+    p = from_roots([0.5, -0.25j, 0.1 + 0.7j])
+    wrong = [0.5, -0.25j, 0.1 - 0.7j]
+    with pytest.raises(ValueError, match="reproduce"):
+        Polynomial(p.coeffs, wrong)
+    with pytest.raises(ValueError, match="reproduce"):
+        attach_roots(p, wrong)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import match_max_distance
 from sendovlab.families import (
@@ -12,6 +14,7 @@ from sendovlab.families import (
     miller_family,
     predicted_zero_shift,
     random_instance,
+    random_instances,
     second_moment_test,
     verify_family,
 )
@@ -213,6 +216,19 @@ class TestRandomInstance:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             random_instance(np.random.default_rng(0), 1)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6))
+    def test_batch_equals_one_at_a_time(self, seed, n, count):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = random_instances(rng_a, n, count)
+        singles = [random_instance(rng_b, n) for _ in range(count)]
+        assert len(batch) == count
+        for x, y in zip(batch, singles):
+            assert x.f.coeffs.tobytes() == y.f.coeffs.tobytes()
+            assert x.f.roots.tobytes() == y.f.roots.tobytes()
+            assert x.a == y.a
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_family_zero_locations_against_shift_law():

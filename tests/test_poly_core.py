@@ -17,6 +17,7 @@ from sendovlab.poly_core import (
     from_roots_batch,
     normalize_sendov,
 )
+from sendovlab.poly_core import _leja_orders
 
 
 class TestPolynomialConstruction:
@@ -87,15 +88,6 @@ class TestFromRoots:
         expected[0], expected[n] = -1.0, 1.0
         assert np.max(np.abs(p.coeffs - expected)) < 1e-12
 
-    def test_compensated_matches_plain(self):
-        rng = np.random.default_rng(5)
-        roots = 0.9 * np.sqrt(rng.uniform(0, 1, 12)) * np.exp(
-            2j * np.pi * rng.uniform(0, 1, 12)
-        )
-        a = from_roots(roots).coeffs
-        b = from_roots(roots, compensated=True).coeffs
-        assert np.max(np.abs(a - b)) < 1e-13
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.lists(
@@ -123,6 +115,83 @@ class TestFromRootsBatch:
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-d"):
             from_roots_batch(np.array([1.0, 2.0]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 14),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_rows_equal_from_roots_bit_for_bit(self, b, m, seed, repeat):
+        rng = np.random.default_rng(seed)
+        roots = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
+        if repeat:
+            roots[:, m // 2 :] = roots[:, : m - m // 2]
+        batch = from_roots_batch(roots)
+        single = np.array([from_roots(row).coeffs for row in roots])
+        assert batch.tobytes() == single.tobytes()
+
+
+def _leja_reference(roots):
+    """Per-row Leja order: first the largest modulus, then max distance product."""
+    m = roots.size
+    if m <= 2:
+        return np.arange(m)
+    order = [int(np.argmax(np.abs(roots)))]
+    score = np.zeros(m)
+    for _ in range(1, m):
+        with np.errstate(divide="ignore"):
+            score += np.log(np.abs(roots - roots[order[-1]]))
+        cand = np.setdiff1d(np.arange(m), order)
+        order.append(int(cand[np.argmax(score[cand])]))
+    return np.array(order)
+
+
+def _expand_reference(roots):
+    """Multiply out prod (z - r) one root at a time in the reference order."""
+    coeffs = np.ones(1, dtype=complex)
+    for r in roots[_leja_reference(roots)]:
+        nxt = np.zeros(coeffs.size + 1, dtype=complex)
+        nxt[1:] = coeffs
+        nxt[:-1] -= r * coeffs
+        coeffs = nxt
+    return coeffs
+
+
+class TestLejaTies:
+    """Repeated roots score -inf against themselves, like the chosen ones."""
+
+    UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
+    ROWS = np.array(
+        [
+            [1, 1, 1, 0.5, 0.5, -1],
+            [*UNITY, *UNITY],
+            [0.3 + 0.2j] * 6,
+            [0, 0, 0, 0, 0.5, 0.5],
+            [0.9, -0.2j, 0.4 + 0.4j, -0.7, 0.1, 0.6j],
+        ],
+        dtype=complex,
+    )
+
+    def test_order_is_the_reference_permutation(self):
+        orders = _leja_orders(self.ROWS)
+        for row, order in zip(self.ROWS, orders):
+            assert sorted(order) == list(range(row.size))
+            assert order.tolist() == _leja_reference(row).tolist()
+
+    def test_expansion_matches_reference_and_product(self):
+        batch = from_roots_batch(self.ROWS)
+        z = 1.5 + 0.5j
+        for row, coeffs in zip(self.ROWS, batch):
+            assert coeffs.tobytes() == _expand_reference(row).tobytes()
+            direct = np.prod(z - row)
+            assert abs(evaluate(from_roots(row), z) - direct) <= 1e-10 * max(1.0, abs(direct))
+
+    def test_short_rows_keep_their_order(self):
+        rows = np.array([[0.1, 0.9], [0.9, 0.1]], dtype=complex)
+        assert _leja_orders(rows).tolist() == [[0, 1], [0, 1]]
+        assert _leja_orders(rows[:, :1]).tolist() == [[0], [0]]
 
 
 class TestEvaluate:

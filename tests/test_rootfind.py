@@ -13,6 +13,7 @@ from sendovlab.rootfind import (
     cluster_multiplicities,
     find_roots,
     find_roots_batch,
+    find_roots_many,
     refine_root,
 )
 
@@ -161,6 +162,43 @@ class TestFindRootsBatch:
     def test_rejects_zero_leading(self):
         with pytest.raises(ValueError, match="leading"):
             find_roots_batch(np.array([[1.0, 1.0, 0.0]], dtype=complex))
+
+
+class TestFindRootsMany:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(0, 3), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_equals_single_solves_bit_for_bit(self, specs):
+        # (degree, exact zero roots, seed): equal stripped degrees share a batch
+        polys = []
+        for degree, zeros, seed in specs:
+            rng = np.random.default_rng(seed)
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            coeffs[: min(zeros, degree)] = 0.0
+            polys.append(Polynomial(coeffs))
+        many = find_roots_many(polys)
+        assert len(many) == len(polys)
+        for p, rs in zip(polys, many):
+            single = find_roots(p)
+            assert rs.points.tobytes() == single.points.tobytes()
+            assert rs.residuals.tobytes() == single.residuals.tobytes()
+            assert rs.converged == single.converged
+
+    def test_iterations_are_the_batch_count(self):
+        polys = [from_roots([0.5, -0.5j, 0.3 + 0.1j]), Polynomial([1e-6, 3.0, 0.0, 1.0])]
+        many = find_roots_many(polys)
+        assert many[0].iterations == many[1].iterations
+        assert many[0].iterations == max(find_roots(p).iterations for p in polys)
+
+    def test_empty_and_tol(self):
+        assert find_roots_many([]) == []
+        with pytest.raises(ValueError, match="tol"):
+            find_roots_many([from_roots([0.5])], tol=0.0)
 
 
 class TestRefineRoot:
