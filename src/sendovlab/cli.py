@@ -35,11 +35,10 @@ from .families import (
 )
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance, derivative
-from .potential import balayage, circle_fourier_coeffs, verify_basic_identities
+from .potential import CircleDensity, balayage, circle_fourier_coeffs, verify_basic_identities
 from .rootfind import (
     RootSet,
-    certified,
-    critical_points,
+    certified_crit,
     find_roots,
     find_roots_many,
     zeros_of,
@@ -193,11 +192,6 @@ def _family_params(fam_cfg: dict, n: int) -> FamilyParams:
     )
 
 
-def _crit_of(inst: SendovInstance, crit: RootSet | None) -> RootSet:
-    """The given critical points, or solved ones; either must be certified."""
-    return certified(crit if crit is not None else critical_points(inst.f), "critical point")
-
-
 def _solved_zeros(inst: SendovInstance) -> RootSet | None:
     """The zeros of inst.f solved once for a record, or None when they are attached."""
     return find_roots(inst.f) if inst.f.roots is None else None
@@ -216,7 +210,7 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 def _run_check(cfg, rng):
     rows = []
     for label, inst, crit in _build_instances(cfg, rng):
-        crit = _crit_of(inst, crit)
+        crit = certified_crit(inst.f, crit)
         rs = _solved_zeros(inst)
         rep = sendov_margin(inst, crit=crit, rs=rs)
         zeros = zeros_of(inst.f, rs)
@@ -249,7 +243,7 @@ def _run_identities(cfg, rng):
     for label, inst, crit in _build_instances(cfg, rng):
         rs = _solved_zeros(inst)
         zeros = zeros_of(inst.f, rs)
-        crit = _crit_of(inst, crit)
+        crit = certified_crit(inst.f, crit)
         avoid = np.concatenate([zeros, crit.points])
         zs = _sample_points(rng, points, avoid)
         rep = verify_basic_identities(inst.f, zs, crit=crit, rs=rs)
@@ -284,7 +278,7 @@ def _run_balayage(cfg, rng):
     N = int(N) if N is not None else None
     label, inst, crit = _build_instances(cfg, rng)[0]
     zeros = zeros_of(inst.f)
-    crit = _crit_of(inst, crit)
+    crit = certified_crit(inst.f, crit)
     dz = balayage(empirical_measure(zeros), R, N)
     dx = balayage(empirical_measure(crit.points), R, len(dz.samples))
     gap = float(np.max(np.abs(dz.samples - dx.samples)))
@@ -298,7 +292,6 @@ def _run_balayage(cfg, rng):
         "label": label,
         "n": n,
         "R": R,
-        "thetas": dz.thetas.tolist(),
         "zero_density": dz.samples.tolist(),
         "crit_density": dx.samples.tolist(),
         "sup_gap": gap,
@@ -314,7 +307,7 @@ def _run_winding(cfg, rng):
     r2 = float(cfg.options.get("r2", 0.4))
     label, inst, crit = _build_instances(cfg, rng)[0]
     rs = _solved_zeros(inst)
-    crit = _crit_of(inst, crit)
+    crit = certified_crit(inst.f, crit)
     sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
     count = zero_pole_count(inst.f, sel.radius, rs=rs, crit=crit)
@@ -405,7 +398,7 @@ def _sweep_case(template: dict, n: int, theta_grid: int) -> dict:
         params = _family_params(template, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     inst = example_circle(n) if kind == "circle" else example_origin(n)
-    crit = _crit_of(inst, None)
+    crit = certified_crit(inst.f)
     rep = sendov_margin(inst, crit=crit)
     diag = quantitative_zetas(inst, crit=crit)
     return {
@@ -456,6 +449,11 @@ def run(cfg: ExperimentConfig) -> ExperimentRecord:
     )
 
 
+def _thetas(res: dict) -> list[float]:
+    """The sample angles 2 pi k / N of a balayage result's N densities."""
+    return CircleDensity(res["R"], res["zero_density"]).thetas.tolist()
+
+
 def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
     """Flatten the record into a command-appropriate table."""
     cmd = record.config["command"]
@@ -479,7 +477,7 @@ def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
         header = ["theta", "zero_density", "crit_density"]
         rows = [
             [fmt17(t), fmt17(z), fmt17(x)]
-            for t, z, x in zip(res["thetas"], res["zero_density"], res["crit_density"])
+            for t, z, x in zip(_thetas(res), res["zero_density"], res["crit_density"])
         ]
         return header, rows
     if cmd == "winding":
@@ -574,7 +572,7 @@ def emit_plot_data(record: ExperimentRecord, kind: str, path: str) -> str:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["theta", "value"])
-            for t, v in zip(res["thetas"], res["zero_density"]):
+            for t, v in zip(_thetas(res), res["zero_density"]):
                 writer.writerow([fmt17(t), fmt17(v)])
         return path
     if kind == "dd_curve":

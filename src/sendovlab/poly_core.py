@@ -42,7 +42,8 @@ class AtomCollisionError(ValueError):
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    """A complex copy of values, so freezing it leaves the caller's array writeable."""
+    arr = np.array(values, dtype=np.complex128, ndmin=1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):

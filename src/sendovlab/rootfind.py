@@ -22,6 +22,7 @@ a solved one; an unconverged solve raises ``RuntimeError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,32 +134,65 @@ def _start_points(abs_coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def _newton_pass(coeffs, abs_coeffs, rows, z):
+def _horner_table(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of every row in the blocks that :func:`_newton_pass` reads.
+
+    With b = isqrt(d + 1) and nb = ceil((d + 1) / b), entry
+    ``[i, s, j, 2 r + o]`` is ascending coefficient j b + i of series s
+    of row r in orientation o.  Orientation 0 is p itself and 1 the
+    reversed polynomial q(y) = y^d p(1/y); series 0 is the polynomial,
+    1 its derivative (coefficient (k + 1) c_{k+1} at power k) and 2 the
+    moduli |c_k|.  Entries past the degree are zero.
+    """
+    n_rows, w = coeffs.shape
+    b = math.isqrt(w)
+    nb = -(-w // b)
+    a = np.stack([coeffs, coeffs[:, ::-1]], axis=1)
+    table = np.zeros((n_rows, 2, 3, nb * b), dtype=np.complex128)
+    table[:, :, 0, :w] = a
+    table[:, :, 1, : w - 1] = a[:, :, 1:] * np.arange(1, w)
+    table[:, :, 2, :w] = np.abs(a)
+    return table.reshape(2 * n_rows, 3, nb, b).transpose(3, 1, 2, 0).copy()
+
+
+def _newton_pass(table, d, rows, z):
     """Newton corrections p/p' and backward errors at the iterates z.
 
-    One Horner pass computes p, p' and the scale sum_k |c_k| |z|^k
-    together.  Iterates with |z| > 1 are evaluated through the reversed
-    polynomial q(y) = y^d p(1/y) at y = 1/z, where p/p' = z / (d - y q'/q)
-    and the backward error |q(y)| / sum_k |c_{d-k}| |y|^k equals
-    |p(z)| / sum_k |c_k| |z|^k, so no power of |z| above 1 is formed.
-    ``rows`` maps each iterate to its coefficient row.
+    p, p' and the scale sum_k |c_k| |z|^k are evaluated together, in
+    blocks of b ascending coefficients (:func:`_horner_table`): b inner
+    Horner steps give every block's value at x at once, x^b is formed
+    by squaring, and nb outer Horner steps in x^b combine the blocks,
+    so a pass makes O(sqrt(d)) array operations, not O(d).  Each
+    term c_k x^k still passes through a fixed chain of roundings, so the
+    computed p is within a small multiple of u * sum_k |c_k| |x|^k of the
+    true one, the bound the certificate rests on (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 5.1).  Iterates with |z| > 1 are
+    evaluated through the reversed polynomial q(y) = y^d p(1/y) at
+    y = 1/z, where p/p' = z / (d - y q'/q) and the backward error
+    |q(y)| / sum_k |c_{d-k}| |y|^k equals |p(z)| / sum_k |c_k| |z|^k, so
+    no power of |z| above 1 is formed.  ``rows`` maps each iterate to
+    its coefficient row; every operation is elementwise per iterate, so
+    an iterate's values do not depend on the others in the pass.
     """
-    d = coeffs.shape[1] - 1
+    b, _, nb, _ = table.shape
     outside = np.abs(z) > 1.0
     x = np.where(outside, 1.0 / z, z)
-    ax = np.abs(x)
-    # column of coefficient step t: c_{d-t} for p, c_t for the reversed q
-    t = np.arange(d + 1)[:, None]
-    cols = np.where(outside[None, :], t, d - t)
-    k = coeffs[rows[None, :], cols]
-    ak = abs_coeffs[rows[None, :], cols]
-    p = k[0].copy()
-    dp = np.zeros_like(p)
-    scale = ak[0].copy()
-    for step in range(1, d + 1):
-        dp = dp * x + p
-        p = p * x + k[step]
-        scale = scale * ax + ak[step]
+    groups = 2 * rows + outside
+    # the three series advance by x, x and |x|; on the moduli series a
+    # complex product equals the real one and its imaginary part stays 0
+    step = np.stack([x, x, np.abs(x).astype(np.complex128)])
+    blocks = np.take(table[b - 1], groups, axis=2)
+    for i in range(b - 2, -1, -1):
+        blocks = blocks * step[:, None] + np.take(table[i], groups, axis=2)
+    xb = step  # to the power b by binary powering, leading bit first
+    for bit in bin(b)[3:]:
+        xb = xb * xb
+        if bit == "1":
+            xb = xb * step
+    acc = blocks[:, nb - 1]
+    for j in range(nb - 2, -1, -1):
+        acc = acc * xb + blocks[:, j]
+    p, dp, scale = acc[0], acc[1], acc[2].real
     den = np.where(outside, x * (d * p - x * dp), dp)
     den = np.where(den == 0, 1e-300, den)
     return p / den, np.abs(p) / scale
@@ -187,8 +221,8 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
     b, w = coeffs.shape
     d = w - 1
     coeffs = coeffs / coeffs[:, -1, None]
-    abs_coeffs = np.abs(coeffs)
-    z = _start_points(abs_coeffs)
+    table = _horner_table(coeffs)
+    z = _start_points(np.abs(coeffs))
     restart = z * np.exp(0.37j)
 
     wn = np.zeros((b, d), dtype=np.complex128)
@@ -196,9 +230,7 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
     frozen = np.zeros((b, d), dtype=bool)
 
     def refresh(rows, cols):
-        wn[rows, cols], residual[rows, cols] = _newton_pass(
-            coeffs, abs_coeffs, rows, z[rows, cols]
-        )
+        wn[rows, cols], residual[rows, cols] = _newton_pass(table, d, rows, z[rows, cols])
 
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -218,7 +250,7 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
 
         rows, cols = np.divmod(np.arange(b * d), d)
         trial = z - _aberth_step(z, wn.ravel(), rows, cols).reshape(b, d)
-        _, trial_res = _newton_pass(coeffs, abs_coeffs, rows, trial.ravel())
+        _, trial_res = _newton_pass(table, d, rows, trial.ravel())
         keep = (trial_res <= residual.ravel()).reshape(b, d)
         z = np.where(keep, trial, z)
         residual = np.where(keep, trial_res.reshape(b, d), residual)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sendovlab import cli
+from sendovlab import rootfind
 from sendovlab.cli import (
     ExperimentConfig,
     emit_plot_data,
@@ -11,8 +11,12 @@ from sendovlab.cli import (
     run,
     write_record,
 )
+from sendovlab.families import example_origin
+from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import derivative
-from sendovlab.rootfind import RootSet, find_roots
+from sendovlab.potential import balayage
+from sendovlab.rootfind import RootSet, critical_points, find_roots, zeros_of
+from sendovlab.serialize import fmt17
 
 
 def _cfg(command, instance, options=None, seed=0):
@@ -94,7 +98,7 @@ class TestRunners:
             rs = find_roots(derivative(p))
             return RootSet(rs.points, rs.residuals + 1e-3, False)
 
-        monkeypatch.setattr(cli, "critical_points", unconverged)
+        monkeypatch.setattr(rootfind, "critical_points", unconverged)
         with pytest.raises(RuntimeError, match="critical point"):
             run(_cfg(command, ORIGIN64, {"n_list": [64]}))
 
@@ -171,6 +175,32 @@ class TestOutputs:
 
         fam = run(_cfg("family", MILLER, {"theta_grid": 64}))
         emit_plot_data(fam, "dd_curve", str(tmp_path / "d.csv"))
+
+    def test_balayage_angles_derived_not_stored(self, tmp_path):
+        # the payload carries no thetas; CSV and plot files still list
+        # the sample angles of the density, as when they were stored
+        cfg = _cfg("balayage", ORIGIN64, {"R": 1.3})
+        rec = run(cfg)
+        assert "thetas" not in rec.results
+        assert "thetas" not in rec.payload()
+        inst = example_origin(64)
+        dz = balayage(empirical_measure(zeros_of(inst.f)), 1.3)
+        dx = balayage(empirical_measure(critical_points(inst.f).points), 1.3, dz.samples.size)
+        assert rec.results["zero_density"] == dz.samples.tolist()
+        assert rec.results["crit_density"] == dx.samples.tolist()
+        thetas = [fmt17(t) for t in dz.thetas.tolist()]
+
+        write_record(rec, str(tmp_path / "rec.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "rec.csv").open()))
+        assert rows[0] == ["theta", "zero_density", "crit_density"]
+        assert rows[1:] == [
+            [t, fmt17(z), fmt17(x)] for t, z, x in zip(thetas, dz.samples, dx.samples)
+        ]
+
+        emit_plot_data(rec, "balayage", str(tmp_path / "b.csv"))
+        rows = list(csv.reader((tmp_path / "b.csv").open()))
+        assert rows[0] == ["theta", "value"]
+        assert rows[1:] == [[t, fmt17(z)] for t, z in zip(thetas, dz.samples)]
 
     def test_plot_data_kind_mismatch(self, tmp_path):
         rec = run(_cfg("check", CIRCLE12))

@@ -52,6 +52,24 @@ class TestPolynomialConstruction:
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # the polynomial keeps read-only copies and never freezes the
+        # arrays it was built from
+        r = np.array([0.5, -0.5j])
+        p = from_roots(r)
+        c = np.array([-1.0, 0.0, 1.0], dtype=np.complex128)
+        q = Polynomial(c)
+        s = np.array([1.0, -1.0], dtype=np.complex128)
+        a = attach_roots(q, s)
+        for arr in (r, c, s):
+            assert arr.flags.writeable
+        for arr in (p.coeffs, p.roots, q.coeffs, a.coeffs, a.roots):
+            assert not arr.flags.writeable
+        r[0], c[0], s[0] = 9.0, 9.0, 9.0
+        assert p.roots[0] == 0.5
+        assert q.coeffs[0] == -1.0
+        assert a.roots[0] == 1.0
+
     def test_consistency_check_accepts_cyclic_roots_degree_64(self):
         # angular-ordered roots of unity are the worst case for naive
         # incremental expansion; the check must not false-alarm on them

@@ -16,6 +16,13 @@ from sendovlab.rootfind import (
     find_roots_many,
     refine_root,
 )
+from sendovlab.rootfind import _horner_table, _newton_pass
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(k):
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 class TestRootSet:
@@ -199,6 +206,66 @@ class TestFindRootsMany:
         assert find_roots_many([]) == []
         with pytest.raises(ValueError, match="tol"):
             find_roots_many([from_roots([0.5])], tol=0.0)
+
+
+class TestNewtonPass:
+    # d + 1 is a multiple of the block length isqrt(d + 1) for d <= 24
+    # and leaves a partial last block for d >= 191
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 24, 191, 192, 193, 511, 1024])
+    def test_within_horner_bound_of_50_digit_values(self, d):
+        # Horner's a-priori bound (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 5.1): |computed - p(x)| <= gamma_{2d} *
+        # sum_k |c_k| |x|^k, here gamma_{2d+1} since the stored k c_k and
+        # |c_k| are rounded once; the corrections and backward errors
+        # follow to first order, plus a few roundings in the quotients
+        rng = np.random.default_rng(d)
+        c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        c = c / c[-1]
+        phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3))
+        near_roots = find_roots(Polynomial(c)).points[:3]
+        z = np.concatenate(
+            [r * phase for r in (0.4, 0.999, 1.0, 1.001, 3.0)]
+            + [np.array([1.0, -1.0, 1j, -1j]), near_roots]
+        )
+        wn, res = _newton_pass(_horner_table(c[None, :]), d, np.zeros(z.size, np.intp), z)
+        assert np.all(np.isfinite(wn)) and np.all(np.isfinite(res))
+        g, u = _gamma(2 * d + 1), UNIT_ROUNDOFF
+        with mpmath.workdps(50):
+            for zk, wk, rk in zip(z, wn, res):
+                outside = abs(zk) > 1.0
+                # the pass evaluates the reversed polynomial at the float 1/z
+                x = complex(1.0 / zk) if outside else complex(zk)
+                a = c[::-1] if outside else c
+                p, dp = mpmath.polyval([mpmath.mpc(v) for v in a[::-1]], x, derivative=True)
+                s, ds = mpmath.polyval(
+                    [abs(mpmath.mpc(v)) for v in a[::-1]], abs(x), derivative=True
+                )
+                e_p, e_dp = g * s, g * ds
+                if outside:
+                    den = x * (d * p - x * dp)
+                    e_den = abs(x) * (d * e_p + abs(x) * e_dp)
+                    e_den += 6 * u * abs(x) * (d * abs(p) + abs(x) * abs(dp))
+                else:
+                    den, e_den = dp, e_dp
+                if abs(den) > 2 * e_den:
+                    w = p / den
+                    bound = (e_p + abs(w) * e_den) / (abs(den) - e_den) + 8 * u * abs(w)
+                    assert abs(wk - w) <= bound, (zk, abs(wk - w), bound)
+                r = abs(p) / s
+                bound = g * (1 + r) / (1 - g) + 2 * u * r
+                assert abs(rk - r) <= bound, (zk, abs(rk - r), bound)
+
+    def test_values_do_not_depend_on_the_other_iterates(self):
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal((3, 193)) + 1j * rng.standard_normal((3, 193))
+        z = 1.5 * (rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60))
+        rows = rng.integers(0, 3, 60)
+        wn, res = _newton_pass(_horner_table(c), 192, rows, z)
+        for k in range(60):
+            table = _horner_table(c[rows[k], None])
+            one = _newton_pass(table, 192, np.zeros(1, np.intp), z[k : k + 1])
+            assert one[0].tobytes() == wn[k : k + 1].tobytes()
+            assert one[1].tobytes() == res[k : k + 1].tobytes()
 
 
 class TestRefineRoot:
