@@ -140,13 +140,15 @@ class ExperimentRecord:
         )
 
 
-def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
+def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator, crit: bool = True):
     """Resolve the instance source into (label, instance, crit_or_None) triples.
 
-    Family members built in coefficient form carry their analytic
-    critical points, and the critical points of two or more random
-    instances are solved in one batch; everything else leaves crit to
-    the generic solver.  Each crit is certified where it is used.
+    With ``crit``, family members built in coefficient form carry their
+    analytic critical points, and the critical points of a record's
+    random instances are solved in one batch; everything else leaves
+    crit to the generic solver.  Runners that never read crit pass
+    ``crit=False`` and get None throughout.  Each crit is certified
+    where it is used.
     """
     src = cfg.instance
     keys = [k for k in ("family", "polynomial", "random") if k in src]
@@ -166,9 +168,8 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
         if count < 1 or degree < 2:
             raise ValueError("random instances need count >= 1 and degree >= 2")
         insts = random_instances(rng, degree, count)
-        # a lone instance leaves crit to the runner, since fourier never reads it
-        crits = find_roots_many([derivative(i.f) for i in insts]) if count > 1 else [None]
-        return [(f"random-{i}", inst, crit) for i, (inst, crit) in enumerate(zip(insts, crits))]
+        crits = find_roots_many([derivative(i.f) for i in insts]) if crit else [None] * count
+        return [(f"random-{i}", inst, c) for i, (inst, c) in enumerate(zip(insts, crits))]
     fam_cfg = dict(src["family"])
     fam = fam_cfg.get("kind", "")
     n = int(fam_cfg.get("n", 0))
@@ -178,7 +179,8 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator):
         return [("origin", example_origin(n), None)]
     if fam == "miller":
         params = _family_params(fam_cfg, n)
-        return [("miller", miller_family(params), family_critical_points(params))]
+        inst = miller_family(params)
+        return [("miller", inst, family_critical_points(params) if crit else None)]
     raise ValueError(f"unknown family kind {fam!r}; expected circle, origin, or miller")
 
 
@@ -373,7 +375,7 @@ def _run_fourier(cfg, rng):
     R = float(cfg.options.get("R", 1.0))
     ks = [int(k) for k in cfg.options.get("ks", list(range(0, 9)))]
     N = int(cfg.options.get("N", 4096))
-    label, inst, crit = _build_instances(cfg, rng)[0]
+    label, inst, _ = _build_instances(cfg, rng, crit=False)[0]
     zeros = zeros_of(inst.f)
     mz = empirical_measure(zeros)
     rows = []

@@ -27,6 +27,7 @@ from .measures import empirical_measure, summary
 from .poly_core import (
     Polynomial,
     SendovInstance,
+    _horner,
     _sendov_instances,
     evaluate,
     from_roots,
@@ -161,7 +162,7 @@ def miller_family(params: FamilyParams) -> SendovInstance:
     const = p_at_a * math.exp(nm * math.log1p((c2 - c1) / n))
     coeffs[0] -= const
     f = Polynomial(coeffs)
-    scale = 1.0 + float(np.polyval(np.abs(coeffs)[::-1], a).real)
+    scale = 1.0 + float(_horner(np.abs(coeffs), a).real)
     resid = abs(evaluate(f, a))
     if resid > 1e-10 * scale:
         raise AssertionError(f"family construction residual {resid:.3e} too large")

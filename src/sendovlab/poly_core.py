@@ -1,15 +1,13 @@
 """Complex polynomials with a dual coefficient/root representation.
 
 Coefficients are stored ascending by power and drive Horner evaluation
-and differentiation.  An optional root list, when attached, is the
-source of truth for log-domain work (overflow-free evaluation for
-degrees in the hundreds) and is cross-checked against the coefficients
-on construction for moderate degrees.
+and differentiation.  An optional root list, when attached, is stored
+verbatim as the polynomial's zeros and is cross-checked against the
+coefficients on construction for moderate degrees.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +16,10 @@ __all__ = [
     "AtomCollisionError",
     "Polynomial",
     "SendovInstance",
-    "attach_roots",
     "derivative",
-    "eval_log_abs",
     "evaluate",
     "from_roots",
     "from_roots_batch",
-    "normalize_sendov",
 ]
 
 # Absolute slack on |leading - 1| below which a polynomial counts as monic.
@@ -225,31 +220,10 @@ def evaluate(p: Polynomial, z):
     return out
 
 
-def eval_log_abs(p: Polynomial, z: complex) -> float:
-    """Return log|p(z)| as log|leading| + sum log|z - root|.
-
-    Requires the root list; stays finite for degrees where the
-    coefficient form would overflow.  Raises :class:`AtomCollisionError`
-    when z is exactly a stored root (log|p| = -inf there).
-    """
-    if p.roots is None:
-        raise ValueError("eval_log_abs requires the root list")
-    diffs = z - p.roots
-    if np.any(diffs == 0):
-        raise AtomCollisionError("z coincides with a root")
-    terms = np.log(np.abs(diffs))
-    return math.log(abs(p.leading)) + math.fsum(terms.tolist())
-
-
 def derivative(p: Polynomial) -> Polynomial:
     """Formal derivative; any attached roots are dropped."""
     k = np.arange(1, p.coeffs.size)
     return Polynomial(p.coeffs[1:] * k)
-
-
-def attach_roots(p: Polynomial, roots) -> Polynomial:
-    """Return a copy of p with the given roots attached (and validated)."""
-    return Polynomial(p.coeffs, _as_complex_vector(roots, "roots"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,9 +263,12 @@ class SendovInstance:
 
 
 def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
-    """normalize_sendov of the monic polynomial on each row of roots.
+    """The monic polynomial on each row of roots, as a Sendov instance.
 
-    Each row is rotated on its own and all rows are expanded together.
+    Each row is rotated by the unit conjugate phase of its zero
+    ``zero_index[row]``, which lands exactly on a = |zero| in [0, 1];
+    pairwise root distances are preserved.  All rows are expanded
+    together.
     """
     rotated = np.empty_like(roots)
     tops = []
@@ -310,15 +287,3 @@ def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
         for c, r, a in zip(coeffs, rotated, tops)
     ]
 
-
-def normalize_sendov(p: Polynomial, zero_index: int) -> SendovInstance:
-    """Rotate and rescale so the selected zero lands on [0, 1].
-
-    The polynomial is made monic and rotated by the unit conjugate
-    phase of the selected zero; pairwise root distances are preserved.
-    """
-    if p.roots is None:
-        raise ValueError("normalize_sendov requires the root list")
-    if not (0 <= zero_index < p.roots.size):
-        raise IndexError("zero_index out of range")
-    return _sendov_instances(p.roots[None, :], [zero_index])[0]

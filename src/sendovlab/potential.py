@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, empirical_measure
+from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
 from .poly_core import AtomCollisionError, Polynomial, derivative, evaluate
 from .rootfind import RootSet, certified_crit, zeros_of
+from .sendov_check import _segment_distance
 
 __all__ = [
     "CircleDensity",
@@ -53,13 +54,10 @@ class ContourTooCloseError(ValueError):
 
 def log_potential(m: EmpiricalMeasure, z: complex) -> float:
     """U(z) = E log(1/|z - eta|).  Raises on exact atom collision."""
-    diffs = z - m.points
-    if np.any((diffs == 0) & (m.weights > 0)):
+    e = expect_log_distance(m, z)
+    if e == -math.inf:
         raise AtomCollisionError("z coincides with an atom")
-    keep = diffs != 0
-    return -float(
-        math.fsum((m.weights[keep] * np.log(np.abs(diffs[keep]))).tolist())
-    )
+    return -e
 
 
 def stieltjes(m: EmpiricalMeasure, z: complex) -> complex:
@@ -230,15 +228,8 @@ def integrated_log_derivative(p: Polynomial, contour, rtol: float = 1e-13) -> co
         raise ValueError("contour must be a polyline of at least two points")
     zeros = zeros_of(p)
     for z0, z1 in zip(pts[:-1], pts[1:]):
-        seg = z1 - z0
-        L2 = abs(seg) ** 2
         for zr in zeros:
-            if L2 == 0:
-                d = abs(z0 - zr)
-            else:
-                t = ((zr - z0).real * seg.real + (zr - z0).imag * seg.imag) / L2
-                t = min(1.0, max(0.0, t))
-                d = abs(zr - (z0 + t * seg))
+            d = _segment_distance(zr, z0, z1)
             if d < NEAR_CIRCLE:
                 raise ContourTooCloseError(
                     f"segment passes within {d:.3g} of a zero (need >= 0.05)"

@@ -10,8 +10,7 @@ at that precision.  Start points come from the Newton polygon of the
 coefficients, and evaluation outside the unit disk goes through the
 reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
-coefficient form is eps**(1/m)); :func:`cluster_multiplicities`
-regroups them.
+coefficient form is eps**(1/m)).
 
 This module is also the one point where a solve is certified.  Every
 layer takes its zeros through :func:`zeros_of` (attached roots as
@@ -33,12 +32,9 @@ __all__ = [
     "RootSet",
     "certified",
     "certified_crit",
-    "cluster_multiplicities",
     "critical_points",
     "find_roots",
-    "find_roots_batch",
     "find_roots_many",
-    "refine_root",
     "zeros_of",
 ]
 
@@ -309,30 +305,6 @@ def find_roots_many(
     return _solve(list(polys), tol, max_iter)
 
 
-def find_roots_batch(
-    coeffs: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-):
-    """Solve a batch of same-degree polynomials at once.
-
-    Parameters
-    ----------
-    coeffs : ndarray of complex, shape (B, d+1)
-        Ascending coefficient rows, nonzero leading and constant terms
-        (strip exact zero roots before batching).
-
-    Returns
-    -------
-    points : ndarray (B, d), residuals : ndarray (B, d), converged : ndarray (B,) of bool
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be a 2-d array")
-    if np.any(coeffs[:, -1] == 0) or np.any(coeffs[:, 0] == 0):
-        raise ValueError("batched rows need nonzero leading and constant coefficients")
-    pts, res, _ = _aberth(coeffs, tol, max_iter)
-    return pts, res, np.all(res <= tol, axis=1)
-
-
 def certified(rs: RootSet, what: str = "zero") -> RootSet:
     """rs itself; raises RuntimeError unless its certificate holds."""
     if not rs.converged:
@@ -356,7 +328,7 @@ def critical_points(
 
     A k-fold zero of p' is returned as a cluster of k nearby points
     whose radius reflects its conditioning in coefficient form, not as
-    a single point; see :func:`cluster_multiplicities`.
+    a single point.
     """
     return find_roots(derivative(p), tol=tol, max_iter=max_iter)
 
@@ -365,77 +337,3 @@ def certified_crit(p: Polynomial, crit: RootSet | None = None) -> RootSet:
     """The given critical points, or solved ones; either must be certified."""
     return certified(crit if crit is not None else critical_points(p), "critical point")
 
-
-class DerivativeVanishes(ArithmeticError):
-    """Newton refinement hit a point where p' is exactly zero."""
-
-
-def refine_root(p: Polynomial, z0: complex, steps: int = 20) -> complex:
-    """Polish a single root estimate by damped Newton iteration.
-
-    The residual |p(z)| never increases over accepted steps; a step that
-    would increase it is halved (up to 40 times) and the iteration stops
-    when no improvement is possible.  Raises :class:`DerivativeVanishes`
-    when p'(z) = 0 exactly, the signature of a multiple root; callers
-    should fall back to :func:`cluster_multiplicities`.
-    """
-    from .poly_core import evaluate
-
-    dp = derivative(p)
-    z = complex(z0)
-    fz = abs(evaluate(p, z))
-    for _ in range(steps):
-        if fz == 0.0:
-            return z
-        pd = evaluate(dp, z)
-        if pd == 0:
-            raise DerivativeVanishes(f"p'({z!r}) = 0; possible multiple root")
-        step = evaluate(p, z) / pd
-        trial, ftrial = z - step, None
-        for _ in range(40):
-            ftrial = abs(evaluate(p, trial))
-            if ftrial <= fz:
-                break
-            step /= 2.0
-            trial = z - step
-        if ftrial is None or ftrial > fz:
-            return z
-        z, fz = trial, ftrial
-    return z
-
-
-def cluster_multiplicities(rs: RootSet, eps: float) -> list[tuple[complex, int]]:
-    """Group near-coincident roots into (centroid, multiplicity) pairs.
-
-    Single-linkage: roots within eps of any member join the cluster.
-    Cluster counts sum to the total root count; clusters are returned
-    sorted by centroid (real part, then imaginary part).
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    pts = rs.points
-    m = pts.size
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if m > 1:
-        diff = np.abs(pts[:, None] - pts[None, :])
-        close = diff <= eps
-        for i in range(m):
-            for jj in np.nonzero(close[i, i + 1 :])[0]:
-                ri, rj = find(i), find(i + 1 + jj)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [
-        (complex(np.mean(pts[idx])), len(idx)) for idx in groups.values()
-    ]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters

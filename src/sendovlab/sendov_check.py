@@ -24,7 +24,6 @@ __all__ = [
     "critical_points",
     "degot_suite",
     "gauss_lucas_check",
-    "lune_membership",
     "sendov_margin",
 ]
 
@@ -174,17 +173,6 @@ def sendov_margin(
         worst_zero=complex(zeros[k]),
         holds=bool(margins[k] >= -MARGIN_TOL),
     )
-
-
-def lune_membership(xi: complex, a: float) -> bool:
-    """Whether xi lies in the closed unit disk but outside the open disk D(a, 1).
-
-    This is the region where a counterexample's critical points would
-    all have to live (none within distance 1 of the zero at a).
-    """
-    if not (0 <= a <= 1):
-        raise ValueError("a must lie in [0, 1]")
-    return Region.lune(a).contains(xi)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from sendovlab.measures import (
     prob_in_region,
     quantitative_zetas,
 )
-from sendovlab.poly_core import evaluate, from_roots_batch
+from sendovlab.poly_core import Polynomial, evaluate, from_roots_batch
 from sendovlab.potential import (
     balayage,
     circle_fourier_coeff,
@@ -43,7 +43,7 @@ from sendovlab.potential import (
     poisson_kernel,
     verify_basic_identities,
 )
-from sendovlab.rootfind import find_roots, find_roots_batch
+from sendovlab.rootfind import find_roots, find_roots_many
 from sendovlab.sendov_check import Region, critical_points, sendov_margin
 
 
@@ -353,8 +353,9 @@ def test_criterion_09_no_counterexample_search():
         roots = radii * np.exp(1j * angles)
         coeffs = from_roots_batch(roots)
         dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)
-        pts, _, conv = find_roots_batch(dcoeffs)
-        assert bool(np.all(conv))
+        sets = find_roots_many([Polynomial(c) for c in dcoeffs])
+        assert all(rs.converged for rs in sets)
+        pts = np.stack([rs.points for rs in sets])
         dist = np.abs(roots[:, :, None] - pts[:, None, :])
         min_margin = min(min_margin, float(np.min(1.0 - dist.min(axis=2))))
     dt = time.perf_counter() - t0

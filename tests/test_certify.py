@@ -10,7 +10,6 @@ import pytest
 
 from sendovlab import (
     Polynomial,
-    attach_roots,
     check_matching_mean,
     critical_points,
     degot_suite,
@@ -58,12 +57,11 @@ def test_certified_passes_converged_sets_through():
     assert rootfind.zeros_of(inst.f) is inst.f.roots
 
 
-@pytest.mark.parametrize(
-    "instance",
-    [{"random": {"count": 1, "degree": 12}}, {"family": {"kind": "origin", "n": 40}}],
-    ids=["random-12", "origin-40"],
-)
-def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
+MILLER_64 = {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
+
+
+def _count_solves(monkeypatch):
+    """A list that records the shape of every coefficient batch the Aberth solver gets."""
     solves = []
     aberth = rootfind._aberth
 
@@ -72,6 +70,16 @@ def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
         return aberth(*args, **kwargs)
 
     monkeypatch.setattr(rootfind, "_aberth", counting)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [{"random": {"count": 1, "degree": 12}}, {"family": {"kind": "origin", "n": 40}}],
+    ids=["random-12", "origin-40"],
+)
+def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
+    solves = _count_solves(monkeypatch)
     cfg = cli.ExperimentConfig(command="winding", instance=instance, options={}, seed=0)
     assert cli.run(cfg).ok
     # only the critical points are solved; the attached zeros are used as given
@@ -80,20 +88,21 @@ def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
 
 @pytest.mark.parametrize("command", ["check", "identities"])
 def test_miller_zeros_solved_once_per_record(monkeypatch, command):
-    solves = []
-    aberth = rootfind._aberth
-
-    def counting(*args, **kwargs):
-        solves.append(args[0].shape)
-        return aberth(*args, **kwargs)
-
-    monkeypatch.setattr(rootfind, "_aberth", counting)
-    family = {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
-    cfg = cli.ExperimentConfig(command=command, instance={"family": family}, options={}, seed=0)
+    solves = _count_solves(monkeypatch)
+    cfg = cli.ExperimentConfig(command=command, instance={"family": MILLER_64}, options={}, seed=0)
     cli.run(cfg)
     # the family carries its critical points but no zeros: the runner
     # solves the degree-64 zeros once and hands them to the layer function
     assert solves.count((1, 65)) == 1
+
+
+def test_fourier_solves_no_critical_points(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    instance = {"random": {"count": 3, "degree": 20}}
+    cfg = cli.ExperimentConfig(command="fourier", instance=instance, options={}, seed=0)
+    assert cli.run(cfg).ok
+    # fourier reads only the zeros, which are attached and used as given
+    assert solves == []
 
 
 def _check_random(count, degree):
@@ -102,14 +111,7 @@ def _check_random(count, degree):
 
 
 def test_random_record_solves_its_critical_points_in_one_batch(monkeypatch):
-    solves = []
-    aberth = rootfind._aberth
-
-    def counting(*args, **kwargs):
-        solves.append(args[0].shape)
-        return aberth(*args, **kwargs)
-
-    monkeypatch.setattr(rootfind, "_aberth", counting)
+    solves = _count_solves(monkeypatch)
     assert cli.run(_check_random(64, 24)).ok
     # the zeros are attached; the 64 derivatives of degree 23 are one batch
     assert solves == [(64, 24)]
@@ -137,4 +139,4 @@ def test_foreign_roots_are_still_checked():
     with pytest.raises(ValueError, match="reproduce"):
         Polynomial(p.coeffs, wrong)
     with pytest.raises(ValueError, match="reproduce"):
-        attach_roots(p, wrong)
+        Polynomial(p.coeffs, np.array(wrong))

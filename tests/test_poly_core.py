@@ -1,23 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sendovlab.poly_core import (
-    AtomCollisionError,
     Polynomial,
     SendovInstance,
-    attach_roots,
     derivative,
-    eval_log_abs,
     evaluate,
     from_roots,
     from_roots_batch,
-    normalize_sendov,
 )
-from sendovlab.poly_core import _leja_orders
+from sendovlab.poly_core import _leja_orders, _sendov_instances
 
 
 class TestPolynomialConstruction:
@@ -60,7 +54,7 @@ class TestPolynomialConstruction:
         c = np.array([-1.0, 0.0, 1.0], dtype=np.complex128)
         q = Polynomial(c)
         s = np.array([1.0, -1.0], dtype=np.complex128)
-        a = attach_roots(q, s)
+        a = Polynomial(q.coeffs, s)
         for arr in (r, c, s):
             assert arr.flags.writeable
         for arr in (p.coeffs, p.roots, q.coeffs, a.coeffs, a.roots):
@@ -228,40 +222,12 @@ class TestEvaluate:
         assert isinstance(evaluate(p, 1.5), complex)
 
 
-class TestEvalLogAbs:
-    def test_high_degree_oracle(self):
-        # log|2^100 - 1| straight from integer arithmetic
-        n = 100
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[0], coeffs[n] = -1.0, 1.0
-        p = Polynomial(coeffs, roots)
-        expected = math.log(2**n - 1)
-        assert eval_log_abs(p, 2.0) == pytest.approx(expected, rel=1e-13)
-
-    def test_requires_roots(self):
-        with pytest.raises(ValueError, match="root list"):
-            eval_log_abs(Polynomial([-1.0, 0.0, 1.0]), 2.0)
-
-    def test_collision_raises(self):
-        p = from_roots([1.0, -1.0])
-        with pytest.raises(AtomCollisionError):
-            eval_log_abs(p, 1.0)
-
-
 class TestDerivative:
     def test_coefficients(self):
         p = Polynomial([1.0, -2.0, 0.0, 1.0])
         d = derivative(p)
         assert np.allclose(d.coeffs, [-2.0, 0.0, 3.0])
         assert d.roots is None
-
-    def test_attach_roots_validates(self):
-        p = Polynomial([-1.0, 0.0, 1.0])
-        q = attach_roots(p, [1.0, -1.0])
-        assert q.roots is not None
-        with pytest.raises(ValueError, match="reproduce"):
-            attach_roots(p, [0.3, 0.4])
 
 
 class TestSendovInstance:
@@ -298,21 +264,13 @@ class TestSendovInstance:
 class TestNormalizeSendov:
     def test_selected_zero_lands_exactly_on_axis(self):
         roots = np.array([0.6 + 0.3j, -0.5 + 0.1j, 0.2 - 0.7j])
-        inst = normalize_sendov(from_roots(roots), 0)
+        (inst,) = _sendov_instances(roots[None, :], [0])
         assert inst.a == abs(roots[0])
         assert inst.f.roots[0] == abs(roots[0]) + 0j
 
     def test_pairwise_distances_preserved(self):
         roots = np.array([0.6 + 0.3j, -0.5 + 0.1j, 0.2 - 0.7j, 0.9j])
-        inst = normalize_sendov(from_roots(roots), 3)
+        (inst,) = _sendov_instances(roots[None, :], [3])
         before = np.abs(roots[:, None] - roots[None, :])
         after = np.abs(inst.f.roots[:, None] - inst.f.roots[None, :])
         assert np.max(np.abs(before - after)) < 1e-14
-
-    def test_requires_roots(self):
-        with pytest.raises(ValueError, match="root list"):
-            normalize_sendov(Polynomial([-1.0, 0.0, 1.0]), 0)
-
-    def test_index_bounds(self):
-        with pytest.raises(IndexError):
-            normalize_sendov(from_roots([0.5, -0.5]), 2)

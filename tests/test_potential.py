@@ -140,6 +140,14 @@ class TestIntegratedLogDerivative:
         with pytest.raises(ValueError, match="polyline"):
             integrated_log_derivative(p, [2.0])
 
+    def test_zero_length_segment(self):
+        # a segment of length 0 is a point: its distance to a zero is
+        # the plain distance, and it adds nothing to the integral
+        p = from_roots([1.0, -1.0])
+        with pytest.raises(ContourTooCloseError):
+            integrated_log_derivative(p, [1.02, 1.02])
+        assert integrated_log_derivative(p, [3.0, 3.0]) == evaluate(p, 3.0)
+
 
 class TestPoissonKernel:
     def test_center_pole_is_flat(self):

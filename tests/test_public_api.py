@@ -18,3 +18,21 @@ def test_imported_names_are_in_all():
     assert sorted(imported - set(sendovlab.__all__)) == []
     for name in sendovlab.__all__:
         assert hasattr(sendovlab, name)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name must be used by the package, a demo or an acceptance
+    # criterion; its own unit tests do not count as callers
+    root = Path(sendovlab.__file__).parent
+    sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((root.parents[1] / "demos").glob("*.py"))
+    sources.append(root.parents[1] / "tests" / "test_acceptance.py")
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = set(sendovlab.__all__) - used - {"__version__"}
+    assert sorted(uncalled) == []

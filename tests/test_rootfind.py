@@ -6,16 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import match_max_distance
 from sendovlab.families import FamilyParams, example_origin, miller_family
-from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots, from_roots_batch
-from sendovlab.rootfind import (
-    DerivativeVanishes,
-    RootSet,
-    cluster_multiplicities,
-    find_roots,
-    find_roots_batch,
-    find_roots_many,
-    refine_root,
-)
+from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
+from sendovlab.rootfind import RootSet, find_roots, find_roots_many
 from sendovlab.rootfind import _horner_table, _newton_pass
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -83,9 +75,10 @@ class TestFindRoots:
     def test_multiple_root_reported_as_cluster(self):
         p = from_roots([0.5] * 4)
         rs = find_roots(p, max_iter=500)
-        clusters = cluster_multiplicities(rs, eps=1e-2)
-        assert [c[1] for c in clusters] == [4]
-        assert abs(clusters[0][0] - 0.5) < 1e-3
+        # one 4-point cluster about the root, centred on it
+        assert rs.points.size == 4
+        assert np.all(np.abs(rs.points - 0.5) <= 1e-2)
+        assert abs(np.mean(rs.points) - 0.5) < 1e-3
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
@@ -148,27 +141,6 @@ class TestFindRoots:
         exact = np.array([complex(r) for r in exact])
         assert rs.converged
         assert match_max_distance(rs.points, exact) < 1e-6 * max(1.0, np.abs(exact).max())
-
-
-class TestFindRootsBatch:
-    def test_matches_single_solver(self):
-        rng = np.random.default_rng(17)
-        angles = 2 * np.pi * (np.arange(6) + rng.uniform(0.2, 0.8, (4, 6))) / 6
-        roots = rng.uniform(0.7, 1.0, (4, 6)) * np.exp(1j * angles)
-        coeffs = from_roots_batch(roots)
-        pts, res, conv = find_roots_batch(coeffs)
-        assert conv.all()
-        for k in range(4):
-            single = find_roots(Polynomial(coeffs[k]))
-            assert match_max_distance(pts[k], single.points) < 1e-10
-
-    def test_rejects_zero_constant(self):
-        with pytest.raises(ValueError, match="constant"):
-            find_roots_batch(np.array([[0.0, 1.0, 1.0]], dtype=complex))
-
-    def test_rejects_zero_leading(self):
-        with pytest.raises(ValueError, match="leading"):
-            find_roots_batch(np.array([[1.0, 1.0, 0.0]], dtype=complex))
 
 
 class TestFindRootsMany:
@@ -266,46 +238,6 @@ class TestNewtonPass:
             one = _newton_pass(table, 192, np.zeros(1, np.intp), z[k : k + 1])
             assert one[0].tobytes() == wn[k : k + 1].tobytes()
             assert one[1].tobytes() == res[k : k + 1].tobytes()
-
-
-class TestRefineRoot:
-    def test_newton_polish(self):
-        p = Polynomial([-2.0, 0.0, 1.0])  # z^2 - 2
-        z = refine_root(p, 1.4)
-        assert abs(z - np.sqrt(2.0)) < 1e-15
-
-    def test_derivative_vanishes(self):
-        p = Polynomial([-2.0, 0.0, 1.0])
-        with pytest.raises(DerivativeVanishes):
-            refine_root(p, 0.0)
-
-    def test_exact_root_returned_unchanged(self):
-        p = from_roots([1.0, -1.0])
-        assert refine_root(p, 1.0) == 1.0
-
-
-class TestClusterMultiplicities:
-    def test_two_clusters_oracle(self):
-        p = from_roots([0.3, 0.3, 0.3, 0.9, 0.9])
-        rs = find_roots(p, max_iter=500)
-        clusters = cluster_multiplicities(rs, eps=1e-4)
-        assert [(round(c.real, 3), k) for c, k in clusters] == [(0.3, 3), (0.9, 2)]
-        assert abs(clusters[0][0] - 0.3) < 1e-5
-        assert abs(clusters[1][0] - 0.9) < 1e-6
-
-    def test_counts_sum_to_total(self):
-        rs = find_roots(from_roots([0.1, 0.5, 0.5, -0.7]), max_iter=500)
-        clusters = cluster_multiplicities(rs, eps=1e-5)
-        assert sum(k for _, k in clusters) == 4
-
-    def test_eps_zero_separates_everything(self):
-        rs = RootSet(np.array([0.0 + 0j, 1.0, 2.0]), np.zeros(3), True)
-        assert len(cluster_multiplicities(rs, 0.0)) == 3
-
-    def test_negative_eps_rejected(self):
-        rs = RootSet(np.array([0.0 + 0j]), np.zeros(1), True)
-        with pytest.raises(ValueError):
-            cluster_multiplicities(rs, -1.0)
 
 
 def test_critical_points_of_derivative_match_theory():

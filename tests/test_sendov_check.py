@@ -11,7 +11,6 @@ from sendovlab.sendov_check import (
     critical_points,
     degot_suite,
     gauss_lucas_check,
-    lune_membership,
     sendov_margin,
 )
 
@@ -115,15 +114,15 @@ class TestSendovMargin:
 
 class TestLune:
     def test_boundary_membership(self):
-        assert lune_membership(0.0, 1.0)
-        assert not lune_membership(0.9, 1.0)
+        assert Region.lune(1.0).contains(0.0)
+        assert not Region.lune(1.0).contains(0.9)
         with pytest.raises(ValueError):
-            lune_membership(0.0, 1.5)
+            Region.lune(1.5)
 
     def test_origin_critical_points_sit_on_lune_boundary(self):
         inst = example_circle(8)
         for xi in critical_points(inst.f).points:
-            assert lune_membership(complex(xi), 1.0)
+            assert Region.lune(1.0).contains(complex(xi))
 
 
 class TestGaussLucas:
