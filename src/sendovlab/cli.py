@@ -1,8 +1,9 @@
 """Experiment driver: configured runs with reproducible records.
 
 Every experiment is a JSON config naming a command, an instance
-source, and numeric options.  Running one produces a record whose
-numeric payload is a pure function of config and seed: reruns are
+source, and numeric options, each declared in one table; a key no
+table declares raises.  Running one produces a record whose numeric
+payload is a pure function of config and seed: reruns are
 byte-identical.  The same records feed the CSV plot-data emitters.
 
 Usage:  sendov-lab <command> --config cfg.json [--n N] [--seed S]
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "emit_plot_data", "main", "run"]
 
-COMMANDS = ("check", "identities", "balayage", "winding", "family", "fourier", "sweep")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,32 +75,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict, **overrides) -> "ExperimentConfig":
-        known = {"command", "instance", "options", "seed", "out", "format"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        merged = {
-            "command": obj.get("command", ""),
-            "instance": obj.get("instance", {}),
-            "options": obj.get("options", {}),
-            "seed": int(obj.get("seed", 0)),
-            "out": obj.get("out"),
-            "format": obj.get("format", "json"),
-        }
-        for key, val in overrides.items():
-            if val is not None:
-                merged[key] = val
+        merged = {"command": "", "instance": {}, "options": {}, **obj}
+        merged.update((key, val) for key, val in overrides.items() if val is not None)
+        if "seed" in merged:
+            merged["seed"] = int(merged["seed"])
         return cls(**merged)
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "instance": self.instance,
-            "options": self.options,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,28 +104,61 @@ class ExperimentRecord:
     wall_time_s: float
 
     def to_json(self) -> dict:
-        return {
-            "config": self.config,
-            "results": self.results,
-            "ok": self.ok,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def payload(self) -> str:
         """Canonical text of everything that must reproduce byte-identically."""
-        return dumps(
-            {
-                "config": self.config,
-                "results": self.results,
-                "ok": self.ok,
-                "version": self.version,
-            }
-        )
+        return dumps({k: v for k, v in self.to_json().items() if k != "wall_time_s"})
 
 
-def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator, crit: bool = True):
-    """Resolve the instance source into (label, instance, crit_or_None) triples.
+def _list_of(parse):
+    """Parser of a JSON list whose items each go through parse."""
+    return lambda values: [parse(v) for v in values]
+
+
+# Each instance source with its keys as {key: (parser, default)}: random, a
+# polynomial (whose keys sit at the instance's top level), and each family kind.
+_SOURCES = {
+    "random": {"count": (int, 1), "degree": (int, 8)},
+    "polynomial": {"polynomial": (poly_from_json, None), "a": (float, None)},
+    "circle": {"kind": (str, ""), "n": (int, 0)},
+    "origin": {"kind": (str, ""), "n": (int, 0)},
+    "miller": {
+        "kind": (str, ""),
+        "n": (int, 0),
+        "c1": (float, 1.0),
+        "c2": (float, 1.0),
+        "lambdas": (_list_of(from_cpair), ()),
+    },
+}
+_FAMILY_KINDS = ("circle", "origin", "miller")
+
+
+def _read(spec: dict, given: dict, what: str) -> dict:
+    """Parse given by spec's {key: (parser, default)}; a key spec does not declare raises."""
+    unknown = set(given) - set(spec)
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} in {what}; expected {list(spec)}")
+    return {k: parse(given[k]) if k in given else d for k, (parse, d) in spec.items()}
+
+
+def _read_instance(instance: dict) -> tuple[str, dict]:
+    """The instance's source (random, polynomial, or a family kind) and its parsed keys."""
+    keys = [k for k in ("family", "polynomial", "random") if k in instance]
+    if len(keys) != 1:
+        raise ValueError("instance must have exactly one of: family, polynomial, random")
+    (key,) = keys
+    if key == "polynomial":
+        return key, _read(_SOURCES[key], instance, "polynomial instance")
+    given = _read({key: (dict, None)}, instance, "instance")[key]
+    kind = key if key == "random" else given.get("kind", "")
+    if key == "family" and kind not in _FAMILY_KINDS:
+        raise ValueError(f"unknown family kind {kind!r}; expected circle, origin, or miller")
+    return kind, _read(_SOURCES[kind], given, f"{kind} instance")
+
+
+def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
+    """Resolve a parsed instance source into (label, instance, crit_or_None) triples.
 
     With ``crit``, family members built in coefficient form carry their
     analytic critical points, and the critical points of a record's
@@ -150,48 +167,37 @@ def _build_instances(cfg: ExperimentConfig, rng: np.random.Generator, crit: bool
     ``crit=False`` and get None throughout.  Each crit is certified
     where it is used.
     """
-    src = cfg.instance
-    keys = [k for k in ("family", "polynomial", "random") if k in src]
-    if len(keys) != 1:
-        raise ValueError("instance must have exactly one of: family, polynomial, random")
-    kind = keys[0]
+    kind, src = source
     if kind == "polynomial":
-        p = poly_from_json(src["polynomial"])
-        if "a" not in src:
+        if src["a"] is None:
             raise ValueError("polynomial instances need an explicit 'a'")
-        inst = SendovInstance(p, float(src["a"]))
-        return [("polynomial", inst, None)]
+        return [("polynomial", SendovInstance(src["polynomial"], src["a"]), None)]
     if kind == "random":
-        rnd = src["random"]
-        count = int(rnd.get("count", 1))
-        degree = int(rnd.get("degree", 8))
+        count, degree = src["count"], src["degree"]
         if count < 1 or degree < 2:
             raise ValueError("random instances need count >= 1 and degree >= 2")
         insts = random_instances(rng, degree, count)
         crits = find_roots_many([derivative(i.f) for i in insts]) if crit else [None] * count
         return [(f"random-{i}", inst, c) for i, (inst, c) in enumerate(zip(insts, crits))]
-    fam_cfg = dict(src["family"])
-    fam = fam_cfg.get("kind", "")
-    n = int(fam_cfg.get("n", 0))
-    if fam == "circle":
-        return [("circle", example_circle(n), None)]
-    if fam == "origin":
-        return [("origin", example_origin(n), None)]
-    if fam == "miller":
-        params = _family_params(fam_cfg, n)
-        inst = miller_family(params)
-        return [("miller", inst, family_critical_points(params) if crit else None)]
-    raise ValueError(f"unknown family kind {fam!r}; expected circle, origin, or miller")
+    if kind == "circle":
+        return [("circle", example_circle(src["n"]), None)]
+    if kind == "origin":
+        return [("origin", example_origin(src["n"]), None)]
+    params = _family_params(src, src["n"])
+    return [("miller", miller_family(params), family_critical_points(params) if crit else None)]
 
 
-def _family_params(fam_cfg: dict, n: int) -> FamilyParams:
-    """Parameters of a miller family config at degree n."""
-    return FamilyParams(
-        n=n,
-        c1=float(fam_cfg.get("c1", 1.0)),
-        c2=float(fam_cfg.get("c2", 1.0)),
-        lambdas=np.array([from_cpair(v) for v in fam_cfg.get("lambdas", [])]),
-    )
+def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
+    """The one (label, instance, crit) triple of a command; raises before drawing more."""
+    kind, src = source
+    if kind == "random" and src["count"] > 1:
+        raise ValueError(f"this command reads one instance, not random count {src['count']}")
+    return _build_instances(source, rng, crit)[0]
+
+
+def _family_params(fam: dict, n: int) -> FamilyParams:
+    """Parameters of a parsed miller family source at degree n."""
+    return FamilyParams(n=n, c1=fam["c1"], c2=fam["c2"], lambdas=fam["lambdas"])
 
 
 def _solved_zeros(inst: SendovInstance) -> RootSet | None:
@@ -209,9 +215,9 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
     return np.array(out, dtype=np.complex128)
 
 
-def _run_check(cfg, rng):
+def _run_check(source, rng):
     rows = []
-    for label, inst, crit in _build_instances(cfg, rng):
+    for label, inst, crit in _build_instances(source, rng):
         crit = certified_crit(inst.f, crit)
         rs = _solved_zeros(inst)
         rep = sendov_margin(inst, crit=crit, rs=rs)
@@ -236,13 +242,11 @@ def _run_check(cfg, rng):
     return results, True
 
 
-def _run_identities(cfg, rng):
-    tol = float(cfg.options.get("tol", 1e-8))
-    points = int(cfg.options.get("points", 20))
+def _run_identities(source, rng, tol, points):
     rows = []
     worst = 0.0
     means = []
-    for label, inst, crit in _build_instances(cfg, rng):
+    for label, inst, crit in _build_instances(source, rng):
         rs = _solved_zeros(inst)
         zeros = zeros_of(inst.f, rs)
         crit = certified_crit(inst.f, crit)
@@ -274,11 +278,8 @@ def _run_identities(cfg, rng):
     return results, worst <= tol
 
 
-def _run_balayage(cfg, rng):
-    R = float(cfg.options.get("R", 1.5))
-    N = cfg.options.get("N")
-    N = int(N) if N is not None else None
-    label, inst, crit = _build_instances(cfg, rng)[0]
+def _run_balayage(source, rng, R, N):
+    label, inst, crit = _one_instance(source, rng)
     zeros = zeros_of(inst.f)
     crit = certified_crit(inst.f, crit)
     dz = balayage(empirical_measure(zeros), R, N)
@@ -304,10 +305,8 @@ def _run_balayage(cfg, rng):
     return results, True
 
 
-def _run_winding(cfg, rng):
-    r1 = float(cfg.options.get("r1", 0.2))
-    r2 = float(cfg.options.get("r2", 0.4))
-    label, inst, crit = _build_instances(cfg, rng)[0]
+def _run_winding(source, rng, r1, r2):
+    label, inst, crit = _one_instance(source, rng)
     rs = _solved_zeros(inst)
     crit = certified_crit(inst.f, crit)
     sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
@@ -356,26 +355,21 @@ def _family_result(params: FamilyParams, rep: FamilyReport) -> dict:
     }
 
 
-def _run_family(cfg, rng):
-    fam_cfg = cfg.instance.get("family")
-    if not fam_cfg or fam_cfg.get("kind") != "miller":
+def _run_family(source, rng, theta_grid, tol):
+    kind, fam = source
+    if kind != "miller":
         raise ValueError("this command needs instance.family of kind 'miller'")
-    params = _family_params(fam_cfg, int(fam_cfg["n"]))
-    theta_grid = int(cfg.options.get("theta_grid", 2048))
+    params = _family_params(fam, fam["n"])
     rep = verify_family(params, theta_grid=theta_grid)
     flat = _family_result(params, rep)
     flat["lamin_thetas"] = [float(t) for t in rep.lamin_thetas]
     flat["lamin_values"] = [float(v) for v in rep.lamin_values]
-    tol = float(cfg.options.get("tol", 1e-9))
     ok = bool(rep.arc_argument_ok and rep.ten_residuals.max() < tol)
     return flat, ok
 
 
-def _run_fourier(cfg, rng):
-    R = float(cfg.options.get("R", 1.0))
-    ks = [int(k) for k in cfg.options.get("ks", list(range(0, 9)))]
-    N = int(cfg.options.get("N", 4096))
-    label, inst, _ = _build_instances(cfg, rng, crit=False)[0]
+def _run_fourier(source, rng, R, ks, N):
+    label, inst, _ = _one_instance(source, rng, crit=False)
     zeros = zeros_of(inst.f)
     mz = empirical_measure(zeros)
     rows = []
@@ -394,10 +388,9 @@ def _run_fourier(cfg, rng):
     return results, worst <= 1e-8
 
 
-def _sweep_case(template: dict, n: int, theta_grid: int) -> dict:
-    kind = template.get("kind")
+def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
     if kind == "miller":
-        params = _family_params(template, n)
+        params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     inst = example_circle(n) if kind == "circle" else example_origin(n)
     crit = certified_crit(inst.f)
@@ -414,34 +407,42 @@ def _sweep_case(template: dict, n: int, theta_grid: int) -> dict:
     }
 
 
-def _run_sweep(cfg, rng):
-    fam_cfg = cfg.instance.get("family")
-    if not fam_cfg or fam_cfg.get("kind") not in ("circle", "origin", "miller"):
+def _run_sweep(source, rng, n_list, theta_grid):
+    kind, fam = source
+    if kind not in _FAMILY_KINDS:
         raise ValueError("sweep needs instance.family with kind circle, origin, or miller")
-    n_list = [int(v) for v in cfg.options.get("n_list", [])]
     if not n_list:
         raise ValueError("sweep needs options.n_list")
-    theta_grid = int(cfg.options.get("theta_grid", 2048))
-    rows = [_sweep_case(fam_cfg, n, theta_grid) for n in n_list]
-    return {"kind": fam_cfg.get("kind"), "rows": rows}, True
+    rows = [_sweep_case(kind, fam, n, theta_grid) for n in n_list]
+    return {"kind": kind, "rows": rows}, True
 
 
-_RUNNERS = {
-    "check": _run_check,
-    "identities": _run_identities,
-    "balayage": _run_balayage,
-    "winding": _run_winding,
-    "family": _run_family,
-    "fourier": _run_fourier,
-    "sweep": _run_sweep,
+# Each command once: its runner and its options as {key: (parser, default)}.
+_COMMANDS = {
+    "check": (_run_check, {}),
+    "identities": (_run_identities, {"tol": (float, 1e-8), "points": (int, 20)}),
+    "balayage": (
+        _run_balayage,
+        {"R": (float, 1.5), "N": (lambda v: None if v is None else int(v), None)},
+    ),
+    "winding": (_run_winding, {"r1": (float, 0.2), "r2": (float, 0.4)}),
+    "family": (_run_family, {"theta_grid": (int, 2048), "tol": (float, 1e-9)}),
+    "fourier": (
+        _run_fourier,
+        {"R": (float, 1.0), "ks": (_list_of(int), range(9)), "N": (int, 4096)},
+    ),
+    "sweep": (_run_sweep, {"n_list": (_list_of(int), ()), "theta_grid": (int, 2048)}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: ExperimentConfig) -> ExperimentRecord:
     """Execute the configured experiment and return its record."""
     t0 = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)
-    results, ok = _RUNNERS[cfg.command](cfg, rng)
+    runner, spec = _COMMANDS[cfg.command]
+    options = _read(spec, cfg.options, f"{cfg.command} options")
+    source = _read_instance(cfg.instance)
+    results, ok = runner(source, np.random.default_rng(cfg.seed), **options)
     return ExperimentRecord(
         config=cfg.as_dict(),
         results=results,
@@ -535,17 +536,20 @@ def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
     return keys, rows
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_record(record: ExperimentRecord, path: str, fmt: str) -> None:
     if fmt == "json":
         with open(path, "w") as fh:
             fh.write(dumps(record.to_json()))
             fh.write("\n")
         return
-    header, rows = _csv_rows(record)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(path, *_csv_rows(record))
 
 
 def emit_plot_data(record: ExperimentRecord, kind: str, path: str) -> str:
@@ -559,32 +563,25 @@ def emit_plot_data(record: ExperimentRecord, kind: str, path: str) -> str:
         insts = res.get("instances")
         if not insts or "zeros" not in insts[0]:
             raise ValueError("record carries no zero scatter data")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["re", "im", "is_critical"])
-            for inst in insts:
-                for re, im in inst["zeros"]:
-                    writer.writerow([fmt17(re), fmt17(im), "0"])
-                for re, im in inst["critical_points"]:
-                    writer.writerow([fmt17(re), fmt17(im), "1"])
+        rows = [
+            [fmt17(re), fmt17(im), flag]
+            for inst in insts
+            for key, flag in (("zeros", "0"), ("critical_points", "1"))
+            for re, im in inst[key]
+        ]
+        _write_csv(path, ["re", "im", "is_critical"], rows)
         return path
     if kind == "balayage":
         if "zero_density" not in res:
             raise ValueError("record carries no balayage density data")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "value"])
-            for t, v in zip(_thetas(res), res["zero_density"]):
-                writer.writerow([fmt17(t), fmt17(v)])
+        rows = [[fmt17(t), fmt17(v)] for t, v in zip(_thetas(res), res["zero_density"])]
+        _write_csv(path, ["theta", "value"], rows)
         return path
     if kind == "dd_curve":
         if "lamin_values" not in res:
             raise ValueError("record carries no dd-curve data")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "lhs"])
-            for t, v in zip(res["lamin_thetas"], res["lamin_values"]):
-                writer.writerow([fmt17(t), fmt17(v)])
+        rows = [[fmt17(t), fmt17(v)] for t, v in zip(res["lamin_thetas"], res["lamin_values"])]
+        _write_csv(path, ["theta", "lhs"], rows)
         return path
     raise ValueError(f"unknown plot kind {kind!r}")
 

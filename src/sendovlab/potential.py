@@ -409,12 +409,12 @@ def circle_fourier_coeffs(
     """Fourier coefficients (1/2pi) int e^{i k theta} U(R e^{i theta}) dtheta, k in ks.
 
     For k >= 1 each equals E[eta^k] / (2 k R^k) for any measure inside
-    the closed disk; for k = 0 it is -log R.  Atoms within 0.05 of the
-    circle contribute through that closed form directly (exact up to
-    rounding, including atoms on the circle itself); the smooth
-    remainder is quadratured on N equispaced nodes.  The potential on
-    the nodes is computed once and shared by every k, so each
-    coefficient equals the one computed for its k alone.
+    the closed disk |z| <= R, which every atom must lie in; for k = 0 it
+    is -log R.  Atoms within 0.05 of the circle contribute through that
+    closed form directly (exact up to rounding, including atoms on the
+    circle itself); the smooth remainder is quadratured on N equispaced
+    nodes.  The potential on the nodes is computed once and shared by
+    every k, so each coefficient equals the one computed for its k alone.
     """
     R = float(R)
     if R < 1.0:
@@ -429,8 +429,8 @@ def circle_fourier_coeffs(
     if N < 8 * (max(ks) + 1):
         raise ValueError("N too small for this k")
     top = float(np.max(np.abs(m.points)))
-    if top > 1.0 + 1e-10:
-        raise ValueError("atoms must lie in the closed unit disk")
+    if top > R * (1.0 + 1e-10):
+        raise ValueError("atoms must lie in the closed disk |z| <= R")
     rho = np.abs(m.points)
     near = (R - rho) < NEAR_CIRCLE
     totals = [0.0 + 0.0j for _ in ks]

@@ -50,6 +50,9 @@ def dumps(obj) -> str:
 
 
 def poly_from_json(obj: dict) -> Polynomial:
+    unknown = set(obj) - {"coeffs", "roots", "leading"}
+    if unknown:
+        raise ValueError(f"unknown polynomial JSON key(s) {sorted(unknown)}")
     try:
         coeffs = [from_cpair(c) for c in obj["coeffs"]]
     except KeyError as exc:

@@ -98,11 +98,12 @@ def test_miller_zeros_solved_once_per_record(monkeypatch, command):
 
 def test_fourier_solves_no_critical_points(monkeypatch):
     solves = _count_solves(monkeypatch)
-    instance = {"random": {"count": 3, "degree": 20}}
-    cfg = cli.ExperimentConfig(command="fourier", instance=instance, options={}, seed=0)
+    instance = {"family": MILLER_64}
+    cfg = cli.ExperimentConfig(command="fourier", instance=instance, options={"R": 1.2}, seed=0)
     assert cli.run(cfg).ok
-    # fourier reads only the zeros, which are attached and used as given
-    assert solves == []
+    # fourier reads only the zeros: the degree-64 zeros are solved once,
+    # and the family's critical points are neither built nor solved
+    assert solves == [(1, 65)]
 
 
 def _check_random(count, degree):

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from sendovlab import rootfind
+from sendovlab import cli, rootfind
 from sendovlab.cli import (
+    COMMANDS,
     ExperimentConfig,
     emit_plot_data,
     main,
@@ -58,6 +59,72 @@ class TestConfig:
             run(cfg)
 
 
+LINEAR = {"coeffs": [[-1.0, 0.0], [1.0, 0.0]]}
+
+
+class TestReader:
+    """Every key of a config is declared by its command or its instance source."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_option_raises(self, command):
+        cfg = _cfg(command, MILLER, {"frobnicate": 1})
+        with pytest.raises(ValueError, match="frobnicate"):
+            run(cfg)
+
+    def test_misspelled_option_raises(self):
+        # R is the balayage radius: a lowercase r must not run at the default R
+        with pytest.raises(ValueError, match="'r'"):
+            run(_cfg("balayage", ORIGIN64, {"r": 1.2}))
+
+    @pytest.mark.parametrize(
+        "instance, key",
+        [
+            ({"random": {"count": 1, "degree": 8, "degre": 9}}, "degre"),
+            ({"family": {"kind": "circle", "n": 12, "c1": 7}}, "c1"),
+            ({"family": {"kind": "origin", "n": 50, "c1": 7}}, "c1"),
+            ({"family": dict(MILLER["family"], lambda_=[[0.3, 0.8]])}, "lambda_"),
+            ({"random": {"count": 1}, "a": 0.5}, "'a'"),
+            ({"polynomial": dict(LINEAR, root=[[1.0, 0.0]]), "a": 1.0}, "root"),
+            ({"polynomial": LINEAR, "a": 1.0, "b": 0}, "'b'"),
+        ],
+        ids=[
+            "random",
+            "circle",
+            "origin",
+            "miller",
+            "beside-random",
+            "in-polynomial",
+            "beside-polynomial",
+        ],
+    )
+    def test_unknown_instance_key_raises(self, instance, key):
+        with pytest.raises(ValueError, match=key):
+            run(_cfg("check", instance))
+
+    @pytest.mark.parametrize("command", ["winding", "balayage", "fourier"])
+    def test_single_instance_commands_refuse_a_count(self, monkeypatch, command):
+        drawn = []
+        monkeypatch.setattr(cli, "random_instances", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="one instance"):
+            run(_cfg(command, {"random": {"count": 2, "degree": 12}}))
+        assert drawn == []
+
+    def test_sweep_accepts_a_family_degree(self):
+        # the family's n is declared for every command; sweep takes its
+        # degrees from n_list instead
+        rec = run(_cfg("sweep", ORIGIN64, {"n_list": [16]}))
+        assert [row["n"] for row in rec.results["rows"]] == [16]
+
+    def test_defaults_stay_out_of_the_record(self):
+        instance = {"family": {"kind": "origin", "n": 16}}
+        options = {"R": 1.3}
+        rec = run(_cfg("balayage", instance, options))
+        assert rec.config["instance"] == {"family": {"kind": "origin", "n": 16}}
+        assert rec.config["options"] == {"R": 1.3}
+        assert instance == {"family": {"kind": "origin", "n": 16}}
+        assert options == {"R": 1.3}
+
+
 class TestRunners:
     def test_check_circle(self):
         rec = run(_cfg("check", CIRCLE12))
@@ -100,7 +167,7 @@ class TestRunners:
 
         monkeypatch.setattr(rootfind, "critical_points", unconverged)
         with pytest.raises(RuntimeError, match="critical point"):
-            run(_cfg(command, ORIGIN64, {"n_list": [64]}))
+            run(_cfg(command, ORIGIN64, {"n_list": [64]} if command == "sweep" else {}))
 
     def test_balayage_origin(self):
         rec = run(_cfg("balayage", ORIGIN64, {"R": 1.2}))

@@ -298,8 +298,16 @@ class TestCircleFourier:
             circle_fourier_coeff(m, 1.0, 100, N=128)
         with pytest.raises(ValueError):
             circle_fourier_coeff(m, 1.0, -1)
-        with pytest.raises(ValueError, match="unit disk"):
-            circle_fourier_coeff(empirical_measure(np.array([1.2 + 0j])), 1.5, 1)
+        with pytest.raises(ValueError, match="closed disk"):
+            circle_fourier_coeff(empirical_measure(np.array([1.6 + 0j])), 1.5, 1)
+
+    @pytest.mark.parametrize("w", [1.2 + 0j, 1.48j], ids=["far", "near"])
+    def test_atoms_outside_unit_disk_inside_R(self, w):
+        # the closed form E[eta^k] / (2 k R^k) holds for every atom with |eta| <= R
+        m = empirical_measure(np.array([w]))
+        for k in (1, 2, 3):
+            expected = w**k / (2 * k * 1.5**k)
+            assert circle_fourier_coeff(m, 1.5, k) == pytest.approx(expected, abs=1e-15)
 
 
 class TestCircleFourierBatch:
