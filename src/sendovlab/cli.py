@@ -135,11 +135,17 @@ _FAMILY_KINDS = ("circle", "origin", "miller")
 
 
 def _read(spec: dict, given: dict, what: str) -> dict:
-    """Parse given by spec's {key: (parser, default)}; a key spec does not declare raises."""
+    """Parse given by spec's {key: (parser, default)}; an undeclared key or bad value raises."""
     unknown = set(given) - set(spec)
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {what}; expected {list(spec)}")
-    return {k: parse(given[k]) if k in given else d for k, (parse, d) in spec.items()}
+    out = {}
+    for key, (parse, default) in spec.items():
+        try:
+            out[key] = parse(given[key]) if key in given else default
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad value for {key!r} in {what}: {exc}") from exc
+    return out
 
 
 def _read_instance(instance: dict) -> tuple[str, dict]:
@@ -605,12 +611,14 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
     raw["command"] = args.command
-    if args.n is not None:
-        inst = raw.get("instance", {})
-        for key in ("family", "random"):
-            if key in inst:
-                inst[key]["n" if key == "family" else "degree"] = args.n
     try:
+        if args.n is not None:
+            inst = raw.get("instance", {})
+            if "polynomial" in inst:
+                raise ValueError("--n does not apply to a polynomial instance")
+            for key in ("family", "random"):
+                if key in inst:
+                    inst[key]["n" if key == "family" else "degree"] = args.n
         cfg = ExperimentConfig.from_json(
             raw, seed=args.seed, out=args.out, format=args.format
         )

@@ -133,18 +133,19 @@ def check_matching_mean(
     return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=diff <= tol)
 
 
-def expect_log_distance(m: EmpiricalMeasure, z: complex) -> float:
-    """E log|z - eta|; returns -inf when z coincides exactly with an atom."""
-    diffs = z - m.points
+def expect_log_distance(m: EmpiricalMeasure, z):
+    """E log|z - eta| at a point or an array of points, each summed by math.fsum.
+
+    -inf where z hits an atom of positive weight; a zero-weight atom adds nothing.
+    """
+    zs = np.asarray(z, dtype=np.complex128)
+    diffs = zs.reshape(-1, 1) - m.points
     hit = diffs == 0
-    if np.any(hit):
-        if np.any(m.weights[hit] > 0):
-            return -math.inf
-        diffs = diffs[~hit]
-        return float(
-            math.fsum((m.weights[~hit] * np.log(np.abs(diffs))).tolist())
-        )
-    return float(math.fsum((m.weights * np.log(np.abs(diffs))).tolist()))
+    # a hit atom's term is w * log 1 = 0, so a zero weight never meets -inf
+    terms = m.weights * np.log(np.abs(np.where(hit, 1.0, diffs)))
+    out = np.array([math.fsum(row) for row in terms.tolist()])
+    out[np.any(hit & (m.weights > 0), axis=1)] = -math.inf
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def prob_in_region(m: EmpiricalMeasure, region: Region) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import AtomCollisionError, Polynomial, derivative, evaluate
+from .poly_core import AtomCollisionError, Polynomial, _horner, derivative, evaluate
 from .rootfind import RootSet, certified_crit, zeros_of
 from .sendov_check import _segment_distance
 
@@ -52,28 +52,32 @@ class ContourTooCloseError(ValueError):
     """A contour passes too close to a zero for reliable quadrature."""
 
 
-def log_potential(m: EmpiricalMeasure, z: complex) -> float:
-    """U(z) = E log(1/|z - eta|).  Raises on exact atom collision."""
+def log_potential(m: EmpiricalMeasure, z):
+    """U(z) = E log(1/|z - eta|) at a point or an array of points.  Raises on atom collision."""
     e = expect_log_distance(m, z)
-    if e == -math.inf:
+    if np.any(e == -math.inf):
         raise AtomCollisionError("z coincides with an atom")
     return -e
 
 
-def stieltjes(m: EmpiricalMeasure, z: complex) -> complex:
-    """s(z) = E 1/(z - eta).  Raises on exact atom collision."""
-    diffs = z - m.points
+def _atom_differences(m: EmpiricalMeasure, z) -> np.ndarray:
+    """z - eta over the atoms, one row per point of z.  Raises on exact collision."""
+    diffs = np.asarray(z, dtype=np.complex128)[..., None] - m.points
     if np.any(diffs == 0):
         raise AtomCollisionError("z coincides with an atom")
-    return complex(np.sum(m.weights / diffs))
+    return diffs
 
 
-def stieltjes_derivative(m: EmpiricalMeasure, z: complex) -> complex:
-    """s'(z) = -E 1/(z - eta)^2."""
-    diffs = z - m.points
-    if np.any(diffs == 0):
-        raise AtomCollisionError("z coincides with an atom")
-    return complex(-np.sum(m.weights / diffs**2))
+def stieltjes(m: EmpiricalMeasure, z):
+    """s(z) = E 1/(z - eta) at a point or an array of points."""
+    s = np.sum(m.weights / _atom_differences(m, z), axis=-1)
+    return complex(s) if s.ndim == 0 else s
+
+
+def stieltjes_derivative(m: EmpiricalMeasure, z):
+    """s'(z) = -E 1/(z - eta)^2 at a point or an array of points."""
+    s = -np.sum(m.weights / _atom_differences(m, z) ** 2, axis=-1)
+    return complex(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +113,6 @@ _IDENTITY_LABELS = (
 )
 
 
-def _rel(lhs, rhs) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
 def verify_basic_identities(
     f: Polynomial, zs, crit: RootSet | None = None, rs: RootSet | None = None
 ) -> IdentityReport:
@@ -128,12 +128,13 @@ def verify_basic_identities(
       U_zeta - (1-1/n) U_xi = (1/n) log|s_zeta|
       s_zeta - (1-1/n) s_xi = -(1/n) s_zeta'/s_zeta
 
-    Left sides come from root sums, right sides from coefficient-form
-    Horner evaluation, so the two routes are independent.  Sample
-    points within 0.05 of a zero or critical point are skipped and
-    reported in ``skipped``.  Precomputed zeros ``rs`` and critical
-    points ``crit`` are used once certified; otherwise the attached
-    roots are used, or they are solved.
+    Left sides come from root sums.  Right sides of the first four come
+    from coefficient-form Horner evaluation of f, f' and f'', so those
+    two routes are independent; both sides of the last two are root
+    sums.  Sample points within 0.05 of a zero or critical point are
+    skipped and reported in ``skipped``.  Precomputed zeros ``rs`` and
+    critical points ``crit`` are used once certified; otherwise the
+    attached roots are used, or they are solved.
     """
     if not f.monic:
         raise ValueError("identity suite requires a monic polynomial")
@@ -150,50 +151,35 @@ def verify_basic_identities(
     fpp_coeffs = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
 
     zs = np.asarray(zs, dtype=np.complex128)
-    rows: list[list[float]] = []
-    kept: list[complex] = []
-    skipped: list[int] = []
-    for i, z in enumerate(zs):
-        z = complex(z)
-        if (
-            np.min(np.abs(z - zeros)) < IDENTITY_STANDOFF
-            or np.min(np.abs(z - crit.points)) < IDENTITY_STANDOFF
-        ):
-            skipped.append(i)
-            continue
-        fz = evaluate(f, z)
-        fpz = evaluate(fp, z)
-        fppz = complex(sum(c * z**j for j, c in enumerate(fpp_coeffs)))
-        u_z = log_potential(mz, z)
-        u_x = log_potential(mx, z)
-        s_z = stieltjes(mz, z)
-        s_x = stieltjes(mx, z)
-        sd_z = stieltjes_derivative(mz, z)
-        r = [
-            _rel(u_z, -math.log(abs(fz)) / n),
-            _rel(u_x, math.log(n) / (n - 1) - math.log(abs(fpz)) / (n - 1)),
-            _rel(s_z, fpz / (n * fz)),
-            _rel(s_x, fppz / ((n - 1) * fpz)),
+    near = np.concatenate([zeros, crit.points])
+    skip = np.any(np.abs(zs[:, None] - near) < IDENTITY_STANDOFF, axis=1)
+    z = zs[~skip]
+    fz, fpz, fppz = evaluate(f, z), evaluate(fp, z), _horner(fpp_coeffs, z)
+    u_z, u_x = log_potential(mz, z), log_potential(mx, z)
+    s_z, s_x = stieltjes(mz, z), stieltjes(mx, z)
+    sd_z = stieltjes_derivative(mz, z)
+    # where s_z is 0, log|s_z| and 1/s_z are infinite; the last two rows
+    # read 1.0 there, the limit of the residual as one side goes to infinity
+    zero = s_z == 0
+    s_safe = np.where(zero, 1.0, s_z)
+    lhs = np.array([u_z, u_x, s_z, s_x, u_z - (n - 1) / n * u_x, s_z - (n - 1) / n * s_x])
+    rhs = np.array(
+        [
+            -np.log(np.abs(fz)) / n,
+            math.log(n) / (n - 1) - np.log(np.abs(fpz)) / (n - 1),
+            fpz / (n * fz),
+            fppz / ((n - 1) * fpz),
+            np.log(np.abs(s_safe)) / n,
+            -sd_z / (n * s_safe),
         ]
-        if s_z == 0:
-            # log|s_z| and 1/s_z are infinite; 1.0 is the limit of _rel
-            # as one side goes to infinity
-            r += [1.0, 1.0]
-        else:
-            r += [
-                _rel(u_z - (n - 1) / n * u_x, math.log(abs(s_z)) / n),
-                _rel(s_z - (n - 1) / n * s_x, -sd_z / (n * s_z)),
-            ]
-        rows.append(r)
-        kept.append(z)
-    residuals = (
-        np.array(rows, dtype=float).T if rows else np.zeros((6, 0), dtype=float)
     )
+    residuals = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    residuals[4:, zero] = 1.0
     return IdentityReport(
         labels=_IDENTITY_LABELS,
         residuals=residuals,
-        evaluated=np.array(kept, dtype=np.complex128),
-        skipped=skipped,
+        evaluated=z,
+        skipped=np.flatnonzero(skip).tolist(),
     )
 
 
@@ -228,12 +214,12 @@ def integrated_log_derivative(p: Polynomial, contour, rtol: float = 1e-13) -> co
         raise ValueError("contour must be a polyline of at least two points")
     zeros = zeros_of(p)
     for z0, z1 in zip(pts[:-1], pts[1:]):
-        for zr in zeros:
-            d = _segment_distance(zr, z0, z1)
-            if d < NEAR_CIRCLE:
-                raise ContourTooCloseError(
-                    f"segment passes within {d:.3g} of a zero (need >= 0.05)"
-                )
+        close = _segment_distance(zeros, z0, z1)
+        close = close[close < NEAR_CIRCLE]
+        if close.size:
+            raise ContourTooCloseError(
+                f"segment passes within {close[0]:.3g} of a zero (need >= 0.05)"
+            )
     d_deg = p.degree
     w = np.full(zeros.size, 1.0 / zeros.size)
     total = 0.0 + 0.0j

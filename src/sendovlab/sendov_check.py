@@ -201,13 +201,14 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1], dtype=np.complex128)
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
+def _segment_distance(z, a: complex, b: complex):
+    """Distance from z (a point or an array of points) to the segment [a, b]."""
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0.0:
         return abs(z - a)
     t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
-    t = min(1.0, max(0.0, t))
+    t = np.clip(t, 0.0, 1.0)
     return abs(z - (a + t * ab))
 
 

@@ -303,6 +303,31 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_n_refused_for_a_polynomial(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        instance = {"polynomial": {"coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "a": 1.0}
+        cfg_path.write_text(json.dumps({"instance": instance}))
+        code = main(["check", "--config", str(cfg_path), "--n", "16"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --n")
+
+    @pytest.mark.parametrize(
+        "command, options, key",
+        [
+            ("fourier", {"ks": 5}, "ks"),
+            ("balayage", {"N": [1]}, "N"),
+            ("identities", {"points": "x"}, "points"),
+        ],
+    )
+    def test_value_of_wrong_type_is_an_error(self, tmp_path, capsys, command, options, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": CIRCLE12, "options": options}))
+        code = main([command, "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for ")
+        assert repr(key) in err and command in err
+
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["check", "--config", str(tmp_path / "nope.json")])

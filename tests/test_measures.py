@@ -118,6 +118,18 @@ class TestLogDistance:
         m = EmpiricalMeasure(np.array([0j, 1.0]), np.array([0.0, 1.0]))
         assert expect_log_distance(m, 0.0) == 0.0
 
+    def test_array_call_equals_scalar_calls(self):
+        m = EmpiricalMeasure(
+            np.array([0j, 0.5, -0.5j, 1 + 1j]), np.array([0.0, 0.25, 0.25, 0.5])
+        )
+        # hits on the zero-weight atom and on the atom at 0.5
+        zs = np.array([0j, 0.5, 2.0 - 1j, 0.3j, -1.2])
+        out = expect_log_distance(m, zs)
+        scalar = np.array([expect_log_distance(m, complex(z)) for z in zs])
+        assert out.tobytes() == scalar.tobytes()
+        assert out[1] == -math.inf
+        assert np.all(np.isfinite(np.delete(out, 1)))
+
     def test_uniform_circle_value(self):
         # E log|2 - eta| over n-th roots of unity = log(2^n - 1)/n
         n = 32

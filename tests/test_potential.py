@@ -5,9 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sendovlab.families import example_circle, random_instance
+from sendovlab.families import (
+    FamilyParams,
+    example_circle,
+    family_critical_points,
+    miller_family,
+    random_instance,
+)
 from sendovlab.measures import EmpiricalMeasure, empirical_measure
-from sendovlab.poly_core import AtomCollisionError, Polynomial, evaluate, from_roots
+from sendovlab.poly_core import (
+    AtomCollisionError,
+    Polynomial,
+    _horner,
+    derivative,
+    evaluate,
+    from_roots,
+)
 from sendovlab.potential import (
     CircleDensity,
     ContourTooCloseError,
@@ -61,6 +74,30 @@ class TestPointwiseTransforms:
         m = EmpiricalMeasure(np.array([0j, 1.0]), np.array([0.0, 1.0]))
         assert log_potential(m, 0.0) == 0.0
 
+    @pytest.mark.parametrize("kernel", [log_potential, stieltjes, stieltjes_derivative])
+    def test_array_call_equals_scalar_calls(self, kernel):
+        rng = np.random.default_rng(4)
+        m = empirical_measure(rng.normal(size=37) + 1j * rng.normal(size=37))
+        zs = (rng.uniform(-2, 2, 24) + 1j * rng.uniform(-2, 2, 24)).reshape(4, 6)
+        out = kernel(m, zs)
+        assert out.shape == zs.shape
+        scalar = np.array([kernel(m, complex(z)) for z in zs.ravel()])
+        assert out.ravel().tobytes() == scalar.tobytes()
+
+    def test_array_call_with_atom_hits(self):
+        m = EmpiricalMeasure(np.array([0j, 1.0, -1j]), np.array([0.0, 0.5, 0.5]))
+        zs = np.array([0j, 2.0, 0.5j])  # the first hits the zero-weight atom
+        scalar = np.array([log_potential(m, complex(z)) for z in zs])
+        assert log_potential(m, zs).tobytes() == scalar.tobytes()
+        with pytest.raises(AtomCollisionError):
+            log_potential(m, np.array([2.0, 1.0]))
+        # the transforms refuse every exact hit, of any weight, in both forms
+        for kernel in (stieltjes, stieltjes_derivative):
+            with pytest.raises(AtomCollisionError):
+                kernel(m, zs)
+            with pytest.raises(AtomCollisionError):
+                kernel(m, 0.0)
+
 
 class TestIdentitySuite:
     def test_circle_example_residuals_at_rounding_level(self):
@@ -103,6 +140,60 @@ class TestIdentitySuite:
     def test_quadratic_smallest_case(self):
         rep = verify_basic_identities(from_roots([0.5, -0.5]), [1.3 + 0.4j])
         assert rep.max_residual < 1e-13
+
+    def test_array_pass_matches_a_loop_over_points(self):
+        # reference: the identities point by point from scalar kernel
+        # calls; only the rounding of abs and log differs, so 1e-14 bounds
+        # the change in a relative residual
+        rng = np.random.default_rng(21)
+        inst = random_instance(rng, 20)
+        f = inst.f
+        n = f.degree
+        fp = derivative(f)
+        fpp = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
+        mz, mx = empirical_measure(f.roots), empirical_measure(critical_points(f).points)
+        zs = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)
+        rep = verify_basic_identities(f, zs)
+        assert rep.evaluated.size >= 20
+
+        def rel(lhs, rhs):
+            return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+
+        for k, z in enumerate(rep.evaluated.tolist()):
+            fz, fpz, fppz = evaluate(f, z), evaluate(fp, z), complex(_horner(fpp, z))
+            u_z, u_x = log_potential(mz, z), log_potential(mx, z)
+            s_z, s_x = stieltjes(mz, z), stieltjes(mx, z)
+            ref = [
+                rel(u_z, -math.log(abs(fz)) / n),
+                rel(u_x, math.log(n) / (n - 1) - math.log(abs(fpz)) / (n - 1)),
+                rel(s_z, fpz / (n * fz)),
+                rel(s_x, fppz / ((n - 1) * fpz)),
+                rel(u_z - (n - 1) / n * u_x, math.log(abs(s_z)) / n),
+                rel(s_z - (n - 1) / n * s_x, -stieltjes_derivative(mz, z) / (n * s_z)),
+            ]
+            assert np.abs(rep.residuals[:, k] - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("zs", [[], [1.01, -0.99j]], ids=["empty", "all-skipped"])
+    def test_no_evaluated_points(self, zs):
+        rep = verify_basic_identities(example_circle(16).f, zs)
+        assert rep.residuals.shape == (6, 0)
+        assert rep.evaluated.shape == (0,)
+        assert rep.skipped == list(range(len(zs)))
+        assert rep.max_residual == 0.0
+
+    def test_second_derivative_by_horner_on_miller_family(self):
+        # f'' goes through Horner's rule; a power sum of z**j, which for
+        # j > 100 Python computes through exp and log, left identity 4
+        # at 1.6e-5 on these points
+        params = FamilyParams(n=128, c1=1.0, c2=2.0, lambdas=[0.3 + 0.8j])
+        inst = miller_family(params)
+        crit = family_critical_points(params)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+            rep = verify_basic_identities(inst.f, zs, crit=crit)
+            row = rep.labels.index("stieltjes_vs_logderiv_fprime")
+            assert rep.residuals[row].max() <= 1e-6
 
 
 class TestIntegratedLogDerivative:
