@@ -27,8 +27,8 @@ def main():
     print(f"balayage of the zeros of z**n - z onto |z| = {R}")
     print(f"{'n':>5} {'sup |density - 1|':>20} {'mass':>10}")
     for n in (16, 32, 64, 128):
-        m = empirical_measure(example_origin(n).f.roots)
-        dens = balayage(m, R)
+        f = example_origin(n).f
+        dens = balayage(empirical_measure(f.roots), R, p=f)
         gap = np.max(np.abs(dens.samples - 1.0))
         print(f"{n:>5} {gap:>20.3e} {dens.mean():>10.6f}")
     print("  the gap ~ 2 R^(-(n-1)): each doubling of n squares it away.")

@@ -80,8 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         merged = {"command": "", "instance": {}, "options": {}, **obj}
         merged.update((key, val) for key, val in overrides.items() if val is not None)
-        if "seed" in merged:
-            merged["seed"] = int(merged["seed"])
+        seed = merged.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"bad value for 'seed': {seed!r} is not an integer")
         return cls(**merged)
 
     def as_dict(self) -> dict:
@@ -288,8 +289,8 @@ def _run_balayage(source, rng, R, N):
     label, inst, crit = _one_instance(source, rng)
     zeros = zeros_of(inst.f)
     crit = certified_crit(inst.f, crit)
-    dz = balayage(empirical_measure(zeros), R, N)
-    dx = balayage(empirical_measure(crit.points), R, len(dz.samples))
+    dz = balayage(empirical_measure(zeros), R, N, p=inst.f)
+    dx = balayage(empirical_measure(crit.points), R, len(dz.samples), p=derivative(inst.f))
     gap = float(np.max(np.abs(dz.samples - dx.samples)))
     n = inst.n
     normalized = (
@@ -610,14 +611,18 @@ def main(argv=None) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config: {exc}")
-    raw["command"] = args.command
     try:
-        if args.n is not None:
-            inst = raw.get("instance", {})
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        raw["command"] = args.command
+        inst = raw.get("instance")
+        if args.n is not None and isinstance(inst, dict):
             if "polynomial" in inst:
                 raise ValueError("--n does not apply to a polynomial instance")
             for key in ("family", "random"):
                 if key in inst:
+                    if not isinstance(inst[key], dict):
+                        raise ValueError(f"bad value for {key!r} in instance: --n needs an object")
                     inst[key]["n" if key == "family" else "degree"] = args.n
         cfg = ExperimentConfig.from_json(
             raw, seed=args.seed, out=args.out, format=args.format

@@ -63,6 +63,27 @@ def _horner(coeffs: np.ndarray, z):
     return acc
 
 
+def _fold(rows: np.ndarray, N: int) -> np.ndarray:
+    """Sum the entries of each row whose indices agree mod N, in index order."""
+    padded = np.pad(rows, [(0, 0), (0, -rows.shape[1] % N)])
+    return padded.reshape(rows.shape[0], -1, N).sum(axis=1)
+
+
+def _circle_values(p: Polynomial, R: float, N: int):
+    """p and z p' on the N points R e^{2 pi i j / N}, both divided by R^d.
+
+    One inverse FFT of c_k R^(k-d) and k c_k R^(k-d), folded k mod N
+    (exact on the nodes, where z^N = R^N).  The powers are taken in log
+    space, so R^d, which overflows for d >~ 1,700 at R = 1.5, never
+    forms.  Also returns sum |c_k| R^(k-d), the scale of the rounding.
+    """
+    d = p.degree
+    k = np.arange(d + 1)
+    scaled = p.coeffs * np.exp((k - d) * np.log(R))
+    values = np.fft.ifft(_fold(np.stack([scaled, k * scaled]), N), norm="forward")
+    return values[0], values[1], float(np.sum(np.abs(scaled)))
+
+
 @dataclass(frozen=True, eq=False)
 class Polynomial:
     """Degree-n polynomial over C, coefficients ascending by power.

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import AtomCollisionError, Polynomial, _horner, derivative, evaluate
+from .poly_core import AtomCollisionError, Polynomial, derivative, evaluate
+from .poly_core import _circle_values, _fold, _horner
 from .rootfind import RootSet, certified_crit, zeros_of
 from .sendov_check import _segment_distance
 
@@ -287,32 +288,61 @@ class CircleDensity:
         return float(np.mean(self.samples))
 
 
-def _default_nodes(n_atoms: int) -> int:
-    return max(4096, 64 * n_atoms)
+# Largest gap allowed between the two routes of balayage, relative to
+# max(1, the largest density sample).
+_BALAYAGE_TOL = 1e-10
+# Powers of the atoms per matrix-vector product in the moment series.
+_SERIES_BLOCK = 64
 
 
-def balayage(m: EmpiricalMeasure, R: float, N: int | None = None) -> CircleDensity:
-    """Sweep the measure onto the circle |z| = R.
+def _moment_series(m: EmpiricalMeasure, R: float, terms: int, N: int) -> np.ndarray:
+    """R^-k E[eta^k] for k = 0..terms, with k = 0 set to 0, folded k mod N.
 
-    The density against normalized arclength is E P_R(theta - arg eta)
-    with P_R the Poisson kernel at pole eta.  Computed two independent
-    ways, direct kernel expectation and the moment series
+    The powers come in blocks: one (64 x atoms) table of (eta/R)^1..64
+    by cumprod, and per block one matrix-vector product with the
+    weights times (eta/R)^(64 b).
+    """
+    x = m.points / R
+    base = np.cumprod(np.broadcast_to(x, (_SERIES_BLOCK, x.size)), axis=0)
+    carry = m.weights.astype(np.complex128)
+    moments = np.zeros(1 + -(-terms // _SERIES_BLOCK) * _SERIES_BLOCK, dtype=np.complex128)
+    for lo in range(1, terms + 1, _SERIES_BLOCK):
+        moments[lo : lo + _SERIES_BLOCK] = base @ carry
+        carry = carry * base[-1]
+    return _fold(moments[None, : terms + 1], N)[0]
+
+
+def balayage(
+    m: EmpiricalMeasure, R: float, N: int | None = None, *, p: Polynomial
+) -> CircleDensity:
+    """Sweep the uniform measure m on the zeros of p onto the circle |z| = R.
+
+    The density against normalized arclength, E P_R(theta - arg eta) with
+    P_R the Poisson kernel at pole eta, equals Re(2 z p'(z) / (d p(z))) - 1
+    on |z| = R, d = deg p.  It is computed from p's coefficients by one
+    FFT and returned.  The cross-check is the moment series of m's atoms,
 
         1 + 2 Re sum_{k>=1} R^{-k} E[eta^k] e^{-i k theta},
 
-    which must agree to 1e-10; the direct samples are returned.  The
-    result integrates to exactly 1 (mass is preserved by sweeping).
+    coefficients against roots, which must agree to 1e-10.  Raises
+    AtomCollisionError for an atom not strictly inside the circle, and
+    where the rounding bound eps log2(N) sum|c_k| R^k / min|p| of the
+    coefficients exceeds 1e-10.  The result integrates to exactly 1.
     """
     R = float(R)
     if R < 1.0:
         raise ValueError("R must be >= 1")
+    if p.degree != len(m):
+        raise ValueError(f"p has degree {p.degree} but m has {len(m)} atoms")
+    if np.any(m.weights != m.weights[0]):
+        raise ValueError("m must be the uniform measure on the zeros of p")
     top = float(np.max(np.abs(m.points)))
     if top >= R - 1e-12:
         raise AtomCollisionError("atoms must lie strictly inside the circle")
     q = top / R
     if N is None:
         # enough nodes that the trapezoid aliasing error q**N is negligible
-        N = _default_nodes(len(m))
+        N = max(4096, 64 * len(m))
         if q > 0:
             need = int(np.ceil(35.0 / max(1e-12, -np.log(q))))
             while N < need and N < 2**20:
@@ -323,57 +353,21 @@ def balayage(m: EmpiricalMeasure, R: float, N: int | None = None) -> CircleDensi
             )
     if N < 16:
         raise ValueError("N too small")
-    thetas = 2.0 * np.pi * np.arange(N) / N
-    # direct: kernel expectation in blocks of (rows nodes, all atoms),
-    # about 2**15 entries each, computed in two buffers reused for every
-    # block.  The samples must equal, bit for bit, those of one
-    # matrix-vector product per 8192 nodes.  BLAS may split a product's
-    # rows between threads at points set by its row count and groups the
-    # rows from there, so blocks are a power of two dividing 8192: they
-    # keep the grouping of every whole 8192-node chunk, and of the last
-    # chunk when it is whole blocks.  A last chunk that would end in a
-    # partial block stays one product, as before.
-    M = len(m.points)
-    rows = min(8192, max(16, 1 << max(0, (2**15 // M).bit_length() - 1)))
-    blocked = N if N % rows == 0 else N - N % 8192
-    c = np.empty((rows, M), dtype=np.complex128)
-    k = np.empty((rows, M), dtype=float)
-    direct = np.empty(N, dtype=float)
-    numer = R * R - np.abs(m.points) ** 2
-    for lo in range(0, blocked, rows):
-        zc = R * np.exp(1j * thetas[lo : lo + rows])
-        np.subtract(zc[:, None], m.points[None, :], out=c)
-        np.abs(c, out=k)
-        np.multiply(k, k, out=k)
-        np.divide(numer, k, out=k)
-        direct[lo : lo + rows] = k @ m.weights
-    if blocked < N:
-        zc = R * np.exp(1j * thetas[blocked:])
-        direct[blocked:] = (
-            numer[None, :] / np.abs(zc[:, None] - m.points[None, :]) ** 2
-        ) @ m.weights
+    pz, zdpz, scale = _circle_values(p, R, N)
+    if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * np.min(np.abs(pz)):
+        raise AtomCollisionError("p is too ill-conditioned on the circle for a resolvable sweep")
+    samples = np.real(2.0 * zdpz / (p.degree * pz)) - 1.0
 
-    # series route via FFT: coefficients a_k = R^{-k} E eta^k
-    q = top / R
-    if q == 0.0:
-        terms = 1
-    else:
-        terms = int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
-        terms = min(max(terms, 1), 200_000)
-    a = np.zeros(N, dtype=np.complex128)
-    power = np.ones_like(m.points)
-    scale = 1.0
-    for k in range(1, terms + 1):
-        power = power * m.points
-        scale /= R
-        a[k % N] += scale * np.sum(m.weights * power)
-    series = 1.0 + 2.0 * np.real(np.fft.fft(a))
-    gap = float(np.max(np.abs(direct - series)))
-    if gap > 1e-10 * max(1.0, float(np.max(np.abs(direct)))):
+    # series route via FFT: coefficients a_k = R^{-k} E eta^k, to 1e-14
+    terms = 1 if q == 0.0 else int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
+    terms = min(terms, 200_000)
+    series = 1.0 + 2.0 * np.real(np.fft.fft(_moment_series(m, R, terms, N)))
+    gap = float(np.max(np.abs(samples - series)))
+    if gap > _BALAYAGE_TOL * max(1.0, float(np.max(np.abs(samples)))):
         raise AssertionError(
-            f"balayage cross-check failed: direct vs series differ by {gap:.3e}"
+            f"balayage cross-check failed: coefficients vs series differ by {gap:.3e}"
         )
-    density = CircleDensity(R, direct)
+    density = CircleDensity(R, samples)
     if abs(density.mean() - 1.0) > 1e-8:
         raise AssertionError("balayage density does not average to 1")
     return density

@@ -165,8 +165,8 @@ def _balayage_gaps(R=1.1, ns=(32, 64, 128, 256)):
     """sup|Bal - 1| of z^n - z swept onto |z| = R, one value per n."""
     out = []
     for n in ns:
-        m = empirical_measure(example_origin(n).f.roots)
-        out.append(float(np.max(np.abs(balayage(m, R).samples - 1.0))))
+        f = example_origin(n).f
+        out.append(float(np.max(np.abs(balayage(empirical_measure(f.roots), R, p=f).samples - 1.0))))
     return out
 
 

@@ -251,8 +251,9 @@ class TestOutputs:
         assert "thetas" not in rec.results
         assert "thetas" not in rec.payload()
         inst = example_origin(64)
-        dz = balayage(empirical_measure(zeros_of(inst.f)), 1.3)
-        dx = balayage(empirical_measure(critical_points(inst.f).points), 1.3, dz.samples.size)
+        dz = balayage(empirical_measure(zeros_of(inst.f)), 1.3, p=inst.f)
+        crit = critical_points(inst.f).points
+        dx = balayage(empirical_measure(crit), 1.3, dz.samples.size, p=derivative(inst.f))
         assert rec.results["zero_density"] == dz.samples.tolist()
         assert rec.results["crit_density"] == dx.samples.tolist()
         thetas = [fmt17(t) for t in dz.thetas.tolist()]
@@ -327,6 +328,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: bad value for ")
         assert repr(key) in err and command in err
+
+    @pytest.mark.parametrize(
+        "config, extra, message",
+        [
+            ({"instance": CIRCLE12, "seed": [1]}, [], "bad value for 'seed'"),
+            ({"instance": CIRCLE12, "seed": 1.9}, [], "bad value for 'seed'"),
+            ({"instance": CIRCLE12, "seed": True}, [], "bad value for 'seed'"),
+            ({"instance": {"random": 5}}, ["--n", "8"], "bad value for 'random' in instance"),
+            ([1, 2], [], "config must be a JSON object"),
+        ],
+        ids=["seed-list", "seed-float", "seed-bool", "n-on-a-non-object", "top-level-list"],
+    )
+    def test_config_of_wrong_shape_is_an_error(self, tmp_path, capsys, config, extra, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["check", "--config", str(cfg_path), *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from sendovlab.measures import EmpiricalMeasure, empirical_measure
 from sendovlab.poly_core import (
     AtomCollisionError,
     Polynomial,
+    _circle_values,
     _horner,
     derivative,
     evaluate,
@@ -24,6 +26,7 @@ from sendovlab.poly_core import (
 from sendovlab.potential import (
     CircleDensity,
     ContourTooCloseError,
+    _moment_series,
     balayage,
     circle_fourier_coeff,
     circle_fourier_coeffs,
@@ -272,17 +275,63 @@ class TestPoissonKernel:
         assert closed == pytest.approx(series, abs=1e-11 * max(1.0, abs(closed)))
 
 
+def _swept(pts, R, N=None):
+    """balayage of the uniform measure on pts, the zeros of from_roots(pts)."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    return balayage(empirical_measure(pts), R, N, p=from_roots(pts))
+
+
+class TestCircleValues:
+    """poly_core._circle_values against 50-digit values of p and z p'."""
+
+    @staticmethod
+    def _oracle(p, R, N, js):
+        d = p.degree
+        with mpmath.workdps(50):
+            cs = [mpmath.mpc(complex(c)) for c in p.coeffs[::-1]]
+            scale = mpmath.mpf(R) ** d
+            out = []
+            for j in js:
+                z = mpmath.mpf(R) * mpmath.expjpi(mpmath.mpf(2 * j) / N)
+                v, dv = mpmath.polyval(cs, z, derivative=True)
+                out.append((complex(v / scale), complex(z * dv / scale)))
+        return np.array(out).T
+
+    @pytest.mark.parametrize(
+        "degree, R, N, js",
+        [(100, 1.3, 32, range(32)), (2000, 1.5, 4096, range(0, 4096, 512))],
+    )
+    def test_matches_mpmath_within_the_bound(self, degree, R, N, js):
+        # degree 100 on 32 nodes folds four coefficients into each bin;
+        # at degree 2000, R^d = 1.5^2000 is past the float64 range, and
+        # the values divided by it are not
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        p = Polynomial(c)
+        pz, zdpz, scale = _circle_values(p, R, N)
+        js = list(js)
+        ref_p, ref_zdp = self._oracle(p, R, N, js)
+        bound = np.finfo(float).eps * math.log2(N) * scale
+        assert np.all(np.isfinite(pz)) and np.all(np.isfinite(zdpz))
+        assert np.max(np.abs(pz[js] - ref_p)) <= bound
+        assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
+
+    def test_scale_is_the_coefficient_sum(self):
+        p = Polynomial(np.array([2.0, -1.0j, 0.0, 3.0]))
+        _, _, scale = _circle_values(p, 2.0, 16)
+        assert scale == pytest.approx(2.0 / 8 + 1.0 / 4 + 3.0, rel=1e-15)
+
+
 class TestBalayage:
     def test_atom_at_center_sweeps_flat(self):
-        m = empirical_measure(np.array([0.0 + 0j]))
-        d = balayage(m, 1.5)
-        # kernel = R^2 / |R e^{i theta}|^2, which rounds to 1 within a ulp
+        d = _swept([0j], 1.5)
+        # p(z) = z, so z p'(z) / p(z) is exactly 1 at every node
         assert np.max(np.abs(d.samples - 1.0)) < 1e-15
         assert d.mean() == 1.0
 
     def test_roots_of_unity_series_oracle(self):
         n, R = 8, 1.5
-        d = balayage(_unity_measure(n), R)
+        d = _swept(np.exp(2j * np.pi * np.arange(n) / n), R)
         q = (1.0 / R) ** n
         js = np.arange(1, 40)
         expected = 1.0 + 2.0 * np.sum(
@@ -293,59 +342,114 @@ class TestBalayage:
     def test_mass_preserved(self):
         rng = np.random.default_rng(2)
         pts = 0.8 * np.sqrt(rng.uniform(0, 1, 17)) * np.exp(2j * np.pi * rng.uniform(0, 1, 17))
-        d = balayage(empirical_measure(pts), 1.25)
+        d = _swept(pts, 1.25)
         assert d.mean() == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "atoms, N",
-        [(1, None), (5, None), (127, None), (300, None), (300, 19201), (117, 12345)],
+        "atoms, N, radius, refused",
+        [
+            pytest.param(1, None, 0.9, False, id="1-None"),
+            pytest.param(5, None, 0.9, False, id="5-None"),
+            # a hundred or more random atoms in |z| < 0.9 expand to
+            # coefficients that lose digits on |z| = 1.1: the coefficient
+            # route misses the kernel sum by 2.6e-10 to 1.4e-9 of the
+            # largest sample here, past the 1e-10 cross-check, and the
+            # conditioning guard refuses them first
+            pytest.param(127, None, 0.9, True, id="127-None"),
+            pytest.param(300, None, 0.9, True, id="300-None"),
+            pytest.param(300, 19201, 0.9, True, id="300-19201"),
+            pytest.param(117, 12345, 0.9, True, id="117-12345"),
+            pytest.param(127, None, 0.3, False, id="127-None-inner"),
+            pytest.param(300, None, 0.3, False, id="300-None-inner"),
+            pytest.param(300, 19201, 0.3, False, id="300-19201-inner"),
+            pytest.param(117, 12345, 0.3, False, id="117-12345-inner"),
+        ],
     )
-    def test_direct_route_matches_reference_sums(self, atoms, N):
-        # the direct route runs in blocks of nodes; its samples equal bit for
-        # bit those of kernel matrices of 8192 nodes each (a block size that
-        # does not divide 8192, or a partial last block, lets the
-        # matrix-vector product sum some rows differently: 19201 nodes are
-        # 300 blocks of 64 plus one, 12345 are 96 blocks of 128 plus 57),
-        # and match one kernel sum over all nodes at once
+    def test_direct_route_matches_reference_sums(self, atoms, N, radius, refused):
+        # the returned coefficient route against the Poisson kernel summed
+        # over every atom at every node at once, on default and odd node
+        # counts
         rng = np.random.default_rng(atoms)
-        pts = 0.9 * np.sqrt(rng.uniform(0, 1, atoms)) * np.exp(
+        pts = radius * np.sqrt(rng.uniform(0, 1, atoms)) * np.exp(
             2j * np.pi * rng.uniform(0, 1, atoms)
         )
-        m, R = empirical_measure(pts), 1.1
-        d = balayage(m, R, N)
-        numer = R * R - np.abs(pts) ** 2
-
-        def kernel_sums(th):
-            return (
-                numer[None, :] / np.abs(R * np.exp(1j * th)[:, None] - pts[None, :]) ** 2
-            ) @ m.weights
-
-        chunked = np.concatenate(
-            [kernel_sums(th) for th in np.split(d.thetas, range(8192, d.thetas.size, 8192))]
-        )
-        assert d.samples.tobytes() == chunked.tobytes()
-        one_shot = kernel_sums(d.thetas)
-        assert np.max(np.abs(d.samples - one_shot)) <= 1e-14 * np.max(np.abs(one_shot))
+        R = 1.1
+        if refused:
+            with pytest.raises(AtomCollisionError, match="ill-conditioned"):
+                _swept(pts, R, N)
+            return
+        d = _swept(pts, R, N)
+        z = R * np.exp(1j * d.thetas)
+        kernel = (R * R - np.abs(pts) ** 2) / np.abs(z[:, None] - pts) ** 2
+        one_shot = kernel @ np.full(atoms, 1.0 / atoms)
+        assert np.max(np.abs(d.samples - one_shot)) <= 1e-13 * np.max(np.abs(one_shot))
 
     def test_more_atoms_than_a_block_holds(self):
-        # 2**15 + 1 atoms leave no room for even one node per 2**15 entries;
-        # the block still has its minimum of 16 nodes
+        # 2**15 + 1 atoms on 64 nodes: the coefficients fold k mod 64, exact
+        # on the nodes.  p is multiplied out by a product tree, which for
+        # atoms this small gives from_roots' coefficients within 2e-15 in a
+        # fraction of from_roots' time
+        n = 2**15 + 1
         rng = np.random.default_rng(15)
-        pts = 0.01 * np.sqrt(rng.uniform(0, 1, 2**15 + 1)) * np.exp(
-            2j * np.pi * rng.uniform(0, 1, 2**15 + 1)
-        )
-        d = balayage(empirical_measure(pts), 1.0, N=64)
+        pts = 0.01 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        factors = [np.array([-r, 1.0]) for r in pts]
+        while len(factors) > 1:
+            pairs = zip(factors[::2], factors[1::2])
+            factors = [np.convolve(a, b) for a, b in pairs] + factors[len(factors) // 2 * 2 :]
+        d = balayage(empirical_measure(pts), 1.0, N=64, p=Polynomial(factors[0]))
+        z = np.exp(1j * d.thetas)
+        one_shot = np.mean((1.0 - np.abs(pts) ** 2) / np.abs(z[:, None] - pts) ** 2, axis=1)
         assert d.samples.size == 64
         assert np.max(np.abs(d.samples - 1.0)) < 0.03
+        assert np.max(np.abs(d.samples - one_shot)) <= 1e-13 * np.max(one_shot)
+
+    def test_moment_series_matches_the_power_loop(self):
+        # the blocked powers against one numpy op per term, as the series
+        # was once summed: 150 terms are two whole blocks of 64 and a
+        # partial one, folded onto 64 bins
+        rng = np.random.default_rng(9)
+        pts = 0.9 * np.sqrt(rng.uniform(0, 1, 23)) * np.exp(2j * np.pi * rng.uniform(0, 1, 23))
+        m, R, terms, N = empirical_measure(pts), 1.1, 150, 64
+        ref = np.zeros(N, dtype=np.complex128)
+        power, scale = np.ones_like(m.points), 1.0
+        for k in range(1, terms + 1):
+            power = power * m.points
+            scale /= R
+            ref[k % N] += scale * np.sum(m.weights * power)
+        got = _moment_series(m, R, terms, N)
+        assert np.max(np.abs(got - ref)) <= terms * np.finfo(float).eps
+
+    def test_routes_do_not_share_the_roots(self):
+        # the density comes from p's coefficients and the cross-check from
+        # m's atoms: moving one atom and keeping p must fail the cross-check
+        rng = np.random.default_rng(7)
+        pts = 0.8 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+        moved = pts.copy()
+        moved[3] += 1e-6
+        with pytest.raises(AssertionError, match="cross-check"):
+            balayage(empirical_measure(moved), 1.2, p=from_roots(pts))
+
+    def test_ill_conditioned_polynomial_rejected(self):
+        # (z - 0.9)^30 on |z| = 1: sum |c_k| = 1.9^30 against min |p| = 0.1^30
+        pts = np.full(30, 0.9 + 0j)
+        with pytest.raises(AtomCollisionError, match="ill-conditioned"):
+            _swept(pts, 1.0)
+
+    def test_p_must_match_the_measure(self):
+        pts = np.array([0.1, -0.2j, 0.3])
+        with pytest.raises(ValueError, match="degree"):
+            balayage(empirical_measure(pts), 1.5, p=from_roots(pts[:2]))
+        lopsided = EmpiricalMeasure(pts, np.array([0.5, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="uniform"):
+            balayage(lopsided, 1.5, p=from_roots(pts))
 
     def test_atom_hugging_circle_rejected(self):
-        m = empirical_measure(np.array([1.4999985 + 0j]))
         with pytest.raises(AtomCollisionError):
-            balayage(m, 1.5)
+            _swept([1.4999985 + 0j], 1.5)
 
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):
-            balayage(empirical_measure(np.array([0j])), 0.9)
+            _swept([0j], 0.9)
 
     def test_circle_density_validation(self):
         with pytest.raises(ValueError):
