@@ -3,9 +3,11 @@
 The normalized logarithmic derivative g = f'/(n f) winds around the
 origin along |z| = r exactly (#critical points - #zeros) inside, each
 counted with multiplicity.  The winding is accumulated from principal
-argument differences with adaptive bisection, entirely from
-coefficient-form evaluations, so it cross-validates the root finder:
-both routes must produce the same integer.
+argument differences on an equispaced grid, whose values of f and z f'
+come from the coefficients by one FFT (``poly_core._circle_values``);
+the grid doubles until every jump is small.  No root enters, so the
+count cross-validates the root finder: both routes must produce the
+same integer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, derivative, evaluate
+from .poly_core import Polynomial, _circle_values
 from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
@@ -28,6 +30,9 @@ __all__ = [
 
 # Circles passing closer than this to a root modulus give ambiguous counts.
 COUNT_BAND = 1e-8
+# Largest winding grid; a jump that persists at this many nodes means a
+# zero of f or f' lies essentially on the circle.
+MAX_SAMPLES = 2**20
 
 
 class AmbiguousCountError(ValueError):
@@ -49,74 +54,46 @@ def _wrap(d: np.ndarray) -> np.ndarray:
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def winding_number(
-    f: Polynomial,
-    r: float,
-    init_samples: int = 1024,
-    max_samples: int = 1_000_000,
-) -> WindingResult:
+def winding_number(f: Polynomial, r: float) -> WindingResult:
     """Winding number of f'/(n f) around 0 along the circle |z| = r.
 
-    Principal-argument differences are accumulated over an equispaced
-    grid, bisecting every interval whose jump is >= pi/2 until all
-    jumps are small; the total is then an exact multiple of 2 pi up to
-    rounding.  The caller must keep zeros of f and f' off the circle
-    (distance >= 1e-8); a stalled bisection raises, it never returns a
-    silently wrong integer.
+    Principal-argument differences are accumulated over N equispaced
+    nodes, N the smallest power of two >= max(1024, 4n), doubling N
+    until every jump is < pi/2; the total is then an exact multiple of
+    2 pi up to rounding.  The caller must keep zeros of f and f' off the
+    circle (distance >= 1e-8); a jump that persists at 2^20 nodes
+    raises, it never returns a silently wrong integer.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if init_samples < 16:
-        raise ValueError("init_samples too small")
     n = f.degree
-    fp = derivative(f)
-
-    def g(thetas: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * thetas)
-        num = evaluate(fp, z)
-        den = evaluate(f, z)
-        if np.any(den == 0) or np.any(num == 0):
-            raise AmbiguousCountError("a zero of f or f' lies on the circle")
-        return num / (n * den)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, init_samples, endpoint=False)
-    vals = g(thetas)
+    N = 1 << (max(1024, 4 * n) - 1).bit_length()
     while True:
-        args = np.angle(vals)
+        pz, zdpz, shift, _ = _circle_values(f, r, N)
+        if np.any(pz == 0) or np.any(zdpz == 0):
+            raise AmbiguousCountError("a zero of f or f' lies on the circle")
+        # arg g = arg(z f') - arg(f) - theta; the divisors are positive
+        args = np.angle(zdpz) - np.angle(pz) - 2.0 * np.pi * np.arange(N) / N
         diffs = _wrap(np.diff(args, append=args[:1]))
-        bad = np.abs(diffs) >= np.pi / 2.0
-        if not bad.any():
+        if np.all(np.abs(diffs) < np.pi / 2.0):
             break
-        if thetas.size + int(bad.sum()) > max_samples:
+        N *= 2
+        if N > MAX_SAMPLES:
             raise AmbiguousCountError(
-                "winding refinement budget exhausted; a zero is likely "
-                "within ~1e-8 of the circle"
-            )
-        nxt = np.empty_like(thetas)
-        nxt[:-1] = thetas[1:]
-        nxt[-1] = thetas[0] + 2.0 * np.pi
-        width = nxt[bad] - thetas[bad]
-        if width.min() < 1e-12:
-            raise AmbiguousCountError(
-                "argument jump persists at angular scale 1e-12; "
+                f"argument jump persists on {MAX_SAMPLES} nodes; "
                 "the contour passes essentially through a zero"
             )
-        mids = thetas[bad] + 0.5 * width
-        mvals = g(mids)
-        thetas = np.concatenate([thetas, mids])
-        vals = np.concatenate([vals, mvals])
-        order = np.argsort(thetas, kind="stable")
-        thetas = thetas[order]
-        vals = vals[order]
     total = float(np.sum(diffs)) / (2.0 * np.pi)
     nearest = round(total)
     if abs(total - nearest) > 1e-6:
         raise AssertionError(f"winding total {total} is not an integer")
+    # |g| = |z f' / f| e^shift / (n r), in log space: e^shift may underflow
+    log_min = np.log(np.min(np.abs(zdpz / pz))) + shift - np.log(n * r)
     return WindingResult(
         winding=int(nearest),
-        min_modulus=float(np.min(np.abs(vals))),
+        min_modulus=float(np.exp(log_min)),
         radius=float(r),
-        samples_used=int(thetas.size),
+        samples_used=N,
     )
 
 

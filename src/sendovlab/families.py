@@ -32,7 +32,7 @@ from .poly_core import (
     evaluate,
     from_roots,
 )
-from .potential import circle_fourier_coeff, log_potential
+from .potential import circle_fourier_coeffs, log_potential
 from .rootfind import RootSet, certified, certified_crit, find_roots
 
 __all__ = [
@@ -325,7 +325,7 @@ def second_moment_test(
     mx = empirical_measure(certified_crit(inst.f, crit).points)
     stats = summary(mx)
     direct = stats.second_moment
-    four = 4.0 * circle_fourier_coeff(mx, 1.0, 2, N=N)
+    four = 4.0 * circle_fourier_coeffs(mx, 1.0, [2], N=N)[0]
     var = stats.variance
     return SecondMomentCheck(
         direct=direct,

@@ -8,6 +8,7 @@ coefficients on construction for moderate degrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,18 +71,27 @@ def _fold(rows: np.ndarray, N: int) -> np.ndarray:
 
 
 def _circle_values(p: Polynomial, R: float, N: int):
-    """p and z p' on the N points R e^{2 pi i j / N}, both divided by R^d.
+    """p and z p' on the N points R e^{2 pi i j / N}, each divided by its largest term.
 
-    One inverse FFT of c_k R^(k-d) and k c_k R^(k-d), folded k mod N
-    (exact on the nodes, where z^N = R^N).  The powers are taken in log
-    space, so R^d, which overflows for d >~ 1,700 at R = 1.5, never
-    forms.  Also returns sum |c_k| R^(k-d), the scale of the rounding.
+    One inverse FFT of c_k R^k / M and k c_k R^k / M', folded k mod N
+    (exact on the nodes, where z^N = R^N), with M = max |c_k| R^k and
+    M' = max k |c_k| R^k.  Each term is c_k R^(k - t) / |c_t| for the
+    index t of the largest, so R^d, which overflows for d >~ 1,700 at
+    R = 1.5 and underflows for d >~ 440 at R = 0.2, never forms, and
+    the terms near the largest carry no rounding of k log R.  Also
+    returns log(M'/M), which scales the ratio z p'/p back, and
+    sum |c_k| R^k / M, the scale of the rounding of p.
     """
-    d = p.degree
-    k = np.arange(d + 1)
-    scaled = p.coeffs * np.exp((k - d) * np.log(R))
-    values = np.fft.ifft(_fold(np.stack([scaled, k * scaled]), N), norm="forward")
-    return values[0], values[1], float(np.sum(np.abs(scaled)))
+    k = np.arange(p.degree + 1)
+    rows, logs = [], []
+    for c in (p.coeffs, k * p.coeffs):
+        with np.errstate(divide="ignore"):
+            t = int(np.argmax(np.log(np.abs(c)) + k * np.log(R)))
+        powers = np.where(c != 0, (k - t) * np.log(R), -np.inf)
+        rows.append(c * np.exp(powers) / abs(c[t]))
+        logs.append(math.log(abs(c[t])) + t * math.log(R))
+    values = np.fft.ifft(_fold(np.stack(rows), N), norm="forward")
+    return values[0], values[1], logs[1] - logs[0], float(np.sum(np.abs(rows[0])))
 
 
 @dataclass(frozen=True, eq=False)

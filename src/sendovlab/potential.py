@@ -31,7 +31,6 @@ __all__ = [
     "ContourTooCloseError",
     "IdentityReport",
     "balayage",
-    "circle_fourier_coeff",
     "circle_fourier_coeffs",
     "integrated_log_derivative",
     "log_potential",
@@ -353,10 +352,10 @@ def balayage(
             )
     if N < 16:
         raise ValueError("N too small")
-    pz, zdpz, scale = _circle_values(p, R, N)
+    pz, zdpz, shift, scale = _circle_values(p, R, N)
     if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * np.min(np.abs(pz)):
         raise AtomCollisionError("p is too ill-conditioned on the circle for a resolvable sweep")
-    samples = np.real(2.0 * zdpz / (p.degree * pz)) - 1.0
+    samples = np.real(2.0 * np.exp(shift) / p.degree * (zdpz / pz)) - 1.0
 
     # series route via FFT: coefficients a_k = R^{-k} E eta^k, to 1e-14
     terms = 1 if q == 0.0 else int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
@@ -373,16 +372,6 @@ def balayage(
     return density
 
 
-def circle_fourier_coeff(
-    m: EmpiricalMeasure, R: float, k: int, N: int = 4096
-) -> complex:
-    """Fourier coefficient (1/2pi) int e^{i k theta} U(R e^{i theta}) dtheta.
-
-    The one-index case of :func:`circle_fourier_coeffs`.
-    """
-    return circle_fourier_coeffs(m, R, [k], N)[0]
-
-
 def circle_fourier_coeffs(
     m: EmpiricalMeasure, R: float, ks, N: int = 4096
 ) -> list[complex]:
@@ -393,8 +382,8 @@ def circle_fourier_coeffs(
     is -log R.  Atoms within 0.05 of the circle contribute through that
     closed form directly (exact up to rounding, including atoms on the
     circle itself); the smooth remainder is quadratured on N equispaced
-    nodes.  The potential on the nodes is computed once and shared by
-    every k, so each coefficient equals the one computed for its k alone.
+    nodes, and one FFT of the potential there gives every k at once, so
+    each coefficient equals the one computed for its k alone.
     """
     R = float(R)
     if R < 1.0:
@@ -426,6 +415,7 @@ def circle_fourier_coeffs(
         thetas = 2.0 * np.pi * np.arange(N) / N
         z = R * np.exp(1j * thetas)
         u = -(np.log(np.abs(z[:, None] - pf[None, :])) @ wf)
+        coeffs = np.fft.ifft(u)
         for i, k in enumerate(ks):
-            totals[i] += complex(np.mean(u * np.exp(1j * k * thetas)))
+            totals[i] += complex(coeffs[k])
     return totals

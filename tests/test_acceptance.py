@@ -38,7 +38,7 @@ from sendovlab.measures import (
 from sendovlab.poly_core import Polynomial, evaluate, from_roots_batch
 from sendovlab.potential import (
     balayage,
-    circle_fourier_coeff,
+    circle_fourier_coeffs,
     integrated_log_derivative,
     poisson_kernel,
     verify_basic_identities,
@@ -122,7 +122,7 @@ def test_criterion_03_fourier_and_poisson_closed_forms():
     coeff_max = 0.0
     for w in ws:
         m = empirical_measure(np.array([w]))
-        coeff_max = max(coeff_max, abs(circle_fourier_coeff(m, 1.0, 2) - w * w / 4.0))
+        coeff_max = max(coeff_max, abs(circle_fourier_coeffs(m, 1.0, [2])[0] - w * w / 4.0))
 
     thetas = 2.0 * np.pi * np.arange(4096) / 4096
     mean_max = 0.0

@@ -9,8 +9,16 @@ from sendovlab.contour import (
     winding_number,
     zero_pole_count,
 )
-from sendovlab.families import example_circle, example_origin, random_instance
+from sendovlab.families import (
+    FamilyParams,
+    example_circle,
+    example_origin,
+    family_critical_points,
+    miller_family,
+    random_instance,
+)
 from sendovlab.poly_core import Polynomial, from_roots
+from sendovlab.rootfind import find_roots
 
 
 def _unity_poly(n):
@@ -40,8 +48,6 @@ class TestWindingNumber:
         p = from_roots([1.0, -1.0])
         with pytest.raises(ValueError):
             winding_number(p, -1.0)
-        with pytest.raises(ValueError):
-            winding_number(p, 0.5, init_samples=8)
 
     def test_zero_on_circle_raises(self):
         with pytest.raises(AmbiguousCountError):
@@ -54,11 +60,33 @@ class TestWindingNumber:
         res = winding_number(_unity_poly(16), r)
         assert res.winding == 15
 
-    def test_refinement_invariant_to_initial_grid(self):
-        p = from_roots([0.9, -0.3 + 0.8j, 0.2 - 0.85j])
-        a = winding_number(p, 0.5, init_samples=1024)
-        b = winding_number(p, 0.5, init_samples=2048)
-        assert a.winding == b.winding
+    def test_grid_doubles_near_a_zero(self):
+        # a zero delta outside |z| = 0.3 turns the argument by about pi
+        # over an arc of width delta / r, far below the 1,024-node spacing
+        for delta in (1e-6, 1e-7, 1e-8):
+            res = winding_number(from_roots([0.3 + delta, -0.5 + 0.5j, 0.7j, -0.8]), 0.3)
+            assert res.winding == 1
+            assert res.samples_used > 1024
+
+    @pytest.mark.parametrize("n", [1000, 1025, 2049])
+    def test_start_grid_grows_with_the_degree(self, n):
+        # the argument of g turns n - 1 times along |z| = 0.9, more than a
+        # fixed 1,024-node grid can follow
+        res = winding_number(_unity_poly(n), 0.9)
+        assert res.winding == n - 1
+        assert res.samples_used >= 4 * n
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_family_where_f_prime_underflows(self, n):
+        # f' ~ (z + 2/n)^(n-2) is below the float64 range on |z| = 0.2,
+        # so it is sampled relative to its largest term
+        params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        f = miller_family(params).f
+        rs = find_roots(f)
+        crit = family_critical_points(params)
+        sel = select_radius(f, 0.2, 0.4, rs=rs, crit=crit)
+        res = winding_number(f, sel.radius)
+        assert res.winding == zero_pole_count(f, sel.radius, rs=rs, crit=crit) == n - 2
 
 
 class TestZeroPoleCount:

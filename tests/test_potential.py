@@ -28,7 +28,6 @@ from sendovlab.potential import (
     ContourTooCloseError,
     _moment_series,
     balayage,
-    circle_fourier_coeff,
     circle_fourier_coeffs,
     integrated_log_derivative,
     log_potential,
@@ -286,40 +285,53 @@ class TestCircleValues:
 
     @staticmethod
     def _oracle(p, R, N, js):
-        d = p.degree
+        """p and z p' at the nodes js, each divided by its largest term, and log(M'/M)."""
         with mpmath.workdps(50):
-            cs = [mpmath.mpc(complex(c)) for c in p.coeffs[::-1]]
-            scale = mpmath.mpf(R) ** d
+            cs = [mpmath.mpc(complex(c)) for c in p.coeffs]
+            terms = [abs(c) * mpmath.mpf(R) ** k for k, c in enumerate(cs)]
+            top = max(terms)
+            dtop = max(k * t for k, t in enumerate(terms))
             out = []
             for j in js:
                 z = mpmath.mpf(R) * mpmath.expjpi(mpmath.mpf(2 * j) / N)
-                v, dv = mpmath.polyval(cs, z, derivative=True)
-                out.append((complex(v / scale), complex(z * dv / scale)))
-        return np.array(out).T
+                v, dv = mpmath.polyval(cs[::-1], z, derivative=True)
+                out.append((complex(v / top), complex(z * dv / dtop)))
+            return np.array(out).T, float(mpmath.log(dtop / top))
 
     @pytest.mark.parametrize(
         "degree, R, N, js",
-        [(100, 1.3, 32, range(32)), (2000, 1.5, 4096, range(0, 4096, 512))],
+        [
+            (100, 1.3, 32, range(32)),
+            (2000, 1.5, 4096, range(0, 4096, 512)),
+            (1023, 0.2, 4096, range(0, 4096, 512)),
+        ],
     )
     def test_matches_mpmath_within_the_bound(self, degree, R, N, js):
         # degree 100 on 32 nodes folds four coefficients into each bin;
-        # at degree 2000, R^d = 1.5^2000 is past the float64 range, and
-        # the values divided by it are not
-        rng = np.random.default_rng(degree)
-        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        p = Polynomial(c)
-        pz, zdpz, scale = _circle_values(p, R, N)
+        # at degree 2000, R^d = 1.5^2000 is past the float64 range; the
+        # family's f' at n = 1024 has largest term about 1e-700 on |z| = 0.2
+        # (and its low coefficients flushed to 0); the scaled values are finite
+        if R < 1.0:
+            params = FamilyParams(n=degree + 1, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+            p = derivative(miller_family(params).f)
+        else:
+            rng = np.random.default_rng(degree)
+            p = Polynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        pz, zdpz, shift, scale = _circle_values(p, R, N)
         js = list(js)
-        ref_p, ref_zdp = self._oracle(p, R, N, js)
+        (ref_p, ref_zdp), ref_shift = self._oracle(p, R, N, js)
         bound = np.finfo(float).eps * math.log2(N) * scale
         assert np.all(np.isfinite(pz)) and np.all(np.isfinite(zdpz))
         assert np.max(np.abs(pz[js] - ref_p)) <= bound
         assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
+        assert shift == pytest.approx(ref_shift, abs=1e-12 * max(1.0, abs(ref_shift)))
 
     def test_scale_is_the_coefficient_sum(self):
+        # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum
         p = Polynomial(np.array([2.0, -1.0j, 0.0, 3.0]))
-        _, _, scale = _circle_values(p, 2.0, 16)
-        assert scale == pytest.approx(2.0 / 8 + 1.0 / 4 + 3.0, rel=1e-15)
+        _, _, shift, scale = _circle_values(p, 2.0, 16)
+        assert scale == pytest.approx(28.0 / 24.0, rel=1e-15)
+        assert shift == pytest.approx(math.log(72.0 / 24.0), rel=1e-15)
 
 
 class TestBalayage:
@@ -460,23 +472,23 @@ class TestBalayage:
 
 class TestCircleFourier:
     def test_k0_gives_minus_log_r(self):
-        coeff = circle_fourier_coeff(_unity_measure(8), 1.5, 0)
+        coeff = circle_fourier_coeffs(_unity_measure(8), 1.5, [0])[0]
         assert coeff == pytest.approx(-math.log(1.5), abs=1e-12)
 
     def test_k2_quarter_square_far_branch(self):
         w = 0.5 + 0.3j  # 0.42 inside: quadrature branch
         m = empirical_measure(np.array([w]))
-        coeff = circle_fourier_coeff(m, 1.0, 2)
+        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-10)
 
     def test_k2_quarter_square_near_branch(self):
         w = 0.96 * np.exp(0.4j)  # within 0.05 of the circle: closed form
         m = empirical_measure(np.array([w]))
-        coeff = circle_fourier_coeff(m, 1.0, 2)
+        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-14)
 
     def test_atoms_on_circle_exact(self):
-        coeff = circle_fourier_coeff(_unity_measure(8), 1.0, 2)
+        coeff = circle_fourier_coeffs(_unity_measure(8), 1.0, [2])[0]
         assert abs(coeff) < 1e-15  # E eta^2 vanishes over the 8th roots
 
     def test_moment_recovery_at_larger_radius(self):
@@ -485,16 +497,16 @@ class TestCircleFourier:
         m = empirical_measure(pts)
         for k in (1, 2, 3):
             expected = complex(np.mean(pts**k)) / (2 * k * 1.3**k)
-            assert circle_fourier_coeff(m, 1.3, k) == pytest.approx(expected, abs=1e-12)
+            assert circle_fourier_coeffs(m, 1.3, [k])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
         m = _unity_measure(8)
         with pytest.raises(ValueError, match="N too small"):
-            circle_fourier_coeff(m, 1.0, 100, N=128)
+            circle_fourier_coeffs(m, 1.0, [100], N=128)
         with pytest.raises(ValueError):
-            circle_fourier_coeff(m, 1.0, -1)
+            circle_fourier_coeffs(m, 1.0, [-1])
         with pytest.raises(ValueError, match="closed disk"):
-            circle_fourier_coeff(empirical_measure(np.array([1.6 + 0j])), 1.5, 1)
+            circle_fourier_coeffs(empirical_measure(np.array([1.6 + 0j])), 1.5, [1])
 
     @pytest.mark.parametrize("w", [1.2 + 0j, 1.48j], ids=["far", "near"])
     def test_atoms_outside_unit_disk_inside_R(self, w):
@@ -502,7 +514,7 @@ class TestCircleFourier:
         m = empirical_measure(np.array([w]))
         for k in (1, 2, 3):
             expected = w**k / (2 * k * 1.5**k)
-            assert circle_fourier_coeff(m, 1.5, k) == pytest.approx(expected, abs=1e-15)
+            assert circle_fourier_coeffs(m, 1.5, [k])[0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestCircleFourierBatch:
@@ -520,7 +532,7 @@ class TestCircleFourierBatch:
     def test_equals_one_index_at_a_time(self, pts, R):
         m = empirical_measure(pts)
         batch = circle_fourier_coeffs(m, R, self.KS, N=512)
-        assert batch == [circle_fourier_coeff(m, R, k, N=512) for k in self.KS]
+        assert batch == [circle_fourier_coeffs(m, R, [k], N=512)[0] for k in self.KS]
 
     def test_empty_ks(self):
         assert circle_fourier_coeffs(_unity_measure(8), 1.0, []) == []

@@ -1,6 +1,7 @@
 """The package namespace: every name it imports is public."""
 
 import ast
+import re
 from pathlib import Path
 
 import sendovlab
@@ -36,3 +37,9 @@ def test_every_public_name_has_a_caller():
                 used.add(node.attr)
     uncalled = set(sendovlab.__all__) - used - {"__version__"}
     assert sorted(uncalled) == []
+
+
+def test_version_matches_pyproject():
+    # read by pattern: tomllib needs Python 3.11, and the package supports 3.10
+    pyproject = (Path(sendovlab.__file__).parents[2] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) == [sendovlab.__version__]
