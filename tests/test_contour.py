@@ -62,11 +62,26 @@ class TestWindingNumber:
 
     def test_grid_doubles_near_a_zero(self):
         # a zero delta outside |z| = 0.3 turns the argument by about pi
-        # over an arc of width delta / r, far below the 1,024-node spacing
+        # over an arc of width delta / r, far below the 1,024-node spacing;
+        # on the ray theta = 0, a node of every grid, a few doublings do
         for delta in (1e-6, 1e-7, 1e-8):
             res = winding_number(from_roots([0.3 + delta, -0.5 + 0.5j, 0.7j, -0.8]), 0.3)
             assert res.winding == 1
             assert res.samples_used > 1024
+
+    @pytest.mark.parametrize("delta, winding", [(1e-5, 1), (-1e-5, 0)])
+    def test_zero_off_the_node_grid_resolves(self, delta, winding):
+        # between two nodes the zero needs about pi r / delta of them
+        f = from_roots([(0.3 + delta) * np.exp(0.1j), -0.5 + 0.5j, 0.7j, -0.8])
+        res = winding_number(f, 0.3)
+        assert res.winding == winding
+        assert res.samples_used >= 32768
+
+    def test_zero_off_the_node_grid_too_close_is_refused(self):
+        # pi r / delta is about 9.4e6 nodes, past the 2^20 cap
+        f = from_roots([(0.3 + 1e-7) * np.exp(0.1j), -0.5 + 0.5j, 0.7j, -0.8])
+        with pytest.raises(AmbiguousCountError, match="persists"):
+            winding_number(f, 0.3)
 
     @pytest.mark.parametrize("n", [1000, 1025, 2049])
     def test_start_grid_grows_with_the_degree(self, n):
