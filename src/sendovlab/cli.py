@@ -45,7 +45,7 @@ from .rootfind import (
     zeros_of,
 )
 from .sendov_check import sendov_margin
-from .serialize import cpair, cpairs, dumps, fmt17, from_cpair, poly_from_json
+from .serialize import cpair, dumps, fmt17, from_cpair, poly_from_json
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "emit_plot_data", "main", "run"]
 
@@ -234,11 +234,11 @@ def _run_check(source, rng):
                 "label": label,
                 "n": inst.n,
                 "a": inst.a,
-                "margins": [float(v) for v in rep.margins],
+                "margins": rep.margins.tolist(),
                 "min_margin": rep.min_margin,
                 "holds": rep.holds,
-                "zeros": cpairs(zeros),
-                "critical_points": cpairs(crit.points),
+                "zeros": np.column_stack((zeros.real, zeros.imag)).tolist(),
+                "critical_points": np.column_stack((crit.points.real, crit.points.imag)).tolist(),
             }
         )
     results = {
@@ -260,10 +260,8 @@ def _run_identities(source, rng, tol, points):
         avoid = np.concatenate([zeros, crit.points])
         zs = _sample_points(rng, points, avoid)
         rep = verify_basic_identities(inst.f, zs, crit=crit, rs=rs)
-        per = {
-            lab: float(rep.residuals[i].max()) if rep.residuals.size else 0.0
-            for i, lab in enumerate(rep.labels)
-        }
+        maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
+        per = dict(zip(rep.labels, maxima.tolist()))
         rows.append(
             {
                 "label": label,
@@ -369,8 +367,8 @@ def _run_family(source, rng, theta_grid, tol):
     params = _family_params(fam, fam["n"])
     rep = verify_family(params, theta_grid=theta_grid)
     flat = _family_result(params, rep)
-    flat["lamin_thetas"] = [float(t) for t in rep.lamin_thetas]
-    flat["lamin_values"] = [float(v) for v in rep.lamin_values]
+    flat["lamin_thetas"] = rep.lamin_thetas.tolist()
+    flat["lamin_values"] = rep.lamin_values.tolist()
     ok = bool(rep.arc_argument_ok and rep.ten_residuals.max() < tol)
     return flat, ok
 

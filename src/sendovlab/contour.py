@@ -34,6 +34,13 @@ COUNT_BAND = 1e-8
 # Largest winding grid; a jump that persists at this many nodes means a
 # zero of f or f' lies essentially on the circle.
 MAX_SAMPLES = 2**20
+# Admissibility band of select_radius, relative to r.  winding_number
+# resolves a zero of f or f' between two nodes only beyond about
+# pi r / MAX_SAMPLES from the circle (refused at 0.9 and resolved at 1.1
+# times that, at r = 0.3); twice it leaves a margin.
+WINDING_BAND = 2.0 * np.pi / MAX_SAMPLES
+# Largest (radii x inner zeros) block of the select_radius objective.
+_OBJECTIVE_BLOCK = 2**16
 
 
 class AmbiguousCountError(ValueError):
@@ -119,29 +126,38 @@ def select_radius(
 
     Over a grid of 10n candidate radii, minimizes
     E[ 1_{|zeta| <= 1/2} / max(|r - |zeta||, n^-10) ] restricted to
-    candidates at distance >= n^-10 from every zero and critical-point
-    modulus.  An averaging argument keeps the minimum O(log n / n)
-    when the small-modulus zeros carry O(1) mass; the attained
-    objective is returned alongside the radius.  The zeros are rs, else
-    the attached roots of f, else solved; solved or given root sets must
-    be converged.
+    candidates at distance >= max(n^-10, WINDING_BAND r) from every zero
+    and critical-point modulus, so :func:`winding_number` can resolve
+    every circle it may return.  An averaging argument keeps the minimum
+    O(log n / n) when the small-modulus zeros carry O(1) mass; the
+    attained objective is returned alongside the radius.  The zeros are
+    rs, else the attached roots of f, else solved; solved or given root
+    sets must be converged.
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
     n = f.degree
     floor = float(n) ** -10.0
     moduli = np.abs(zeros_of(f, rs))
-    all_moduli = np.concatenate([moduli, np.abs(certified_crit(f, crit).points)])
+    all_moduli = np.sort(np.concatenate([moduli, np.abs(certified_crit(f, crit).points)]))
     grid = np.linspace(r1, r2, 10 * n)
-    inner = moduli[moduli <= 0.5]
-    admissible = np.min(np.abs(grid[:, None] - all_moduli[None, :]), axis=1) >= floor
+    # the nearest modulus is a neighbour in sorted order: rounding r - m is
+    # monotone in m, so this is the minimum distance over all moduli
+    idx = np.searchsorted(all_moduli, grid)
+    below = all_moduli[np.maximum(idx - 1, 0)]
+    above = all_moduli[np.minimum(idx, all_moduli.size - 1)]
+    nearest = np.minimum(np.abs(grid - below), np.abs(grid - above))
+    admissible = nearest >= np.maximum(floor, WINDING_BAND * grid)
     if not admissible.any():
         raise ValueError("no admissible radius in [r1, r2]")
+    inner = moduli[moduli <= 0.5]
+    objective = np.zeros(grid.size)
     if inner.size:
-        contrib = 1.0 / np.maximum(np.abs(grid[:, None] - inner[None, :]), floor)
-        objective = contrib.sum(axis=1) / n
-    else:
-        objective = np.zeros(grid.size)
+        # row blocks bound the memory; a row's sum does not depend on its block
+        step = max(1, _OBJECTIVE_BLOCK // inner.size)
+        for lo in range(0, grid.size, step):
+            dist = np.abs(grid[lo : lo + step, None] - inner[None, :])
+            objective[lo : lo + step] = (1.0 / np.maximum(dist, floor)).sum(axis=1) / n
     objective = np.where(admissible, objective, np.inf)
     best = int(np.argmin(objective))
     return RadiusSelection(radius=float(grid[best]), objective=float(objective[best]))

@@ -1,9 +1,10 @@
 """JSON and CSV conventions shared by the whole package.
 
-Complex scalars serialize as [re, im] pairs; arrays of them as lists
-of pairs.  CSV numeric fields use 17 significant digits, enough to
-round-trip binary64 exactly, so reruns with identical inputs produce
-byte-identical files.
+JSON text is compact (no whitespace) with sorted keys, which ``json``
+encodes in C.  Complex scalars serialize as [re, im] pairs; arrays of
+them as lists of pairs.  CSV numeric fields use 17 significant digits,
+enough to round-trip binary64 exactly, so reruns with identical inputs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .poly_core import Polynomial
 
 __all__ = [
     "cpair",
-    "cpairs",
     "dumps",
     "fmt17",
     "from_cpair",
@@ -35,18 +35,14 @@ def from_cpair(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def cpairs(arr) -> list[list[float]]:
-    return [cpair(z) for z in np.asarray(arr, dtype=np.complex128)]
-
-
 def fmt17(x) -> str:
     """17-significant-digit decimal, the exact round-trip width for binary64."""
     return format(float(x), ".17g")
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, 2-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+    """Canonical JSON text: sorted keys, compact separators, one line."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def poly_from_json(obj: dict) -> Polynomial:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from sendovlab import cli, rootfind
@@ -14,7 +15,7 @@ from sendovlab.cli import (
 )
 from sendovlab.families import example_origin
 from sendovlab.measures import empirical_measure
-from sendovlab.poly_core import derivative
+from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
 from sendovlab.rootfind import RootSet, critical_points, find_roots, zeros_of
 from sendovlab.serialize import fmt17
@@ -276,6 +277,67 @@ class TestOutputs:
             emit_plot_data(rec, "balayage", str(tmp_path / "x.csv"))
         with pytest.raises(ValueError, match="unknown plot kind"):
             emit_plot_data(rec, "scatter3d", str(tmp_path / "x.csv"))
+
+
+# one small config per command
+SMALL = {
+    "check": (CIRCLE12, {}),
+    "identities": ({"random": {"count": 2, "degree": 8}}, {"points": 5}),
+    "balayage": ({"family": {"kind": "origin", "n": 16}}, {"R": 1.3}),
+    "winding": ({"family": dict(MILLER["family"], n=32)}, {}),
+    "family": ({"family": dict(MILLER["family"], n=32)}, {"theta_grid": 64}),
+    "fourier": ({"random": {"count": 1, "degree": 12}}, {"R": 1.2, "N": 512}),
+    "sweep": ({"family": {"kind": "origin"}}, {"n_list": [8, 12]}),
+}
+
+
+class TestRecordText:
+    """A record's text is one compact JSON line carrying exactly its fields."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_payload_parses_to_the_record(self, tmp_path, capsys, command):
+        instance, options = SMALL[command]
+        rec = run(_cfg(command, instance, options, seed=2))
+        expected = {
+            "config": rec.config,
+            "results": rec.results,
+            "ok": rec.ok,
+            "version": rec.version,
+        }
+        payload = rec.payload()
+        assert json.loads(payload) == expected
+        assert "\n" not in payload
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": instance, "options": options, "seed": 2}))
+        out_path = tmp_path / "out.json"
+        main([command, "--config", str(cfg_path), "--out", str(out_path)])
+        text = out_path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        written = json.loads(text)
+        assert written.pop("wall_time_s") >= 0.0
+        assert written == dict(expected, config=dict(rec.config, out=str(out_path)))
+
+        capsys.readouterr()
+        main([command, "--config", str(cfg_path)])
+        line, verdict = capsys.readouterr().out.splitlines()
+        printed = json.loads(line)
+        printed.pop("wall_time_s")
+        assert printed == expected
+        assert verdict == f"ok={rec.ok}"
+
+    def test_winding_skips_a_circle_the_winding_cannot_resolve(self):
+        # f' has a zero 1e-7 outside |z| = 0.3, between two nodes of every
+        # winding grid: within the n^-10 floor's reach of r1 = 0.3, so only
+        # the winding band keeps the radius away from it
+        crit = [(0.3 + 1e-7) * np.exp(0.1j), -0.5 + 0.5j, 0.7j, -0.8, 0.6 + 0.6j]
+        n = len(crit) + 1
+        coeffs = np.concatenate([[0.0], n * from_roots(crit).coeffs / np.arange(1, n + 1)])
+        coeffs[0] = -evaluate(Polynomial(coeffs), 0.9)
+        instance = {"polynomial": {"coeffs": [[c.real, c.imag] for c in coeffs]}, "a": 0.9}
+        rec = run(_cfg("winding", instance, {"r1": 0.3, "r2": 0.4}))
+        assert rec.ok
+        assert rec.results["radius"] > 0.3
 
 
 class TestMain:

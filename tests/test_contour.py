@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sendovlab.contour import (
+    WINDING_BAND,
     AmbiguousCountError,
     select_radius,
     winding_number,
@@ -17,8 +20,8 @@ from sendovlab.families import (
     miller_family,
     random_instance,
 )
-from sendovlab.poly_core import Polynomial, from_roots
-from sendovlab.rootfind import find_roots
+from sendovlab.poly_core import Polynomial, evaluate, from_roots
+from sendovlab.rootfind import RootSet, critical_points, find_roots
 
 
 def _unity_poly(n):
@@ -144,3 +147,70 @@ class TestSelectRadius:
         p = from_roots([1.0, -1.0])
         with pytest.raises(ValueError):
             select_radius(p, 0.4, 0.2)
+
+    @staticmethod
+    def _brute_force(n, zero_moduli, crit_moduli):
+        # the (radii x moduli) distance array that sorted moduli replace
+        grid = np.linspace(0.2, 0.4, 10 * n)
+        floor = float(n) ** -10.0
+        all_moduli = np.concatenate([zero_moduli, crit_moduli])
+        band = np.maximum(floor, WINDING_BAND * grid)
+        admissible = np.min(np.abs(grid[:, None] - all_moduli[None, :]), axis=1) >= band
+        inner = zero_moduli[zero_moduli <= 0.5]
+        contrib = 1.0 / np.maximum(np.abs(grid[:, None] - inner[None, :]), floor)
+        objective = np.where(admissible, contrib.sum(axis=1) / n, np.inf)
+        best = int(np.argmin(objective))
+        return float(grid[best]), float(objective[best])
+
+    def test_matches_brute_force_admissibility(self):
+        # a critical-point modulus placed on the best radius, or half its
+        # band below or above it, moves the selection to another radius
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            n = int(rng.integers(5, 40))
+            radii = np.sqrt(rng.uniform(0.0, 1.0, n))
+            f = from_roots(radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            zero_moduli = np.abs(f.roots)
+            points = critical_points(f).points
+            best, _ = self._brute_force(n, zero_moduli, np.abs(points))
+            offset = (0.0, -0.5, 0.5)[trial % 3] * WINDING_BAND * best
+            points = np.append(points, best + offset)
+            crit = RootSet(points, np.zeros(points.size), converged=True)
+            sel = select_radius(f, 0.2, 0.4, crit=crit)
+            assert sel.radius != best
+            assert (sel.radius, sel.objective) == self._brute_force(n, zero_moduli, np.abs(points))
+
+    def test_keeps_away_from_a_critical_point_the_winding_cannot_resolve(self):
+        # a zero of f' 1e-7 outside |z| = 0.3 at angle 0.1, between two
+        # nodes of every winding grid (zeros of f as in
+        # test_zero_off_the_node_grid_too_close_is_refused); no zero of f
+        # lies in |z| <= 1/2, so every radius has objective 0
+        crit = [(0.3 + 1e-7) * np.exp(0.1j), -0.5 + 0.5j, 0.7j, -0.8, 0.6 + 0.6j]
+        n = len(crit) + 1
+        coeffs = np.concatenate([[0.0], n * from_roots(crit).coeffs / np.arange(1, n + 1)])
+        coeffs[0] = -evaluate(Polynomial(coeffs), 0.9)
+        f = Polynomial(coeffs)
+        # the n^-10 floor alone admits r1 = 0.3, where the winding refuses
+        assert 1e-7 > float(n) ** -10.0
+        with pytest.raises(AmbiguousCountError, match="persists"):
+            winding_number(f, 0.3)
+        sel = select_radius(f, 0.3, 0.4)
+        assert sel.radius > 0.3
+        assert sel.objective == 0.0
+        assert winding_number(f, sel.radius).winding == zero_pole_count(f, sel.radius)
+
+    def test_memory_stays_linear_in_the_degree(self):
+        # z^n - 0.45^n at n = 2048: every zero is inner, so the objective
+        # sums over 20,480 radii x 2,048 zeros, which as one array is
+        # 335 MB; the critical points, all at 0, are given
+        n = 2048
+        f = from_roots(0.45 * np.exp(2j * np.pi * np.arange(n) / n))
+        crit = RootSet(np.zeros(n - 1, dtype=complex), np.zeros(n - 1), converged=True)
+        tracemalloc.start()
+        try:
+            sel = select_radius(f, 0.2, 0.4, crit=crit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sel.radius == pytest.approx(0.2, abs=1e-12)
+        assert peak < 8e6
