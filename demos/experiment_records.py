@@ -3,14 +3,14 @@
 The same driver behind the command line can be scripted: a config
 names a command, an instance source, and options; running it returns a
 record whose numeric payload is a pure function of config and seed.
-Records serialize to JSON or CSV, and the plot-data emitters produce
-flat tables ready for any external plotting tool.
+Records serialize to JSON, or to CSV as one flat table per command
+ready for any external plotting tool.
 """
 
 import os
 import tempfile
 
-from sendovlab.cli import ExperimentConfig, emit_plot_data, run, write_record
+from sendovlab.cli import ExperimentConfig, run, write_record
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
 
     outdir = tempfile.mkdtemp(prefix="sendovlab_demo_")
     write_record(record, os.path.join(outdir, "family.json"), "json")
-    emit_plot_data(record, "dd_curve", os.path.join(outdir, "dd_curve.csv"))
+    write_record(record, os.path.join(outdir, "dd_curve.csv"), "csv")
 
     check = run(
         ExperimentConfig(
@@ -49,7 +49,7 @@ def main():
             seed=0,
         )
     )
-    emit_plot_data(check, "zeros", os.path.join(outdir, "zeros.csv"))
+    write_record(check, os.path.join(outdir, "zeros.csv"), "csv")
     print(f"  wrote record + plot tables under {outdir}")
     for name in sorted(os.listdir(outdir)):
         print(f"    {name}")

@@ -4,7 +4,7 @@ Every experiment is a JSON config naming a command, an instance
 source, and numeric options, each declared in one table; a key no
 table declares raises.  Running one produces a record whose numeric
 payload is a pure function of config and seed: reruns are
-byte-identical.  The same records feed the CSV plot-data emitters.
+byte-identical.  A record is written as JSON or as one CSV table.
 
 Usage:  sendov-lab <command> --config cfg.json [--n N] [--seed S]
                              [--out PATH] [--format json|csv]
@@ -45,9 +45,9 @@ from .rootfind import (
     zeros_of,
 )
 from .sendov_check import sendov_margin
-from .serialize import cpair, dumps, fmt17, from_cpair, poly_from_json
+from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
 
-__all__ = ["ExperimentConfig", "ExperimentRecord", "emit_plot_data", "main", "run"]
+__all__ = ["ExperimentConfig", "ExperimentRecord", "main", "run"]
 
 
 @dataclass(frozen=True)
@@ -112,23 +112,41 @@ class ExperimentRecord:
         return dumps({k: v for k, v in self.to_json().items() if k != "wall_time_s"})
 
 
+def _of_type(kind):
+    """Parser that passes a value of the JSON type kind through and refuses any other.
+
+    JSON true and false are not integers here, although bool is an int.
+    """
+
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not of type {kind.__name__}")
+        return value
+
+    return parse
+
+
+_int, _list, _object = _of_type(int), _of_type(list), _of_type(dict)
+
+
 def _list_of(parse):
     """Parser of a JSON list whose items each go through parse."""
-    return lambda values: [parse(v) for v in values]
+    return lambda values: [parse(v) for v in _list(values)]
 
 
 # Each instance source with its keys as {key: (parser, default)}: random, a
 # polynomial (whose keys sit at the instance's top level), and each family kind.
+# A family's kind is one of _FAMILY_KINDS by the time its keys are read.
 _SOURCES = {
-    "random": {"count": (int, 1), "degree": (int, 8)},
-    "polynomial": {"polynomial": (poly_from_json, None), "a": (float, None)},
-    "circle": {"kind": (str, ""), "n": (int, 0)},
-    "origin": {"kind": (str, ""), "n": (int, 0)},
+    "random": {"count": (_int, 1), "degree": (_int, 8)},
+    "polynomial": {"polynomial": (poly_from_json, None), "a": (finite_float, None)},
+    "circle": {"kind": (str, ""), "n": (_int, 0)},
+    "origin": {"kind": (str, ""), "n": (_int, 0)},
     "miller": {
         "kind": (str, ""),
-        "n": (int, 0),
-        "c1": (float, 1.0),
-        "c2": (float, 1.0),
+        "n": (_int, 0),
+        "c1": (finite_float, 1.0),
+        "c2": (finite_float, 1.0),
         "lambdas": (_list_of(from_cpair), ()),
     },
 }
@@ -144,7 +162,7 @@ def _read(spec: dict, given: dict, what: str) -> dict:
     for key, (parse, default) in spec.items():
         try:
             out[key] = parse(given[key]) if key in given else default
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad value for {key!r} in {what}: {exc}") from exc
     return out
 
@@ -157,7 +175,7 @@ def _read_instance(instance: dict) -> tuple[str, dict]:
     (key,) = keys
     if key == "polynomial":
         return key, _read(_SOURCES[key], instance, "polynomial instance")
-    given = _read({key: (dict, None)}, instance, "instance")[key]
+    given = _read({key: (_object, None)}, instance, "instance")[key]
     kind = key if key == "random" else given.get("kind", "")
     if key == "family" and kind not in _FAMILY_KINDS:
         raise ValueError(f"unknown family kind {kind!r}; expected circle, origin, or miller")
@@ -425,18 +443,18 @@ def _run_sweep(source, rng, n_list, theta_grid):
 # Each command once: its runner and its options as {key: (parser, default)}.
 _COMMANDS = {
     "check": (_run_check, {}),
-    "identities": (_run_identities, {"tol": (float, 1e-8), "points": (int, 20)}),
+    "identities": (_run_identities, {"tol": (finite_float, 1e-8), "points": (_int, 20)}),
     "balayage": (
         _run_balayage,
-        {"R": (float, 1.5), "N": (lambda v: None if v is None else int(v), None)},
+        {"R": (finite_float, 1.5), "N": (lambda v: None if v is None else _int(v), None)},
     ),
-    "winding": (_run_winding, {"r1": (float, 0.2), "r2": (float, 0.4)}),
-    "family": (_run_family, {"theta_grid": (int, 2048), "tol": (float, 1e-9)}),
+    "winding": (_run_winding, {"r1": (finite_float, 0.2), "r2": (finite_float, 0.4)}),
+    "family": (_run_family, {"theta_grid": (_int, 2048), "tol": (finite_float, 1e-9)}),
     "fourier": (
         _run_fourier,
-        {"R": (float, 1.0), "ks": (_list_of(int), range(9)), "N": (int, 4096)},
+        {"R": (finite_float, 1.0), "ks": (_list_of(_int), range(9)), "N": (_int, 4096)},
     ),
-    "sweep": (_run_sweep, {"n_list": (_list_of(int), ()), "theta_grid": (int, 2048)}),
+    "sweep": (_run_sweep, {"n_list": (_list_of(_int), ()), "theta_grid": (_int, 2048)}),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -457,21 +475,18 @@ def run(cfg: ExperimentConfig) -> ExperimentRecord:
     )
 
 
-def _thetas(res: dict) -> list[float]:
-    """The sample angles 2 pi k / N of a balayage result's N densities."""
-    return CircleDensity(res["R"], res["zero_density"]).thetas.tolist()
-
-
 def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
     """Flatten the record into a command-appropriate table."""
     cmd = record.config["command"]
     res = record.results
     if cmd == "check":
-        header = ["label", "zero_re", "zero_im", "margin"]
+        header = ["label", "re", "im", "is_critical", "margin"]
         rows = []
         for inst in res["instances"]:
             for (re, im), mg in zip(inst["zeros"], inst["margins"]):
-                rows.append([inst["label"], fmt17(re), fmt17(im), fmt17(mg)])
+                rows.append([inst["label"], fmt17(re), fmt17(im), "0", fmt17(mg)])
+            for re, im in inst["critical_points"]:
+                rows.append([inst["label"], fmt17(re), fmt17(im), "1", ""])
         return header, rows
     if cmd == "identities":
         header = ["label", "identity", "max_residual"]
@@ -483,9 +498,10 @@ def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
         return header, rows
     if cmd == "balayage":
         header = ["theta", "zero_density", "crit_density"]
+        thetas = CircleDensity(res["R"], res["zero_density"]).thetas.tolist()
         rows = [
             [fmt17(t), fmt17(z), fmt17(x)]
-            for t, z, x in zip(_thetas(res), res["zero_density"], res["crit_density"])
+            for t, z, x in zip(thetas, res["zero_density"], res["crit_density"])
         ]
         return header, rows
     if cmd == "winding":
@@ -541,54 +557,17 @@ def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
     return keys, rows
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_record(record: ExperimentRecord, path: str, fmt: str) -> None:
     if fmt == "json":
         with open(path, "w") as fh:
             fh.write(dumps(record.to_json()))
             fh.write("\n")
         return
-    _write_csv(path, *_csv_rows(record))
-
-
-def emit_plot_data(record: ExperimentRecord, kind: str, path: str) -> str:
-    """Write one of the plottable slices of a record as CSV.
-
-    kinds: "zeros" (re, im, is_critical), "balayage" (theta, value),
-    "dd_curve" (theta, lhs).
-    """
-    res = record.results
-    if kind == "zeros":
-        insts = res.get("instances")
-        if not insts or "zeros" not in insts[0]:
-            raise ValueError("record carries no zero scatter data")
-        rows = [
-            [fmt17(re), fmt17(im), flag]
-            for inst in insts
-            for key, flag in (("zeros", "0"), ("critical_points", "1"))
-            for re, im in inst[key]
-        ]
-        _write_csv(path, ["re", "im", "is_critical"], rows)
-        return path
-    if kind == "balayage":
-        if "zero_density" not in res:
-            raise ValueError("record carries no balayage density data")
-        rows = [[fmt17(t), fmt17(v)] for t, v in zip(_thetas(res), res["zero_density"])]
-        _write_csv(path, ["theta", "value"], rows)
-        return path
-    if kind == "dd_curve":
-        if "lamin_values" not in res:
-            raise ValueError("record carries no dd-curve data")
-        rows = [[fmt17(t), fmt17(v)] for t, v in zip(res["lamin_thetas"], res["lamin_values"])]
-        _write_csv(path, ["theta", "lhs"], rows)
-        return path
-    raise ValueError(f"unknown plot kind {kind!r}")
+    header, rows = _csv_rows(record)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def main(argv=None) -> int:

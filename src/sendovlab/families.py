@@ -312,9 +312,7 @@ class SecondMomentCheck:
     re_ratio: float
 
 
-def second_moment_test(
-    inst: SendovInstance, crit: RootSet | None = None, N: int = 4096
-) -> SecondMomentCheck:
+def second_moment_test(inst: SendovInstance, crit: RootSet | None = None) -> SecondMomentCheck:
     """Cross-check E xi^2 against 4x the k=2 Fourier coefficient of U_xi.
 
     The potential of the critical measure on the unit circle encodes
@@ -325,7 +323,7 @@ def second_moment_test(
     mx = empirical_measure(certified_crit(inst.f, crit).points)
     stats = summary(mx)
     direct = stats.second_moment
-    four = 4.0 * circle_fourier_coeffs(mx, 1.0, [2], N=N)[0]
+    four = 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]
     var = stats.variance
     return SecondMomentCheck(
         direct=direct,

@@ -9,7 +9,7 @@ the potential-theory layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,33 +31,30 @@ __all__ = [
     "summary",
 ]
 
-_WEIGHT_SUM_TOL = 1e-12
+# Largest |zero mean - critical mean| that check_matching_mean accepts.
+MEAN_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Finitely supported probability measure on C.
+    """Uniform probability measure on finitely many atoms in C.
 
-    Weights are nonnegative and sum to 1 within 1e-12.
+    ``weights`` is 1/k on each of the k atoms.
     """
 
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.complex128)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if points.ndim != 1 or weights.shape != points.shape:
-            raise ValueError("points and weights must be matching 1-d arrays")
+        if points.ndim != 1:
+            raise ValueError("points must be a 1-d array")
         if points.size == 0:
             raise ValueError("a measure needs at least one atom")
         if not np.all(np.isfinite(points.real)) or not np.all(np.isfinite(points.imag)):
             raise ValueError("points contain non-finite entries")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(math.fsum(weights.tolist()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1")
         points.setflags(write=False)
+        weights = np.full(points.size, 1.0 / points.size)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
@@ -68,11 +65,7 @@ class EmpiricalMeasure:
 
 def empirical_measure(rs: RootSet | np.ndarray) -> EmpiricalMeasure:
     """Uniform measure on a root set (or bare point array)."""
-    pts = rs.points if isinstance(rs, RootSet) else np.asarray(rs, dtype=np.complex128)
-    k = pts.size
-    if k == 0:
-        raise ValueError("empty root set")
-    return EmpiricalMeasure(pts, np.full(k, 1.0 / k))
+    return EmpiricalMeasure(rs.points if isinstance(rs, RootSet) else rs)
 
 
 def moment(m: EmpiricalMeasure, k: int) -> complex:
@@ -119,9 +112,7 @@ class MeanMatch:
     ok: bool
 
 
-def check_matching_mean(
-    f: Polynomial, crit: RootSet | None = None, tol: float = 1e-9
-) -> MeanMatch:
+def check_matching_mean(f: Polynomial, crit: RootSet | None = None) -> MeanMatch:
     """The two means agree for every polynomial; the residual measures solver error.
 
     Both means equal -c_{n-1}/(n c_n), so this is a cross-validation of
@@ -130,21 +121,21 @@ def check_matching_mean(
     zm = complex(np.mean(zeros_of(f)))
     cm = complex(np.mean(certified_crit(f, crit).points))
     diff = abs(zm - cm)
-    return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=diff <= tol)
+    ok = diff <= MEAN_MATCH_TOL
+    return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=ok)
 
 
 def expect_log_distance(m: EmpiricalMeasure, z):
     """E log|z - eta| at a point or an array of points, each summed by math.fsum.
 
-    -inf where z hits an atom of positive weight; a zero-weight atom adds nothing.
+    -inf where z hits an atom.
     """
     zs = np.asarray(z, dtype=np.complex128)
     diffs = zs.reshape(-1, 1) - m.points
     hit = diffs == 0
-    # a hit atom's term is w * log 1 = 0, so a zero weight never meets -inf
     terms = m.weights * np.log(np.abs(np.where(hit, 1.0, diffs)))
     out = np.array([math.fsum(row) for row in terms.tolist()])
-    out[np.any(hit & (m.weights > 0), axis=1)] = -math.inf
+    out[np.any(hit, axis=1)] = -math.inf
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 

@@ -46,6 +46,8 @@ NEAR_CIRCLE = 0.05
 # Sample points closer than this to a zero or critical point are skipped
 # by the identity suite (the identities degrade as log of the distance).
 IDENTITY_STANDOFF = 0.05
+# Relative tolerance of integrated_log_derivative's adaptive Simpson rule.
+TRANSPORT_RTOL = 1e-13
 
 
 class ContourTooCloseError(ValueError):
@@ -199,7 +201,7 @@ def _adaptive_simpson(func, a: float, b: float, fa, fm, fb, whole, tol: float, d
     ) + _adaptive_simpson(func, m, b, fm, frm, fb, right, half, depth - 1)
 
 
-def integrated_log_derivative(p: Polynomial, contour, rtol: float = 1e-13) -> complex:
+def integrated_log_derivative(p: Polynomial, contour) -> complex:
     """Transport p along a polyline by integrating its Stieltjes transform.
 
     With s the Stieltjes transform of p's zero measure and d = deg p,
@@ -235,7 +237,7 @@ def integrated_log_derivative(p: Polynomial, contour, rtol: float = 1e-13) -> co
         fa, fb = integrand(0.0), integrand(1.0)
         fm = integrand(0.5)
         whole = (fa + 4.0 * fm + fb) / 6.0
-        tol = rtol * max(1.0, abs(whole))
+        tol = TRANSPORT_RTOL * max(1.0, abs(whole))
         val = _adaptive_simpson(integrand, 0.0, 1.0, fa, fm, fb, whole, tol, 40)
         total += seg * val
     return evaluate(p, complex(pts[0])) * np.exp(d_deg * total)
@@ -292,6 +294,9 @@ class CircleDensity:
 _BALAYAGE_TOL = 1e-10
 # Powers of the atoms per matrix-vector product in the moment series.
 _SERIES_BLOCK = 64
+# Most terms of the moment series balayage sums; an atom nearer the
+# circle needs more, and the sweep is refused rather than truncated.
+_MAX_SERIES_TERMS = 200_000
 
 
 def _moment_series(m: EmpiricalMeasure, R: float, terms: int, N: int) -> np.ndarray:
@@ -324,7 +329,8 @@ def balayage(
         1 + 2 Re sum_{k>=1} R^{-k} E[eta^k] e^{-i k theta},
 
     coefficients against roots, which must agree to 1e-10.  Raises
-    AtomCollisionError for an atom not strictly inside the circle, and
+    AtomCollisionError for an atom not strictly inside the circle, where
+    the series needs more than 200,000 terms to fall below 1e-14, and
     where the rounding bound eps log2(N) sum|c_k| R^k / min|p| of the
     coefficients exceeds 1e-10.  The result integrates to exactly 1.
     """
@@ -333,8 +339,6 @@ def balayage(
         raise ValueError("R must be >= 1")
     if p.degree != len(m):
         raise ValueError(f"p has degree {p.degree} but m has {len(m)} atoms")
-    if np.any(m.weights != m.weights[0]):
-        raise ValueError("m must be the uniform measure on the zeros of p")
     top = float(np.max(np.abs(m.points)))
     if top >= R - 1e-12:
         raise AtomCollisionError("atoms must lie strictly inside the circle")
@@ -352,14 +356,17 @@ def balayage(
             )
     if N < 16:
         raise ValueError("N too small")
+    # series route: coefficients a_k = R^{-k} E eta^k, summed until below 1e-14
+    terms = 1 if q == 0.0 else int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
+    if terms > _MAX_SERIES_TERMS:
+        raise AtomCollisionError(
+            f"atoms too close to the circle: the moment series needs {terms} terms,"
+            f" more than {_MAX_SERIES_TERMS}"
+        )
     pz, zdpz, shift, scale = _circle_values(p, R, N)
     if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * np.min(np.abs(pz)):
         raise AtomCollisionError("p is too ill-conditioned on the circle for a resolvable sweep")
     samples = np.real(2.0 * np.exp(shift) / p.degree * (zdpz / pz)) - 1.0
-
-    # series route via FFT: coefficients a_k = R^{-k} E eta^k, to 1e-14
-    terms = 1 if q == 0.0 else int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
-    terms = min(terms, 200_000)
     series = 1.0 + 2.0 * np.real(np.fft.fft(_moment_series(m, R, terms, N)))
     gap = float(np.max(np.abs(samples - series)))
     if gap > _BALAYAGE_TOL * max(1.0, float(np.max(np.abs(samples)))):

@@ -1,4 +1,4 @@
-"""Critical points, Sendov margins, and related disk geometry checks.
+"""Sendov margins of zeros, and related disk geometry checks.
 
 The central quantity is the margin of a zero: 1 minus the distance to
 the nearest critical point.  Sendov's conjecture asserts every zero of
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import Polynomial, SendovInstance, derivative, evaluate
-from .rootfind import RootSet, certified_crit, critical_points, zeros_of
+from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
     "DegotReport",
     "DegotRow",
     "Region",
     "SendovReport",
-    "critical_points",
     "degot_suite",
     "gauss_lucas_check",
     "sendov_margin",
@@ -31,102 +30,32 @@ __all__ = [
 REGION_BAND = 1e-10
 # A conjecture "holds" verdict allows this much rounding slack below zero.
 MARGIN_TOL = 1e-9
+# Distance a critical point may sit outside the zeros' convex hull.
+HULL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class Region:
-    """Planar query region with closed-set tolerance semantics.
+    """Closed disk |z - center| <= radius, with a tolerance band.
 
-    Membership decisions carry a tolerance band of 1e-10 so that points
-    computed to ordinary rounding accuracy never flip sides on a
-    boundary.  Build instances through the classmethod constructors.
+    Membership carries a band of 1e-10 so that points computed to
+    ordinary rounding accuracy never flip sides on the boundary.
     """
 
-    kind: str
-    center: complex = 0j
-    r_inner: float = 0.0
-    r_outer: float = 0.0
-    theta_min: float = 0.0
-    theta_max: float = 0.0
-    a: float = 0.0
-
-    @classmethod
-    def disk(cls, center: complex, radius: float) -> "Region":
-        """Open disk |z - center| < radius."""
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return cls("disk", center=complex(center), r_outer=float(radius))
+    center: complex
+    radius: float
 
     @classmethod
     def closed_disk(cls, center: complex, radius: float) -> "Region":
-        """Closed disk |z - center| <= radius."""
+        """The closed disk about center; radius must be positive."""
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return cls("closed_disk", center=complex(center), r_outer=float(radius))
-
-    @classmethod
-    def annulus(cls, center: complex, r_inner: float, r_outer: float) -> "Region":
-        """Closed annulus r_inner <= |z - center| <= r_outer."""
-        if not (0 <= r_inner < r_outer):
-            raise ValueError("need 0 <= r_inner < r_outer")
-        return cls(
-            "annulus", center=complex(center), r_inner=float(r_inner), r_outer=float(r_outer)
-        )
-
-    @classmethod
-    def lune(cls, a: float) -> "Region":
-        """Closed unit disk minus the closed disk of radius 1 about a."""
-        if not (0 <= a <= 1):
-            raise ValueError("a must lie in [0, 1]")
-        return cls("lune", a=float(a))
-
-    @classmethod
-    def arc_band(
-        cls,
-        theta_min: float,
-        theta_max: float,
-        r_inner: float = 1.0 - REGION_BAND,
-        r_outer: float = 1.0 + REGION_BAND,
-    ) -> "Region":
-        """Circular-arc band: radius in [r_inner, r_outer], angle in [theta_min, theta_max]."""
-        if not (0 <= r_inner <= r_outer):
-            raise ValueError("need 0 <= r_inner <= r_outer")
-        if not (theta_max >= theta_min):
-            raise ValueError("need theta_max >= theta_min")
-        return cls(
-            "arc_band",
-            r_inner=float(r_inner),
-            r_outer=float(r_outer),
-            theta_min=float(theta_min),
-            theta_max=float(theta_max),
-        )
+        return cls(complex(center), float(radius))
 
     def mask(self, points) -> np.ndarray:
         """Boolean membership mask for an array of complex points."""
         z = np.asarray(points, dtype=np.complex128)
-        tol = REGION_BAND
-        if self.kind == "disk":
-            return np.abs(z - self.center) < self.r_outer - tol
-        if self.kind == "closed_disk":
-            return np.abs(z - self.center) <= self.r_outer + tol
-        if self.kind == "annulus":
-            rho = np.abs(z - self.center)
-            return (rho >= self.r_inner - tol) & (rho <= self.r_outer + tol)
-        if self.kind == "lune":
-            return (np.abs(z) <= 1.0 + tol) & (np.abs(z - self.a) > 1.0 - tol)
-        if self.kind == "arc_band":
-            rho = np.abs(z)
-            ang = np.angle(z)
-            # widen the angular window by the band, modulo full turns
-            lo, hi = self.theta_min - tol, self.theta_max + tol
-            shifted = (ang - lo) % (2.0 * np.pi)
-            return (rho >= self.r_inner - tol) & (rho <= self.r_outer + tol) & (
-                shifted <= hi - lo
-            )
-        raise ValueError(f"unknown region kind {self.kind!r}")
-
-    def contains(self, z: complex) -> bool:
-        return bool(self.mask([z])[0])
+        return np.abs(z - self.center) <= self.radius + REGION_BAND
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +160,11 @@ def _hull_distance(hull: np.ndarray, z: complex) -> float:
     )
 
 
-def gauss_lucas_check(p: Polynomial, crit: RootSet | None = None, tol: float = 1e-8) -> bool:
-    """Every critical point lies within tol of the convex hull of the zeros."""
+def gauss_lucas_check(p: Polynomial, crit: RootSet | None = None) -> bool:
+    """Every critical point lies within HULL_TOL of the convex hull of the zeros."""
     hull = _convex_hull(zeros_of(p))
     crit = certified_crit(p, crit)
-    return all(_hull_distance(hull, complex(x)) <= tol for x in crit.points)
+    return all(_hull_distance(hull, complex(x)) <= HULL_TOL for x in crit.points)
 
 
 @dataclass(frozen=True)

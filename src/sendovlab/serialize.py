@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .poly_core import Polynomial
 __all__ = [
     "cpair",
     "dumps",
+    "finite_float",
     "fmt17",
     "from_cpair",
     "poly_from_json",
@@ -29,10 +31,22 @@ def cpair(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def finite_float(value) -> float:
+    """A finite JSON number, int or float but not bool, as a float.
+
+    Anything else raises ValueError, or OverflowError for an int past the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 def from_cpair(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(finite_float(pair[0]), finite_float(pair[1]))
 
 
 def fmt17(x) -> str:

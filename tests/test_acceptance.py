@@ -43,8 +43,8 @@ from sendovlab.potential import (
     poisson_kernel,
     verify_basic_identities,
 )
-from sendovlab.rootfind import find_roots, find_roots_many
-from sendovlab.sendov_check import Region, critical_points, sendov_margin
+from sendovlab.rootfind import critical_points, find_roots, find_roots_many
+from sendovlab.sendov_check import Region, sendov_margin
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

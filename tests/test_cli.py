@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from sendovlab import cli, rootfind
 from sendovlab.cli import (
     COMMANDS,
     ExperimentConfig,
-    emit_plot_data,
     main,
     run,
     write_record,
@@ -126,6 +126,94 @@ class TestReader:
         assert options == {"R": 1.3}
 
 
+# The JSON type of every declared option and instance key
+OPTION_TYPES = {
+    "check": {},
+    "identities": {"tol": "float", "points": "int"},
+    "balayage": {"R": "float", "N": "int"},
+    "winding": {"r1": "float", "r2": "float"},
+    "family": {"theta_grid": "int", "tol": "float"},
+    "fourier": {"R": "float", "ks": "int list", "N": "int"},
+    "sweep": {"n_list": "int list", "theta_grid": "int"},
+}
+SOURCE_TYPES = {
+    "random": ({"random": {"count": 1, "degree": 8}}, {"count": "int", "degree": "int"}),
+    "polynomial": ({"polynomial": LINEAR, "a": 1.0}, {"polynomial": "object", "a": "float"}),
+    "circle": (CIRCLE12, {"kind": "kind", "n": "int"}),
+    "origin": (ORIGIN64, {"kind": "kind", "n": "int"}),
+    "miller": (
+        MILLER,
+        {"kind": "kind", "n": "int", "c1": "float", "c2": "float", "lambdas": "pair list"},
+    ),
+}
+WRONG = {"float": 1.5, "bool": True, "string": "3", "nan": math.nan}
+# the values of WRONG that are of a type's own kind
+RIGHT = {("float", "float"), ("kind", "string")}
+# a list or a polynomial with one wrong number inside, and that number's type
+INSIDE = {
+    "int list": (lambda v: [8, v], "int"),
+    "pair list": (lambda v: [[0.3, 0.8], [v, 0.0]], "float"),
+    "object": (lambda v: {"coeffs": [[v, 0.0], [1.0, 0.0]]}, "float"),
+}
+
+
+def _wrong_values(kind):
+    """(name, value) of each wrong value for a key of this JSON type, and within it."""
+    for name, value in WRONG.items():
+        if (kind, name) not in RIGHT:
+            yield name, value
+        if kind in INSIDE and (INSIDE[kind][1], name) not in RIGHT:
+            yield f"{name}-inside", INSIDE[kind][0](value)
+
+
+def _with_key(instance, key, value):
+    if "polynomial" in instance:
+        return dict(instance, **{key: value})
+    ((top, inner),) = instance.items()
+    return {top: dict(inner, **{key: value})}
+
+
+def _typed_cases():
+    for command, keys in OPTION_TYPES.items():
+        for key, kind in keys.items():
+            for name, value in _wrong_values(kind):
+                case_id = f"{command}-{key}-{name}"
+                yield pytest.param(command, CIRCLE12, {key: value}, key, id=case_id)
+    for source, (instance, keys) in SOURCE_TYPES.items():
+        for key, kind in keys.items():
+            for name, value in _wrong_values(kind):
+                config = _with_key(instance, key, value)
+                yield pytest.param("check", config, {}, key, id=f"{source}-{key}-{name}")
+
+
+class TestTypedValues:
+    """A key takes only a value of its JSON type, never one coerced to it."""
+
+    def test_every_declared_key_is_typed_here(self):
+        assert {c: set(spec) for c, (_, spec) in cli._COMMANDS.items()} == {
+            c: set(keys) for c, keys in OPTION_TYPES.items()
+        }
+        assert {s: set(spec) for s, spec in cli._SOURCES.items()} == {
+            s: set(keys) for s, (_, keys) in SOURCE_TYPES.items()
+        }
+
+    @pytest.mark.parametrize("command, instance, options, key", _typed_cases())
+    def test_wrong_type_raises(self, command, instance, options, key):
+        # a family kind of the wrong type is no known kind
+        message = "unknown family kind" if key == "kind" else f"bad value for {key!r}"
+        with pytest.raises(ValueError, match=message):
+            run(_cfg(command, instance, options))
+
+    def test_integer_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="bad value for 'R'"):
+            run(_cfg("balayage", ORIGIN64, {"R": 10**400}))
+
+    def test_right_types_pass(self):
+        # a JSON integer is a float value; null is balayage's default N
+        rec = run(_cfg("balayage", ORIGIN64, {"R": 2, "N": None}))
+        assert rec.results["R"] == 2.0 and isinstance(rec.results["R"], float)
+
+
 class TestRunners:
     def test_check_circle(self):
         rec = run(_cfg("check", CIRCLE12))
@@ -232,21 +320,39 @@ class TestOutputs:
         assert len(rows) == 65
 
     def test_plot_data_kinds(self, tmp_path):
+        # the zero scatter, the balayage densities and the dd curve are the
+        # CSV tables of check, balayage and family
         rec = run(_cfg("check", CIRCLE12))
-        path = emit_plot_data(rec, "zeros", str(tmp_path / "z.csv"))
-        rows = list(csv.reader(open(path)))
-        assert rows[0] == ["re", "im", "is_critical"]
-        assert len(rows) == 1 + 12 + 11
+        write_record(rec, str(tmp_path / "z.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "z.csv").open()))
+        assert rows[0] == ["label", "re", "im", "is_critical", "margin"]
+        inst = rec.results["instances"][0]
+        zeros = [
+            ["circle", fmt17(re), fmt17(im), "0", fmt17(mg)]
+            for (re, im), mg in zip(inst["zeros"], inst["margins"])
+        ]
+        crit = [["circle", fmt17(re), fmt17(im), "1", ""] for re, im in inst["critical_points"]]
+        assert len(zeros) == 12 and len(crit) == 11
+        assert rows[1:] == zeros + crit
 
         bal = run(_cfg("balayage", ORIGIN64, {"R": 1.3}))
-        emit_plot_data(bal, "balayage", str(tmp_path / "b.csv"))
+        write_record(bal, str(tmp_path / "b.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "b.csv").open()))
+        assert rows[0] == ["theta", "zero_density", "crit_density"]
+        assert len(rows) == 1 + len(bal.results["zero_density"])
 
         fam = run(_cfg("family", MILLER, {"theta_grid": 64}))
-        emit_plot_data(fam, "dd_curve", str(tmp_path / "d.csv"))
+        write_record(fam, str(tmp_path / "d.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "d.csv").open()))
+        assert rows[0] == ["theta", "lamin"]
+        assert rows[1:] == [
+            [fmt17(t), fmt17(v)]
+            for t, v in zip(fam.results["lamin_thetas"], fam.results["lamin_values"])
+        ]
 
     def test_balayage_angles_derived_not_stored(self, tmp_path):
-        # the payload carries no thetas; CSV and plot files still list
-        # the sample angles of the density, as when they were stored
+        # the payload carries no thetas; the CSV still lists the sample
+        # angles of the density, as when they were stored
         cfg = _cfg("balayage", ORIGIN64, {"R": 1.3})
         rec = run(cfg)
         assert "thetas" not in rec.results
@@ -265,18 +371,6 @@ class TestOutputs:
         assert rows[1:] == [
             [t, fmt17(z), fmt17(x)] for t, z, x in zip(thetas, dz.samples, dx.samples)
         ]
-
-        emit_plot_data(rec, "balayage", str(tmp_path / "b.csv"))
-        rows = list(csv.reader((tmp_path / "b.csv").open()))
-        assert rows[0] == ["theta", "value"]
-        assert rows[1:] == [[t, fmt17(z)] for t, z in zip(thetas, dz.samples)]
-
-    def test_plot_data_kind_mismatch(self, tmp_path):
-        rec = run(_cfg("check", CIRCLE12))
-        with pytest.raises(ValueError, match="balayage"):
-            emit_plot_data(rec, "balayage", str(tmp_path / "x.csv"))
-        with pytest.raises(ValueError, match="unknown plot kind"):
-            emit_plot_data(rec, "scatter3d", str(tmp_path / "x.csv"))
 
 
 # one small config per command
@@ -366,6 +460,17 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_balayage_past_the_term_cap_is_an_error(self, tmp_path, capsys):
+        # zeros on the unit circle and R = 1.0001: the moment series would
+        # need 414,489 terms
+        cfg_path = tmp_path / "cfg.json"
+        config = {"instance": {"family": {"kind": "circle", "n": 8}}, "options": {"R": 1.0001}}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["balayage", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: atoms too close to the circle")
+        assert "needs 414489 terms" in err
+
     def test_n_refused_for_a_polynomial(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         instance = {"polynomial": {"coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "a": 1.0}
@@ -380,6 +485,8 @@ class TestMain:
             ("fourier", {"ks": 5}, "ks"),
             ("balayage", {"N": [1]}, "N"),
             ("identities", {"points": "x"}, "points"),
+            ("balayage", {"R": math.nan}, "R"),
+            ("fourier", {"N": 512.9}, "N"),
         ],
     )
     def test_value_of_wrong_type_is_an_error(self, tmp_path, capsys, command, options, key):

@@ -19,8 +19,8 @@ from sendovlab.families import (
     verify_family,
 )
 from sendovlab.poly_core import derivative, evaluate
-from sendovlab.rootfind import find_roots
-from sendovlab.sendov_check import critical_points, sendov_margin
+from sendovlab.rootfind import critical_points, find_roots
+from sendovlab.sendov_check import sendov_margin
 
 ARC_LAMBDA = np.exp(1j * np.pi / 3)  # |lam| = 1 and |lam - 1| = 1: on the arc
 

@@ -13,7 +13,7 @@ from sendovlab.families import (
     miller_family,
     random_instance,
 )
-from sendovlab.measures import EmpiricalMeasure, empirical_measure
+from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import (
     AtomCollisionError,
     Polynomial,
@@ -23,6 +23,7 @@ from sendovlab.poly_core import (
     evaluate,
     from_roots,
 )
+from sendovlab import potential
 from sendovlab.potential import (
     CircleDensity,
     ContourTooCloseError,
@@ -36,7 +37,7 @@ from sendovlab.potential import (
     stieltjes_derivative,
     verify_basic_identities,
 )
-from sendovlab.sendov_check import critical_points
+from sendovlab.rootfind import critical_points
 
 
 def _unity_measure(n):
@@ -72,10 +73,6 @@ class TestPointwiseTransforms:
         with pytest.raises(AtomCollisionError):
             stieltjes_derivative(m, 1.0)
 
-    def test_zero_weight_atom_ignored_by_potential(self):
-        m = EmpiricalMeasure(np.array([0j, 1.0]), np.array([0.0, 1.0]))
-        assert log_potential(m, 0.0) == 0.0
-
     @pytest.mark.parametrize("kernel", [log_potential, stieltjes, stieltjes_derivative])
     def test_array_call_equals_scalar_calls(self, kernel):
         rng = np.random.default_rng(4)
@@ -87,16 +84,14 @@ class TestPointwiseTransforms:
         assert out.ravel().tobytes() == scalar.tobytes()
 
     def test_array_call_with_atom_hits(self):
-        m = EmpiricalMeasure(np.array([0j, 1.0, -1j]), np.array([0.0, 0.5, 0.5]))
-        zs = np.array([0j, 2.0, 0.5j])  # the first hits the zero-weight atom
+        m = empirical_measure(np.array([0j, 1.0, -1j]))
+        zs = np.array([0.5 + 0.5j, 2.0, 0.5j])
         scalar = np.array([log_potential(m, complex(z)) for z in zs])
         assert log_potential(m, zs).tobytes() == scalar.tobytes()
-        with pytest.raises(AtomCollisionError):
-            log_potential(m, np.array([2.0, 1.0]))
-        # the transforms refuse every exact hit, of any weight, in both forms
-        for kernel in (stieltjes, stieltjes_derivative):
+        # every kernel refuses an exact hit, in both forms
+        for kernel in (log_potential, stieltjes, stieltjes_derivative):
             with pytest.raises(AtomCollisionError):
-                kernel(m, zs)
+                kernel(m, np.array([2.0, 1.0]))
             with pytest.raises(AtomCollisionError):
                 kernel(m, 0.0)
 
@@ -451,13 +446,25 @@ class TestBalayage:
         pts = np.array([0.1, -0.2j, 0.3])
         with pytest.raises(ValueError, match="degree"):
             balayage(empirical_measure(pts), 1.5, p=from_roots(pts[:2]))
-        lopsided = EmpiricalMeasure(pts, np.array([0.5, 0.25, 0.25]))
-        with pytest.raises(ValueError, match="uniform"):
-            balayage(lopsided, 1.5, p=from_roots(pts))
 
     def test_atom_hugging_circle_rejected(self):
         with pytest.raises(AtomCollisionError):
             _swept([1.4999985 + 0j], 1.5)
+
+    def test_series_past_the_term_cap_refused(self, monkeypatch):
+        # one atom at 1 on |z| = 1.0001 needs 414,489 terms of the moment
+        # series to fall below 1e-14, past the cap of 200,000; the sweep is
+        # refused before p is evaluated on the circle
+        evaluated = []
+        monkeypatch.setattr(potential, "_circle_values", lambda *args: evaluated.append(args))
+        with pytest.raises(AtomCollisionError, match="needs 414489 terms"):
+            _swept([1.0 + 0j], 1.0001)
+        assert evaluated == []
+
+    def test_series_under_the_term_cap_resolves(self):
+        # on |z| = 1.00025 the same atom needs about 162,000 terms
+        d = _swept([1.0 + 0j], 1.00025)
+        assert d.mean() == pytest.approx(1.0, abs=1e-10)
 
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):

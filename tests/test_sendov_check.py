@@ -6,74 +6,26 @@ import pytest
 from conftest import match_max_distance
 from sendovlab.families import example_circle, example_origin, random_instance
 from sendovlab.poly_core import Polynomial, from_roots
-from sendovlab.sendov_check import (
-    Region,
-    critical_points,
-    degot_suite,
-    gauss_lucas_check,
-    sendov_margin,
-)
+from sendovlab.rootfind import critical_points
+from sendovlab.sendov_check import Region, degot_suite, gauss_lucas_check, sendov_margin
 
 
 class TestRegion:
-    def test_open_disk(self):
-        r = Region.disk(0.0, 1.0)
-        assert r.contains(0.0)
-        assert r.contains(0.999)
-        assert not r.contains(1.0)
-
     def test_closed_disk_boundary(self):
         r = Region.closed_disk(0.0, 1.0)
-        assert r.contains(1.0)
-        assert r.contains(1.0 + 5e-11)  # within the tolerance band
-        assert not r.contains(1.1)
-
-    def test_annulus(self):
-        r = Region.annulus(0.0, 0.5, 1.0)
-        assert r.contains(0.75)
-        assert r.contains(0.5)
-        assert r.contains(1.0)
-        assert not r.contains(0.3)
-        assert not r.contains(1.2)
-
-    def test_lune_at_a_one(self):
-        r = Region.lune(1.0)
-        assert r.contains(0.0)  # on the removed disk's boundary: kept
-        assert r.contains(-0.5)
-        assert r.contains(1j)
-        assert not r.contains(0.9)
-        assert not r.contains(-1.5)
-
-    def test_lune_at_a_zero_is_unit_circle(self):
-        r = Region.lune(0.0)
-        assert r.contains(1.0)
-        assert r.contains(np.exp(0.7j))
-        assert not r.contains(0.5)
-
-    def test_arc_band(self):
-        r = Region.arc_band(np.pi / 3, np.pi / 2)
-        assert r.contains(np.exp(1j * 1.3))
-        assert not r.contains(np.exp(1j * 0.7))
-        assert not r.contains(1.05 * np.exp(1j * 1.3))
-
-    def test_arc_band_wraps_modulo_two_pi(self):
-        r = Region.arc_band(-0.1, 0.1)
-        assert r.contains(1.0)
-        assert r.contains(np.exp(-0.05j))
-        assert not r.contains(np.exp(0.2j))
+        # the second point is within the tolerance band
+        assert r.mask([1.0, 1.0 + 5e-11, 1.1]).tolist() == [True, True, False]
 
     def test_mask_vectorized(self):
-        r = Region.disk(0.0, 1.0)
-        out = r.mask(np.array([0.0, 2.0, 0.5j]))
+        r = Region.closed_disk(0.5j, 1.0)
+        out = r.mask(np.array([0.0, 2.0, 1.5j]))
         assert out.tolist() == [True, False, True]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Region.disk(0.0, -1.0)
+            Region.closed_disk(0.0, -1.0)
         with pytest.raises(ValueError):
-            Region.annulus(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            Region.lune(2.0)
+            Region.closed_disk(0.0, 0.0)
 
 
 class TestCriticalPoints:
@@ -110,19 +62,6 @@ class TestSendovMargin:
             assert rep.holds
             assert rep.margins.min() >= -1.0
             assert rep.margins.max() <= 1.0
-
-
-class TestLune:
-    def test_boundary_membership(self):
-        assert Region.lune(1.0).contains(0.0)
-        assert not Region.lune(1.0).contains(0.9)
-        with pytest.raises(ValueError):
-            Region.lune(1.5)
-
-    def test_origin_critical_points_sit_on_lune_boundary(self):
-        inst = example_circle(8)
-        for xi in critical_points(inst.f).points:
-            assert Region.lune(1.0).contains(complex(xi))
 
 
 class TestGaussLucas:
