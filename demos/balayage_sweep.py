@@ -18,7 +18,6 @@ from sendovlab import (
     example_origin,
     moment,
     random_instance,
-    second_moment_test,
 )
 
 
@@ -45,14 +44,6 @@ def main():
             f"  k = {k}: E[zeta^{k}] = {direct:.6f}, "
             f"from circle = {via_circle:.6f}, |diff| = {abs(direct - via_circle):.1e}"
         )
-
-    print()
-    chk = second_moment_test(inst)
-    print(
-        f"critical-measure second moment: direct {chk.direct:.6f} vs "
-        f"Fourier route {chk.from_fourier:.6f} (|diff| = {chk.difference:.1e})"
-    )
-    print(f"  anticoncentration ratio Re E[xi^2] / Var(xi) = {chk.re_ratio:.4f}")
 
 
 if __name__ == "__main__":

@@ -37,13 +37,7 @@ from .families import (
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance, derivative
 from .potential import CircleDensity, balayage, circle_fourier_coeffs, verify_basic_identities
-from .rootfind import (
-    RootSet,
-    certified_crit,
-    find_roots,
-    find_roots_many,
-    zeros_of,
-)
+from .rootfind import certified_crit, find_roots, find_roots_many, zero_sets, zeros_of
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
 
@@ -183,37 +177,43 @@ def _read_instance(instance: dict) -> tuple[str, dict]:
 
 
 def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
-    """Resolve a parsed instance source into (label, instance, crit_or_None) triples.
+    """Resolve a parsed instance source into (label, instance, zeros, crit_or_None) tuples.
 
+    zeros is the instance's zero set: its attached roots with their
+    backward errors, those of a record's random instances evaluated in
+    one batch, or, for the family, which carries no roots, a solve.
     With ``crit``, family members built in coefficient form carry their
     analytic critical points, and the critical points of a record's
     random instances are solved in one batch; everything else leaves
     crit to the generic solver.  Runners that never read crit pass
-    ``crit=False`` and get None throughout.  Each crit is certified
+    ``crit=False`` and get None throughout.  Every set is certified
     where it is used.
     """
     kind, src = source
-    if kind == "polynomial":
-        if src["a"] is None:
-            raise ValueError("polynomial instances need an explicit 'a'")
-        return [("polynomial", SendovInstance(src["polynomial"], src["a"]), None)]
     if kind == "random":
         count, degree = src["count"], src["degree"]
         if count < 1 or degree < 2:
             raise ValueError("random instances need count >= 1 and degree >= 2")
         insts = random_instances(rng, degree, count)
+        zeros = zero_sets(i.f for i in insts)
         crits = find_roots_many([derivative(i.f) for i in insts]) if crit else [None] * count
-        return [(f"random-{i}", inst, c) for i, (inst, c) in enumerate(zip(insts, crits))]
-    if kind == "circle":
-        return [("circle", example_circle(src["n"]), None)]
-    if kind == "origin":
-        return [("origin", example_origin(src["n"]), None)]
-    params = _family_params(src, src["n"])
-    return [("miller", miller_family(params), family_critical_points(params) if crit else None)]
+        return [(f"random-{i}", *row) for i, row in enumerate(zip(insts, zeros, crits))]
+    if kind == "miller":
+        params = _family_params(src, src["n"])
+        inst = miller_family(params)
+        fcrit = family_critical_points(params) if crit else None
+        return [("miller", inst, find_roots(inst.f), fcrit)]
+    if kind == "polynomial":
+        if src["a"] is None:
+            raise ValueError("polynomial instances need an explicit 'a'")
+        inst = SendovInstance(src["polynomial"], src["a"])
+    else:
+        inst = (example_circle if kind == "circle" else example_origin)(src["n"])
+    return [(kind, inst, zero_sets([inst.f])[0], None)]
 
 
 def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
-    """The one (label, instance, crit) triple of a command; raises before drawing more."""
+    """The one (label, instance, zeros, crit) tuple of a command; raises before drawing more."""
     kind, src = source
     if kind == "random" and src["count"] > 1:
         raise ValueError(f"this command reads one instance, not random count {src['count']}")
@@ -223,11 +223,6 @@ def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool
 def _family_params(fam: dict, n: int) -> FamilyParams:
     """Parameters of a parsed miller family source at degree n."""
     return FamilyParams(n=n, c1=fam["c1"], c2=fam["c2"], lambdas=fam["lambdas"])
-
-
-def _solved_zeros(inst: SendovInstance) -> RootSet | None:
-    """The zeros of inst.f solved once for a record, or None when they are attached."""
-    return find_roots(inst.f) if inst.f.roots is None else None
 
 
 def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> np.ndarray:
@@ -242,9 +237,8 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 
 def _run_check(source, rng):
     rows = []
-    for label, inst, crit in _build_instances(source, rng):
+    for label, inst, rs, crit in _build_instances(source, rng):
         crit = certified_crit(inst.f, crit)
-        rs = _solved_zeros(inst)
         rep = sendov_margin(inst, crit=crit, rs=rs)
         zeros = zeros_of(inst.f, rs)
         rows.append(
@@ -271,8 +265,7 @@ def _run_identities(source, rng, tol, points):
     rows = []
     worst = 0.0
     means = []
-    for label, inst, crit in _build_instances(source, rng):
-        rs = _solved_zeros(inst)
+    for label, inst, rs, crit in _build_instances(source, rng):
         zeros = zeros_of(inst.f, rs)
         crit = certified_crit(inst.f, crit)
         avoid = np.concatenate([zeros, crit.points])
@@ -302,8 +295,8 @@ def _run_identities(source, rng, tol, points):
 
 
 def _run_balayage(source, rng, R, N):
-    label, inst, crit = _one_instance(source, rng)
-    zeros = zeros_of(inst.f)
+    label, inst, rs, crit = _one_instance(source, rng)
+    zeros = zeros_of(inst.f, rs)
     crit = certified_crit(inst.f, crit)
     dz = balayage(empirical_measure(zeros), R, N, p=inst.f)
     dx = balayage(empirical_measure(crit.points), R, len(dz.samples), p=derivative(inst.f))
@@ -329,8 +322,7 @@ def _run_balayage(source, rng, R, N):
 
 
 def _run_winding(source, rng, r1, r2):
-    label, inst, crit = _one_instance(source, rng)
-    rs = _solved_zeros(inst)
+    label, inst, rs, crit = _one_instance(source, rng)
     crit = certified_crit(inst.f, crit)
     sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
@@ -392,8 +384,8 @@ def _run_family(source, rng, theta_grid, tol):
 
 
 def _run_fourier(source, rng, R, ks, N):
-    label, inst, _ = _one_instance(source, rng, crit=False)
-    zeros = zeros_of(inst.f)
+    label, inst, rs, _ = _one_instance(source, rng, crit=False)
+    zeros = zeros_of(inst.f, rs)
     mz = empirical_measure(zeros)
     rows = []
     worst = 0.0
@@ -416,9 +408,10 @@ def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
         params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     inst = example_circle(n) if kind == "circle" else example_origin(n)
+    rs = zero_sets([inst.f])[0]
     crit = certified_crit(inst.f)
-    rep = sendov_margin(inst, crit=crit)
-    diag = quantitative_zetas(inst, crit=crit)
+    rep = sendov_margin(inst, crit=crit, rs=rs)
+    diag = quantitative_zetas(inst, crit=crit, rs=rs)
     return {
         "n": n,
         "min_margin": rep.min_margin,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, _circle_values
+from .poly_core import CrossCheckError, Polynomial, _circle_values
 from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
@@ -96,7 +96,7 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     total = float(np.sum(diffs)) / (2.0 * np.pi)
     nearest = round(total)
     if abs(total - nearest) > 1e-6:
-        raise AssertionError(f"winding total {total} is not an integer")
+        raise CrossCheckError(f"winding total {total} is not an integer")
     # |g| = |z f' / f| e^shift / (n r), in log space: e^shift may underflow
     log_min = np.log(np.min(np.abs(zdpz / pz))) + shift - np.log(n * r)
     return WindingResult(
@@ -131,8 +131,8 @@ def select_radius(
     every circle it may return.  An averaging argument keeps the minimum
     O(log n / n) when the small-modulus zeros carry O(1) mass; the
     attained objective is returned alongside the radius.  The zeros are
-    rs, else the attached roots of f, else solved; solved or given root
-    sets must be converged.
+    rs, else the attached roots of f, else solved; every root set must
+    pass its certificate.
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")

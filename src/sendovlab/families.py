@@ -25,6 +25,7 @@ import numpy as np
 
 from .measures import empirical_measure, summary
 from .poly_core import (
+    CrossCheckError,
     Polynomial,
     SendovInstance,
     _horner,
@@ -32,13 +33,12 @@ from .poly_core import (
     evaluate,
     from_roots,
 )
-from .potential import circle_fourier_coeffs, log_potential
-from .rootfind import RootSet, certified, certified_crit, find_roots
+from .potential import log_potential
+from .rootfind import RootSet, certified, find_roots
 
 __all__ = [
     "FamilyParams",
     "FamilyReport",
-    "SecondMomentCheck",
     "example_circle",
     "example_origin",
     "family_critical_points",
@@ -46,7 +46,6 @@ __all__ = [
     "predicted_zero_shift",
     "random_instance",
     "random_instances",
-    "second_moment_test",
     "verify_family",
 ]
 
@@ -142,9 +141,10 @@ def miller_family(params: FamilyParams) -> SendovInstance:
 
     The subtracted constant is computed in log space (log1p of the
     O(1/n) offset), which keeps |f(a)| at rounding level for all n;
-    the construction asserts |f(a)| <= 1e-10 relative to the
-    coefficient scale at a.  No root list is attached: the zeros of
-    these instances intentionally stray O(1/n) outside the unit disk.
+    the construction raises CrossCheckError unless |f(a)| <= 1e-10
+    relative to the coefficient scale at a.  No root list is attached:
+    the zeros of these instances intentionally stray O(1/n) outside the
+    unit disk.
     """
     n, c1, c2, lams = params.n, params.c1, params.c2, params.lambdas
     m = params.m
@@ -165,7 +165,7 @@ def miller_family(params: FamilyParams) -> SendovInstance:
     scale = 1.0 + float(_horner(np.abs(coeffs), a).real)
     resid = abs(evaluate(f, a))
     if resid > 1e-10 * scale:
-        raise AssertionError(f"family construction residual {resid:.3e} too large")
+        raise CrossCheckError(f"family construction residual {resid:.3e} too large")
     return SendovInstance(f, a)
 
 
@@ -298,39 +298,6 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
         sum_lambda_sq=complex(np.sum(lams**2)) if m else 0j,
         sum_abs_lambda_sq=float(np.sum(np.abs(lams) ** 2)) if m else 0.0,
         fine=fine,
-    )
-
-
-@dataclass(frozen=True)
-class SecondMomentCheck:
-    """E xi^2 computed directly and through the circle Fourier route."""
-
-    direct: complex
-    from_fourier: complex
-    difference: float
-    variance: float
-    re_ratio: float
-
-
-def second_moment_test(inst: SendovInstance, crit: RootSet | None = None) -> SecondMomentCheck:
-    """Cross-check E xi^2 against 4x the k=2 Fourier coefficient of U_xi.
-
-    The potential of the critical measure on the unit circle encodes
-    the raw moments; the k = 2 coefficient times 4 equals E xi^2
-    exactly.  Also reports Re E[xi^2] / Var as the anticoncentration
-    ratio of interest on near-extremal instances.
-    """
-    mx = empirical_measure(certified_crit(inst.f, crit).points)
-    stats = summary(mx)
-    direct = stats.second_moment
-    four = 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]
-    var = stats.variance
-    return SecondMomentCheck(
-        direct=direct,
-        from_fourier=complex(four),
-        difference=abs(direct - four),
-        variance=var,
-        re_ratio=(direct.real / var) if var > 0 else math.inf,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import Polynomial, SendovInstance
+from .poly_core import CrossCheckError, Polynomial, SendovInstance
 from .rootfind import RootSet, certified_crit, zeros_of
 from .sendov_check import Region
 
@@ -98,7 +98,7 @@ def summary(m: EmpiricalMeasure) -> MomentSummary:
     abs_second = float(np.sum(m.weights * np.abs(m.points) ** 2))
     scale = max(1.0, abs_second)
     if abs(abs_second - (abs(mu) ** 2 + var)) > 1e-12 * scale:
-        raise AssertionError("variance identity violated beyond rounding")
+        raise CrossCheckError("variance identity violated beyond rounding")
     return MomentSummary(mean=mu, second_moment=second, variance=var)
 
 
@@ -164,11 +164,15 @@ class ZetaDiagnostics:
 
 
 def quantitative_zetas(
-    inst: SendovInstance, crit: RootSet | None = None
+    inst: SendovInstance, crit: RootSet | None = None, rs: RootSet | None = None
 ) -> ZetaDiagnostics:
-    """Expected log quantities controlling zero/critical concentration."""
+    """Expected log quantities controlling zero/critical concentration.
+
+    The zeros are rs, else those of :func:`rootfind.zeros_of`; both are
+    certified.
+    """
     f, a, n = inst.f, inst.a, inst.n
-    mz = empirical_measure(zeros_of(f))
+    mz = empirical_measure(zeros_of(f, rs))
     mx = empirical_measure(certified_crit(f, crit).points)
     e_zeta = -expect_log_distance(mz, 0.0)
     e_xi = expect_log_distance(mx, complex(a))

@@ -2,8 +2,9 @@
 
 Coefficients are stored ascending by power and drive Horner evaluation
 and differentiation.  An optional root list, when attached, is stored
-verbatim as the polynomial's zeros and is cross-checked against the
-coefficients on construction for moderate degrees.
+verbatim as the polynomial's zeros; ``rootfind.zeros_of`` checks it
+against the coefficients where it is used, at every degree, with the
+backward error that certifies solved roots.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "AtomCollisionError",
+    "CrossCheckError",
     "Polynomial",
     "SendovInstance",
     "derivative",
@@ -27,14 +29,14 @@ __all__ = [
 MONIC_TOL = 1e-12
 # Slack on |root| <= 1 when validating unit-disk membership.
 DISK_TOL = 1e-10
-# Root lists are expanded and checked against the coefficients up to this
-# degree; beyond it the expansion itself is too noisy to be a useful check.
-_EXPAND_CHECK_MAX_DEGREE = 64
-_EXPAND_CHECK_RTOL = 1e-9
 
 
 class AtomCollisionError(ValueError):
     """A query point coincides exactly with a zero or measure atom."""
+
+
+class CrossCheckError(RuntimeError):
+    """Two routes to one quantity disagree beyond their rounding bound."""
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
@@ -45,15 +47,6 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _root_vector(values, degree: int) -> np.ndarray:
-    """Read-only root vector of a degree-``degree`` polynomial."""
-    roots = _as_complex_vector(values, "roots")
-    if roots.size != degree:
-        raise ValueError(f"root count {roots.size} does not match degree {degree}")
-    roots.setflags(write=False)
-    return roots
 
 
 def _horner(coeffs: np.ndarray, z):
@@ -103,8 +96,9 @@ class Polynomial:
     coeffs : ndarray of complex, shape (n+1,)
         ``coeffs[k]`` multiplies z**k; the leading entry is nonzero.
     roots : ndarray of complex or None
-        Optional multiset of zeros, stored verbatim.  When present it
-        must reproduce ``coeffs`` on expansion (checked for n <= 64).
+        Optional multiset of zeros, stored verbatim.  Where they are
+        used, ``rootfind.zeros_of`` refuses them unless each one's
+        backward error against ``coeffs`` passes, at any degree.
     """
 
     coeffs: np.ndarray
@@ -119,17 +113,11 @@ class Polynomial:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.roots is not None:
-            roots = _root_vector(self.roots, self.degree)
+            roots = _as_complex_vector(self.roots, "roots")
+            if roots.size != self.degree:
+                raise ValueError(f"root count {roots.size} does not match degree {self.degree}")
+            roots.setflags(write=False)
             object.__setattr__(self, "roots", roots)
-            if self.degree <= _EXPAND_CHECK_MAX_DEGREE:
-                expanded = from_roots_batch(roots[None, :], coeffs[-1])[0]
-                scale = np.max(np.abs(coeffs))
-                err = np.max(np.abs(expanded - coeffs))
-                if err > _EXPAND_CHECK_RTOL * scale:
-                    raise ValueError(
-                        "attached roots do not reproduce the coefficients: "
-                        f"max deviation {err:.3e} vs scale {scale:.3e}"
-                    )
 
     @property
     def degree(self) -> int:
@@ -213,17 +201,6 @@ def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
     return coeffs
 
 
-def _expanded(coeffs: np.ndarray, roots: np.ndarray) -> Polynomial:
-    """Polynomial(coeffs, roots) for coefficients just expanded from these roots.
-
-    Skips the constructor's expansion check, which would repeat the
-    expansion bit for bit; roots from anywhere else go through it.
-    """
-    p = Polynomial(coeffs)
-    object.__setattr__(p, "roots", _root_vector(roots, p.degree))
-    return p
-
-
 def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """Build a polynomial from its zero multiset.
 
@@ -240,7 +217,7 @@ def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     leading = complex(leading)
     if leading == 0:
         raise ValueError("leading coefficient must be nonzero")
-    return _expanded(from_roots_batch(roots[None, :], leading)[0], roots)
+    return Polynomial(from_roots_batch(roots[None, :], leading)[0], roots)
 
 
 def evaluate(p: Polynomial, z):
@@ -314,7 +291,7 @@ def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
         tops.append(a)
     coeffs = from_roots_batch(rotated)
     return [
-        SendovInstance(_expanded(c, r), min(a, 1.0))
+        SendovInstance(Polynomial(c, r), min(a, 1.0))
         for c, r, a in zip(coeffs, rotated, tops)
     ]
 

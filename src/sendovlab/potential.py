@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import AtomCollisionError, Polynomial, derivative, evaluate
+from .poly_core import AtomCollisionError, CrossCheckError, Polynomial, derivative, evaluate
 from .poly_core import _circle_values, _fold, _horner
 from .rootfind import RootSet, certified_crit, zeros_of
-from .sendov_check import _segment_distance
 
 __all__ = [
     "CircleDensity",
@@ -136,7 +135,7 @@ def verify_basic_identities(
     sums.  Sample points within 0.05 of a zero or critical point are
     skipped and reported in ``skipped``.  Precomputed zeros ``rs`` and
     critical points ``crit`` are used once certified; otherwise the
-    attached roots are used, or they are solved.
+    attached roots are used once certified, or they are solved.
     """
     if not f.monic:
         raise ValueError("identity suite requires a monic polynomial")
@@ -199,6 +198,17 @@ def _adaptive_simpson(func, a: float, b: float, fa, fm, fb, whole, tol: float, d
     return _adaptive_simpson(
         func, a, m, fa, flm, fm, left, half, depth - 1
     ) + _adaptive_simpson(func, m, b, fm, frm, fb, right, half, depth - 1)
+
+
+def _segment_distance(z, a: complex, b: complex):
+    """Distance from z (a point or an array of points) to the segment [a, b]."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(z - a)
+    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
+    t = np.clip(t, 0.0, 1.0)
+    return abs(z - (a + t * ab))
 
 
 def integrated_log_derivative(p: Polynomial, contour) -> complex:
@@ -370,12 +380,12 @@ def balayage(
     series = 1.0 + 2.0 * np.real(np.fft.fft(_moment_series(m, R, terms, N)))
     gap = float(np.max(np.abs(samples - series)))
     if gap > _BALAYAGE_TOL * max(1.0, float(np.max(np.abs(samples)))):
-        raise AssertionError(
+        raise CrossCheckError(
             f"balayage cross-check failed: coefficients vs series differ by {gap:.3e}"
         )
     density = CircleDensity(R, samples)
     if abs(density.mean() - 1.0) > 1e-8:
-        raise AssertionError("balayage density does not average to 1")
+        raise CrossCheckError("balayage density does not average to 1")
     return density
 
 

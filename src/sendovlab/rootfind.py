@@ -12,11 +12,14 @@ reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
 coefficient form is eps**(1/m)).
 
-This module is also the one point where a solve is certified.  Every
-layer takes its zeros through :func:`zeros_of` (attached roots as
-given, otherwise a converged solve) and its critical points through
-:func:`certified_crit`, which checks a caller's ``crit=`` exactly like
-a solved one; an unconverged solve raises ``RuntimeError``.
+This module is also the one point where a zero set is certified.
+Every layer takes its zeros through :func:`zeros_of` and its critical
+points through :func:`certified_crit`, which checks a caller's
+``crit=`` exactly like a solved one.  Attached roots become a root set
+too (:func:`zero_sets`): their residuals are their backward errors
+from the evaluator that certifies a solve, checked against a rounding
+bound at every degree.  A set whose certificate fails raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "critical_points",
     "find_roots",
     "find_roots_many",
+    "zero_sets",
     "zeros_of",
 ]
 
@@ -44,14 +48,15 @@ DEFAULT_MAX_ITER = 200
 
 @dataclass(frozen=True, eq=False)
 class RootSet:
-    """Roots found by the solver, with per-root backward errors.
+    """Roots found by the solver or attached to a polynomial, with per-root backward errors.
 
-    ``converged`` is False when any residual still exceeds the requested
-    tolerance after the iteration budget; the best iterates are returned
-    regardless, never silently wrong values.  ``iterations`` counts the
-    solver's evaluation passes (0 for roots known without iterating); a
-    set solved in a batch carries the batch's count, the passes until
-    its slowest row converged.
+    ``converged`` is False when any residual exceeds its bound: the
+    requested tolerance after the iteration budget for a solve, the
+    rounding bound of :func:`zero_sets` for attached roots.  The points
+    are returned regardless, never silently wrong values.
+    ``iterations`` counts the solver's evaluation passes (0 for roots
+    known without iterating); a set solved in a batch carries the
+    batch's count, the passes until its slowest row converged.
     """
 
     points: np.ndarray
@@ -253,32 +258,90 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
     return z, residual, iterations
 
 
-def _solve(polys, tol: float, max_iter: int) -> list[RootSet]:
-    """Solve each polynomial, one Aberth batch per degree after stripping."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    stripped = []
-    groups: dict[int, list[int]] = {}
+def _by_degree(polys):
+    """Each polynomial's count of zero low coefficients, and its index grouped by the degree left.
+
+    Those exact zero roots are stripped before evaluating: by Horner,
+    z**n - z gives 0/0 at its root 0.
+    """
+    zeros, groups = [], {}
     for i, p in enumerate(polys):
         k = 0
         while p.coeffs[k] == 0:
             k += 1
-        stripped.append((k, p.coeffs[k:]))
+        zeros.append(k)
         groups.setdefault(p.degree - k, []).append(i)
-    out: list[RootSet | None] = [None] * len(stripped)
+    return zeros, groups
+
+
+def _solve(polys, tol: float, max_iter: int) -> list[RootSet]:
+    """Solve each polynomial, one Aberth batch per degree after stripping."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    zeros, groups = _by_degree(polys)
+    out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
         if d == 0:
             pts = res = np.zeros((len(members), 0))
             iterations = 0
         else:
-            rows = np.stack([stripped[i][1] for i in members])
+            rows = np.stack([polys[i].coeffs[zeros[i] :] for i in members])
             pts, res, iterations = _aberth(rows, tol, max_iter)
         for i, row_pts, row_res in zip(members, pts, res):
-            k = stripped[i][0]
+            k = zeros[i]
             points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
             residuals = np.concatenate([np.zeros(k, dtype=np.float64), row_res])
             converged = bool(np.all(residuals <= tol))
             out[i] = RootSet(points, residuals, converged, iterations)
+    return out
+
+
+def _attached(polys) -> list[RootSet]:
+    """The attached roots of each polynomial, with their backward errors.
+
+    The residual of a root z is |p(z)| / S(z), S(z) = sum_k |c_k| |z|^k,
+    from :func:`_newton_pass`, one pass per degree after the zero roots
+    are stripped (:func:`_by_degree`); as in a solve, the first k exact
+    zeros of a polynomial with k zero low coefficients have residual 0,
+    and any further zero is evaluated like every other root.  A root
+    passes when its residual is at most
+
+        gamma_2d (1 + |z p'(z)| / S(z)),  gamma_2d = 2 d u / (1 - 2 d u),
+
+    with d the degree after stripping and u the unit roundoff.  The
+    first term bounds the rounding of the evaluation itself (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 5.1).
+    The second lets the root carry a relative error of gamma_2d: to
+    first order, moving a true zero w by delta = z - w gives
+    |p(z)| = |p'(z) delta|.  Roots computed in floating point need it:
+    np.exp of a rounded angle puts the zeros of z**n - 1 about 6 u off,
+    a backward error of 1.4e-12 at n = 4096 against gamma_2d = 9.1e-13.
+    Coefficients expanded from exact roots pass while the expansion
+    loses no more than the bound; where it loses more, the roots are not
+    zeros of the stored coefficients to working precision and are
+    refused.  The check is per root, so it does not see a multiset with
+    one zero repeated in place of another.  |z p'(z)| / S(z) is |z|
+    times the residual over |p/p'|.
+    """
+    zeros, groups = _by_degree(polys)
+    u = np.finfo(float).eps / 2
+    out: list[RootSet | None] = [None] * len(polys)
+    for d, members in groups.items():
+        roots = [polys[i].roots for i in members]
+        sizes = [r.size for r in roots]
+        starts = np.cumsum([0] + sizes[:-1])
+        table = _horner_table(np.stack([polys[i].coeffs[zeros[i] :] for i in members]))
+        z = np.concatenate(roots)
+        # 1/z overflows or divides by zero in the branch np.where discards
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratio, res = _newton_pass(table, d, np.repeat(np.arange(len(members)), sizes), z)
+            slope = np.where(res == 0, 0.0, np.abs(z) * res / np.abs(ratio))
+        for i, r, lo in zip(members, roots, starts):
+            if zeros[i]:
+                res[lo + np.flatnonzero(r == 0)[: zeros[i]]] = 0.0
+        passed = np.logical_and.reduceat(res <= 2 * d * u / (1 - 2 * d * u) * (1 + slope), starts)
+        for i, r, lo, ok in zip(members, roots, starts, passed):
+            out[i] = RootSet(r, res[lo : lo + r.size], bool(ok))
     return out
 
 
@@ -308,17 +371,27 @@ def find_roots_many(
 def certified(rs: RootSet, what: str = "zero") -> RootSet:
     """rs itself; raises RuntimeError unless its certificate holds."""
     if not rs.converged:
+        if rs.iterations == 0:
+            worst = float(np.max(rs.residuals))
+            raise RuntimeError(f"{what} set fails its certificate: backward error {worst:.3g}")
         raise RuntimeError(f"{what} finding did not converge")
     return rs
 
 
+def zero_sets(polys) -> list[RootSet]:
+    """One zero set per polynomial, not yet certified.
+
+    A polynomial's attached roots with their backward errors, evaluated
+    together in one pass per degree (:func:`_attached`), else a solve.
+    """
+    polys = list(polys)
+    attached = iter(_attached([p for p in polys if p.roots is not None]))
+    return [find_roots(p) if p.roots is None else next(attached) for p in polys]
+
+
 def zeros_of(p: Polynomial, rs: RootSet | None = None) -> np.ndarray:
-    """The zeros of p: rs once certified, else the attached roots, else a certified solve."""
-    if rs is not None:
-        return certified(rs).points
-    if p.roots is not None:
-        return p.roots
-    return certified(find_roots(p)).points
+    """The zeros of p once certified: rs, else p's zero set (:func:`zero_sets`)."""
+    return certified(rs if rs is not None else zero_sets([p])[0]).points
 
 
 def critical_points(

@@ -1,4 +1,4 @@
-"""Sendov margins of zeros, and related disk geometry checks.
+"""Sendov margins of zeros, the classical small-|f| bounds near a, and closed disks.
 
 The central quantity is the margin of a zero: 1 minus the distance to
 the nearest critical point.  Sendov's conjecture asserts every zero of
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, SendovInstance, derivative, evaluate
+from .poly_core import CrossCheckError, SendovInstance, derivative, evaluate
 from .rootfind import RootSet, certified_crit, zeros_of
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Region",
     "SendovReport",
     "degot_suite",
-    "gauss_lucas_check",
     "sendov_margin",
 ]
 
@@ -30,8 +29,6 @@ __all__ = [
 REGION_BAND = 1e-10
 # A conjecture "holds" verdict allows this much rounding slack below zero.
 MARGIN_TOL = 1e-9
-# Distance a critical point may sit outside the zeros' convex hull.
-HULL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,7 +81,8 @@ def sendov_margin(
         converged, or the call raises RuntimeError.
     rs : RootSet, optional
         Precomputed zeros of inst.f, certified like crit; without it the
-        attached roots are used, or the zeros are solved.
+        attached roots are used once they pass their certificate, or the
+        zeros are solved.
     """
     zeros = zeros_of(inst.f, rs)
     crit = certified_crit(inst.f, crit)
@@ -92,9 +90,10 @@ def sendov_margin(
     margins = 1.0 - dist.min(axis=1)
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
     # zeros stay in the closed unit disk.
-    if np.max(np.abs(zeros)) <= 1.0 + 1e-10:
-        assert margins.min() >= -1.0 - 1e-9, "margin below the diameter bound"
-    assert margins.max() <= 1.0 + 1e-12, "margin above 1 is impossible"
+    if np.max(np.abs(zeros)) <= 1.0 + 1e-10 and not margins.min() >= -1.0 - 1e-9:
+        raise CrossCheckError("margin below the diameter bound")
+    if not margins.max() <= 1.0 + 1e-12:
+        raise CrossCheckError("margin above 1 is impossible")
     k = int(np.argmin(margins))
     return SendovReport(
         margins=margins,
@@ -102,69 +101,6 @@ def sendov_margin(
         worst_zero=complex(zeros[k]),
         holds=bool(margins[k] >= -MARGIN_TOL),
     )
-
-
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull vertices in counterclockwise order (monotone chain).
-
-    Degenerate inputs collapse: one vertex for coincident points, two
-    for collinear ones.
-    """
-    arr = np.unique(np.asarray(points, dtype=np.complex128))
-    if arr.size <= 2:
-        return arr
-
-    def cross(o: complex, p: complex, q: complex) -> float:
-        return (p - o).real * (q - o).imag - (p - o).imag * (q - o).real
-
-    lower: list[complex] = []
-    for q in arr:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(complex(q))
-    upper: list[complex] = []
-    for q in arr[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(complex(q))
-    return np.array(lower[:-1] + upper[:-1], dtype=np.complex128)
-
-
-def _segment_distance(z, a: complex, b: complex):
-    """Distance from z (a point or an array of points) to the segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(z - a)
-    t = ((z - a).real * ab.real + (z - a).imag * ab.imag) / denom
-    t = np.clip(t, 0.0, 1.0)
-    return abs(z - (a + t * ab))
-
-
-def _hull_distance(hull: np.ndarray, z: complex) -> float:
-    k = hull.size
-    if k == 1:
-        return abs(z - hull[0])
-    if k == 2:
-        return _segment_distance(z, hull[0], hull[1])
-    inside = True
-    for i in range(k):
-        a, b = hull[i], hull[(i + 1) % k]
-        if (b - a).real * (z - a).imag - (b - a).imag * (z - a).real < 0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(
-        _segment_distance(z, hull[i], hull[(i + 1) % k]) for i in range(k)
-    )
-
-
-def gauss_lucas_check(p: Polynomial, crit: RootSet | None = None) -> bool:
-    """Every critical point lies within HULL_TOL of the convex hull of the zeros."""
-    hull = _convex_hull(zeros_of(p))
-    crit = certified_crit(p, crit)
-    return all(_hull_distance(hull, complex(x)) <= HULL_TOL for x in crit.points)
 
 
 @dataclass(frozen=True)

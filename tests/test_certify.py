@@ -1,10 +1,14 @@
-"""One certify point: every layer refuses an unconverged root set.
+"""One certify point: every layer refuses an uncertified root set.
 
 The zeros and the critical points of f feed every comparison the lab
 makes, so a ``crit=`` handed to a layer function is checked like a
-solved one, and attached zeros are used as given instead of re-solved.
+solved one, and attached zeros are not solved again but checked with
+the same backward error, at every degree.
 """
 
+import json
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,11 +17,12 @@ from sendovlab import (
     check_matching_mean,
     critical_points,
     degot_suite,
+    example_circle,
+    example_origin,
     from_roots,
-    gauss_lucas_check,
     quantitative_zetas,
     random_instance,
-    second_moment_test,
+    random_instances,
     select_radius,
     sendov_margin,
     verify_basic_identities,
@@ -27,7 +32,6 @@ from sendovlab import cli, rootfind
 
 LAYERS = {
     "sendov_margin": lambda inst, crit: sendov_margin(inst, crit=crit),
-    "gauss_lucas_check": lambda inst, crit: gauss_lucas_check(inst.f, crit=crit),
     "degot_suite": lambda inst, crit: degot_suite(inst, [inst.a / 2], crit=crit),
     "check_matching_mean": lambda inst, crit: check_matching_mean(inst.f, crit=crit),
     "quantitative_zetas": lambda inst, crit: quantitative_zetas(inst, crit=crit),
@@ -36,7 +40,6 @@ LAYERS = {
     ),
     "select_radius": lambda inst, crit: select_radius(inst.f, 0.2, 0.4, crit=crit),
     "zero_pole_count": lambda inst, crit: zero_pole_count(inst.f, 0.5, crit=crit),
-    "second_moment_test": lambda inst, crit: second_moment_test(inst, crit=crit),
 }
 
 
@@ -135,9 +138,181 @@ def test_one_unconverged_batch_row_fails_the_record(monkeypatch):
 
 
 def test_foreign_roots_are_still_checked():
+    # construction stores any roots of the right count; the certificate
+    # refuses foreign ones where they are used, as a list or an array
     p = from_roots([0.5, -0.25j, 0.1 + 0.7j])
     wrong = [0.5, -0.25j, 0.1 - 0.7j]
-    with pytest.raises(ValueError, match="reproduce"):
-        Polynomial(p.coeffs, wrong)
-    with pytest.raises(ValueError, match="reproduce"):
-        Polynomial(p.coeffs, np.array(wrong))
+    for roots in (wrong, np.array(wrong)):
+        with pytest.raises(RuntimeError, match="certificate"):
+            rootfind.zeros_of(Polynomial(p.coeffs, roots))
+
+
+def _uniform_1024(seed):
+    """from_roots of 1024 points uniform in |z| < 0.9."""
+    rng = np.random.default_rng(seed)
+    r, t = np.sqrt(rng.uniform(0, 1, 1024)), rng.uniform(0, 2 * np.pi, 1024)
+    return from_roots(0.9 * r * np.exp(1j * t))
+
+
+# Attached zero sets and their largest backward errors as measured with
+# the evaluator that certifies a solve; each must pass its certificate,
+# and its largest error stays within 1.5 times the measured one.
+ATTACHED = {
+    "circle-128": (lambda: example_circle(128).f, 4.3e-14),
+    "circle-1000": (lambda: example_circle(1000).f, 4.3e-13),
+    "circle-4096": (lambda: example_circle(4096).f, 1.44e-12),
+    "origin-1024": (lambda: example_origin(1024).f, 5.41e-13),
+    "random-24": (lambda: random_instances(np.random.default_rng(1), 24, 1)[0].f, 4.3e-16),
+    "random-256": (lambda: random_instances(np.random.default_rng(1), 256, 1)[0].f, 4.8e-15),
+    "random-1024": (lambda: random_instances(np.random.default_rng(1), 1024, 1)[0].f, 1.8e-13),
+    "uniform-1024": (lambda: _uniform_1024(0), 9.7e-15),
+}
+
+
+@pytest.mark.parametrize("name", ATTACHED)
+def test_attached_roots_pass_their_certificate(name):
+    build, worst = ATTACHED[name]
+    p = build()
+    rs = rootfind.zero_sets([p])[0]
+    assert rs.converged and rs.iterations == 0
+    assert rs.points is p.roots
+    assert 0 < rs.residuals.max() <= 1.5 * worst
+    assert rootfind.zeros_of(p) is p.roots
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_instances(np.random.default_rng(3), 1024, 1)[0].f, lambda: _uniform_1024(1)],
+    ids=["random-1024-seed-3", "uniform-1024-seed-1"],
+)
+def test_lossy_expansion_refused(build):
+    # at 50 digits the expanded coefficients miss the exact roots by 7e-12
+    # and 1.1e-11 of their scale, 30 to 50 times the bound, so the roots
+    # are not zeros of the stored coefficients; random-1024 is refused at
+    # seeds 0, 2, 3 and 4 of 0-4, uniform-1024 at 1, 3, 6, 7 and 9 of 0-9
+    p = build()
+    rs = rootfind.zero_sets([p])[0]
+    assert not rs.converged
+    k = int(np.argmax(rs.residuals))
+    with mpmath.workdps(50):
+        z = mpmath.mpc(p.roots[k].real, p.roots[k].imag)
+        value, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for c in p.coeffs[::-1]:
+            value = value * z + mpmath.mpc(c.real, c.imag)
+            scale = scale * abs(z) + abs(mpmath.mpc(c.real, c.imag))
+        exact = float(abs(value) / scale)
+    assert exact > 5e-12
+    assert rs.residuals[k] == pytest.approx(exact, rel=1e-4)
+
+
+def _wrong_circle_70():
+    """z^70 - 1 with one attached root scaled by 0.99."""
+    f = example_circle(70).f
+    roots = f.roots.copy()
+    roots[5] *= 0.99
+    return Polynomial(f.coeffs, roots)
+
+
+def test_wrong_root_refused_at_degree_70():
+    p = _wrong_circle_70()
+    rs = rootfind.zero_sets([p])[0]
+    assert not rs.converged
+    assert rs.residuals.max() == pytest.approx(0.338, abs=1e-3)
+    assert np.flatnonzero(rs.residuals > 1e-12).tolist() == [5]
+    with pytest.raises(RuntimeError, match="zero set fails its certificate: backward error 0.338"):
+        rootfind.zeros_of(p)
+
+
+@pytest.mark.parametrize("command", ["check", "balayage"])
+def test_wrong_root_config_exits_with_error(tmp_path, capsys, command):
+    p = _wrong_circle_70()
+    poly = {
+        "coeffs": [[c.real, c.imag] for c in p.coeffs],
+        "roots": [[r.real, r.imag] for r in p.roots],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"instance": {"polynomial": poly, "a": 1.0}}))
+    assert cli.main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero set fails its certificate")
+
+
+def test_origin_root_is_stripped():
+    # z^n - z has c_0 = 0: its root 0 is exact, as in a solve, but a
+    # second attached 0 is evaluated and refused
+    p = example_origin(64).f
+    rs = rootfind.zero_sets([p])[0]
+    assert rs.converged
+    assert rs.residuals[p.roots == 0].tolist() == [0.0]
+    twice = Polynomial([0, -1, 0, 1], [0, 0, 1])
+    assert rootfind.zero_sets([twice])[0].residuals.tolist() == [0.0, 1.0, 0.0]
+    with pytest.raises(RuntimeError, match="certificate"):
+        rootfind.zeros_of(twice)
+
+
+def test_subnormal_root_beside_zero():
+    # 1/z overflows at the subnormal root; the evaluation must not warn
+    p = from_roots([0, 2.225073858507e-311])
+    rs = rootfind.zero_sets([p])[0]
+    assert rs.converged
+    assert rs.residuals.tolist() == [0.0, 0.0]
+
+
+def test_double_root_passes():
+    p = from_roots([0.5, 0.5, -0.3j, 0.2 + 0.1j])
+    assert rootfind.zero_sets([p])[0].converged
+    assert np.array_equal(rootfind.zeros_of(p), p.roots)
+
+
+def test_zero_sets_solve_polynomials_without_roots():
+    p, q = example_circle(12).f, from_roots([0.5, -0.25j, 0.1 + 0.7j])
+    bare = Polynomial(q.coeffs)
+    sets = rootfind.zero_sets([p, bare, q])
+    assert sets[0].points is p.roots and sets[2].points is q.roots
+    assert sets[1].iterations > 0
+    assert np.array_equal(sets[1].points, rootfind.find_roots(bare).points)
+
+
+def _count_evaluations(monkeypatch):
+    """A list that records how many polynomials each evaluation of attached roots gets."""
+    calls = []
+    attached = rootfind._attached
+
+    def counting(polys):
+        if polys:
+            calls.append(len(polys))
+        return attached(polys)
+
+    monkeypatch.setattr(rootfind, "_attached", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check", "identities", "balayage", "winding", "fourier"])
+def test_attached_roots_evaluated_once_per_record(monkeypatch, command):
+    calls = _count_evaluations(monkeypatch)
+    instance = {"family": {"kind": "origin", "n": 40}}
+    cli.run(cli.ExperimentConfig(command=command, instance=instance, options={}, seed=0))
+    assert calls == [1]
+
+
+def test_sweep_evaluates_each_case_once(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    instance = {"family": {"kind": "circle"}}
+    cli.run(cli.ExperimentConfig(command="sweep", instance=instance, options={"n_list": [8, 12]}))
+    assert calls == [1, 1]
+
+
+def test_random_record_evaluates_its_zeros_in_one_batch(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    tables = []
+    horner_table = rootfind._horner_table
+
+    def recording(coeffs):
+        tables.append(coeffs.shape)
+        return horner_table(coeffs)
+
+    monkeypatch.setattr(rootfind, "_horner_table", recording)
+    assert cli.run(_check_random(64, 24)).ok
+    # one evaluation of the 64 degree-24 zero sets, one solve of their derivatives
+    assert calls == [64]
+    assert tables == [(64, 25), (64, 24)]

@@ -15,7 +15,7 @@ from sendovlab.cli import (
 )
 from sendovlab.families import example_origin
 from sendovlab.measures import empirical_measure
-from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
+from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
 from sendovlab.rootfind import RootSet, critical_points, find_roots, zeros_of
 from sendovlab.serialize import fmt17
@@ -470,6 +470,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: atoms too close to the circle")
         assert "needs 414489 terms" in err
+
+    def test_failed_cross_check_is_an_error(self, monkeypatch, tmp_path, capsys):
+        def disagree(*args, **kwargs):
+            raise CrossCheckError("balayage cross-check failed: routes disagree")
+
+        monkeypatch.setattr(cli, "balayage", disagree)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"family": {"kind": "origin", "n": 16}}}))
+        assert main(["balayage", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: balayage cross-check failed: routes disagree\n"
 
     def test_n_refused_for_a_polynomial(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

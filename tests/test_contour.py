@@ -202,13 +202,17 @@ class TestSelectRadius:
     def test_memory_stays_linear_in_the_degree(self):
         # z^n - 0.45^n at n = 2048: every zero is inner, so the objective
         # sums over 20,480 radii x 2,048 zeros, which as one array is
-        # 335 MB; the critical points, all at 0, are given
+        # 335 MB; the zeros and the critical points, all at 0, are given,
+        # since 0.45^2048 underflows and the expanded coefficients are not
+        # those of z^n - 0.45^n (the attached roots fail their certificate)
         n = 2048
-        f = from_roots(0.45 * np.exp(2j * np.pi * np.arange(n) / n))
+        zeros = 0.45 * np.exp(2j * np.pi * np.arange(n) / n)
+        f = from_roots(zeros)
+        rs = RootSet(zeros, np.zeros(n), converged=True)
         crit = RootSet(np.zeros(n - 1, dtype=complex), np.zeros(n - 1), converged=True)
         tracemalloc.start()
         try:
-            sel = select_radius(f, 0.2, 0.4, crit=crit)
+            sel = select_radius(f, 0.2, 0.4, rs=rs, crit=crit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

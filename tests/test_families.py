@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +13,11 @@ from sendovlab.families import (
     predicted_zero_shift,
     random_instance,
     random_instances,
-    second_moment_test,
     verify_family,
 )
+from sendovlab.measures import empirical_measure, summary
 from sendovlab.poly_core import derivative, evaluate
+from sendovlab.potential import circle_fourier_coeffs
 from sendovlab.rootfind import critical_points, find_roots
 from sendovlab.sendov_check import sendov_margin
 
@@ -184,19 +183,21 @@ class TestVerifyFamily:
 
 
 class TestSecondMoment:
+    # E xi^2 of the critical measure is 4 times the k = 2 Fourier
+    # coefficient of its potential on the unit circle
     def test_fourier_route_matches_direct(self):
         params = FamilyParams(n=32, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
-        inst = miller_family(params)
-        check = second_moment_test(inst, crit=family_critical_points(params))
-        assert check.difference < 1e-8
-        assert check.variance > 0
+        mx = empirical_measure(family_critical_points(params).points)
+        stats = summary(mx)
+        assert abs(stats.second_moment - 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]) < 1e-8
+        assert stats.variance > 0
 
     def test_circle_example_degenerate(self):
-        inst = example_circle(16)
-        check = second_moment_test(inst)
-        assert abs(check.direct) < 1e-15
-        assert check.difference < 1e-10
-        assert math.isinf(check.re_ratio)
+        mx = empirical_measure(critical_points(example_circle(16).f).points)
+        stats = summary(mx)
+        assert abs(stats.second_moment) < 1e-15
+        assert abs(stats.second_moment - 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]) < 1e-10
+        assert stats.variance == 0.0
 
 
 class TestRandomInstance:

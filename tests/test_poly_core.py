@@ -12,6 +12,7 @@ from sendovlab.poly_core import (
     from_roots_batch,
 )
 from sendovlab.poly_core import _leja_orders, _sendov_instances
+from sendovlab.rootfind import zeros_of
 
 
 class TestPolynomialConstruction:
@@ -38,8 +39,10 @@ class TestPolynomialConstruction:
             Polynomial([-1.0, 0.0, 1.0], roots=[1.0])
 
     def test_rejects_inconsistent_roots(self):
-        with pytest.raises(ValueError, match="reproduce"):
-            Polynomial([-1.0, 0.0, 1.0], roots=[0.5, -0.5])
+        # the roots are stored as given and refused where they are used
+        p = Polynomial([-1.0, 0.0, 1.0], roots=[0.5, -0.5])
+        with pytest.raises(RuntimeError, match="certificate"):
+            zeros_of(p)
 
     def test_coeffs_read_only(self):
         p = Polynomial([-1.0, 0.0, 1.0])
@@ -66,13 +69,15 @@ class TestPolynomialConstruction:
 
     def test_consistency_check_accepts_cyclic_roots_degree_64(self):
         # angular-ordered roots of unity are the worst case for naive
-        # incremental expansion; the check must not false-alarm on them
+        # incremental expansion; the certificate where the roots are used
+        # must not false-alarm on them
         n = 64
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[0], coeffs[n] = -1.0, 1.0
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         p = Polynomial(coeffs, roots)
         assert p.degree == n
+        assert zeros_of(p) is p.roots
 
 
 class TestFromRoots:

@@ -16,6 +16,7 @@ from sendovlab.families import (
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import (
     AtomCollisionError,
+    CrossCheckError,
     Polynomial,
     _circle_values,
     _horner,
@@ -433,7 +434,7 @@ class TestBalayage:
         pts = 0.8 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
         moved = pts.copy()
         moved[3] += 1e-6
-        with pytest.raises(AssertionError, match="cross-check"):
+        with pytest.raises(CrossCheckError, match="cross-check"):
             balayage(empirical_measure(moved), 1.2, p=from_roots(pts))
 
     def test_ill_conditioned_polynomial_rejected(self):

@@ -57,6 +57,21 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled) == []
 
 
+def test_no_assert_in_the_package():
+    # a failed check raises CrossCheckError: an assert statement vanishes
+    # under python -O, and AssertionError escapes the CLI's error report
+    root = Path(sendovlab.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (isinstance(node, ast.Name) and node.id == "AssertionError") or (
+                isinstance(node, ast.Attribute) and node.attr == "AssertionError"
+            )
+            if isinstance(node, ast.Assert) or named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_version_matches_pyproject():
     # read by pattern: tomllib needs Python 3.11, and the package supports 3.10
     pyproject = (Path(sendovlab.__file__).parents[2] / "pyproject.toml").read_text()

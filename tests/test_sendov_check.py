@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +10,8 @@ import pytest
 from conftest import match_max_distance
 from sendovlab.families import example_circle, example_origin, random_instance
 from sendovlab.poly_core import Polynomial, from_roots
-from sendovlab.rootfind import critical_points
-from sendovlab.sendov_check import Region, degot_suite, gauss_lucas_check, sendov_margin
+from sendovlab.rootfind import critical_points, zeros_of
+from sendovlab.sendov_check import Region, degot_suite, sendov_margin
 
 
 class TestRegion:
@@ -64,28 +68,57 @@ class TestSendovMargin:
             assert rep.margins.max() <= 1.0
 
 
+def _hull_gap(p, crit) -> float:
+    """Largest |xi - sum_j w_j z_j / sum_j w_j|, w_j = 1/|xi - z_j|^2, over crit.
+
+    f'(xi) = 0 makes sum_j 1/(xi - z_j) vanish; conjugating each term
+    shows that xi is this mean of the zeros with positive weights, which
+    is the Gauss-Lucas theorem, so a gap of 0 puts xi in the zero hull.
+    """
+    z = zeros_of(p)
+    w = 1.0 / np.abs(crit[:, None] - z[None, :]) ** 2
+    return float(np.max(np.abs(crit - (w @ z) / w.sum(axis=1))))
+
+
+def test_margin_bound_is_checked_under_optimization():
+    # the diameter bound raises CrossCheckError, which python -O keeps
+    code = (
+        "import numpy as np\n"
+        "from sendovlab import CrossCheckError, example_circle, sendov_margin\n"
+        "from sendovlab.rootfind import RootSet\n"
+        "far = RootSet(np.full(7, 5.0 + 0j), np.zeros(7), True)\n"
+        "try:\n"
+        "    sendov_margin(example_circle(8), crit=far)\n"
+        "except CrossCheckError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout == "margin below the diameter bound\n", proc.stderr[-2000:]
+
+
 class TestGaussLucas:
     def test_square_configuration(self):
         p = from_roots([0.0, 1.0, 1j, 1.0 + 1j])
-        assert gauss_lucas_check(p)
+        assert _hull_gap(p, critical_points(p).points) < 1e-12
 
     def test_collinear_roots(self):
         p = from_roots([-1.0, 0.0, 1.0])
-        assert gauss_lucas_check(p)
+        assert _hull_gap(p, critical_points(p).points) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             inst = random_instance(rng, 10)
-            assert gauss_lucas_check(inst.f)
+            assert _hull_gap(inst.f, critical_points(inst.f).points) < 1e-10
 
     def test_detects_exterior_point(self):
-        # hand the check a fake critical set far outside the hull
-        from sendovlab.rootfind import RootSet
-
+        # a fake critical point far outside the hull is no weighted mean
         p = from_roots([0.5, -0.5])
-        fake = RootSet(np.array([2.0 + 0j]), np.zeros(1), True)
-        assert not gauss_lucas_check(p, crit=fake)
+        assert _hull_gap(p, np.array([2.0 + 0j])) > 1.0
 
 
 class TestDegotSuite:
