@@ -4,13 +4,16 @@ The same driver behind the command line can be scripted: a config
 names a command, an instance source, and options; running it returns a
 record whose numeric payload is a pure function of config and seed.
 Records serialize to JSON, or to CSV as one flat table per command
-ready for any external plotting tool.
+ready for any external plotting tool.  In JSON, float arrays are
+base64 of their float64 bytes; ``serialize.loads`` reads a record back
+with every array rebuilt bit for bit, and the CSV is the readable view.
 """
 
 import os
 import tempfile
 
 from sendovlab.cli import ExperimentConfig, run, write_record
+from sendovlab.serialize import loads
 
 
 def main():
@@ -38,8 +41,16 @@ def main():
     print("  payload is byte-identical across reruns")
 
     outdir = tempfile.mkdtemp(prefix="sendovlab_demo_")
-    write_record(record, os.path.join(outdir, "family.json"), "json")
+    json_path = os.path.join(outdir, "family.json")
+    write_record(record, json_path, "json")
     write_record(record, os.path.join(outdir, "dd_curve.csv"), "csv")
+
+    # reading the record back: its arrays are the in-memory ones, bit for bit
+    with open(json_path) as fh:
+        written = loads(fh.read())
+    for key in ("lamin_thetas", "lamin_values"):
+        assert written["results"][key].tobytes() == record.results[key].tobytes()
+    print(f"  read back {json_path}: arrays equal the in-memory record")
 
     check = run(
         ExperimentConfig(

@@ -31,6 +31,7 @@ from .families import (
     example_origin,
     family_critical_points,
     miller_family,
+    origin_derivative,
     random_instances,
     verify_family,
 )
@@ -80,16 +81,19 @@ class ExperimentConfig:
         return cls(**merged)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The fields that determine the results; out and format only say where the record goes."""
+        return {k: v for k, v in asdict(self).items() if k not in ("out", "format")}
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
     """Result of one experiment run.
 
-    ``results`` holds only numbers, strings, and nested lists built
-    deterministically from the config and seed; ``wall_time_s`` is the
-    one field excluded from reproducibility comparisons.
+    ``results`` holds only numbers, strings, nested lists and dicts, and
+    float64 ndarrays, built deterministically from the config and seed;
+    the JSON text carries each array as base64 of its bytes, which
+    ``serialize.loads`` decodes bit for bit.  ``wall_time_s`` is the one
+    field excluded from reproducibility comparisons.
     """
 
     config: dict
@@ -183,9 +187,10 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     backward errors, those of a record's random instances evaluated in
     one batch, or, for the family, which carries no roots, a solve.
     With ``crit``, family members built in coefficient form carry their
-    analytic critical points, and the critical points of a record's
-    random instances are solved in one batch; everything else leaves
-    crit to the generic solver.  Runners that never read crit pass
+    analytic critical points, z**n - z its closed-form ones, evaluated
+    in the one pass that evaluates its zeros, and the critical points of
+    a record's random instances are solved in one batch; everything else
+    leaves crit to the generic solver.  Runners that never read crit pass
     ``crit=False`` and get None throughout.  Every set is certified
     where it is used.
     """
@@ -209,7 +214,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
         inst = SendovInstance(src["polynomial"], src["a"])
     else:
         inst = (example_circle if kind == "circle" else example_origin)(src["n"])
-    return [(kind, inst, zero_sets([inst.f])[0], None)]
+    closed = crit and kind == "origin"
+    sets = zero_sets([inst.f, origin_derivative(inst.n)] if closed else [inst.f])
+    return [(kind, inst, sets[0], sets[1] if closed else None)]
 
 
 def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
@@ -246,11 +253,11 @@ def _run_check(source, rng):
                 "label": label,
                 "n": inst.n,
                 "a": inst.a,
-                "margins": rep.margins.tolist(),
+                "margins": rep.margins,
                 "min_margin": rep.min_margin,
                 "holds": rep.holds,
-                "zeros": np.column_stack((zeros.real, zeros.imag)).tolist(),
-                "critical_points": np.column_stack((crit.points.real, crit.points.imag)).tolist(),
+                "zeros": np.column_stack((zeros.real, zeros.imag)),
+                "critical_points": np.column_stack((crit.points.real, crit.points.imag)),
             }
         )
     results = {
@@ -311,8 +318,8 @@ def _run_balayage(source, rng, R, N):
         "label": label,
         "n": n,
         "R": R,
-        "zero_density": dz.samples.tolist(),
-        "crit_density": dx.samples.tolist(),
+        "zero_density": dz.samples,
+        "crit_density": dx.samples,
         "sup_gap": gap,
         "normalized_gap": normalized,
         "zero_mean": dz.mean(),
@@ -377,8 +384,8 @@ def _run_family(source, rng, theta_grid, tol):
     params = _family_params(fam, fam["n"])
     rep = verify_family(params, theta_grid=theta_grid)
     flat = _family_result(params, rep)
-    flat["lamin_thetas"] = rep.lamin_thetas.tolist()
-    flat["lamin_values"] = rep.lamin_values.tolist()
+    flat["lamin_thetas"] = rep.lamin_thetas
+    flat["lamin_values"] = rep.lamin_values
     ok = bool(rep.arc_argument_ok and rep.ten_residuals.max() < tol)
     return flat, ok
 
@@ -407,9 +414,8 @@ def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
     if kind == "miller":
         params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
-    inst = example_circle(n) if kind == "circle" else example_origin(n)
-    rs = zero_sets([inst.f])[0]
-    crit = certified_crit(inst.f)
+    _, inst, rs, crit = _build_instances((kind, {"n": n}), None)[0]
+    crit = certified_crit(inst.f, crit)
     rep = sendov_margin(inst, crit=crit, rs=rs)
     diag = quantitative_zetas(inst, crit=crit, rs=rs)
     return {

@@ -30,6 +30,7 @@ from .poly_core import (
     SendovInstance,
     _horner,
     _sendov_instances,
+    derivative,
     evaluate,
     from_roots,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "example_origin",
     "family_critical_points",
     "miller_family",
+    "origin_derivative",
     "predicted_zero_shift",
     "random_instance",
     "random_instances",
@@ -76,6 +78,19 @@ def example_origin(n: int) -> SendovInstance:
         [[0.0], np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))]
     )
     return SendovInstance(Polynomial(coeffs, roots), 0.0)
+
+
+def origin_derivative(n: int) -> Polynomial:
+    """f' = n z**(n-1) - 1 of :func:`example_origin`, its zeros attached in closed form.
+
+    The critical points of z**n - z are n**(-1/(n-1)) times the (n-1)th
+    roots of unity.  ``rootfind.zero_sets`` of this polynomial is their
+    uncertified root set, which carries the same backward-error
+    certificate as attached zeros, so no solve is needed.
+    """
+    f = example_origin(n).f
+    roots = n ** (-1.0 / (n - 1)) * np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))
+    return Polynomial(derivative(f).coeffs, roots)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,14 +1,17 @@
 """JSON and CSV conventions shared by the whole package.
 
 JSON text is compact (no whitespace) with sorted keys, which ``json``
-encodes in C.  Complex scalars serialize as [re, im] pairs; arrays of
-them as lists of pairs.  CSV numeric fields use 17 significant digits,
-enough to round-trip binary64 exactly, so reruns with identical inputs
-produce byte-identical files.
+encodes in C.  Complex scalars serialize as [re, im] pairs.  A float64
+ndarray serializes as ``{"f64": <base64>, "shape": [...]}``, the base64
+of its little-endian bytes, and :func:`loads` rebuilds it bit for bit;
+complex arrays are stacked as (n, 2) arrays of [re, im] first.  CSV
+numeric fields use 17 significant digits, enough to round-trip binary64
+exactly, so reruns with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 
@@ -22,6 +25,7 @@ __all__ = [
     "finite_float",
     "fmt17",
     "from_cpair",
+    "loads",
     "poly_from_json",
 ]
 
@@ -54,9 +58,39 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _encode_array(obj) -> dict:
+    """The ``default=`` hook of :func:`dumps`: a float64 ndarray as base64 of its bytes.
+
+    Any other object, an ndarray of another dtype included, raises
+    TypeError, as ``json`` does for a type it cannot encode.
+    """
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if obj.dtype.kind != "f" or obj.dtype.itemsize != 8:
+        raise TypeError(f"only float64 arrays serialize, not dtype {obj.dtype}")
+    data = binascii.b2a_base64(obj.astype("<f8", copy=False).tobytes(), newline=False)
+    return {"f64": data.decode("ascii"), "shape": list(obj.shape)}
+
+
+def _decode_array(obj: dict):
+    """The ``object_hook`` of :func:`loads`: each encoded array back as an ndarray."""
+    if obj.keys() == {"f64", "shape"}:
+        data = binascii.a2b_base64(obj["f64"])
+        return np.frombuffer(data, dtype="<f8").reshape(obj["shape"])
+    return obj
+
+
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, compact separators, one line."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text: sorted keys, compact separators, one line, arrays in base64."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode_array)
+
+
+def loads(text: str):
+    """The object that :func:`dumps` wrote, each float64 array rebuilt bit for bit.
+
+    Decoded arrays are read-only views of the decoded bytes.
+    """
+    return json.loads(text, object_hook=_decode_array)
 
 
 def poly_from_json(obj: dict) -> Polynomial:

@@ -77,16 +77,17 @@ def _count_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "instance",
-    [{"random": {"count": 1, "degree": 12}}, {"family": {"kind": "origin", "n": 40}}],
+    "instance, count",
+    [({"random": {"count": 1, "degree": 12}}, 1), ({"family": {"kind": "origin", "n": 40}}, 0)],
     ids=["random-12", "origin-40"],
 )
-def test_winding_solves_once_on_attached_roots(monkeypatch, instance):
+def test_winding_solves_once_on_attached_roots(monkeypatch, instance, count):
     solves = _count_solves(monkeypatch)
     cfg = cli.ExperimentConfig(command="winding", instance=instance, options={}, seed=0)
     assert cli.run(cfg).ok
-    # only the critical points are solved; the attached zeros are used as given
-    assert len(solves) == 1
+    # the attached zeros are used as given; a random instance's critical
+    # points are solved, those of z^n - z are attached in closed form
+    assert len(solves) == count
 
 
 @pytest.mark.parametrize("command", ["check", "identities"])
@@ -292,7 +293,9 @@ def test_attached_roots_evaluated_once_per_record(monkeypatch, command):
     calls = _count_evaluations(monkeypatch)
     instance = {"family": {"kind": "origin", "n": 40}}
     cli.run(cli.ExperimentConfig(command=command, instance=instance, options={}, seed=0))
-    assert calls == [1]
+    # one evaluation carries the zeros and the closed-form critical points;
+    # fourier reads no critical points
+    assert calls == [1 if command == "fourier" else 2]
 
 
 def test_sweep_evaluates_each_case_once(monkeypatch):

@@ -13,12 +13,12 @@ from sendovlab.cli import (
     run,
     write_record,
 )
-from sendovlab.families import example_origin
+from sendovlab.families import example_origin, origin_derivative
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
 from sendovlab.rootfind import RootSet, critical_points, find_roots, zeros_of
-from sendovlab.serialize import fmt17
+from sendovlab.serialize import fmt17, loads
 
 
 def _cfg(command, instance, options=None, seed=0):
@@ -28,6 +28,7 @@ def _cfg(command, instance, options=None, seed=0):
 
 
 CIRCLE12 = {"family": {"kind": "circle", "n": 12}}
+CIRCLE64 = {"family": {"kind": "circle", "n": 64}}
 ORIGIN64 = {"family": {"kind": "origin", "n": 64}}
 MILLER = {
     "family": {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
@@ -53,6 +54,15 @@ class TestConfig:
         )
         assert cfg.seed == 7
         assert cfg.format == "csv"
+
+    def test_output_fields_stay_out_of_the_record(self):
+        # out and format say where the record goes, not what it holds
+        cfg = ExperimentConfig.from_json(
+            {"command": "check", "instance": CIRCLE12}, out="rec.csv", format="csv"
+        )
+        rec = run(cfg)
+        assert set(rec.config) == {"command", "instance", "options", "seed"}
+        assert rec.payload() == run(_cfg("check", CIRCLE12)).payload()
 
     def test_instance_must_be_unique(self):
         cfg = _cfg("check", {"family": CIRCLE12["family"], "random": {"count": 1}})
@@ -254,9 +264,19 @@ class TestRunners:
             rs = find_roots(derivative(p))
             return RootSet(rs.points, rs.residuals + 1e-3, False)
 
+        options = {"n_list": [64]} if command == "sweep" else {}
         monkeypatch.setattr(rootfind, "critical_points", unconverged)
         with pytest.raises(RuntimeError, match="critical point"):
-            run(_cfg(command, ORIGIN64, {"n_list": [64]} if command == "sweep" else {}))
+            run(_cfg(command, CIRCLE64, options))
+
+        # z^n - z takes its critical points in closed form, certified like a solve
+        def corrupted(n):
+            p = origin_derivative(n)
+            return Polynomial(p.coeffs, p.roots * np.where(np.arange(n - 1) == 3, 0.99, 1.0))
+
+        monkeypatch.setattr(cli, "origin_derivative", corrupted)
+        with pytest.raises(RuntimeError, match="critical point set fails its certificate"):
+            run(_cfg(command, ORIGIN64, options))
 
     def test_balayage_origin(self):
         rec = run(_cfg("balayage", ORIGIN64, {"R": 1.2}))
@@ -361,8 +381,10 @@ class TestOutputs:
         dz = balayage(empirical_measure(zeros_of(inst.f)), 1.3, p=inst.f)
         crit = critical_points(inst.f).points
         dx = balayage(empirical_measure(crit), 1.3, dz.samples.size, p=derivative(inst.f))
-        assert rec.results["zero_density"] == dz.samples.tolist()
-        assert rec.results["crit_density"] == dx.samples.tolist()
+        # the record's crit_density, from the closed-form critical points,
+        # equals the solver route's bit for bit
+        assert rec.results["zero_density"].tobytes() == dz.samples.tobytes()
+        assert rec.results["crit_density"].tobytes() == dx.samples.tobytes()
         thetas = [fmt17(t) for t in dz.thetas.tolist()]
 
         write_record(rec, str(tmp_path / "rec.csv"), "csv")
@@ -385,6 +407,17 @@ SMALL = {
 }
 
 
+def _plain(obj):
+    """obj with every ndarray as a nested list, so that == compares values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    return obj
+
+
 class TestRecordText:
     """A record's text is one compact JSON line carrying exactly its fields."""
 
@@ -399,7 +432,7 @@ class TestRecordText:
             "version": rec.version,
         }
         payload = rec.payload()
-        assert json.loads(payload) == expected
+        assert _plain(loads(payload)) == _plain(expected)
         assert "\n" not in payload
 
         cfg_path = tmp_path / "cfg.json"
@@ -408,16 +441,16 @@ class TestRecordText:
         main([command, "--config", str(cfg_path), "--out", str(out_path)])
         text = out_path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
-        written = json.loads(text)
+        written = loads(text)
         assert written.pop("wall_time_s") >= 0.0
-        assert written == dict(expected, config=dict(rec.config, out=str(out_path)))
+        assert _plain(written) == _plain(expected)
 
         capsys.readouterr()
         main([command, "--config", str(cfg_path)])
         line, verdict = capsys.readouterr().out.splitlines()
-        printed = json.loads(line)
+        printed = loads(line)
         printed.pop("wall_time_s")
-        assert printed == expected
+        assert _plain(printed) == _plain(expected)
         assert verdict == f"ok={rec.ok}"
 
     def test_winding_skips_a_circle_the_winding_cannot_resolve(self):

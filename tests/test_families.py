@@ -10,6 +10,7 @@ from sendovlab.families import (
     example_origin,
     family_critical_points,
     miller_family,
+    origin_derivative,
     predicted_zero_shift,
     random_instance,
     random_instances,
@@ -18,7 +19,7 @@ from sendovlab.families import (
 from sendovlab.measures import empirical_measure, summary
 from sendovlab.poly_core import derivative, evaluate
 from sendovlab.potential import circle_fourier_coeffs
-from sendovlab.rootfind import critical_points, find_roots
+from sendovlab.rootfind import certified, critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import sendov_margin
 
 ARC_LAMBDA = np.exp(1j * np.pi / 3)  # |lam| = 1 and |lam - 1| = 1: on the arc
@@ -36,6 +37,14 @@ class TestExamples:
             crit = critical_points(inst.f)
             expected = n ** (-1.0 / (n - 1))
             assert np.max(np.abs(np.abs(crit.points) - expected)) < 1e-10
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 512, 4096, 8192])
+    def test_origin_closed_form_critical_points_certified(self, n):
+        p = origin_derivative(n)
+        assert np.array_equal(p.coeffs, derivative(example_origin(n).f).coeffs)
+        crit = certified(zero_sets([p])[0], "critical point")
+        assert crit.points is p.roots and crit.iterations == 0
+        assert np.max(np.abs(np.abs(crit.points) - n ** (-1.0 / (n - 1)))) < 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
