@@ -37,7 +37,13 @@ from .families import (
 )
 from .measures import empirical_measure, moment, quantitative_zetas
 from .poly_core import SendovInstance, derivative
-from .potential import CircleDensity, balayage, circle_fourier_coeffs, verify_basic_identities
+from .potential import (
+    IDENTITY_STANDOFF,
+    CircleDensity,
+    balayage,
+    circle_fourier_coeffs,
+    verify_basic_identities,
+)
 from .rootfind import certified_crit, find_roots, find_roots_many, zero_sets, zeros_of
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
@@ -232,14 +238,32 @@ def _family_params(fam: dict, n: int) -> FamilyParams:
     return FamilyParams(n=n, c1=fam["c1"], c2=fam["c2"], lambdas=fam["lambdas"])
 
 
+# Candidate-to-avoid distances that one block of :func:`_sample_points`
+# forms at most.
+_SAMPLE_BLOCK = 1 << 17
+
+
 def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> np.ndarray:
-    """Sample points with |z| <= 2 at distance >= 0.05 from the avoid set."""
-    out = []
-    while len(out) < count:
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z) <= 2.0 and np.min(np.abs(z - avoid)) >= 0.05:
-            out.append(z)
-    return np.array(out, dtype=np.complex128)
+    """Sample points with |z| <= 2 at distance >= IDENTITY_STANDOFF from the avoid set.
+
+    Candidates x + iy, with x and y uniform on [-2, 2], are drawn in
+    blocks and the accepted ones kept in order.  A block never holds more
+    candidates than points are still missing, and array draws give the
+    same doubles as scalar ones, so the points and the state left in rng
+    are exactly those of drawing one candidate at a time: later draws
+    from rng do not depend on the blocking.  A block is also capped at
+    ``_SAMPLE_BLOCK`` candidate-to-avoid distances.
+    """
+    kept = [np.empty(0, dtype=np.complex128)]
+    missing = count
+    cap = max(1, _SAMPLE_BLOCK // max(avoid.size, 1))
+    while missing > 0:
+        z = rng.uniform(-2, 2, (min(missing, cap), 2)).view(np.complex128)[:, 0]
+        far = np.all(np.abs(z[:, None] - avoid) >= IDENTITY_STANDOFF, axis=1)
+        z = z[(np.abs(z) <= 2.0) & far]
+        kept.append(z)
+        missing -= z.size
+    return np.concatenate(kept)
 
 
 def _run_check(source, rng):

@@ -193,11 +193,17 @@ def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
     roots = np.take_along_axis(roots, _leja_orders(roots), axis=1)
     b, m = roots.shape
     coeffs = np.full((b, 1), leading, dtype=np.complex128)
-    for j in range(m):
-        nxt = np.zeros((b, j + 2), dtype=np.complex128)
-        nxt[:, 1:] = coeffs
-        nxt[:, :-1] -= roots[:, j, None] * coeffs
-        coeffs = nxt
+    # an overflow, and the NaN it may leave, is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            nxt = np.zeros((b, j + 2), dtype=np.complex128)
+            nxt[:, 1:] = coeffs
+            nxt[:, :-1] -= roots[:, j, None] * coeffs
+            coeffs = nxt
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("expansion overflows: coefficients are not finite")
+    if np.any((coeffs[:, 0] == 0) & np.all(roots != 0, axis=1)):
+        raise ValueError("expansion underflows: the constant term is 0 but no root is 0")
     return coeffs
 
 

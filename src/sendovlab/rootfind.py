@@ -82,6 +82,10 @@ class RootSet:
 # symmetric root configurations of z^n - a and friends.
 _START_ROTATION = 0.7
 
+# Entries of the difference matrix that one block of :func:`_aberth_step`
+# forms: 16 MB of complex128.
+_ABERTH_BLOCK = 1 << 20
+
 
 def _upper_hull(logc: list[float]) -> list[int]:
     """Vertices of the upper convex hull of the points (k, logc[k]).
@@ -109,30 +113,33 @@ def _start_points(abs_coeffs: np.ndarray) -> np.ndarray:
     About j - i roots lie near the circle of radius
     (|c_i|/|c_j|)**(1/(j-i)) for each edge i -> j of the upper convex
     hull of (k, log|c_k|) (Bini 1996), so j - i start points go on that
-    circle, rotated past the points placed on earlier edges.
+    circle, rotated past the i points placed on earlier edges.  Rows
+    reach this function with c_0 != 0 (zero roots are stripped first)
+    and c_d != 0, so each hull runs from 0 to d and position k of a row
+    lies on the edge i <= k < j.  Only the hull is found row by row;
+    the points of every row are placed in one array pass.
     """
     b, w = abs_coeffs.shape
     d = w - 1
     with np.errstate(divide="ignore"):
         logc = np.log(abs_coeffs)
-    z = np.empty((b, d), dtype=np.complex128)
-    for row in range(b):
-        lc = logc[row].tolist()
+    edges = []
+    for row, lc in enumerate(logc.tolist()):
         hull = _upper_hull(lc)
-        offset = 0
-        for i, j in zip(hull[:-1], hull[1:]):
-            m = j - i
-            radius = np.exp((lc[i] - lc[j]) / m)
-            ell = np.arange(m)
-            angles = (
-                2.0 * np.pi * ell / m
-                + 2.0 * np.pi * offset / d
-                + _START_ROTATION
-                + 1e-3 * np.cos(3.0 * ell)
-            )
-            z[row, offset : offset + m] = radius * np.exp(1j * angles)
-            offset += m
-    return z
+        edges += [(row, i, j) for i, j in zip(hull[:-1], hull[1:])]
+    row, i, j = np.array(edges).T
+    m = j - i
+    radius = np.repeat(np.exp((logc[row, i] - logc[row, j]) / m), m)
+    offset = np.repeat(i, m)
+    size = np.repeat(m, m)
+    ell = np.tile(np.arange(d), b) - offset
+    angles = (
+        2.0 * np.pi * ell / size
+        + 2.0 * np.pi * offset / d
+        + _START_ROTATION
+        + 1e-3 * np.cos(3.0 * ell)
+    )
+    return (radius * np.exp(1j * angles)).reshape(b, d)
 
 
 def _horner_table(coeffs: np.ndarray) -> np.ndarray:
@@ -182,9 +189,11 @@ def _newton_pass(table, d, rows, z):
     # the three series advance by x, x and |x|; on the moduli series a
     # complex product equals the real one and its imaginary part stays 0
     step = np.stack([x, x, np.abs(x).astype(np.complex128)])
+    step_b = step[:, None]
     blocks = np.take(table[b - 1], groups, axis=2)
     for i in range(b - 2, -1, -1):
-        blocks = blocks * step[:, None] + np.take(table[i], groups, axis=2)
+        blocks *= step_b
+        blocks += np.take(table[i], groups, axis=2)
     xb = step  # to the power b by binary powering, leading bit first
     for bit in bin(b)[3:]:
         xb = xb * xb
@@ -192,7 +201,8 @@ def _newton_pass(table, d, rows, z):
             xb = xb * step
     acc = blocks[:, nb - 1]
     for j in range(nb - 2, -1, -1):
-        acc = acc * xb + blocks[:, j]
+        acc *= xb
+        acc += blocks[:, j]
     p, dp, scale = acc[0], acc[1], acc[2].real
     den = np.where(outside, x * (d * p - x * dp), dp)
     den = np.where(den == 0, 1e-300, den)
@@ -200,13 +210,27 @@ def _newton_pass(table, d, rows, z):
 
 
 def _aberth_step(z, wn, rows, cols):
-    """Aberth corrections for the iterates z[rows, cols] given p/p' there."""
-    diff = z[rows, cols][:, None] - z[rows]
-    diff[np.arange(rows.size), cols] = np.inf
-    s = np.sum(1.0 / diff, axis=1)
-    denom = 1.0 - wn * s
-    denom = np.where(denom == 0, 1.0, denom)
-    return wn / denom
+    """Aberth corrections for the iterates z[rows, cols] given p/p' there.
+
+    The iterates are taken in blocks of about ``_ABERTH_BLOCK`` entries
+    of their (iterates x d) difference matrix, formed and inverted in
+    one buffer, so memory stays O(block) at any degree.  Each iterate's sum
+    runs over its own row of the matrix, so the blocking does not change
+    its value.
+    """
+    out = np.empty(rows.size, dtype=np.complex128)
+    step = max(1, _ABERTH_BLOCK // z.shape[1])
+    buf = np.empty((min(step, rows.size), z.shape[1]), dtype=np.complex128)
+    for lo in range(0, rows.size, step):
+        r, c, w = rows[lo : lo + step], cols[lo : lo + step], wn[lo : lo + step]
+        # mode "raise" would gather through a temporary as large as out
+        diff = np.take(z, r, axis=0, out=buf[: r.size], mode="clip")
+        np.subtract(z[r, c][:, None], diff, out=diff)
+        diff[np.arange(r.size), c] = np.inf
+        s = np.sum(np.divide(1.0, diff, out=diff), axis=1)
+        denom = 1.0 - w * s
+        out[lo : lo + step] = w / np.where(denom == 0, 1.0, denom)
+    return out
 
 
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):

@@ -202,12 +202,13 @@ class TestSelectRadius:
     def test_memory_stays_linear_in_the_degree(self):
         # z^n - 0.45^n at n = 2048: every zero is inner, so the objective
         # sums over 20,480 radii x 2,048 zeros, which as one array is
-        # 335 MB; the zeros and the critical points, all at 0, are given,
-        # since 0.45^2048 underflows and the expanded coefficients are not
-        # those of z^n - 0.45^n (the attached roots fail their certificate)
+        # 335 MB; 0.45^2048 underflows to 0, so f is z^n in coefficient
+        # form and the zeros and the critical points, all at 0, are given
         n = 2048
         zeros = 0.45 * np.exp(2j * np.pi * np.arange(n) / n)
-        f = from_roots(zeros)
+        coeffs = np.zeros(n + 1)
+        coeffs[0], coeffs[n] = -(0.45**n), 1.0
+        f = Polynomial(coeffs)
         rs = RootSet(zeros, np.zeros(n), converged=True)
         crit = RootSet(np.zeros(n - 1, dtype=complex), np.zeros(n - 1), converged=True)
         tracemalloc.start()

@@ -115,7 +115,13 @@ class TestFromRoots:
     )
     def test_expansion_reproduces_the_product(self, roots):
         roots = np.array(roots, dtype=complex)
-        p = from_roots(roots)
+        try:
+            p = from_roots(roots)
+        except ValueError as exc:
+            # refused only where the constant term underflows to 0
+            assert "underflows" in str(exc)
+            assert np.prod(np.abs(roots)) < np.finfo(float).tiny
+            return
         z = 1.5 + 0.5j
         direct = np.prod(z - roots)
         assert abs(evaluate(p, z) - direct) <= 1e-10 * max(1.0, abs(direct))
@@ -128,6 +134,24 @@ class TestFromRootsBatch:
         batch = from_roots_batch(roots)
         for row, crow in zip(roots, batch):
             assert np.max(np.abs(from_roots(row).coeffs - crow)) < 1e-12
+
+    def test_rejects_an_underflowing_constant_term(self):
+        # 0.45^2048 is about 1e-710: c_0 rounds to 0, which leaves middle
+        # coefficients of rounding noise whose zeros are not the roots
+        n = 2048
+        roots = 0.45 * np.exp(2j * np.pi * np.arange(n) / n)
+        with pytest.raises(ValueError, match="underflows"):
+            from_roots(roots)
+        with pytest.raises(ValueError, match="underflows"):
+            from_roots_batch(np.stack([roots / 0.45, roots]))
+
+    def test_rejects_an_overflowing_expansion(self):
+        with pytest.raises(ValueError, match="overflows"):
+            from_roots_batch(np.array([[1.0, 2.0], [1e200, -1e200]]))
+
+    def test_zero_roots_keep_their_zero_constant_term(self):
+        c = from_roots_batch(np.array([[0.0, 1e-200, 1e-200], [1.0, 2.0, 3.0]]))
+        assert c[0, 0] == 0 and c[1, 0] == -6.0
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-d"):
