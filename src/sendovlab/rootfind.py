@@ -142,15 +142,19 @@ def _start_points(abs_coeffs: np.ndarray) -> np.ndarray:
     return (radius * np.exp(1j * angles)).reshape(b, d)
 
 
-def _horner_table(coeffs: np.ndarray) -> np.ndarray:
+def _horner_table(coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Coefficients of every row in the blocks that :func:`_newton_pass` reads.
 
-    With b = isqrt(d + 1) and nb = ceil((d + 1) / b), entry
-    ``[i, s, j, 2 r + o]`` is ascending coefficient j b + i of series s
-    of row r in orientation o.  Orientation 0 is p itself and 1 the
-    reversed polynomial q(y) = y^d p(1/y); series 0 is the polynomial,
-    1 its derivative (coefficient (k + 1) c_{k+1} at power k) and 2 the
-    moduli |c_k|.  Entries past the degree are zero.
+    With b = isqrt(d + 1) and nb = ceil((d + 1) / b), returns
+    ``(table, slots)``: entry ``[i, s, slots[j], 2 r + o]`` of the table
+    is ascending coefficient j b + i of series s of row r in orientation
+    o.  Orientation 0 is p itself and 1 the reversed polynomial
+    q(y) = y^d p(1/y); series 0 is the polynomial, 1 its derivative
+    (coefficient (k + 1) c_{k+1} at power k) and 2 the moduli |c_k|.
+    Entries past the degree are zero.  Only the live blocks are kept,
+    those with an entry other than +0 in some row, series or
+    orientation; a dead block j has slots[j] = -1.  The top block is
+    always live.
     """
     n_rows, w = coeffs.shape
     b = math.isqrt(w)
@@ -160,7 +164,12 @@ def _horner_table(coeffs: np.ndarray) -> np.ndarray:
     table[:, :, 0, :w] = a
     table[:, :, 1, : w - 1] = a[:, :, 1:] * np.arange(1, w)
     table[:, :, 2, :w] = np.abs(a)
-    return table.reshape(2 * n_rows, 3, nb, b).transpose(3, 1, 2, 0).copy()
+    table = table.reshape(2 * n_rows, 3, nb, b).transpose(3, 1, 2, 0).copy()
+    # -0 counts as live: a dead block must add exactly +0 in the pass
+    live = table.view(np.uint64).reshape(3 * b, nb, 4 * n_rows).any(axis=0).any(axis=1)
+    live[-1] = True
+    slots = np.where(live, np.cumsum(live) - 1, -1).tolist()
+    return (table if live.all() else np.take(table, np.flatnonzero(live), axis=2)), slots
 
 
 def _newton_pass(table, d, rows, z):
@@ -168,21 +177,27 @@ def _newton_pass(table, d, rows, z):
 
     p, p' and the scale sum_k |c_k| |z|^k are evaluated together, in
     blocks of b ascending coefficients (:func:`_horner_table`): b inner
-    Horner steps give every block's value at x at once, x^b is formed
-    by squaring, and nb outer Horner steps in x^b combine the blocks,
-    so a pass makes O(sqrt(d)) array operations, not O(d).  Each
-    term c_k x^k still passes through a fixed chain of roundings, so the
-    computed p is within a small multiple of u * sum_k |c_k| |x|^k of the
-    true one, the bound the certificate rests on (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 5.1).  Iterates with |z| > 1 are
-    evaluated through the reversed polynomial q(y) = y^d p(1/y) at
-    y = 1/z, where p/p' = z / (d - y q'/q) and the backward error
+    Horner steps give every live block's value at x at once, x^b is
+    formed by squaring, and nb outer Horner steps in x^b combine the
+    blocks, so a pass costs O(b * live * m + nb * m) for m iterates in
+    O(sqrt(d)) array operations, not O(d).  At a dead block the outer
+    step adds the scalar +0.0: a block of +0 entries evaluates to
+    exactly +0, and adding +0 maps a -0 part of the sum to +0, so every
+    value is bit for bit that of the dense table.  Each term c_k x^k
+    still passes through a fixed chain of roundings, so the computed p
+    is within a small multiple of u * sum_k |c_k| |x|^k of the true one,
+    the bound the certificate rests on (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 5.1).  Iterates with |z| > 1 are evaluated
+    through the reversed polynomial q(y) = y^d p(1/y) at y = 1/z, where
+    p/p' = z / (d - y q'/q) and the backward error
     |q(y)| / sum_k |c_{d-k}| |y|^k equals |p(z)| / sum_k |c_k| |z|^k, so
-    no power of |z| above 1 is formed.  ``rows`` maps each iterate to
-    its coefficient row; every operation is elementwise per iterate, so
-    an iterate's values do not depend on the others in the pass.
+    no power of |z| above 1 is formed.  ``table`` is the pair that
+    :func:`_horner_table` returns.  ``rows`` maps each iterate to its
+    coefficient row; every operation is elementwise per iterate, so an
+    iterate's values do not depend on the others in the pass.
     """
-    b, _, nb, _ = table.shape
+    table, slots = table
+    b = table.shape[0]
     outside = np.abs(z) > 1.0
     x = np.where(outside, 1.0 / z, z)
     groups = 2 * rows + outside
@@ -199,10 +214,10 @@ def _newton_pass(table, d, rows, z):
         xb = xb * xb
         if bit == "1":
             xb = xb * step
-    acc = blocks[:, nb - 1]
-    for j in range(nb - 2, -1, -1):
+    acc = blocks[:, -1]
+    for k in slots[-2::-1]:
         acc *= xb
-        acc += blocks[:, j]
+        acc += blocks[:, k] if k >= 0 else 0.0
     p, dp, scale = acc[0], acc[1], acc[2].real
     den = np.where(outside, x * (d * p - x * dp), dp)
     den = np.where(den == 0, 1e-300, den)
@@ -325,9 +340,12 @@ def _attached(polys) -> list[RootSet]:
 
     The residual of a root z is |p(z)| / S(z), S(z) = sum_k |c_k| |z|^k,
     from :func:`_newton_pass`, one pass per degree after the zero roots
-    are stripped (:func:`_by_degree`); as in a solve, the first k exact
-    zeros of a polynomial with k zero low coefficients have residual 0,
-    and any further zero is evaluated like every other root.  A root
+    are stripped (:func:`_by_degree`).  The pass reads only the live
+    blocks of the degree's table, those where one of its polynomials has
+    a nonzero term, so each zero of z^n - 1, z^n - z or its f' costs
+    O(sqrt(d)), not O(d).  As in a solve, the first k exact zeros of a
+    polynomial with k zero low coefficients have residual 0, and any
+    further zero is evaluated like every other root.  A root
     passes when its residual is at most
 
         gamma_2d (1 + |z p'(z)| / S(z)),  gamma_2d = 2 d u / (1 - 2 d u),

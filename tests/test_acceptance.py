@@ -12,7 +12,10 @@ criterion asks gap / (2 q) to be constant within a factor of 4 across
 n in {32, 64, 128, 256}, and the gap to match the closed form to 1e-12
 at each n.  The envelope log(1/(R-1)) / (n (R-1)^2) is only an upper
 bound, which this gap undercuts by a growing factor; the companion
-test_criterion_04_note_upper_bound_holds checks it as such.
+test_criterion_04_note_upper_bound_holds checks it as such.  At
+R_n = 1 + 2/n, test_criterion_04_companion_at_r_n checks the CLI's gap
+between the zero and critical densities against its closed form, as it
+falls toward 2/(e^2 - 1).
 """
 
 import math
@@ -210,6 +213,33 @@ def test_criterion_04_note_upper_bound_holds():
     print(
         "criterion 04 note: upper-bound direction PASSES - normalized gap "
         f"monotone decreasing, max {max(qs):.3e} < 1"
+    )
+    assert ok
+
+
+def test_criterion_04_companion_at_r_n():
+    # the CLI balayage of z^n - z at R_n = 1 + 2/n: q = R_n^-(n-1) tends to
+    # e^-2, and the gap between the zero and critical densities, attained
+    # at theta = 0, to 2/(e^2 - 1)
+    ns = (256, 1024, 4096)
+    gaps, errs = [], []
+    for n in ns:
+        R = 1.0 + 2.0 / n
+        cfg = ExperimentConfig(
+            command="balayage", instance={"family": {"kind": "origin", "n": n}}, options={"R": R}
+        )
+        rec = run(cfg)
+        assert rec.ok
+        gap, q = rec.results["sup_gap"], R ** -(n - 1)
+        exact = 2.0 * (n - 1) / n * q / (1.0 - q) - 2.0 * (q / n) / (1.0 - q / n)
+        gaps.append(gap)
+        errs.append(abs(gap - exact))
+    limit = 2.0 / (math.e**2 - 1.0)
+    ok = max(errs) <= 1e-12 and all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] > limit
+    table = ", ".join(f"n={n}: {g:.5f} (|gap - exact| {e:.1e})" for n, g, e in zip(ns, gaps, errs))
+    print(
+        f"criterion 04 companion: {'PASS' if ok else 'FAIL'} - sup gap at R_n = 1 + 2/n "
+        f"[{table}], decreasing toward 2/(e^2-1) = {limit:.5f}"
     )
     assert ok
 

@@ -1,17 +1,19 @@
 """The array passes of the small-solve path against the loops they replace.
 
 Each reference below is the per-row, per-edge or per-point loop the
-package used before, kept here as the oracle: the array pass must give
-the same bits, and for the sampler the same generator state.
+package used before, or for the Newton pass its dense Horner table,
+kept here as the oracle: the array pass must give the same bits, and
+for the sampler the same generator state.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sendovlab.cli import _sample_points
-from sendovlab.families import FamilyParams, example_circle, miller_family, random_instances
+from sendovlab.families import FamilyParams, miller_family, random_instances
 from sendovlab.poly_core import derivative
 from sendovlab.potential import IDENTITY_STANDOFF
 from sendovlab.rootfind import (
@@ -58,7 +60,21 @@ def _start_points_loop(abs_coeffs):
     return z
 
 
+def _dense_table(coeffs):
+    """Every block of the Horner table, live or dead: the table the pass once read."""
+    n_rows, w = coeffs.shape
+    b = math.isqrt(w)
+    nb = -(-w // b)
+    a = np.stack([coeffs, coeffs[:, ::-1]], axis=1)
+    table = np.zeros((n_rows, 2, 3, nb * b), dtype=np.complex128)
+    table[:, :, 0, :w] = a
+    table[:, :, 1, : w - 1] = a[:, :, 1:] * np.arange(1, w)
+    table[:, :, 2, :w] = np.abs(a)
+    return table.reshape(2 * n_rows, 3, nb, b).transpose(3, 1, 2, 0).copy()
+
+
 def _newton_pass_out_of_place(table, d, rows, z):
+    """The pass over a dense table, every block of every Horner step out of place."""
     b, _, nb, _ = table.shape
     outside = np.abs(z) > 1.0
     x = np.where(outside, 1.0 / z, z)
@@ -138,24 +154,119 @@ class TestStartPoints:
         assert _same_bits(_start_points(moduli), _start_points_loop(moduli))
 
 
+def _sparse(d, terms):
+    """Ascending coefficients of degree d with the given {power: coefficient}."""
+    coeffs = np.zeros(d + 1, dtype=np.complex128)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return coeffs
+
+
+def _iterates(rng, count, roots=()):
+    """Iterates at moduli 0.2 to 3, on both axes and at the given roots.
+
+    The axis points lie inside and outside |z| = 1, each with either sign
+    of zero in its other part: there the parts of p that vanish are sums
+    of signed zeros, which the pass must round as the dense table does.
+    """
+    z = rng.uniform(0.2, 3.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    axes = [
+        complex(*pair)
+        for t in (0.3, 0.9, 1.0, 1.7, 40.0)
+        for s in (t, -t)
+        for zero in (0.0, -0.0)
+        for pair in ((s, zero), (zero, s))
+    ]
+    return np.concatenate([z, [0j], axes, roots])
+
+
+def _assert_pass_equals_the_dense_oracle(coeffs, z, rows):
+    d = coeffs.shape[1] - 1
+    table, slots = _horner_table(coeffs)
+    live = np.flatnonzero(np.array(slots) >= 0)
+    dense = _dense_table(coeffs)
+    assert len(slots) == dense.shape[2]
+    assert np.array_equal(np.array(slots)[live], np.arange(live.size))
+    # the live blocks are the dense table's, and every other block is +0
+    assert _same_bits(table, dense[:, :, live])
+    dead = np.setdiff1d(np.arange(dense.shape[2]), live)
+    assert not dense[:, :, dead].view(np.uint64).any()
+    # 1/z at z = 0 divides by zero in the branch np.where discards, and
+    # p/p' overflows where p' underflows at small |z|
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = _newton_pass((table, slots), d, rows, z)
+        want = _newton_pass_out_of_place(dense, d, rows, z)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    return live, dense.shape[2]
+
+
 class TestNewtonPass:
     def test_equals_the_out_of_place_pass(self):
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=(3, 41)) + 1j * rng.normal(size=(3, 41))
-        table = _horner_table(coeffs)
         rows = np.repeat(np.arange(3), 50)
         # moduli from 0.2 to 3: both orientations of the table are read
         z = rng.uniform(0.2, 3.0, rows.size) * np.exp(2j * np.pi * rng.uniform(size=rows.size))
         assert (np.abs(z) > 1).any() and (np.abs(z) <= 1).any()
-        got = _newton_pass(table, 40, rows, z)
-        want = _newton_pass_out_of_place(table, 40, rows, z)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        live, nb = _assert_pass_equals_the_dense_oracle(coeffs, z, rows)
+        assert live.size == nb
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1000])
+    @pytest.mark.parametrize("example", ["circle", "origin-stripped", "origin-derivative"])
+    def test_extremal_examples_read_only_live_blocks(self, n, example):
+        # z^n - 1, z^(n-1) - 1 (z^n - z with its zero root stripped) and
+        # n z^(n-1) - 1: their few nonzero terms fall in different blocks
+        if example == "circle":
+            coeffs = _sparse(n, {0: -1.0, n: 1.0})
+            roots = np.exp(2j * np.pi * np.arange(n) / n)
+        elif example == "origin-stripped":
+            coeffs = _sparse(n - 1, {0: -1.0, n - 1: 1.0})
+            roots = np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))
+        else:
+            coeffs = _sparse(n - 1, {0: -1.0, n - 1: float(n)})
+            roots = n ** (-1.0 / (n - 1)) * np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))
+        z = _iterates(np.random.default_rng(n), 200, roots)
+        rows = np.zeros(z.size, np.intp)
+        live, nb = _assert_pass_equals_the_dense_oracle(coeffs[None, :], z, rows)
+        assert live.size <= 3 < nb and live[-1] == nb - 1
+
+    def test_dead_blocks_add_a_positive_zero(self):
+        # z^128 - 1 with c_0 = -(1 + 0j) = -1 - 0j: at -0 - 0.3j and its
+        # like, the imaginary part of p is a signed zero that comes out as
+        # the dense table's only because every dead block adds +0
+        coeffs = _sparse(128, {0: -(1 + 0j), 128: 1.0})[None, :]
+        assert np.signbit(coeffs[0, 0].imag)
+        z = _iterates(np.random.default_rng(128), 20)
+        live, nb = _assert_pass_equals_the_dense_oracle(coeffs, z, np.zeros(z.size, np.intp))
+        assert live.size == 2 < nb
+
+    def test_interior_run_of_dead_blocks(self):
+        # 1 + z^40 + z^200: b = 14, and blocks 0, 2, 11 and 14 of 15 are live
+        coeffs = _sparse(200, {0: 1.0, 40: 1.0, 200: 1.0})[None, :]
+        z = _iterates(np.random.default_rng(40), 300)
+        live, nb = _assert_pass_equals_the_dense_oracle(coeffs, z, np.zeros(z.size, np.intp))
+        assert live.tolist() == [0, 2, 11, 14] and nb == 15
+
+    def test_mixed_batch_reads_the_union_of_live_blocks(self):
+        rng = np.random.default_rng(19)
+        d = 300
+        dense_row = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        coeffs = np.stack([_sparse(d, {0: -1.0, d: 1.0}), dense_row])
+        z = _iterates(rng, 200)
+        rows = np.arange(z.size) % 2
+        live, nb = _assert_pass_equals_the_dense_oracle(coeffs, z, rows)
+        assert live.size == nb
+        # the sparse row alone reads two blocks; with the dense one, every block
+        assert _horner_table(coeffs[:1])[0].shape[2] == 2
 
     def test_memory_stays_linear_in_the_iterates(self):
         # the blocks of 1024 iterates at d = 512 are 1.2 MB; gathering the
-        # whole table for them at once would be about 26 MB
+        # whole table for them at once would be about 26 MB.  The row is
+        # dense, so every one of its 24 blocks is live and gathered.
         d = 512
-        table = _horner_table(example_circle(d).f.coeffs[None, :])
+        coeffs = np.random.default_rng(512).normal(size=(1, d + 1)).astype(np.complex128)
+        table = _horner_table(coeffs)
+        assert table[1] == list(range(24))
         z = 0.9 * np.exp(2j * np.pi * (np.arange(1024) + 0.5) / 1024)
         rows = np.zeros(z.size, dtype=np.intp)
         tracemalloc.start()

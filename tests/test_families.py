@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,13 +40,29 @@ class TestExamples:
             expected = n ** (-1.0 / (n - 1))
             assert np.max(np.abs(np.abs(crit.points) - expected)) < 1e-10
 
-    @pytest.mark.parametrize("n", [*range(2, 65), 512, 4096, 8192])
+    @pytest.mark.parametrize("n", [*range(2, 65), 512, 4096, 8192, 16384])
     def test_origin_closed_form_critical_points_certified(self, n):
         p = origin_derivative(n)
         assert np.array_equal(p.coeffs, derivative(example_origin(n).f).coeffs)
         crit = certified(zero_sets([p])[0], "critical point")
         assert crit.points is p.roots and crit.iterations == 0
         assert np.max(np.abs(np.abs(crit.points) - n ** (-1.0 / (n - 1)))) < 1e-15
+
+    def test_origin_zero_sets_certified_in_linear_memory(self):
+        # z^n - z and its f' have two nonzero terms each; the Newton pass
+        # reads only their live Horner blocks, 2 of 128 at this degree.
+        # Gathering every block for the 32,767 roots would take over 200 MB.
+        n = 16384
+        polys = [example_origin(n).f, origin_derivative(n)]
+        tracemalloc.start()
+        try:
+            sets = zero_sets(polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for p, rs, what in zip(polys, sets, ("zero", "critical point")):
+            assert certified(rs, what).points is p.roots
+        assert peak < 32e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
