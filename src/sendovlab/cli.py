@@ -44,7 +44,7 @@ from .potential import (
     circle_fourier_coeffs,
     verify_basic_identities,
 )
-from .rootfind import certified_crit, find_roots, find_roots_many, zero_sets, zeros_of
+from .rootfind import certified, find_roots, zero_sets
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
 
@@ -187,42 +187,47 @@ def _read_instance(instance: dict) -> tuple[str, dict]:
 
 
 def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
-    """Resolve a parsed instance source into (label, instance, zeros, crit_or_None) tuples.
+    """Resolve a parsed instance source into certified (label, instance, zeros, crit) tuples.
 
-    zeros is the instance's zero set: its attached roots with their
-    backward errors, those of a record's random instances evaluated in
-    one batch, or, for the family, which carries no roots, a solve.
-    With ``crit``, family members built in coefficient form carry their
-    analytic critical points, z**n - z its closed-form ones, evaluated
-    in the one pass that evaluates its zeros, and the critical points of
-    a record's random instances are solved in one batch; everything else
-    leaves crit to the generic solver.  Runners that never read crit pass
-    ``crit=False`` and get None throughout.  Every set is certified
-    where it is used.
+    zeros and crit are root sets, each certified once here.  The miller
+    family, which carries no roots, solves its zeros and takes its
+    analytic critical points.  Every other source takes all its sets
+    from one :func:`zero_sets` call: the instances' attached zeros are
+    evaluated in one pass, z**n - z's closed-form critical points in the
+    same pass, and every other f' is solved, one batch per degree.
+    Runners that never read crit pass ``crit=False`` and get None.
     """
     kind, src = source
-    if kind == "random":
-        count, degree = src["count"], src["degree"]
-        if count < 1 or degree < 2:
-            raise ValueError("random instances need count >= 1 and degree >= 2")
-        insts = random_instances(rng, degree, count)
-        zeros = zero_sets(i.f for i in insts)
-        crits = find_roots_many([derivative(i.f) for i in insts]) if crit else [None] * count
-        return [(f"random-{i}", *row) for i, row in enumerate(zip(insts, zeros, crits))]
     if kind == "miller":
         params = _family_params(src, src["n"])
         inst = miller_family(params)
         fcrit = family_critical_points(params) if crit else None
-        return [("miller", inst, find_roots(inst.f), fcrit)]
-    if kind == "polynomial":
-        if src["a"] is None:
-            raise ValueError("polynomial instances need an explicit 'a'")
-        inst = SendovInstance(src["polynomial"], src["a"])
+        rows = [("miller", inst, find_roots(inst.f), fcrit)]
     else:
-        inst = (example_circle if kind == "circle" else example_origin)(src["n"])
-    closed = crit and kind == "origin"
-    sets = zero_sets([inst.f, origin_derivative(inst.n)] if closed else [inst.f])
-    return [(kind, inst, sets[0], sets[1] if closed else None)]
+        if kind == "random":
+            count, degree = src["count"], src["degree"]
+            if count < 1 or degree < 2:
+                raise ValueError("random instances need count >= 1 and degree >= 2")
+            insts = random_instances(rng, degree, count)
+            labels = [f"random-{i}" for i in range(count)]
+        elif kind == "polynomial":
+            if src["a"] is None:
+                raise ValueError("polynomial instances need an explicit 'a'")
+            insts, labels = [SendovInstance(src["polynomial"], src["a"])], [kind]
+        else:
+            insts = [(example_circle if kind == "circle" else example_origin)(src["n"])]
+            labels = [kind]
+        derivs = (
+            [origin_derivative(i.n) if kind == "origin" else derivative(i.f) for i in insts]
+            if crit
+            else []
+        )
+        sets = zero_sets([i.f for i in insts] + derivs)
+        rows = zip(labels, insts, sets, sets[len(insts) :] or [None] * len(insts))
+    return [
+        (label, inst, certified(zeros), None if cps is None else certified(cps, "critical point"))
+        for label, inst, zeros, cps in rows
+    ]
 
 
 def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
@@ -269,9 +274,7 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 def _run_check(source, rng):
     rows = []
     for label, inst, rs, crit in _build_instances(source, rng):
-        crit = certified_crit(inst.f, crit)
         rep = sendov_margin(inst, crit=crit, rs=rs)
-        zeros = zeros_of(inst.f, rs)
         rows.append(
             {
                 "label": label,
@@ -280,7 +283,7 @@ def _run_check(source, rng):
                 "margins": rep.margins,
                 "min_margin": rep.min_margin,
                 "holds": rep.holds,
-                "zeros": np.column_stack((zeros.real, zeros.imag)),
+                "zeros": np.column_stack((rs.points.real, rs.points.imag)),
                 "critical_points": np.column_stack((crit.points.real, crit.points.imag)),
             }
         )
@@ -293,13 +296,13 @@ def _run_check(source, rng):
 
 
 def _run_identities(source, rng, tol, points):
+    if points < 1:
+        raise ValueError(f"points must be at least 1, not {points}")
     rows = []
     worst = 0.0
     means = []
     for label, inst, rs, crit in _build_instances(source, rng):
-        zeros = zeros_of(inst.f, rs)
-        crit = certified_crit(inst.f, crit)
-        avoid = np.concatenate([zeros, crit.points])
+        avoid = np.concatenate([rs.points, crit.points])
         zs = _sample_points(rng, points, avoid)
         rep = verify_basic_identities(inst.f, zs, crit=crit, rs=rs)
         maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
@@ -327,9 +330,7 @@ def _run_identities(source, rng, tol, points):
 
 def _run_balayage(source, rng, R, N):
     label, inst, rs, crit = _one_instance(source, rng)
-    zeros = zeros_of(inst.f, rs)
-    crit = certified_crit(inst.f, crit)
-    dz = balayage(empirical_measure(zeros), R, N, p=inst.f)
+    dz = balayage(empirical_measure(rs.points), R, N, p=inst.f)
     dx = balayage(empirical_measure(crit.points), R, len(dz.samples), p=derivative(inst.f))
     gap = float(np.max(np.abs(dz.samples - dx.samples)))
     n = inst.n
@@ -354,7 +355,6 @@ def _run_balayage(source, rng, R, N):
 
 def _run_winding(source, rng, r1, r2):
     label, inst, rs, crit = _one_instance(source, rng)
-    crit = certified_crit(inst.f, crit)
     sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
     wind = winding_number(inst.f, sel.radius)
     count = zero_pole_count(inst.f, sel.radius, rs=rs, crit=crit)
@@ -416,8 +416,7 @@ def _run_family(source, rng, theta_grid, tol):
 
 def _run_fourier(source, rng, R, ks, N):
     label, inst, rs, _ = _one_instance(source, rng, crit=False)
-    zeros = zeros_of(inst.f, rs)
-    mz = empirical_measure(zeros)
+    mz = empirical_measure(rs.points)
     rows = []
     worst = 0.0
     for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N)):
@@ -439,7 +438,6 @@ def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
         params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     _, inst, rs, crit = _build_instances((kind, {"n": n}), None)[0]
-    crit = certified_crit(inst.f, crit)
     rep = sendov_margin(inst, crit=crit, rs=rs)
     diag = quantitative_zetas(inst, crit=crit, rs=rs)
     return {

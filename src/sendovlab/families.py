@@ -258,6 +258,8 @@ class FamilyReport:
 
 def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
     """Locate the zeros, test the radial law, and collect diagnostics."""
+    if theta_grid < 1:
+        raise ValueError(f"theta_grid must be at least 1, not {theta_grid}")
     inst = miller_family(params)
     n, c1, c2, lams = params.n, params.c1, params.c2, params.lambdas
     m = params.m

@@ -162,8 +162,8 @@ def _leja_orders(roots: np.ndarray) -> np.ndarray:
     return order
 
 
-def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
-    """Multiply out leading * prod (z - r) for every row of roots.
+def from_roots_batch(roots) -> np.ndarray:
+    """Multiply out the monic prod (z - r) for every row of roots.
 
     Each row is expanded in its Leja order (:func:`_leja_orders`).
     Incremental convolution in caller order can grow the intermediate
@@ -177,8 +177,6 @@ def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
     ----------
     roots : ndarray of complex, shape (B, m)
         One root multiset per row.
-    leading : complex
-        Leading coefficient of every row.
 
     Returns
     -------
@@ -192,7 +190,7 @@ def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
         raise ValueError("roots contains non-finite entries")
     roots = np.take_along_axis(roots, _leja_orders(roots), axis=1)
     b, m = roots.shape
-    coeffs = np.full((b, 1), leading, dtype=np.complex128)
+    coeffs = np.ones((b, 1), dtype=np.complex128)
     # an overflow, and the NaN it may leave, is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
@@ -207,23 +205,18 @@ def from_roots_batch(roots, leading: complex = 1.0) -> np.ndarray:
     return coeffs
 
 
-def from_roots(roots, leading: complex = 1.0) -> Polynomial:
-    """Build a polynomial from its zero multiset.
+def from_roots(roots) -> Polynomial:
+    """Build the monic polynomial with the given zero multiset.
 
     Parameters
     ----------
     roots : sequence of complex
         Zeros with multiplicity, any order.
-    leading : complex
-        Leading coefficient; must be nonzero.
     """
     roots = _as_complex_vector(roots, "roots")
     if roots.size == 0:
         raise ValueError("at least one root is required")
-    leading = complex(leading)
-    if leading == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    return Polynomial(from_roots_batch(roots[None, :], leading)[0], roots)
+    return Polynomial(from_roots_batch(roots[None, :])[0], roots)
 
 
 def evaluate(p: Polynomial, z):

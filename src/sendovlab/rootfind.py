@@ -12,14 +12,15 @@ reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
 coefficient form is eps**(1/m)).
 
-This module is also the one point where a zero set is certified.
-Every layer takes its zeros through :func:`zeros_of` and its critical
-points through :func:`certified_crit`, which checks a caller's
-``crit=`` exactly like a solved one.  Attached roots become a root set
-too (:func:`zero_sets`): their residuals are their backward errors
-from the evaluator that certifies a solve, checked against a rounding
-bound at every degree.  A set whose certificate fails raises
-``RuntimeError``.
+This module is also the one point where roots are solved and their
+certificates checked.  :func:`zero_sets` turns a list of polynomials
+into root sets: attached roots become a root set whose residuals are
+their backward errors from the evaluator that certifies a solve,
+checked against a rounding bound at every degree, and every other
+polynomial is solved, one batch per degree.  Every layer takes its
+zeros through :func:`zeros_of` and its critical points through
+:func:`certified_crit`, which checks a caller's ``crit=`` exactly like
+a solved one.  A set whose certificate fails raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ __all__ = [
     "certified_crit",
     "critical_points",
     "find_roots",
-    "find_roots_many",
     "zero_sets",
     "zeros_of",
 ]
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+# Backward error at which an iterate is a root, and the iteration budget
+# of a solve.
+_TOL = 1e-12
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +53,7 @@ class RootSet:
     """Roots found by the solver or attached to a polynomial, with per-root backward errors.
 
     ``converged`` is False when any residual exceeds its bound: the
-    requested tolerance after the iteration budget for a solve, the
+    solver's tolerance after its iteration budget for a solve, the
     rounding bound of :func:`zero_sets` for attached roots.  The points
     are returned regardless, never silently wrong values.
     ``iterations`` counts the solver's evaluation passes (0 for roots
@@ -248,19 +250,22 @@ def _aberth_step(z, wn, rows, cols):
     return out
 
 
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
+def _aberth(coeffs: np.ndarray):
     """Core batched Aberth iteration on monic-normalized coefficient rows.
 
     Returns (points, residuals, iterations_used).  coeffs: (B, d+1).
-    Iterates freeze once their backward error is at most tol and are no
-    longer evaluated.  After the loop every iterate takes one more
-    Aberth step, kept only where it does not raise the backward error:
-    freezing at tol leaves an m-fold cluster spread over about
-    tol**(1/m), which the extra step tightens.
+    Iterates freeze once their backward error is at most ``_TOL`` and
+    are no longer evaluated.  After the loop every iterate takes one
+    more Aberth step, kept only where it does not raise the backward
+    error: freezing at the tolerance leaves an m-fold cluster spread
+    over about _TOL**(1/m), which the extra step tightens.
     """
     b, w = coeffs.shape
     d = w - 1
     coeffs = coeffs / coeffs[:, -1, None]
+    # dividing by a leading coefficient with a negative part gives zero
+    # coefficients -0 parts, which would keep their Horner blocks live
+    coeffs[coeffs == 0] = 0
     table = _horner_table(coeffs)
     z = _start_points(np.abs(coeffs))
     restart = z * np.exp(0.37j)
@@ -274,10 +279,10 @@ def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
 
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, _MAX_ITER + 1):
             rows, cols = np.nonzero(~frozen)
             refresh(rows, cols)
-            frozen[rows, cols] = residual[rows, cols] <= tol
+            frozen[rows, cols] = residual[rows, cols] <= _TOL
             if frozen.all():
                 break
             rows, cols = np.nonzero(~frozen)
@@ -313,10 +318,14 @@ def _by_degree(polys):
     return zeros, groups
 
 
-def _solve(polys, tol: float, max_iter: int) -> list[RootSet]:
-    """Solve each polynomial, one Aberth batch per degree after stripping."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _solve(polys) -> list[RootSet]:
+    """Solve each polynomial, one Aberth batch per degree after stripping.
+
+    Each row's arithmetic is the same at any batch size, so every set
+    equals that of solving its polynomial alone bit for bit; only
+    ``iterations`` is the count of the whole batch, since a batch
+    iterates until its last row is done.
+    """
     zeros, groups = _by_degree(polys)
     out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
@@ -325,12 +334,12 @@ def _solve(polys, tol: float, max_iter: int) -> list[RootSet]:
             iterations = 0
         else:
             rows = np.stack([polys[i].coeffs[zeros[i] :] for i in members])
-            pts, res, iterations = _aberth(rows, tol, max_iter)
+            pts, res, iterations = _aberth(rows)
         for i, row_pts, row_res in zip(members, pts, res):
             k = zeros[i]
             points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
             residuals = np.concatenate([np.zeros(k, dtype=np.float64), row_res])
-            converged = bool(np.all(residuals <= tol))
+            converged = bool(np.all(residuals <= _TOL))
             out[i] = RootSet(points, residuals, converged, iterations)
     return out
 
@@ -387,27 +396,13 @@ def _attached(polys) -> list[RootSet]:
     return out
 
 
-def find_roots(p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> RootSet:
+def find_roots(p: Polynomial) -> RootSet:
     """Find all roots of p simultaneously.
 
     Exact zero coefficients at the low end are stripped first, so
     polynomials like z**n - z report their origin roots exactly.
     """
-    return _solve([p], tol, max_iter)[0]
-
-
-def find_roots_many(
-    polys, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> list[RootSet]:
-    """:func:`find_roots` of each polynomial, in input order.
-
-    Polynomials of equal degree after their zero roots are stripped are
-    solved in one batched Aberth call.  Each row's arithmetic is the
-    same at any batch size, so every returned set equals ``find_roots``
-    of its polynomial bit for bit; only ``iterations`` is the count of
-    the whole batch, since a batch iterates until its last row is done.
-    """
-    return _solve(list(polys), tol, max_iter)
+    return _solve([p])[0]
 
 
 def certified(rs: RootSet, what: str = "zero") -> RootSet:
@@ -421,14 +416,17 @@ def certified(rs: RootSet, what: str = "zero") -> RootSet:
 
 
 def zero_sets(polys) -> list[RootSet]:
-    """One zero set per polynomial, not yet certified.
+    """One zero set per polynomial, in input order, not yet certified.
 
-    A polynomial's attached roots with their backward errors, evaluated
-    together in one pass per degree (:func:`_attached`), else a solve.
+    A polynomial's attached roots come with their backward errors,
+    evaluated together in one pass per degree (:func:`_attached`); the
+    polynomials without roots are solved together, one Aberth batch per
+    degree after their zero roots are stripped (:func:`_solve`).
     """
     polys = list(polys)
     attached = iter(_attached([p for p in polys if p.roots is not None]))
-    return [find_roots(p) if p.roots is None else next(attached) for p in polys]
+    solved = iter(_solve([p for p in polys if p.roots is None]))
+    return [next(solved) if p.roots is None else next(attached) for p in polys]
 
 
 def zeros_of(p: Polynomial, rs: RootSet | None = None) -> np.ndarray:
@@ -436,16 +434,14 @@ def zeros_of(p: Polynomial, rs: RootSet | None = None) -> np.ndarray:
     return certified(rs if rs is not None else zero_sets([p])[0]).points
 
 
-def critical_points(
-    p: Polynomial, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> RootSet:
+def critical_points(p: Polynomial) -> RootSet:
     """Zeros of p', with the solver's backward-error certificates.
 
     A k-fold zero of p' is returned as a cluster of k nearby points
     whose radius reflects its conditioning in coefficient form, not as
     a single point.
     """
-    return find_roots(derivative(p), tol=tol, max_iter=max_iter)
+    return find_roots(derivative(p))
 
 
 def certified_crit(p: Polynomial, crit: RootSet | None = None) -> RootSet:

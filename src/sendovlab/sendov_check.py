@@ -128,9 +128,7 @@ class DegotReport:
     fp_abs_at_a_over_n: float
 
 
-def degot_suite(
-    inst: SendovInstance, deltas, crit: RootSet | None = None
-) -> DegotReport:
+def degot_suite(inst: SendovInstance, deltas) -> DegotReport:
     """Evaluate the lower/upper bounds on |f(delta)| for delta in (0, a).
 
     Lower: |f(delta)| >= (1 - sqrt(1 + delta^2 - delta a)) / n * |f'(a)|
@@ -145,7 +143,7 @@ def degot_suite(
     for d in deltas:
         if not (0.0 < d < a):
             raise ValueError(f"delta {d} outside (0, a) with a = {a}")
-    crit = certified_crit(f, crit)
+    crit = certified_crit(f)
     nearest = float(np.min(np.abs(crit.points - a)))
     if nearest > 1.0 + MARGIN_TOL:
         hypothesis = "holds"

@@ -46,7 +46,7 @@ from sendovlab.potential import (
     poisson_kernel,
     verify_basic_identities,
 )
-from sendovlab.rootfind import critical_points, find_roots, find_roots_many
+from sendovlab.rootfind import critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import Region, sendov_margin
 from sendovlab.serialize import dumps, loads
 
@@ -384,7 +384,7 @@ def test_criterion_09_no_counterexample_search():
         roots = radii * np.exp(1j * angles)
         coeffs = from_roots_batch(roots)
         dcoeffs = coeffs[:, 1:] * np.arange(1, d + 1)
-        sets = find_roots_many([Polynomial(c) for c in dcoeffs])
+        sets = zero_sets([Polynomial(c) for c in dcoeffs])
         assert all(rs.converged for rs in sets)
         pts = np.stack([rs.points for rs in sets])
         dist = np.abs(roots[:, :, None] - pts[:, None, :])

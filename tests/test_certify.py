@@ -16,7 +16,6 @@ from sendovlab import (
     Polynomial,
     check_matching_mean,
     critical_points,
-    degot_suite,
     example_circle,
     example_origin,
     from_roots,
@@ -32,7 +31,6 @@ from sendovlab import cli, rootfind
 
 LAYERS = {
     "sendov_margin": lambda inst, crit: sendov_margin(inst, crit=crit),
-    "degot_suite": lambda inst, crit: degot_suite(inst, [inst.a / 2], crit=crit),
     "check_matching_mean": lambda inst, crit: check_matching_mean(inst.f, crit=crit),
     "quantitative_zetas": lambda inst, crit: quantitative_zetas(inst, crit=crit),
     "verify_basic_identities": lambda inst, crit: verify_basic_identities(
@@ -46,8 +44,8 @@ LAYERS = {
 @pytest.mark.parametrize("layer", sorted(LAYERS))
 def test_unconverged_crit_argument_raises(layer):
     inst = random_instance(np.random.default_rng(3), 10)
-    crit = critical_points(inst.f, max_iter=1)
-    assert not crit.converged
+    solved = critical_points(inst.f)
+    crit = rootfind.RootSet(solved.points, solved.residuals, False, 1)
     with pytest.raises(RuntimeError, match="critical point"):
         LAYERS[layer](inst, crit)
 
@@ -125,14 +123,15 @@ def test_random_record_solves_its_critical_points_in_one_batch(monkeypatch):
 def test_one_unconverged_batch_row_fails_the_record(monkeypatch):
     aberth = rootfind._aberth
 
-    def one_row_stuck(coeffs, tol, max_iter):
-        pts, res, iterations = aberth(coeffs, tol, max_iter)
-        res[5, 0] = 10 * tol
+    def one_row_stuck(coeffs):
+        pts, res, iterations = aberth(coeffs)
+        res[5, 0] = 10 * rootfind._TOL
         return pts, res, iterations
 
     monkeypatch.setattr(rootfind, "_aberth", one_row_stuck)
-    polys = [from_roots(np.exp(2j * np.pi * (np.arange(4) + 0.1 * s) / 4)) for s in range(8)]
-    flags = [rs.converged for rs in rootfind.find_roots_many(polys)]
+    roots = [np.exp(2j * np.pi * (np.arange(4) + 0.1 * s) / 4) for s in range(8)]
+    polys = [Polynomial(from_roots(r).coeffs) for r in roots]
+    flags = [rs.converged for rs in rootfind.zero_sets(polys)]
     assert flags == [i != 5 for i in range(8)]
     with pytest.raises(RuntimeError, match="critical point"):
         cli.run(_check_random(8, 12))

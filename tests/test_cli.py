@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sendovlab.families import example_origin, origin_derivative
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
-from sendovlab.rootfind import RootSet, critical_points, find_roots, zeros_of
+from sendovlab.rootfind import critical_points, zeros_of
 from sendovlab.serialize import fmt17, loads
 
 
@@ -260,14 +261,19 @@ class TestRunners:
         "command", ["check", "identities", "balayage", "winding", "sweep"]
     )
     def test_unconverged_critical_points_raise(self, monkeypatch, command):
-        def unconverged(p, *args, **kwargs):
-            rs = find_roots(derivative(p))
-            return RootSet(rs.points, rs.residuals + 1e-3, False)
+        aberth = rootfind._aberth
+
+        def unconverged(coeffs):
+            pts, res, iterations = aberth(coeffs)
+            return pts, res + 1e-3, iterations
 
         options = {"n_list": [64]} if command == "sweep" else {}
-        monkeypatch.setattr(rootfind, "critical_points", unconverged)
-        with pytest.raises(RuntimeError, match="critical point"):
-            run(_cfg(command, CIRCLE64, options))
+        if command != "sweep":
+            # a random instance carries its zeros, so its one solve is that
+            # of f'; sweep takes only families, whose f' needs no solve
+            monkeypatch.setattr(rootfind, "_aberth", unconverged)
+            with pytest.raises(RuntimeError, match="critical point finding did not converge"):
+                run(_cfg(command, {"random": {"count": 1, "degree": 12}}, options))
 
         # z^n - z takes its critical points in closed form, certified like a solve
         def corrupted(n):
@@ -540,6 +546,27 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: bad value for ")
         assert repr(key) in err and command in err
+
+    @pytest.mark.parametrize(
+        "command, instance, options, message",
+        [
+            ("identities", {"random": {"degree": 8}}, {"points": -5}, "points must be at least 1"),
+            ("identities", {"random": {"degree": 8}}, {"points": 0}, "points must be at least 1"),
+            ("family", MILLER, {"theta_grid": 0}, "theta_grid must be at least 1"),
+            ("sweep", MILLER, {"n_list": [64], "theta_grid": 0}, "theta_grid must be at least 1"),
+        ],
+        ids=["points-negative", "points-zero", "family-theta-grid-zero", "sweep-theta-grid-zero"],
+    )
+    def test_value_that_checks_nothing_is_an_error(
+        self, tmp_path, capsys, command, instance, options, message
+    ):
+        # no point or angle evaluated would pass vacuously or fail in numpy
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": instance, "options": options}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "config, extra, message",

@@ -144,7 +144,7 @@ class TestFamilyCriticalPoints:
         params = FamilyParams(n=16, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
         inst = miller_family(params)
         analytic = family_critical_points(params)
-        generic = find_roots(derivative(inst.f), max_iter=500)
+        generic = find_roots(derivative(inst.f))
         # the fat multiple root scatters in the generic solve; compare
         # only the simple bracket root (farthest from -c2/n)
         target = analytic.points[np.argmax(np.abs(analytic.points + 2.0 / 16.0))]
@@ -274,6 +274,6 @@ def test_generic_solver_cannot_resolve_the_fat_root():
     # at -c2/n scatters to a cluster of radius ~eps^(1/(n-m-1))
     params = FamilyParams(n=24, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
     inst = miller_family(params)
-    generic = find_roots(derivative(inst.f), max_iter=500)
+    generic = find_roots(derivative(inst.f))
     spread = np.abs(generic.points + 2.0 / 24.0)
     assert np.sort(spread)[2] > 1e-4  # most of the cluster sits far from the center

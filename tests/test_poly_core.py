@@ -85,13 +85,9 @@ class TestFromRoots:
         p = from_roots([1.0, -1.0])
         assert np.allclose(p.coeffs, [-1.0, 0.0, 1.0], rtol=0, atol=1e-15)
 
-    def test_leading_scales(self):
-        p = from_roots([2.0], leading=3.0)
-        assert np.allclose(p.coeffs, [-6.0, 3.0])
-
-    def test_zero_leading_rejected(self):
-        with pytest.raises(ValueError, match="leading"):
-            from_roots([1.0], leading=0.0)
+    def test_monic(self):
+        p = from_roots([2.0, -0.5j])
+        assert p.leading == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -261,7 +257,7 @@ class TestDerivative:
 
 class TestSendovInstance:
     def test_requires_monic(self):
-        p = from_roots([0.5, -0.5], leading=2.0)
+        p = Polynomial([-0.5, 0.0, 2.0])  # 2 (z - 0.5) (z + 0.5)
         with pytest.raises(ValueError, match="monic"):
             SendovInstance(p, 0.5)
 

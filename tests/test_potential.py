@@ -127,7 +127,7 @@ class TestIdentitySuite:
             assert rep.max_residual < 1e-10
 
     def test_requires_monic(self):
-        p = from_roots([0.5, -0.5], leading=2.0)
+        p = Polynomial([-0.5, 0.0, 2.0])  # 2 (z - 0.5) (z + 0.5)
         with pytest.raises(ValueError, match="monic"):
             verify_basic_identities(p, [2.0])
 

@@ -57,6 +57,60 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled) == []
 
 
+def _defaulted_parameters(path):
+    """(qualified name, function name, positional index or None, parameter) per defaulted parameter.
+
+    Module-level functions and class methods only; a method's positional
+    index does not count self or cls, which a call does not pass.
+    """
+    tree = ast.parse(path.read_text())
+    defs = [(node.name, False, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        defs += [(f"{cls.name}.{m.name}", True, m) for m in cls.body if isinstance(m, ast.FunctionDef)]
+    out = []
+    for qualname, method, fn in defs:
+        positional = fn.args.posonlyargs + fn.args.args
+        bound = method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+        )
+        first = len(positional) - len(fn.args.defaults)
+        for i in range(first, len(positional)):
+            out.append((qualname, fn.name, i - bound, positional[i].arg))
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                out.append((qualname, fn.name, None, arg.arg))
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a parameter with a default that no caller sets is a module constant:
+    # each must be passed, by keyword or by position, by some call of its
+    # function's name in the package, a demo or an acceptance criterion
+    root = Path(sendovlab.__file__).parent
+    sources = sorted(root.glob("*.py")) + sorted((root.parents[1] / "demos").glob("*.py"))
+    sources.append(root.parents[1] / "tests" / "test_acceptance.py")
+    passed = {}  # function name -> (most positional arguments, keywords)
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count, keywords = passed.get(name, (0, set()))
+            count = max(count, float("inf") if starred else len(node.args))
+            passed[name] = (count, keywords | {k.arg for k in node.keywords})
+    params = [entry for path in sorted(root.glob("*.py")) for entry in _defaulted_parameters(path)]
+    assert ("certified", "certified", 1, "what") in params
+    unset = []
+    for qualname, name, index, param in params:
+        count, keywords = passed.get(name, (0, set()))
+        if param not in keywords and (index is None or count <= index):
+            unset.append(f"{qualname}({param})")
+    # the console-script entry point is called with no arguments
+    assert sorted(set(unset) - {"main(argv)"}) == []
+
+
 def test_no_assert_in_the_package():
     # a failed check raises CrossCheckError: an assert statement vanishes
     # under python -O, and AssertionError escapes the CLI's error report

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from conftest import match_max_distance
 from sendovlab.families import FamilyParams, example_origin, miller_family
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
-from sendovlab.rootfind import RootSet, find_roots, find_roots_many
+from sendovlab import rootfind
+from sendovlab.rootfind import RootSet, find_roots, zero_sets
 from sendovlab.rootfind import _horner_table, _newton_pass
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -74,15 +75,32 @@ class TestFindRoots:
 
     def test_multiple_root_reported_as_cluster(self):
         p = from_roots([0.5] * 4)
-        rs = find_roots(p, max_iter=500)
+        rs = find_roots(p)
         # one 4-point cluster about the root, centred on it
         assert rs.points.size == 4
         assert np.all(np.abs(rs.points - 0.5) <= 1e-2)
         assert abs(np.mean(rs.points) - 0.5) < 1e-3
 
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            find_roots(Polynomial([-1.0, 1.0]), tol=0.0)
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 1j, -1j], ids=["1", "-1", "i", "-i"])
+    def test_leading_sign_keeps_blocks_dead(self, monkeypatch, sign):
+        # +-(z^256 - 1) and +-i (z^256 - 1): dividing by a leading -1 or -i
+        # gives the zero coefficients -0 parts, which must not keep their
+        # Horner blocks live
+        live = []
+
+        def recording(coeffs):
+            table, slots = _horner_table(coeffs)
+            live.append(sum(k >= 0 for k in slots))
+            return table, slots
+
+        monkeypatch.setattr(rootfind, "_horner_table", recording)
+        coeffs = np.zeros(257, dtype=complex)
+        coeffs[0], coeffs[256] = -sign, sign
+        rs = find_roots(Polynomial(coeffs))
+        assert live == [3]
+        assert rs.converged
+        expected = np.exp(2j * np.pi * np.arange(256) / 256)
+        assert match_max_distance(rs.points, expected) < 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -143,7 +161,7 @@ class TestFindRoots:
         assert match_max_distance(rs.points, exact) < 1e-6 * max(1.0, np.abs(exact).max())
 
 
-class TestFindRootsMany:
+class TestZeroSets:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         st.lists(
@@ -160,7 +178,7 @@ class TestFindRootsMany:
             coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
             coeffs[: min(zeros, degree)] = 0.0
             polys.append(Polynomial(coeffs))
-        many = find_roots_many(polys)
+        many = zero_sets(polys)
         assert len(many) == len(polys)
         for p, rs in zip(polys, many):
             single = find_roots(p)
@@ -169,15 +187,27 @@ class TestFindRootsMany:
             assert rs.converged == single.converged
 
     def test_iterations_are_the_batch_count(self):
-        polys = [from_roots([0.5, -0.5j, 0.3 + 0.1j]), Polynomial([1e-6, 3.0, 0.0, 1.0])]
-        many = find_roots_many(polys)
+        bare = Polynomial(from_roots([0.5, -0.5j, 0.3 + 0.1j]).coeffs)
+        polys = [bare, Polynomial([1e-6, 3.0, 0.0, 1.0])]
+        many = zero_sets(polys)
         assert many[0].iterations == many[1].iterations
         assert many[0].iterations == max(find_roots(p).iterations for p in polys)
 
-    def test_empty_and_tol(self):
-        assert find_roots_many([]) == []
-        with pytest.raises(ValueError, match="tol"):
-            find_roots_many([from_roots([0.5])], tol=0.0)
+    def test_empty(self):
+        assert zero_sets([]) == []
+
+    def test_mixed_list_in_input_order(self):
+        # attached and solved sets of one degree: the rooted ones come back
+        # with their attached points, the others as a solve of each
+        rooted = [from_roots([0.5, -0.5j, 0.3 + 0.1j]), from_roots([0.1, 0.7j, -0.4])]
+        bare = [Polynomial(p.coeffs[::-1] + 1.0) for p in rooted]
+        polys = [bare[0], rooted[0], rooted[1], bare[1]]
+        sets = zero_sets(polys)
+        assert sets[1].points is rooted[0].roots and sets[2].points is rooted[1].roots
+        assert sets[1].iterations == sets[2].iterations == 0
+        for p, rs in zip(bare, (sets[0], sets[3])):
+            assert rs.points.tobytes() == find_roots(p).points.tobytes()
+            assert rs.iterations > 0
 
 
 class TestNewtonPass:
