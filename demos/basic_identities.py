@@ -18,11 +18,13 @@ from sendovlab import (
     random_instance,
     verify_basic_identities,
 )
+from sendovlab.rootfind import zero_sets
 
 
 def main():
     rng = np.random.default_rng(11)
     inst = random_instance(rng, 24)
+    zeros = zero_sets([inst.f])[0]
     crit = critical_points(inst.f)
     avoid = np.concatenate([inst.f.roots, crit.points])
     pts = []
@@ -31,19 +33,20 @@ def main():
         if np.min(np.abs(avoid - z)) >= 0.06:
             pts.append(z)
 
-    rep = verify_basic_identities(inst.f, np.array(pts), crit=crit)
+    rep = verify_basic_identities(inst.f, np.array(pts), zeros, crit)
     print("random degree-24 instance, 12 sample points")
     for label, row in zip(rep.labels, rep.residuals):
         print(f"  {label:<42} max residual {row.max():.3e}")
 
-    mm = check_matching_mean(inst.f, crit=crit)
+    mm = check_matching_mean(zeros, crit)
     print(f"  zero mean vs critical mean: |difference| = {mm.difference:.3e}")
 
     # the lower/upper envelope inequalities for |f'| near a, on the
     # tightest example: z**50 - 1 with the distinguished zero at 1
     print()
     print("derivative envelope on z**50 - 1 (boundary case):")
-    suite = degot_suite(example_circle(50), deltas=(0.2, 0.35, 0.5))
+    circle = example_circle(50)
+    suite = degot_suite(circle, (0.2, 0.35, 0.5), critical_points(circle.f))
     print(
         f"  hypothesis = {suite.hypothesis}, "
         f"|f'(a)|/n - 1 = {suite.fp_abs_at_a_over_n - 1:+.3e}"

@@ -274,7 +274,7 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 def _run_check(source, rng):
     rows = []
     for label, inst, rs, crit in _build_instances(source, rng):
-        rep = sendov_margin(inst, crit=crit, rs=rs)
+        rep = sendov_margin(inst, rs, crit)
         rows.append(
             {
                 "label": label,
@@ -304,7 +304,7 @@ def _run_identities(source, rng, tol, points):
     for label, inst, rs, crit in _build_instances(source, rng):
         avoid = np.concatenate([rs.points, crit.points])
         zs = _sample_points(rng, points, avoid)
-        rep = verify_basic_identities(inst.f, zs, crit=crit, rs=rs)
+        rep = verify_basic_identities(inst.f, zs, rs, crit)
         maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
         per = dict(zip(rep.labels, maxima.tolist()))
         rows.append(
@@ -355,9 +355,9 @@ def _run_balayage(source, rng, R, N):
 
 def _run_winding(source, rng, r1, r2):
     label, inst, rs, crit = _one_instance(source, rng)
-    sel = select_radius(inst.f, r1, r2, rs=rs, crit=crit)
+    sel = select_radius(r1, r2, rs, crit)
     wind = winding_number(inst.f, sel.radius)
-    count = zero_pole_count(inst.f, sel.radius, rs=rs, crit=crit)
+    count = zero_pole_count(sel.radius, rs, crit)
     results = {
         "label": label,
         "n": inst.n,
@@ -415,6 +415,8 @@ def _run_family(source, rng, theta_grid, tol):
 
 
 def _run_fourier(source, rng, R, ks, N):
+    if not ks:
+        raise ValueError("ks must name at least one k")
     label, inst, rs, _ = _one_instance(source, rng, crit=False)
     mz = empirical_measure(rs.points)
     rows = []
@@ -438,8 +440,8 @@ def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
         params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     _, inst, rs, crit = _build_instances((kind, {"n": n}), None)[0]
-    rep = sendov_margin(inst, crit=crit, rs=rs)
-    diag = quantitative_zetas(inst, crit=crit, rs=rs)
+    rep = sendov_margin(inst, rs, crit)
+    diag = quantitative_zetas(inst, rs, crit)
     return {
         "n": n,
         "min_margin": rep.min_margin,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import CrossCheckError, Polynomial, _circle_values
-from .rootfind import RootSet, certified_crit, zeros_of
+from .rootfind import RootSet, certified
 
 __all__ = [
     "AmbiguousCountError",
@@ -115,13 +115,7 @@ class RadiusSelection:
     objective: float
 
 
-def select_radius(
-    f: Polynomial,
-    r1: float,
-    r2: float,
-    rs: RootSet | None = None,
-    crit: RootSet | None = None,
-) -> RadiusSelection:
+def select_radius(r1: float, r2: float, zeros: RootSet, crit: RootSet) -> RadiusSelection:
     """Pick a circle radius in [r1, r2] away from the inner zero mass.
 
     Over a grid of 10n candidate radii, minimizes
@@ -130,16 +124,17 @@ def select_radius(
     and critical-point modulus, so :func:`winding_number` can resolve
     every circle it may return.  An averaging argument keeps the minimum
     O(log n / n) when the small-modulus zeros carry O(1) mass; the
-    attained objective is returned alongside the radius.  The zeros are
-    rs, else the attached roots of f, else solved; every root set must
-    pass its certificate.
+    attained objective is returned alongside the radius.  ``zeros`` and
+    ``crit`` are the root sets of f and f', n = len(zeros) is the degree
+    of f, and each set must pass its certificate.
     """
     if not (0 < r1 < r2):
         raise ValueError("need 0 < r1 < r2")
-    n = f.degree
+    n = len(zeros)
     floor = float(n) ** -10.0
-    moduli = np.abs(zeros_of(f, rs))
-    all_moduli = np.sort(np.concatenate([moduli, np.abs(certified_crit(f, crit).points)]))
+    moduli = np.abs(certified(zeros).points)
+    crit_moduli = np.abs(certified(crit, "critical point").points)
+    all_moduli = np.sort(np.concatenate([moduli, crit_moduli]))
     grid = np.linspace(r1, r2, 10 * n)
     # the nearest modulus is a neighbour in sorted order: rounding r - m is
     # monotone in m, so this is the minimum distance over all moduli
@@ -163,12 +158,7 @@ def select_radius(
     return RadiusSelection(radius=float(grid[best]), objective=float(objective[best]))
 
 
-def zero_pole_count(
-    f: Polynomial,
-    r: float,
-    rs: RootSet | None = None,
-    crit: RootSet | None = None,
-) -> int:
+def zero_pole_count(r: float, zeros: RootSet, crit: RootSet) -> int:
     """(#zeros of f' inside |z| < r) - (#zeros of f inside), from root sets.
 
     The direct count the winding number must reproduce.  Raises
@@ -177,8 +167,8 @@ def zero_pole_count(
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    zm = np.abs(zeros_of(f, rs))
-    cm = np.abs(certified_crit(f, crit).points)
+    zm = np.abs(certified(zeros).points)
+    cm = np.abs(certified(crit, "critical point").points)
     if np.any(np.abs(zm - r) < COUNT_BAND) or np.any(np.abs(cm - r) < COUNT_BAND):
         raise AmbiguousCountError("a root modulus lies within 1e-8 of r")
     return int(np.sum(cm < r)) - int(np.sum(zm < r))

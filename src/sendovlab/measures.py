@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import CrossCheckError, Polynomial, SendovInstance
-from .rootfind import RootSet, certified_crit, zeros_of
+from .poly_core import CrossCheckError, SendovInstance
+from .rootfind import RootSet, certified
 from .sendov_check import Region
 
 __all__ = [
@@ -112,14 +112,15 @@ class MeanMatch:
     ok: bool
 
 
-def check_matching_mean(f: Polynomial, crit: RootSet | None = None) -> MeanMatch:
+def check_matching_mean(zeros: RootSet, crit: RootSet) -> MeanMatch:
     """The two means agree for every polynomial; the residual measures solver error.
 
     Both means equal -c_{n-1}/(n c_n), so this is a cross-validation of
-    the computed zeros against the computed critical points.
+    the computed zeros against the computed critical points, each of
+    which must pass its certificate.
     """
-    zm = complex(np.mean(zeros_of(f)))
-    cm = complex(np.mean(certified_crit(f, crit).points))
+    zm = complex(np.mean(certified(zeros).points))
+    cm = complex(np.mean(certified(crit, "critical point").points))
     diff = abs(zm - cm)
     ok = diff <= MEAN_MATCH_TOL
     return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=ok)
@@ -163,17 +164,15 @@ class ZetaDiagnostics:
     xi_atom_at_a: bool
 
 
-def quantitative_zetas(
-    inst: SendovInstance, crit: RootSet | None = None, rs: RootSet | None = None
-) -> ZetaDiagnostics:
+def quantitative_zetas(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> ZetaDiagnostics:
     """Expected log quantities controlling zero/critical concentration.
 
-    The zeros are rs, else those of :func:`rootfind.zeros_of`; both are
-    certified.
+    ``zeros`` and ``crit`` are the root sets of inst.f and its
+    derivative; each must pass its certificate.
     """
-    f, a, n = inst.f, inst.a, inst.n
-    mz = empirical_measure(zeros_of(f, rs))
-    mx = empirical_measure(certified_crit(f, crit).points)
+    a, n = inst.a, inst.n
+    mz = empirical_measure(certified(zeros))
+    mx = empirical_measure(certified(crit, "critical point"))
     e_zeta = -expect_log_distance(mz, 0.0)
     e_xi = expect_log_distance(mx, complex(a))
     return ZetaDiagnostics(

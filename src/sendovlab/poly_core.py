@@ -2,9 +2,9 @@
 
 Coefficients are stored ascending by power and drive Horner evaluation
 and differentiation.  An optional root list, when attached, is stored
-verbatim as the polynomial's zeros; ``rootfind.zeros_of`` checks it
-against the coefficients where it is used, at every degree, with the
-backward error that certifies solved roots.
+verbatim as the polynomial's zeros; ``rootfind.zero_sets`` checks it
+against the coefficients, at every degree, with the backward error
+that certifies solved roots.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ class Polynomial:
     coeffs : ndarray of complex, shape (n+1,)
         ``coeffs[k]`` multiplies z**k; the leading entry is nonzero.
     roots : ndarray of complex or None
-        Optional multiset of zeros, stored verbatim.  Where they are
-        used, ``rootfind.zeros_of`` refuses them unless each one's
-        backward error against ``coeffs`` passes, at any degree.
+        Optional multiset of zeros, stored verbatim.  The zero set that
+        ``rootfind.zero_sets`` makes of them fails its certificate
+        unless each one's backward error against ``coeffs`` passes, at
+        any degree.
     """
 
     coeffs: np.ndarray

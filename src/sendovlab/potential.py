@@ -23,7 +23,7 @@ import numpy as np
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
 from .poly_core import AtomCollisionError, CrossCheckError, Polynomial, derivative, evaluate
 from .poly_core import _circle_values, _fold, _horner
-from .rootfind import RootSet, certified_crit, zeros_of
+from .rootfind import RootSet, certified
 
 __all__ = [
     "CircleDensity",
@@ -114,9 +114,7 @@ _IDENTITY_LABELS = (
 )
 
 
-def verify_basic_identities(
-    f: Polynomial, zs, crit: RootSet | None = None, rs: RootSet | None = None
-) -> IdentityReport:
+def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) -> IdentityReport:
     """Check the identities tying potentials and transforms to f and f'.
 
     For monic f of degree n with zero measure zeta and critical measure
@@ -133,26 +131,25 @@ def verify_basic_identities(
     from coefficient-form Horner evaluation of f, f' and f'', so those
     two routes are independent; both sides of the last two are root
     sums.  Sample points within 0.05 of a zero or critical point are
-    skipped and reported in ``skipped``.  Precomputed zeros ``rs`` and
-    critical points ``crit`` are used once certified; otherwise the
-    attached roots are used once certified, or they are solved.
+    skipped and reported in ``skipped``.  ``zeros`` and ``crit`` are the
+    root sets of f and f'; each must pass its certificate.
     """
     if not f.monic:
         raise ValueError("identity suite requires a monic polynomial")
     n = f.degree
     if n < 2:
         raise ValueError("degree must be at least 2")
-    zeros = zeros_of(f, rs)
-    crit = certified_crit(f, crit)
+    zeros = certified(zeros).points
+    crit = certified(crit, "critical point").points
     mz = empirical_measure(zeros)
-    mx = empirical_measure(crit.points)
+    mx = empirical_measure(crit)
     fp = derivative(f)
     # second-derivative coefficients by hand: for n = 2 the result is a
     # constant, which Polynomial itself does not represent
     fpp_coeffs = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
 
     zs = np.asarray(zs, dtype=np.complex128)
-    near = np.concatenate([zeros, crit.points])
+    near = np.concatenate([zeros, crit])
     skip = np.any(np.abs(zs[:, None] - near) < IDENTITY_STANDOFF, axis=1)
     z = zs[~skip]
     fz, fpz, fppz = evaluate(f, z), evaluate(fp, z), _horner(fpp_coeffs, z)
@@ -211,20 +208,21 @@ def _segment_distance(z, a: complex, b: complex):
     return abs(z - (a + t * ab))
 
 
-def integrated_log_derivative(p: Polynomial, contour) -> complex:
+def integrated_log_derivative(p: Polynomial, contour, zeros: RootSet) -> complex:
     """Transport p along a polyline by integrating its Stieltjes transform.
 
     With s the Stieltjes transform of p's zero measure and d = deg p,
     p(gamma(1)) = p(gamma(0)) exp(d * int_gamma s(z) dz); the integral
     is evaluated with genuine adaptive Simpson quadrature per segment,
     not the telescoping closed form, so this is an independent route to
-    the endpoint value.  The polyline must stay at distance >= 0.05
-    from every zero.
+    the endpoint value.  ``zeros`` is p's zero set, which must pass its
+    certificate; the polyline must stay at distance >= 0.05 from every
+    zero.
     """
     pts = np.asarray(contour, dtype=np.complex128)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("contour must be a polyline of at least two points")
-    zeros = zeros_of(p)
+    zeros = certified(zeros).points
     for z0, z1 in zip(pts[:-1], pts[1:]):
         close = _segment_distance(zeros, z0, z1)
         close = close[close < NEAR_CIRCLE]

@@ -17,10 +17,10 @@ certificates checked.  :func:`zero_sets` turns a list of polynomials
 into root sets: attached roots become a root set whose residuals are
 their backward errors from the evaluator that certifies a solve,
 checked against a rounding bound at every degree, and every other
-polynomial is solved, one batch per degree.  Every layer takes its
-zeros through :func:`zeros_of` and its critical points through
-:func:`certified_crit`, which checks a caller's ``crit=`` exactly like
-a solved one.  A set whose certificate fails raises ``RuntimeError``.
+polynomial is solved, one batch per degree.  No other layer solves:
+each takes its zeros and critical points as root sets and passes them
+through :func:`certified`, which raises ``RuntimeError`` for a set
+whose certificate fails.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .poly_core import Polynomial, derivative
 __all__ = [
     "RootSet",
     "certified",
-    "certified_crit",
     "critical_points",
     "find_roots",
     "zero_sets",
-    "zeros_of",
 ]
 
 # Backward error at which an iterate is a root, and the iteration budget
@@ -429,11 +427,6 @@ def zero_sets(polys) -> list[RootSet]:
     return [next(solved) if p.roots is None else next(attached) for p in polys]
 
 
-def zeros_of(p: Polynomial, rs: RootSet | None = None) -> np.ndarray:
-    """The zeros of p once certified: rs, else p's zero set (:func:`zero_sets`)."""
-    return certified(rs if rs is not None else zero_sets([p])[0]).points
-
-
 def critical_points(p: Polynomial) -> RootSet:
     """Zeros of p', with the solver's backward-error certificates.
 
@@ -442,9 +435,4 @@ def critical_points(p: Polynomial) -> RootSet:
     a single point.
     """
     return find_roots(derivative(p))
-
-
-def certified_crit(p: Polynomial, crit: RootSet | None = None) -> RootSet:
-    """The given critical points, or solved ones; either must be certified."""
-    return certified(crit if crit is not None else critical_points(p), "critical point")
 

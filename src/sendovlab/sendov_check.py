@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import CrossCheckError, SendovInstance, derivative, evaluate
-from .rootfind import RootSet, certified_crit, zeros_of
+from .rootfind import RootSet, certified
 
 __all__ = [
     "DegotReport",
@@ -65,27 +65,17 @@ class SendovReport:
     holds: bool
 
 
-def sendov_margin(
-    inst: SendovInstance, crit: RootSet | None = None, rs: RootSet | None = None
-) -> SendovReport:
+def sendov_margin(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> SendovReport:
     """Margin of every zero of the instance polynomial.
 
-    Parameters
-    ----------
-    inst : SendovInstance
-    crit : RootSet, optional
-        Precomputed critical points.  Pass these when the derivative has
-        high-multiplicity zeros known analytically; the generic solver
-        can only resolve an m-fold zero to a cluster of radius
-        ~eps**(1/m) from coefficients.  Given or solved, they must be
-        converged, or the call raises RuntimeError.
-    rs : RootSet, optional
-        Precomputed zeros of inst.f, certified like crit; without it the
-        attached roots are used once they pass their certificate, or the
-        zeros are solved.
+    ``zeros`` and ``crit`` are the zeros and critical points of inst.f;
+    each must pass its certificate, or the call raises RuntimeError.
+    Critical points known analytically may be passed for a derivative
+    with high-multiplicity zeros: the generic solver can only resolve
+    an m-fold zero to a cluster of radius ~eps**(1/m) from coefficients.
     """
-    zeros = zeros_of(inst.f, rs)
-    crit = certified_crit(inst.f, crit)
+    zeros = certified(zeros).points
+    crit = certified(crit, "critical point")
     dist = np.abs(zeros[:, None] - crit.points[None, :])
     margins = 1.0 - dist.min(axis=1)
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
@@ -128,8 +118,11 @@ class DegotReport:
     fp_abs_at_a_over_n: float
 
 
-def degot_suite(inst: SendovInstance, deltas) -> DegotReport:
+def degot_suite(inst: SendovInstance, deltas, crit: RootSet) -> DegotReport:
     """Evaluate the lower/upper bounds on |f(delta)| for delta in (0, a).
+
+    ``crit`` holds the critical points of inst.f, which must pass their
+    certificate; they decide the no-critical-point hypothesis.
 
     Lower: |f(delta)| >= (1 - sqrt(1 + delta^2 - delta a)) / n * |f'(a)|
     (needs the no-critical-point hypothesis).  Upper: |f(delta)| <=
@@ -143,7 +136,7 @@ def degot_suite(inst: SendovInstance, deltas) -> DegotReport:
     for d in deltas:
         if not (0.0 < d < a):
             raise ValueError(f"delta {d} outside (0, a) with a = {a}")
-    crit = certified_crit(f)
+    crit = certified(crit, "critical point")
     nearest = float(np.min(np.abs(crit.points - a)))
     if nearest > 1.0 + MARGIN_TOL:
         hypothesis = "holds"

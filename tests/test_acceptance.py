@@ -38,7 +38,7 @@ from sendovlab.measures import (
     prob_in_region,
     quantitative_zetas,
 )
-from sendovlab.poly_core import Polynomial, evaluate, from_roots_batch
+from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots_batch
 from sendovlab.potential import (
     balayage,
     circle_fourier_coeffs,
@@ -73,13 +73,13 @@ def test_criterion_01_identity_suite():
     worst_mean = 0.0
     for _ in range(100):
         inst = random_instance(rng, int(rng.integers(3, 33)))
-        crit = critical_points(inst.f)
+        zeros, crit = zero_sets([inst.f, derivative(inst.f)])
         avoid = np.concatenate([inst.f.roots, crit.points])
         pts = _sample_points(rng, avoid, 20)
-        rep = verify_basic_identities(inst.f, pts, crit=crit)
+        rep = verify_basic_identities(inst.f, pts, zeros, crit)
         assert rep.skipped == [] and rep.residuals.shape == (6, 20)
         worst = max(worst, rep.max_residual)
-        worst_mean = max(worst_mean, check_matching_mean(inst.f, crit=crit).difference)
+        worst_mean = max(worst_mean, check_matching_mean(zeros, crit).difference)
     dt = time.perf_counter() - t0
     ok = worst < 1e-8 and worst_mean < 1e-9 and dt < 10.0
     _report(
@@ -99,7 +99,7 @@ def test_criterion_02_integrated_log_derivative():
         dphi = rng.uniform(0.3, 1.2)
         arc = [2.0 * np.exp(1j * (alpha + t * dphi)) for t in (0.0, 0.5, 1.0)]
         direct = evaluate(p, arc[-1])
-        rel = abs(integrated_log_derivative(p, arc) - direct) / abs(direct)
+        rel = abs(integrated_log_derivative(p, arc, zero_sets([p])[0]) - direct) / abs(direct)
         open_max = max(open_max, rel)
     closed_max = 0.0
     for _ in range(10):
@@ -107,7 +107,7 @@ def test_criterion_02_integrated_log_derivative():
         c = 2.5 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         loop = [c + 0.35 * w for w in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
         start = evaluate(p, loop[0])
-        rel = abs(integrated_log_derivative(p, loop) - start) / abs(start)
+        rel = abs(integrated_log_derivative(p, loop, zero_sets([p])[0]) - start) / abs(start)
         closed_max = max(closed_max, rel)
     ok = open_max < 1e-7 and closed_max < 1e-9
     _report(
@@ -251,25 +251,28 @@ def test_criterion_05_winding_oracle():
         f = random_instance(rng, int(rng.integers(3, 13))).f
         rs = find_roots(f)
         crit = critical_points(f)
-        radius = select_radius(f, 0.2, 0.4, rs=rs, crit=crit).radius
+        radius = select_radius(0.2, 0.4, rs, crit).radius
         moduli = np.concatenate([np.abs(rs.points), np.abs(crit.points)])
         while np.min(np.abs(moduli - radius)) < 1e-6:
             radius += 1e-3
         w = winding_number(f, radius).winding
-        d = zero_pole_count(f, radius, rs=rs, crit=crit)
+        d = zero_pole_count(radius, rs, crit)
         assert w == d, f"winding {w} != direct count {d} at r={radius}"
         checked += 1
 
     fixed = []
     f2 = example_circle(2).f  # z^2 - 1
-    fixed.append((winding_number(f2, 2.0).winding, zero_pole_count(f2, 2.0), -1))
+    d2 = zero_pole_count(2.0, *zero_sets([f2, derivative(f2)]))
+    fixed.append((winding_number(f2, 2.0).winding, d2, -1))
     f16 = example_circle(16).f
-    fixed.append((winding_number(f16, 0.5).winding, zero_pole_count(f16, 0.5), 15))
+    d16 = zero_pole_count(0.5, *zero_sets([f16, derivative(f16)]))
+    fixed.append((winding_number(f16, 0.5).winding, d16, 15))
     inst = example_origin(100)
-    sel = select_radius(inst.f, 0.2, 0.4)
+    sets100 = zero_sets([inst.f, derivative(inst.f)])
+    sel = select_radius(0.2, 0.4, *sets100)
     assert 0.2 <= sel.radius <= 0.4
     w100 = winding_number(inst.f, sel.radius).winding
-    fixed.append((w100, zero_pole_count(inst.f, sel.radius), -1))
+    fixed.append((w100, zero_pole_count(sel.radius, *sets100), -1))
     ok = all(w == d == expect for w, d, expect in fixed) and checked == 50
     _report(
         5,
@@ -283,7 +286,8 @@ def test_criterion_05_winding_oracle():
 def test_criterion_06_example_closed_forms():
     circle_max = 0.0
     for n in (16, 64, 256):
-        rep = sendov_margin(example_circle(n))
+        inst = example_circle(n)
+        rep = sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
         circle_max = max(circle_max, float(np.max(np.abs(rep.margins))))
     origin_max = 0.0
     for n in (8, 16, 64, 100, 256):
@@ -355,7 +359,8 @@ def test_criterion_08_concentration_probes():
     # all zero mass near 0.5: the bound holds with fitted C = 0 at every n
     # (trivially stable); the probe is vacuous rather than discriminating.
 
-    zd = quantitative_zetas(example_circle(16))
+    circle = example_circle(16)
+    zd = quantitative_zetas(circle, *zero_sets([circle.f, derivative(circle.f)]))
     exact_xi = zd.e_log_xi_minus_a == 0.0
     tiny_zeta = abs(zd.e_log_inv_zeta) <= 1e-15
     ok = all(p == 0.0 for p in probs) and exact_xi and tiny_zeta

@@ -1,11 +1,12 @@
 """One certify point: every layer refuses an uncertified root set.
 
 The zeros and the critical points of f feed every comparison the lab
-makes, so a ``crit=`` handed to a layer function is checked like a
-solved one, and attached zeros are not solved again but checked with
-the same backward error, at every degree.
+makes, so each layer takes them as root sets and checks them itself,
+and attached zeros are not solved again but checked with the same
+backward error as a solve, at every degree.
 """
 
+import inspect
 import json
 
 import mpmath
@@ -16,9 +17,12 @@ from sendovlab import (
     Polynomial,
     check_matching_mean,
     critical_points,
+    degot_suite,
+    derivative,
     example_circle,
     example_origin,
     from_roots,
+    integrated_log_derivative,
     quantitative_zetas,
     random_instance,
     random_instances,
@@ -29,33 +33,67 @@ from sendovlab import (
 )
 from sendovlab import cli, rootfind
 
+# Every layer function that reads root sets, with its other arguments
+# for an instance; its root-set parameters are named zeros and crit.
 LAYERS = {
-    "sendov_margin": lambda inst, crit: sendov_margin(inst, crit=crit),
-    "check_matching_mean": lambda inst, crit: check_matching_mean(inst.f, crit=crit),
-    "quantitative_zetas": lambda inst, crit: quantitative_zetas(inst, crit=crit),
-    "verify_basic_identities": lambda inst, crit: verify_basic_identities(
-        inst.f, [2.0 + 0j], crit=crit
+    "check_matching_mean": (check_matching_mean, lambda inst: {}),
+    "degot_suite": (degot_suite, lambda inst: {"inst": inst, "deltas": [inst.a / 2]}),
+    "integrated_log_derivative": (
+        integrated_log_derivative,
+        lambda inst: {"p": inst.f, "contour": [2.0, 3.0]},
     ),
-    "select_radius": lambda inst, crit: select_radius(inst.f, 0.2, 0.4, crit=crit),
-    "zero_pole_count": lambda inst, crit: zero_pole_count(inst.f, 0.5, crit=crit),
+    "quantitative_zetas": (quantitative_zetas, lambda inst: {"inst": inst}),
+    "select_radius": (select_radius, lambda inst: {"r1": 0.2, "r2": 0.4}),
+    "sendov_margin": (sendov_margin, lambda inst: {"inst": inst}),
+    "verify_basic_identities": (
+        verify_basic_identities,
+        lambda inst: {"f": inst.f, "zs": [2.0 + 0j]},
+    ),
+    "zero_pole_count": (zero_pole_count, lambda inst: {"r": 0.5}),
 }
 
 
-@pytest.mark.parametrize("layer", sorted(LAYERS))
-def test_unconverged_crit_argument_raises(layer):
+def _taking(argument):
+    """The layers with a root-set parameter of this name."""
+    return [
+        name for name, (fn, _) in LAYERS.items() if argument in inspect.signature(fn).parameters
+    ]
+
+
+def test_every_layer_takes_a_root_set():
+    assert len(_taking("zeros")) == len(_taking("crit")) == 7
+    assert set(_taking("zeros")) | set(_taking("crit")) == set(LAYERS)
+
+
+def _refuses_unconverged(layer, argument, what):
+    fn, others = LAYERS[layer]
     inst = random_instance(np.random.default_rng(3), 10)
-    solved = critical_points(inst.f)
-    crit = rootfind.RootSet(solved.points, solved.residuals, False, 1)
-    with pytest.raises(RuntimeError, match="critical point"):
-        LAYERS[layer](inst, crit)
+    sets = dict(zip(("zeros", "crit"), rootfind.zero_sets([inst.f, derivative(inst.f)])))
+    params = inspect.signature(fn).parameters
+    kwargs = {**others(inst), **{k: v for k, v in sets.items() if k in params}}
+    fn(**kwargs)  # certified sets pass
+    good = kwargs[argument]
+    kwargs[argument] = rootfind.RootSet(good.points, good.residuals, False, 1)
+    with pytest.raises(RuntimeError, match=f"^{what} finding did not converge"):
+        fn(**kwargs)
+
+
+@pytest.mark.parametrize("layer", _taking("crit"))
+def test_unconverged_crit_argument_raises(layer):
+    _refuses_unconverged(layer, "crit", "critical point")
+
+
+@pytest.mark.parametrize("layer", _taking("zeros"))
+def test_unconverged_zeros_argument_raises(layer):
+    _refuses_unconverged(layer, "zeros", "zero")
 
 
 def test_certified_passes_converged_sets_through():
     inst = random_instance(np.random.default_rng(3), 10)
     crit = critical_points(inst.f)
     assert rootfind.certified(crit) is crit
-    assert rootfind.certified_crit(inst.f, crit) is crit
-    assert rootfind.zeros_of(inst.f) is inst.f.roots
+    assert rootfind.certified(crit, "critical point") is crit
+    assert rootfind.certified(rootfind.zero_sets([inst.f])[0]).points is inst.f.roots
 
 
 MILLER_64 = {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
@@ -144,7 +182,7 @@ def test_foreign_roots_are_still_checked():
     wrong = [0.5, -0.25j, 0.1 - 0.7j]
     for roots in (wrong, np.array(wrong)):
         with pytest.raises(RuntimeError, match="certificate"):
-            rootfind.zeros_of(Polynomial(p.coeffs, roots))
+            rootfind.certified(rootfind.zero_sets([Polynomial(p.coeffs, roots)])[0])
 
 
 def _uniform_1024(seed):
@@ -177,7 +215,7 @@ def test_attached_roots_pass_their_certificate(name):
     assert rs.converged and rs.iterations == 0
     assert rs.points is p.roots
     assert 0 < rs.residuals.max() <= 1.5 * worst
-    assert rootfind.zeros_of(p) is p.roots
+    assert rootfind.certified(rs).points is p.roots
 
 
 @pytest.mark.parametrize(
@@ -220,7 +258,7 @@ def test_wrong_root_refused_at_degree_70():
     assert rs.residuals.max() == pytest.approx(0.338, abs=1e-3)
     assert np.flatnonzero(rs.residuals > 1e-12).tolist() == [5]
     with pytest.raises(RuntimeError, match="zero set fails its certificate: backward error 0.338"):
-        rootfind.zeros_of(p)
+        rootfind.certified(rs)
 
 
 @pytest.mark.parametrize("command", ["check", "balayage"])
@@ -247,7 +285,7 @@ def test_origin_root_is_stripped():
     twice = Polynomial([0, -1, 0, 1], [0, 0, 1])
     assert rootfind.zero_sets([twice])[0].residuals.tolist() == [0.0, 1.0, 0.0]
     with pytest.raises(RuntimeError, match="certificate"):
-        rootfind.zeros_of(twice)
+        rootfind.certified(rootfind.zero_sets([twice])[0])
 
 
 def test_subnormal_root_beside_zero():
@@ -260,8 +298,9 @@ def test_subnormal_root_beside_zero():
 
 def test_double_root_passes():
     p = from_roots([0.5, 0.5, -0.3j, 0.2 + 0.1j])
-    assert rootfind.zero_sets([p])[0].converged
-    assert np.array_equal(rootfind.zeros_of(p), p.roots)
+    rs = rootfind.zero_sets([p])[0]
+    assert rs.converged
+    assert np.array_equal(rootfind.certified(rs).points, p.roots)
 
 
 def test_zero_sets_solve_polynomials_without_roots():

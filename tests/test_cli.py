@@ -18,7 +18,7 @@ from sendovlab.families import example_origin, origin_derivative
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
-from sendovlab.rootfind import critical_points, zeros_of
+from sendovlab.rootfind import certified, critical_points, zero_sets
 from sendovlab.serialize import fmt17, loads
 
 
@@ -384,7 +384,8 @@ class TestOutputs:
         assert "thetas" not in rec.results
         assert "thetas" not in rec.payload()
         inst = example_origin(64)
-        dz = balayage(empirical_measure(zeros_of(inst.f)), 1.3, p=inst.f)
+        zeros = certified(zero_sets([inst.f])[0]).points
+        dz = balayage(empirical_measure(zeros), 1.3, p=inst.f)
         crit = critical_points(inst.f).points
         dx = balayage(empirical_measure(crit), 1.3, dz.samples.size, p=derivative(inst.f))
         # the record's crit_density, from the closed-form critical points,
@@ -554,13 +555,20 @@ class TestMain:
             ("identities", {"random": {"degree": 8}}, {"points": 0}, "points must be at least 1"),
             ("family", MILLER, {"theta_grid": 0}, "theta_grid must be at least 1"),
             ("sweep", MILLER, {"n_list": [64], "theta_grid": 0}, "theta_grid must be at least 1"),
+            ("fourier", {"random": {"degree": 8}}, {"ks": []}, "ks must name at least one k"),
         ],
-        ids=["points-negative", "points-zero", "family-theta-grid-zero", "sweep-theta-grid-zero"],
+        ids=[
+            "points-negative",
+            "points-zero",
+            "family-theta-grid-zero",
+            "sweep-theta-grid-zero",
+            "fourier-no-k",
+        ],
     )
     def test_value_that_checks_nothing_is_an_error(
         self, tmp_path, capsys, command, instance, options, message
     ):
-        # no point or angle evaluated would pass vacuously or fail in numpy
+        # no point, angle or k evaluated would pass vacuously or fail in numpy
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"instance": instance, "options": options}))
         with warnings.catch_warnings():

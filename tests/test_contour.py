@@ -20,8 +20,8 @@ from sendovlab.families import (
     miller_family,
     random_instance,
 )
-from sendovlab.poly_core import Polynomial, evaluate, from_roots
-from sendovlab.rootfind import RootSet, critical_points, find_roots
+from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
+from sendovlab.rootfind import RootSet, critical_points, find_roots, zero_sets
 
 
 def _unity_poly(n):
@@ -102,36 +102,41 @@ class TestWindingNumber:
         f = miller_family(params).f
         rs = find_roots(f)
         crit = family_critical_points(params)
-        sel = select_radius(f, 0.2, 0.4, rs=rs, crit=crit)
+        sel = select_radius(0.2, 0.4, rs, crit)
         res = winding_number(f, sel.radius)
-        assert res.winding == zero_pole_count(f, sel.radius, rs=rs, crit=crit) == n - 2
+        assert res.winding == zero_pole_count(sel.radius, rs, crit) == n - 2
 
 
 class TestZeroPoleCount:
     def test_quadratic(self):
-        assert zero_pole_count(from_roots([1.0, -1.0]), 2.0) == -1
+        f = from_roots([1.0, -1.0])
+        assert zero_pole_count(2.0, *zero_sets([f, derivative(f)])) == -1
 
     def test_circle_poly(self):
-        assert zero_pole_count(_unity_poly(16), 0.5) == 15
+        f = _unity_poly(16)
+        assert zero_pole_count(0.5, *zero_sets([f, derivative(f)])) == 15
 
     def test_modulus_near_circle_raises(self):
+        f = from_roots([1.0, -1.0])
         with pytest.raises(AmbiguousCountError):
-            zero_pole_count(from_roots([1.0, -1.0]), 1.0)
+            zero_pole_count(1.0, *zero_sets([f, derivative(f)]))
 
     def test_agreement_with_winding(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             inst = random_instance(rng, 9)
-            sel = select_radius(inst.f, 0.2, 0.4)
+            zeros, crit = zero_sets([inst.f, derivative(inst.f)])
+            sel = select_radius(0.2, 0.4, zeros, crit)
             assert winding_number(inst.f, sel.radius).winding == zero_pole_count(
-                inst.f, sel.radius
+                sel.radius, zeros, crit
             )
 
 
 class TestSelectRadius:
     def test_origin_example_oracle(self):
         n = 100
-        sel = select_radius(example_origin(n).f, 0.2, 0.4)
+        f = example_origin(n).f
+        sel = select_radius(0.2, 0.4, *zero_sets([f, derivative(f)]))
         # the only inner zero sits at 0, so the best radius is the far
         # end of the window and the objective is 1/(n * 0.4)
         assert sel.radius == pytest.approx(0.4, abs=1e-12)
@@ -139,14 +144,15 @@ class TestSelectRadius:
         assert sel.objective < np.log(n) / n
 
     def test_no_inner_mass_gives_zero_objective(self):
-        sel = select_radius(example_circle(16).f, 0.2, 0.4)
+        f = example_circle(16).f
+        sel = select_radius(0.2, 0.4, *zero_sets([f, derivative(f)]))
         assert sel.objective == 0.0
         assert sel.radius == pytest.approx(0.2, abs=1e-12)
 
     def test_validation(self):
         p = from_roots([1.0, -1.0])
         with pytest.raises(ValueError):
-            select_radius(p, 0.4, 0.2)
+            select_radius(0.4, 0.2, *zero_sets([p, derivative(p)]))
 
     @staticmethod
     def _brute_force(n, zero_moduli, crit_moduli):
@@ -176,7 +182,7 @@ class TestSelectRadius:
             offset = (0.0, -0.5, 0.5)[trial % 3] * WINDING_BAND * best
             points = np.append(points, best + offset)
             crit = RootSet(points, np.zeros(points.size), converged=True)
-            sel = select_radius(f, 0.2, 0.4, crit=crit)
+            sel = select_radius(0.2, 0.4, zero_sets([f])[0], crit)
             assert sel.radius != best
             assert (sel.radius, sel.objective) == self._brute_force(n, zero_moduli, np.abs(points))
 
@@ -194,26 +200,23 @@ class TestSelectRadius:
         assert 1e-7 > float(n) ** -10.0
         with pytest.raises(AmbiguousCountError, match="persists"):
             winding_number(f, 0.3)
-        sel = select_radius(f, 0.3, 0.4)
+        zeros, crit = zero_sets([f, derivative(f)])
+        sel = select_radius(0.3, 0.4, zeros, crit)
         assert sel.radius > 0.3
         assert sel.objective == 0.0
-        assert winding_number(f, sel.radius).winding == zero_pole_count(f, sel.radius)
+        assert winding_number(f, sel.radius).winding == zero_pole_count(sel.radius, zeros, crit)
 
     def test_memory_stays_linear_in_the_degree(self):
         # z^n - 0.45^n at n = 2048: every zero is inner, so the objective
         # sums over 20,480 radii x 2,048 zeros, which as one array is
-        # 335 MB; 0.45^2048 underflows to 0, so f is z^n in coefficient
-        # form and the zeros and the critical points, all at 0, are given
+        # 335 MB; the zeros and the critical points, all at 0, are given
         n = 2048
         zeros = 0.45 * np.exp(2j * np.pi * np.arange(n) / n)
-        coeffs = np.zeros(n + 1)
-        coeffs[0], coeffs[n] = -(0.45**n), 1.0
-        f = Polynomial(coeffs)
         rs = RootSet(zeros, np.zeros(n), converged=True)
         crit = RootSet(np.zeros(n - 1, dtype=complex), np.zeros(n - 1), converged=True)
         tracemalloc.start()
         try:
-            sel = select_radius(f, 0.2, 0.4, rs=rs, crit=crit)
+            sel = select_radius(0.2, 0.4, rs, crit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -30,7 +30,8 @@ ARC_LAMBDA = np.exp(1j * np.pi / 3)  # |lam| = 1 and |lam - 1| = 1: on the arc
 class TestExamples:
     def test_circle_margins_exactly_zero(self):
         for n in (16, 64):
-            rep = sendov_margin(example_circle(n))
+            inst = example_circle(n)
+            rep = sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
             assert np.max(np.abs(rep.margins)) < 1e-12
 
     def test_origin_critical_radius(self):

@@ -16,8 +16,8 @@ from sendovlab.measures import (
     quantitative_zetas,
     summary,
 )
-from sendovlab.poly_core import Polynomial, from_roots
-from sendovlab.rootfind import critical_points, find_roots
+from sendovlab.poly_core import Polynomial, derivative, from_roots
+from sendovlab.rootfind import critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import Region
 
 
@@ -85,7 +85,7 @@ class TestMoments:
 class TestMeanMatching:
     def test_circle_example(self):
         inst = example_circle(12)
-        match = check_matching_mean(inst.f)
+        match = check_matching_mean(*zero_sets([inst.f, derivative(inst.f)]))
         assert match.ok
         assert match.difference < 1e-12
 
@@ -93,7 +93,7 @@ class TestMeanMatching:
         rng = np.random.default_rng(9)
         for _ in range(5):
             inst = random_instance(rng, 10)
-            match = check_matching_mean(inst.f)
+            match = check_matching_mean(*zero_sets([inst.f, derivative(inst.f)]))
             assert match.ok
             assert match.difference < 1e-10
 
@@ -136,7 +136,7 @@ class TestProbInRegion:
 class TestQuantitativeZetas:
     def test_circle_example_exactness(self):
         inst = example_circle(16)
-        diag = quantitative_zetas(inst, crit=critical_points(inst.f))
+        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points(inst.f))
         # critical points of z^n - 1 sit exactly at 0, so E log|xi - 1| = 0.0
         assert diag.e_log_xi_minus_a == 0.0
         assert abs(diag.e_log_inv_zeta) <= 1e-15
@@ -145,6 +145,6 @@ class TestQuantitativeZetas:
 
     def test_origin_example_atom_flag(self):
         inst = example_origin(16)
-        diag = quantitative_zetas(inst, crit=critical_points(inst.f))
+        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points(inst.f))
         assert diag.zeta_atom_at_origin
         assert math.isinf(diag.e_log_inv_zeta)

@@ -12,7 +12,7 @@ from sendovlab.poly_core import (
     from_roots_batch,
 )
 from sendovlab.poly_core import _leja_orders, _sendov_instances
-from sendovlab.rootfind import zeros_of
+from sendovlab.rootfind import certified, zero_sets
 
 
 class TestPolynomialConstruction:
@@ -42,7 +42,7 @@ class TestPolynomialConstruction:
         # the roots are stored as given and refused where they are used
         p = Polynomial([-1.0, 0.0, 1.0], roots=[0.5, -0.5])
         with pytest.raises(RuntimeError, match="certificate"):
-            zeros_of(p)
+            certified(zero_sets([p])[0])
 
     def test_coeffs_read_only(self):
         p = Polynomial([-1.0, 0.0, 1.0])
@@ -77,7 +77,7 @@ class TestPolynomialConstruction:
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         p = Polynomial(coeffs, roots)
         assert p.degree == n
-        assert zeros_of(p) is p.roots
+        assert certified(zero_sets([p])[0]).points is p.roots
 
 
 class TestFromRoots:

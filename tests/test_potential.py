@@ -38,7 +38,7 @@ from sendovlab.potential import (
     stieltjes_derivative,
     verify_basic_identities,
 )
-from sendovlab.rootfind import critical_points
+from sendovlab.rootfind import RootSet, critical_points, zero_sets
 
 
 def _unity_measure(n):
@@ -101,7 +101,7 @@ class TestIdentitySuite:
     def test_circle_example_residuals_at_rounding_level(self):
         inst = example_circle(16)
         zs = np.array([1.7 + 0.3j, -1.5 + 1.1j, 0.4 + 1.6j, 0.31 + 0.12j])
-        rep = verify_basic_identities(inst.f, zs, crit=critical_points(inst.f))
+        rep = verify_basic_identities(inst.f, zs, zero_sets([inst.f])[0], critical_points(inst.f))
         # the last two identities consume s_zeta, a root sum that cancels
         # to ~|z|^15 at the innermost point, so those rows are only
         # conditioned to ~1e-9 there; the four direct comparisons stay at
@@ -114,7 +114,7 @@ class TestIdentitySuite:
     def test_points_near_support_are_skipped(self):
         inst = example_circle(16)
         zs = np.array([1.01 + 0.0j, 1.7 + 0.3j])  # first is 0.01 from the zero at 1
-        rep = verify_basic_identities(inst.f, zs)
+        rep = verify_basic_identities(inst.f, zs, *zero_sets([inst.f, derivative(inst.f)]))
         assert rep.skipped == [0]
         assert rep.evaluated.tolist() == [1.7 + 0.3j]
 
@@ -123,20 +123,23 @@ class TestIdentitySuite:
         zs = np.array([1.8 + 0.2j, -1.4 + 1.2j, 2.1 - 0.8j])
         for _ in range(5):
             inst = random_instance(rng, 14)
-            rep = verify_basic_identities(inst.f, zs)
+            rep = verify_basic_identities(inst.f, zs, *zero_sets([inst.f, derivative(inst.f)]))
             assert rep.max_residual < 1e-10
 
     def test_requires_monic(self):
         p = Polynomial([-0.5, 0.0, 2.0])  # 2 (z - 0.5) (z + 0.5)
         with pytest.raises(ValueError, match="monic"):
-            verify_basic_identities(p, [2.0])
+            verify_basic_identities(p, [2.0], *zero_sets([p, derivative(p)]))
 
     def test_requires_degree_two(self):
+        # a degree-1 polynomial has no critical points
+        p, crit = from_roots([0.5]), RootSet(np.zeros(0), np.zeros(0), True)
         with pytest.raises(ValueError, match="degree"):
-            verify_basic_identities(from_roots([0.5]), [2.0])
+            verify_basic_identities(p, [2.0], zero_sets([p])[0], crit)
 
     def test_quadratic_smallest_case(self):
-        rep = verify_basic_identities(from_roots([0.5, -0.5]), [1.3 + 0.4j])
+        f = from_roots([0.5, -0.5])
+        rep = verify_basic_identities(f, [1.3 + 0.4j], *zero_sets([f, derivative(f)]))
         assert rep.max_residual < 1e-13
 
     def test_array_pass_matches_a_loop_over_points(self):
@@ -149,9 +152,10 @@ class TestIdentitySuite:
         n = f.degree
         fp = derivative(f)
         fpp = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
-        mz, mx = empirical_measure(f.roots), empirical_measure(critical_points(f).points)
+        crit = critical_points(f)
+        mz, mx = empirical_measure(f.roots), empirical_measure(crit.points)
         zs = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)
-        rep = verify_basic_identities(f, zs)
+        rep = verify_basic_identities(f, zs, zero_sets([f])[0], crit)
         assert rep.evaluated.size >= 20
 
         def rel(lhs, rhs):
@@ -173,7 +177,8 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("zs", [[], [1.01, -0.99j]], ids=["empty", "all-skipped"])
     def test_no_evaluated_points(self, zs):
-        rep = verify_basic_identities(example_circle(16).f, zs)
+        f = example_circle(16).f
+        rep = verify_basic_identities(f, zs, *zero_sets([f, derivative(f)]))
         assert rep.residuals.shape == (6, 0)
         assert rep.evaluated.shape == (0,)
         assert rep.skipped == list(range(len(zs)))
@@ -185,11 +190,11 @@ class TestIdentitySuite:
         # at 1.6e-5 on these points
         params = FamilyParams(n=128, c1=1.0, c2=2.0, lambdas=[0.3 + 0.8j])
         inst = miller_family(params)
-        crit = family_critical_points(params)
+        zeros, crit = zero_sets([inst.f])[0], family_critical_points(params)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             zs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
-            rep = verify_basic_identities(inst.f, zs, crit=crit)
+            rep = verify_basic_identities(inst.f, zs, zeros, crit)
             row = rep.labels.index("stieltjes_vs_logderiv_fprime")
             assert rep.residuals[row].max() <= 1e-6
 
@@ -197,45 +202,45 @@ class TestIdentitySuite:
 class TestIntegratedLogDerivative:
     def test_straight_segment_reaches_endpoint(self):
         p = from_roots([1.0, -1.0])
-        out = integrated_log_derivative(p, [2.0, 3.0])
+        out = integrated_log_derivative(p, [2.0, 3.0], zero_sets([p])[0])
         assert out == pytest.approx(evaluate(p, 3.0), rel=1e-9)
 
     def test_polyline_around_the_disk(self):
         p = from_roots([0.8, -0.3 + 0.4j, 0.1 - 0.6j])
         contour = [2.0, 2.0 + 2.0j, -2.0 + 2.0j, -2.0 - 1.0j]
-        out = integrated_log_derivative(p, contour)
+        out = integrated_log_derivative(p, contour, zero_sets([p])[0])
         assert out == pytest.approx(evaluate(p, contour[-1]), rel=1e-9)
 
     def test_closed_loop_returns_start_value(self):
         p = from_roots([1.0, -1.0])
         theta = np.linspace(0, 2 * np.pi, 9)
         loop = (0.3 + 2.0 * np.exp(1j * theta)).tolist()  # encloses both zeros
-        out = integrated_log_derivative(p, loop)
+        out = integrated_log_derivative(p, loop, zero_sets([p])[0])
         assert out == pytest.approx(evaluate(p, loop[0]), rel=1e-9)
 
     def test_closed_loop_in_zero_free_region(self):
         p = from_roots([1.0, -1.0])
         square = [3.0, 3.0 + 0.5j, 3.5 + 0.5j, 3.5, 3.0]
-        out = integrated_log_derivative(p, square)
+        out = integrated_log_derivative(p, square, zero_sets([p])[0])
         assert out == pytest.approx(evaluate(p, 3.0), rel=1e-11)
 
     def test_contour_through_zero_rejected(self):
         p = from_roots([1.0, -1.0])
         with pytest.raises(ContourTooCloseError):
-            integrated_log_derivative(p, [2.0, 0.9])
+            integrated_log_derivative(p, [2.0, 0.9], zero_sets([p])[0])
 
     def test_degenerate_contour_rejected(self):
         p = from_roots([1.0, -1.0])
         with pytest.raises(ValueError, match="polyline"):
-            integrated_log_derivative(p, [2.0])
+            integrated_log_derivative(p, [2.0], zero_sets([p])[0])
 
     def test_zero_length_segment(self):
         # a segment of length 0 is a point: its distance to a zero is
         # the plain distance, and it adds nothing to the integral
         p = from_roots([1.0, -1.0])
         with pytest.raises(ContourTooCloseError):
-            integrated_log_derivative(p, [1.02, 1.02])
-        assert integrated_log_derivative(p, [3.0, 3.0]) == evaluate(p, 3.0)
+            integrated_log_derivative(p, [1.02, 1.02], zero_sets([p])[0])
+        assert integrated_log_derivative(p, [3.0, 3.0], zero_sets([p])[0]) == evaluate(p, 3.0)
 
 
 class TestPoissonKernel:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -109,6 +110,38 @@ def test_every_defaulted_parameter_has_a_caller():
             unset.append(f"{qualname}({param})")
     # the console-script entry point is called with no arguments
     assert sorted(set(unset) - {"main(argv)"}) == []
+
+
+def test_layers_take_their_root_sets():
+    # roots are solved only where the lab builds its root sets; a layer
+    # takes its zeros and critical points as required arguments and only
+    # checks their certificates
+    root = Path(sendovlab.__file__).parent
+    for name in ("sendov_check", "measures", "potential", "contour"):
+        tree = ast.parse((root / f"{name}.py").read_text())
+        imported = set()
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in (None, "rootfind"):
+                imported |= {
+                    alias.name
+                    for alias in node.names
+                    if node.module == "rootfind" or alias.name == "rootfind"
+                }
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+        assert imported <= {"RootSet", "certified"}, name
+        assert called & {"find_roots", "zero_sets", "critical_points"} == set(), name
+        module = importlib.import_module(f"sendovlab.{name}")
+        defaulted = [
+            f"{name}.{fn.__name__}({param.name})"
+            for fn in vars(module).values()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__
+            for param in inspect.signature(fn).parameters.values()
+            if "RootSet" in str(param.annotation) and param.default is not param.empty
+        ]
+        assert defaulted == []
 
 
 def test_no_assert_in_the_package():

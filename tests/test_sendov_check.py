@@ -9,8 +9,8 @@ import pytest
 
 from conftest import match_max_distance
 from sendovlab.families import example_circle, example_origin, random_instance
-from sendovlab.poly_core import Polynomial, from_roots
-from sendovlab.rootfind import critical_points, zeros_of
+from sendovlab.poly_core import Polynomial, derivative, from_roots
+from sendovlab.rootfind import certified, critical_points, zero_sets
 from sendovlab.sendov_check import Region, degot_suite, sendov_margin
 
 
@@ -45,14 +45,16 @@ class TestCriticalPoints:
 
 class TestSendovMargin:
     def test_circle_example_margins_vanish(self):
-        rep = sendov_margin(example_circle(16))
+        inst = example_circle(16)
+        rep = sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
         assert rep.holds
         assert np.max(np.abs(rep.margins)) < 1e-12
         assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_example(self):
         n = 16
-        rep = sendov_margin(example_origin(n))
+        inst = example_origin(n)
+        rep = sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
         assert rep.holds
         r = n ** (-1.0 / (n - 1))
         # the origin zero's nearest critical point sits at distance r
@@ -62,7 +64,8 @@ class TestSendovMargin:
     def test_margins_live_in_diameter_bound(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            rep = sendov_margin(random_instance(rng, 12))
+            inst = random_instance(rng, 12)
+            rep = sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
             assert rep.holds
             assert rep.margins.min() >= -1.0
             assert rep.margins.max() <= 1.0
@@ -75,7 +78,7 @@ def _hull_gap(p, crit) -> float:
     shows that xi is this mean of the zeros with positive weights, which
     is the Gauss-Lucas theorem, so a gap of 0 puts xi in the zero hull.
     """
-    z = zeros_of(p)
+    z = certified(zero_sets([p])[0]).points
     w = 1.0 / np.abs(crit[:, None] - z[None, :]) ** 2
     return float(np.max(np.abs(crit - (w @ z) / w.sum(axis=1))))
 
@@ -85,10 +88,11 @@ def test_margin_bound_is_checked_under_optimization():
     code = (
         "import numpy as np\n"
         "from sendovlab import CrossCheckError, example_circle, sendov_margin\n"
-        "from sendovlab.rootfind import RootSet\n"
+        "from sendovlab.rootfind import RootSet, zero_sets\n"
+        "inst = example_circle(8)\n"
         "far = RootSet(np.full(7, 5.0 + 0j), np.zeros(7), True)\n"
         "try:\n"
-        "    sendov_margin(example_circle(8), crit=far)\n"
+        "    sendov_margin(inst, zero_sets([inst.f])[0], far)\n"
         "except CrossCheckError as exc:\n"
         "    print(exc)\n"
     )
@@ -125,7 +129,7 @@ class TestDegotSuite:
     def test_circle_example_is_boundary_case(self):
         n = 50
         inst = example_circle(n)
-        rep = degot_suite(inst, [0.5])
+        rep = degot_suite(inst, [0.5], critical_points(inst.f))
         assert rep.hypothesis == "boundary"
         assert rep.fan_slack == pytest.approx(0.0, abs=1e-10)
         assert rep.fp_abs_at_a_over_n == pytest.approx(1.0, abs=1e-12)
@@ -143,7 +147,7 @@ class TestDegotSuite:
         inst_poly = from_roots([1.0, -0.2])
         from sendovlab.poly_core import SendovInstance
 
-        rep = degot_suite(SendovInstance(inst_poly, 1.0), [0.3, 0.6])
+        rep = degot_suite(SendovInstance(inst_poly, 1.0), [0.3, 0.6], critical_points(inst_poly))
         assert rep.hypothesis == "violated"
         assert rep.fan_slack is None
         assert len(rep.rows) == 2
@@ -152,12 +156,13 @@ class TestDegotSuite:
 
     def test_delta_range_validated(self):
         inst = example_circle(8)
+        crit = critical_points(inst.f)
         with pytest.raises(ValueError, match="outside"):
-            degot_suite(inst, [1.5])
+            degot_suite(inst, [1.5], crit)
         with pytest.raises(ValueError, match="outside"):
-            degot_suite(inst, [0.0])
+            degot_suite(inst, [0.0], crit)
 
     def test_requires_positive_a(self):
         inst = example_origin(8)
         with pytest.raises(ValueError, match="a > 0"):
-            degot_suite(inst, [0.1])
+            degot_suite(inst, [0.1], critical_points(inst.f))
