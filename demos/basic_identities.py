@@ -38,8 +38,8 @@ def main():
     for label, row in zip(rep.labels, rep.residuals):
         print(f"  {label:<42} max residual {row.max():.3e}")
 
-    mm = check_matching_mean(zeros, crit)
-    print(f"  zero mean vs critical mean: |difference| = {mm.difference:.3e}")
+    diff = check_matching_mean(zeros, crit)
+    print(f"  zero mean vs critical mean: |difference| = {diff:.3e}")
 
     # the lower/upper envelope inequalities for |f'| near a, on the
     # tightest example: z**50 - 1 with the distinguished zero at 1

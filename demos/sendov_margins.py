@@ -27,7 +27,7 @@ from sendovlab.rootfind import zero_sets
 
 def margins(inst):
     """The Sendov margins of an instance, from its zeros and the solved zeros of f'."""
-    return sendov_margin(inst, *zero_sets([inst.f, derivative(inst.f)]))
+    return sendov_margin(*zero_sets([inst.f, derivative(inst.f)]))
 
 
 def main():

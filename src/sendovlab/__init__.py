@@ -30,7 +30,6 @@ from .families import (
 )
 from .measures import (
     EmpiricalMeasure,
-    MeanMatch,
     MomentSummary,
     ZetaDiagnostics,
     check_matching_mean,
@@ -92,7 +91,6 @@ __all__ = [
     "FamilyParams",
     "FamilyReport",
     "IdentityReport",
-    "MeanMatch",
     "MomentSummary",
     "Polynomial",
     "RadiusSelection",

@@ -195,7 +195,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     from one :func:`zero_sets` call: the instances' attached zeros are
     evaluated in one pass, z**n - z's closed-form critical points in the
     same pass, and every other f' is solved, one batch per degree.
-    Runners that never read crit pass ``crit=False`` and get None.
+    Runners that never read crit pass ``crit=False`` and get None;
+    those that read it refuse a polynomial source of degree below 2,
+    whose derivative is a constant.
     """
     kind, src = source
     if kind == "miller":
@@ -213,6 +215,11 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
         elif kind == "polynomial":
             if src["a"] is None:
                 raise ValueError("polynomial instances need an explicit 'a'")
+            if crit and src["polynomial"].degree < 2:
+                raise ValueError(
+                    "critical points need a polynomial instance of degree at least 2, "
+                    f"not {src['polynomial'].degree}"
+                )
             insts, labels = [SendovInstance(src["polynomial"], src["a"])], [kind]
         else:
             insts = [(example_circle if kind == "circle" else example_origin)(src["n"])]
@@ -274,7 +281,7 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
 def _run_check(source, rng):
     rows = []
     for label, inst, rs, crit in _build_instances(source, rng):
-        rep = sendov_margin(inst, rs, crit)
+        rep = sendov_margin(rs, crit)
         rows.append(
             {
                 "label": label,
@@ -440,7 +447,7 @@ def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:
         params = _family_params(fam, n)
         return _family_result(params, verify_family(params, theta_grid=theta_grid))
     _, inst, rs, crit = _build_instances((kind, {"n": n}), None)[0]
-    rep = sendov_margin(inst, rs, crit)
+    rep = sendov_margin(rs, crit)
     diag = quantitative_zetas(inst, rs, crit)
     return {
         "n": n,

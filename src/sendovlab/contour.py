@@ -53,7 +53,6 @@ class WindingResult:
 
     winding: int
     min_modulus: float
-    radius: float
     samples_used: int
 
 
@@ -102,7 +101,6 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     return WindingResult(
         winding=int(nearest),
         min_modulus=float(np.exp(log_min)),
-        radius=float(r),
         samples_used=N,
     )
 

@@ -244,7 +244,6 @@ class FamilyReport:
     sum_j log|1 - lambda_j| >= 0, the heart of the obstruction.
     """
 
-    params: FamilyParams
     ten_residuals: np.ndarray
     zero_radius_residuals: np.ndarray
     t_prediction_errors: np.ndarray
@@ -305,7 +304,6 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
         "u_xi_at_a": log_potential(mx, complex(a)),
     }
     return FamilyReport(
-        params=params,
         ten_residuals=ten,
         zero_radius_residuals=zon,
         t_prediction_errors=terr,

@@ -19,7 +19,6 @@ from .sendov_check import Region
 
 __all__ = [
     "EmpiricalMeasure",
-    "MeanMatch",
     "MomentSummary",
     "ZetaDiagnostics",
     "check_matching_mean",
@@ -30,10 +29,6 @@ __all__ = [
     "quantitative_zetas",
     "summary",
 ]
-
-# Largest |zero mean - critical mean| that check_matching_mean accepts.
-MEAN_MATCH_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
@@ -79,41 +74,29 @@ def moment(m: EmpiricalMeasure, k: int) -> complex:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Mean, raw second moment, and spread E|eta - mean|^2."""
+    """Mean and spread E|eta - mean|^2; the raw second moment is moment(m, 2)."""
 
     mean: complex
-    second_moment: complex
     variance: float
 
 
 def summary(m: EmpiricalMeasure) -> MomentSummary:
-    """First/second moment summary, cross-checked two ways.
+    """Mean and variance, cross-checked two ways.
 
     The identity E|eta|^2 = |mean|^2 + variance is recomputed from
     independent accumulations and enforced to rounding accuracy.
     """
     mu = complex(np.sum(m.weights * m.points))
-    second = complex(np.sum(m.weights * m.points**2))
     var = float(np.sum(m.weights * np.abs(m.points - mu) ** 2))
     abs_second = float(np.sum(m.weights * np.abs(m.points) ** 2))
     scale = max(1.0, abs_second)
     if abs(abs_second - (abs(mu) ** 2 + var)) > 1e-12 * scale:
         raise CrossCheckError("variance identity violated beyond rounding")
-    return MomentSummary(mean=mu, second_moment=second, variance=var)
+    return MomentSummary(mean=mu, variance=var)
 
 
-@dataclass(frozen=True)
-class MeanMatch:
-    """Comparison of the zero mean and critical-point mean of one polynomial."""
-
-    zero_mean: complex
-    critical_mean: complex
-    difference: float
-    ok: bool
-
-
-def check_matching_mean(zeros: RootSet, crit: RootSet) -> MeanMatch:
-    """The two means agree for every polynomial; the residual measures solver error.
+def check_matching_mean(zeros: RootSet, crit: RootSet) -> float:
+    """|zero mean - critical mean|: zero for every polynomial, so it measures solver error.
 
     Both means equal -c_{n-1}/(n c_n), so this is a cross-validation of
     the computed zeros against the computed critical points, each of
@@ -121,9 +104,7 @@ def check_matching_mean(zeros: RootSet, crit: RootSet) -> MeanMatch:
     """
     zm = complex(np.mean(certified(zeros).points))
     cm = complex(np.mean(certified(crit, "critical point").points))
-    diff = abs(zm - cm)
-    ok = diff <= MEAN_MATCH_TOL
-    return MeanMatch(zero_mean=zm, critical_mean=cm, difference=diff, ok=ok)
+    return abs(zm - cm)
 
 
 def expect_log_distance(m: EmpiricalMeasure, z):
@@ -151,7 +132,8 @@ class ZetaDiagnostics:
 
     e_log_inv_zeta = E log(1/|zeta|) over zeros (+inf when a zero sits
     exactly at the origin); e_log_xi_minus_a = E log|xi - a| over
-    critical points (-inf when one sits exactly at a).  The n-scaled
+    critical points (-inf when one sits exactly at a).  So an atom at
+    the origin or at a shows as an infinite expectation.  The n-scaled
     versions are the natural magnitudes: both vanish identically for
     the extremal circle configuration and stay O(log n / n) near it.
     """
@@ -160,8 +142,6 @@ class ZetaDiagnostics:
     e_log_xi_minus_a: float
     n_e_log_inv_zeta: float
     n_e_log_xi_minus_a: float
-    zeta_atom_at_origin: bool
-    xi_atom_at_a: bool
 
 
 def quantitative_zetas(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> ZetaDiagnostics:
@@ -180,6 +160,4 @@ def quantitative_zetas(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> Z
         e_log_xi_minus_a=e_xi,
         n_e_log_inv_zeta=n * e_zeta,
         n_e_log_xi_minus_a=n * e_xi,
-        zeta_atom_at_origin=math.isinf(e_zeta),
-        xi_atom_at_a=math.isinf(e_xi),
     )

@@ -61,15 +61,15 @@ class SendovReport:
 
     margins: np.ndarray
     min_margin: float
-    worst_zero: complex
     holds: bool
 
 
-def sendov_margin(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> SendovReport:
-    """Margin of every zero of the instance polynomial.
+def sendov_margin(zeros: RootSet, crit: RootSet) -> SendovReport:
+    """Margin of every zero of a polynomial.
 
-    ``zeros`` and ``crit`` are the zeros and critical points of inst.f;
-    each must pass its certificate, or the call raises RuntimeError.
+    ``zeros`` and ``crit`` are the zeros and critical points of one
+    polynomial; each must pass its certificate, or the call raises
+    RuntimeError.
     Critical points known analytically may be passed for a derivative
     with high-multiplicity zeros: the generic solver can only resolve
     an m-fold zero to a cluster of radius ~eps**(1/m) from coefficients.
@@ -78,19 +78,14 @@ def sendov_margin(inst: SendovInstance, zeros: RootSet, crit: RootSet) -> Sendov
     crit = certified(crit, "critical point")
     dist = np.abs(zeros[:, None] - crit.points[None, :])
     margins = 1.0 - dist.min(axis=1)
+    low = float(margins.min())
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
     # zeros stay in the closed unit disk.
-    if np.max(np.abs(zeros)) <= 1.0 + 1e-10 and not margins.min() >= -1.0 - 1e-9:
+    if np.max(np.abs(zeros)) <= 1.0 + 1e-10 and not low >= -1.0 - 1e-9:
         raise CrossCheckError("margin below the diameter bound")
     if not margins.max() <= 1.0 + 1e-12:
         raise CrossCheckError("margin above 1 is impossible")
-    k = int(np.argmin(margins))
-    return SendovReport(
-        margins=margins,
-        min_margin=float(margins[k]),
-        worst_zero=complex(zeros[k]),
-        holds=bool(margins[k] >= -MARGIN_TOL),
-    )
+    return SendovReport(margins=margins, min_margin=low, holds=low >= -MARGIN_TOL)
 
 
 @dataclass(frozen=True)
@@ -106,15 +101,13 @@ class DegotReport:
 
     hypothesis is "holds" when no critical point lies in the closed
     disk D(a, 1), "boundary" when the nearest sits on its boundary to
-    within 1e-9, and "violated" otherwise.  The derivative growth slack
-    |f'(a)| - n requires the hypothesis, so it is None when violated.
-    The upper slack (AM-GM bound via the zero mean) is unconditional.
+    within 1e-9, and "violated" otherwise.  Each row's lower slack
+    requires the hypothesis; its upper slack (AM-GM bound via the zero
+    mean) is unconditional.  fp_abs_at_a_over_n is |f'(a)| / n.
     """
 
     hypothesis: str
-    fan_slack: float | None
     rows: list[DegotRow]
-    f_abs_at_zero: float
     fp_abs_at_a_over_n: float
 
 
@@ -145,9 +138,7 @@ def degot_suite(inst: SendovInstance, deltas, crit: RootSet) -> DegotReport:
     else:
         hypothesis = "violated"
 
-    fp = derivative(f)
-    fp_at_a = abs(evaluate(fp, a))
-    fan_slack = fp_at_a - n if hypothesis != "violated" else None
+    fp_at_a = abs(evaluate(derivative(f), a))
 
     # zero mean from the subleading coefficient: exact, no root finding
     mu = -f.coeffs[-2] / (n * f.coeffs[-1])
@@ -160,10 +151,4 @@ def degot_suite(inst: SendovInstance, deltas, crit: RootSet) -> DegotReport:
         except OverflowError:
             upper = math.inf
         rows.append(DegotRow(delta=d, lower_slack=fd - lower, upper_slack=upper - fd))
-    return DegotReport(
-        hypothesis=hypothesis,
-        fan_slack=fan_slack,
-        rows=rows,
-        f_abs_at_zero=abs(evaluate(f, 0.0)),
-        fp_abs_at_a_over_n=fp_at_a / n,
-    )
+    return DegotReport(hypothesis=hypothesis, rows=rows, fp_abs_at_a_over_n=fp_at_a / n)

@@ -44,7 +44,7 @@ LAYERS = {
     ),
     "quantitative_zetas": (quantitative_zetas, lambda inst: {"inst": inst}),
     "select_radius": (select_radius, lambda inst: {"r1": 0.2, "r2": 0.4}),
-    "sendov_margin": (sendov_margin, lambda inst: {"inst": inst}),
+    "sendov_margin": (sendov_margin, lambda inst: {}),
     "verify_basic_identities": (
         verify_basic_identities,
         lambda inst: {"f": inst.f, "zs": [2.0 + 0j]},

@@ -529,6 +529,23 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --n")
 
+    @pytest.mark.parametrize("command", ["check", "identities", "balayage", "winding", "fourier"])
+    def test_degree_one_polynomial(self, tmp_path, capsys, command):
+        # f' is a constant with no zeros: a command that reads critical
+        # points refuses the instance by its own degree; fourier reads none
+        instance = {"polynomial": {"coeffs": [[-0.5, 0], [1, 0]], "roots": [[0.5, 0]]}, "a": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": instance}))
+        code = main([command, "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        if command == "fourier":
+            assert code == 0 and out.endswith("ok=True\n")
+        else:
+            assert code == 1
+            assert err == (
+                "error: critical points need a polynomial instance of degree at least 2, not 1\n"
+            )
+
     @pytest.mark.parametrize(
         "command, options, key",
         [

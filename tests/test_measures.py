@@ -64,7 +64,7 @@ class TestMoments:
         m = empirical_measure(np.array([0.0, 1.0, 1j]))
         s = summary(m)
         assert s.mean == pytest.approx((1 + 1j) / 3, abs=1e-15)
-        assert s.second_moment == pytest.approx((1 - 1) / 3 + 0j, abs=1e-15)
+        assert moment(m, 2) == pytest.approx((1 - 1) / 3 + 0j, abs=1e-15)
         assert s.variance == pytest.approx(4.0 / 9.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -85,17 +85,13 @@ class TestMoments:
 class TestMeanMatching:
     def test_circle_example(self):
         inst = example_circle(12)
-        match = check_matching_mean(*zero_sets([inst.f, derivative(inst.f)]))
-        assert match.ok
-        assert match.difference < 1e-12
+        assert check_matching_mean(*zero_sets([inst.f, derivative(inst.f)])) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             inst = random_instance(rng, 10)
-            match = check_matching_mean(*zero_sets([inst.f, derivative(inst.f)]))
-            assert match.ok
-            assert match.difference < 1e-10
+            assert check_matching_mean(*zero_sets([inst.f, derivative(inst.f)])) < 1e-10
 
 
 class TestLogDistance:
@@ -140,11 +136,10 @@ class TestQuantitativeZetas:
         # critical points of z^n - 1 sit exactly at 0, so E log|xi - 1| = 0.0
         assert diag.e_log_xi_minus_a == 0.0
         assert abs(diag.e_log_inv_zeta) <= 1e-15
-        assert not diag.zeta_atom_at_origin
-        assert not diag.xi_atom_at_a
+        assert not math.isinf(diag.e_log_inv_zeta)
+        assert not math.isinf(diag.e_log_xi_minus_a)
 
     def test_origin_example_atom_flag(self):
         inst = example_origin(16)
         diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points(inst.f))
-        assert diag.zeta_atom_at_origin
         assert math.isinf(diag.e_log_inv_zeta)

@@ -37,25 +37,106 @@ def _public_surface():
     return names
 
 
+def _loads(tree):
+    """(names, attributes) that the tree reads: Name and Attribute nodes in Load context."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def _uncalled(surface, texts):
+    """The names of surface that no text reads.
+
+    A top-level name counts when it is read as a name or an attribute;
+    Class.member only when some attribute load reads .member, so neither
+    a field's declaration nor a local variable of the same name counts.
+    """
+    names, attrs = set(), set()
+    for text in texts:
+        n, a = _loads(ast.parse(text))
+        names |= n
+        attrs |= a
+    return sorted(
+        name
+        for name in surface
+        if name.rsplit(".", 1)[-1] not in attrs and ("." in name or name not in names)
+    )
+
+
+# A dataclass field that is declared, set by its constructor, written as
+# an attribute and shadowed by a local variable, but never read: the scan
+# must report it.
+_WRITE_ONLY_FIELD = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Report:
+    worst: float
+    kept: float
+
+
+def build(xs):
+    worst = max(xs)
+    report = Report(worst=worst, kept=min(xs))
+    report.worst = worst
+    return report.kept
+"""
+
+
 def test_every_public_name_has_a_caller():
     # a public name, and each public member or dataclass field of an
-    # exported class, must be used by the package, a demo or an acceptance
-    # criterion; its own unit tests do not count as callers
+    # exported class, must be read by the package, a demo, an acceptance
+    # criterion or the benchmark harness; its own unit tests do not count
+    # as callers, and a field is read only by an attribute load
+    assert _uncalled({"Report", "Report.worst", "Report.kept"}, [_WRITE_ONLY_FIELD]) == [
+        "Report.worst"
+    ]
     root = Path(sendovlab.__file__).parent
+    repo = root.parents[1]
     sources = [p for p in root.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((root.parents[1] / "demos").glob("*.py"))
-    sources.append(root.parents[1] / "tests" / "test_acceptance.py")
-    used = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    sources += sorted((repo / "demos").glob("*.py"))
+    sources.append(repo / "tests" / "test_acceptance.py")
+    sources += sorted((repo / "bench").glob("*.py"))
     surface = _public_surface()
     assert {"Region.closed_disk", "EmpiricalMeasure.weights"} <= surface
-    uncalled = {name for name in surface if name.rsplit(".", 1)[-1] not in used}
-    assert sorted(uncalled) == []
+    assert _uncalled(surface, [p.read_text() for p in sources]) == []
+
+
+def _exported_functions():
+    """(qualified name, FunctionDef) for each exported function and each method of an exported class."""
+    out = []
+    for name in sendovlab.__all__:
+        obj = getattr(sendovlab, name)
+        if inspect.isfunction(obj):
+            out.append((name, ast.parse(inspect.getsource(obj)).body[0]))
+        elif inspect.isclass(obj):
+            cls = ast.parse(inspect.getsource(obj)).body[0]
+            out += [(f"{name}.{m.name}", m) for m in cls.body if isinstance(m, ast.FunctionDef)]
+    return out
+
+
+def test_every_exported_parameter_is_read():
+    # a parameter that its function never reads is one that every caller
+    # passes for nothing
+    functions = _exported_functions()
+    assert {"degot_suite", "Region.mask"} <= {qualname for qualname, _ in functions}
+    unread = []
+    for qualname, fn in functions:
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        names, _ = _loads(ast.Module(body=fn.body, type_ignores=[]))
+        unread += [
+            f"{qualname}({p.arg})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in names
+        ]
+    assert sorted(unread) == []
 
 
 def _defaulted_parameters(path):
