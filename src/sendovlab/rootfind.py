@@ -248,10 +248,12 @@ def _aberth_step(z, wn, rows, cols):
     return out
 
 
-def _aberth(coeffs: np.ndarray):
+def _aberth(coeffs: np.ndarray, start: np.ndarray | None = None):
     """Core batched Aberth iteration on monic-normalized coefficient rows.
 
     Returns (points, residuals, iterations_used).  coeffs: (B, d+1).
+    The iterates start at ``start``, shape (B, d), when it is given, and
+    otherwise at the Newton polygon's circles (:func:`_start_points`).
     Iterates freeze once their backward error is at most ``_TOL`` and
     are no longer evaluated.  After the loop every iterate takes one
     more Aberth step, kept only where it does not raise the backward
@@ -265,7 +267,7 @@ def _aberth(coeffs: np.ndarray):
     # coefficients -0 parts, which would keep their Horner blocks live
     coeffs[coeffs == 0] = 0
     table = _horner_table(coeffs)
-    z = _start_points(np.abs(coeffs))
+    z = _start_points(np.abs(coeffs)) if start is None else start.copy()
     restart = z * np.exp(0.37j)
 
     wn = np.zeros((b, d), dtype=np.complex128)
@@ -316,23 +318,30 @@ def _by_degree(polys):
     return zeros, groups
 
 
-def _solve(polys) -> list[RootSet]:
+def _solve(polys, start: np.ndarray | None = None) -> list[RootSet]:
     """Solve each polynomial, one Aberth batch per degree after stripping.
 
     Each row's arithmetic is the same at any batch size, so every set
     equals that of solving its polynomial alone bit for bit; only
     ``iterations`` is the count of the whole batch, since a batch
-    iterates until its last row is done.
+    iterates until its last row is done.  A degree-1 row takes its root
+    -c_0/c_1 in closed form (``iterations`` 0), with its backward error
+    from the evaluation pass of a solve.  ``start``, start points of
+    shape (B, d), is given only for one batch of B rows with c_0 != 0.
     """
     zeros, groups = _by_degree(polys)
     out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
+        rows = np.stack([polys[i].coeffs[zeros[i] :] for i in members])
         if d == 0:
             pts = res = np.zeros((len(members), 0))
             iterations = 0
+        elif d == 1:
+            pts = -(rows[:, :1] / rows[:, 1:])
+            _, res = _newton_pass(_horner_table(rows), 1, np.arange(len(members)), pts[:, 0])
+            res, iterations = res[:, None], 0
         else:
-            rows = np.stack([polys[i].coeffs[zeros[i] :] for i in members])
-            pts, res, iterations = _aberth(rows)
+            pts, res, iterations = _aberth(rows) if start is None else _aberth(rows, start)
         for i, row_pts, row_res in zip(members, pts, res):
             k = zeros[i]
             points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
@@ -394,13 +403,23 @@ def _attached(polys) -> list[RootSet]:
     return out
 
 
-def find_roots(p: Polynomial) -> RootSet:
+def find_roots(p: Polynomial, start=None) -> RootSet:
     """Find all roots of p simultaneously.
 
     Exact zero coefficients at the low end are stripped first, so
-    polynomials like z**n - z report their origin roots exactly.
+    polynomials like z**n - z report their origin roots exactly.  The
+    iteration starts at ``start`` when it is given: p.degree finite
+    points, for a p with c_0 != 0.  With None it starts from the Newton
+    polygon.
     """
-    return _solve([p])[0]
+    if start is None:
+        return _solve([p])[0]
+    start = np.asarray(start, dtype=np.complex128)
+    if start.shape != (p.degree,) or not np.all(np.isfinite(start)):
+        raise ValueError(f"start must be {p.degree} finite points")
+    if p.coeffs[0] == 0:
+        raise ValueError("a start needs a polynomial with a nonzero constant term")
+    return _solve([p], start[None])[0]
 
 
 def certified(rs: RootSet, what: str = "zero") -> RootSet:

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import match_max_distance
 from sendovlab.families import (
     FamilyParams,
     example_circle,
     example_origin,
     family_critical_points,
+    family_zeros,
     miller_family,
     origin_derivative,
     predicted_zero_shift,
+    predicted_zeros,
     random_instance,
     random_instances,
     verify_family,
@@ -166,6 +167,48 @@ class TestPredictedZeroShift:
         near = predicted_zero_shift(params, np.pi / 3 + 1e-6)
         far = predicted_zero_shift(params, np.pi / 3 + np.pi)
         assert near > far
+
+
+class TestPredictedZeros:
+    def test_arc_pair_falls_back_to_the_newton_polygon(self):
+        # lambda_j on the unit circle: two of the predicted starts would
+        # coincide (separation 3.5e-16), and the solve from them fails
+        params = FamilyParams(
+            n=64, c1=1.0, c2=1.0, lambdas=np.array([ARC_LAMBDA, np.conj(ARC_LAMBDA)])
+        )
+        assert predicted_zeros(params) is None
+        assert certified(family_zeros(params, miller_family(params).f)).converged
+
+    @pytest.mark.parametrize(
+        "n, lambdas",
+        [
+            (n, lambdas)
+            for n in (2, 3, 8)
+            for lambdas in ([], [0.3 + 0.8j], [ARC_LAMBDA, np.conj(ARC_LAMBDA)])
+            if len(lambdas) < n
+        ],
+    )
+    def test_small_degrees_give_separated_starts_or_none(self, n, lambdas):
+        params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array(lambdas, dtype=complex))
+        z = predicted_zeros(params)
+        if z is not None:
+            assert z.shape == (n,) and np.all(np.isfinite(z))
+            theta = np.angle(z + params.c2 / n)
+            apart = np.abs(np.angle(np.exp(1j * (theta[:, None] - theta[None, :]))))
+            assert apart[~np.eye(n, dtype=bool)].min() >= 0.5 * np.pi / n
+        assert certified(family_zeros(params, miller_family(params).f)).converged
+
+    def test_linear_memory(self):
+        # the separation check sorts the angles: no n x n array at n = 65,536
+        params = FamilyParams(n=1 << 16, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        tracemalloc.start()
+        try:
+            z = predicted_zeros(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z is not None and z.size == params.n
+        assert peak < 16 * 16 * params.n
 
 
 class TestVerifyFamily:

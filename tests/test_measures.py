@@ -16,7 +16,7 @@ from sendovlab.measures import (
     quantitative_zetas,
     summary,
 )
-from sendovlab.poly_core import Polynomial, derivative, from_roots
+from sendovlab.poly_core import derivative, from_roots
 from sendovlab.rootfind import critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import Region
 

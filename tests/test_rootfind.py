@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import match_max_distance
-from sendovlab.families import FamilyParams, example_origin, miller_family
+from sendovlab.families import FamilyParams, example_origin, family_zeros, miller_family
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
 from sendovlab import rootfind
 from sendovlab.rootfind import RootSet, find_roots, zero_sets
@@ -141,6 +141,16 @@ class TestFindRoots:
         assert crit.converged
         assert crit.iterations <= 8
 
+    def test_degree_one_in_closed_form(self):
+        c0, c1 = 0.3 - 0.2j, 2.0 + 1.0j
+        rs = find_roots(Polynomial([c0, c1]))
+        assert rs.converged and rs.iterations == 0
+        assert abs(rs.points[0] + c0 / c1) <= 4 * UNIT_ROUNDOFF * abs(c0 / c1)
+        assert rs.residuals[0] <= 4 * UNIT_ROUNDOFF
+        # the exact zero root is stripped first, as in any solve
+        stripped = find_roots(Polynomial([0.0, c0, c1]))
+        assert stripped.points.tolist() == [0.0, rs.points[0]]
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.lists(
@@ -159,6 +169,35 @@ class TestFindRoots:
         exact = np.array([complex(r) for r in exact])
         assert rs.converged
         assert match_max_distance(rs.points, exact) < 1e-6 * max(1.0, np.abs(exact).max())
+
+
+class TestSeededStart:
+    @pytest.mark.parametrize("n", [64, 192, 1024])
+    def test_family_from_its_predicted_zeros(self, n):
+        # the generic Newton-polygon start takes 10 to 16 iterations here
+        params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        f = miller_family(params).f
+        seeded = family_zeros(params, f)
+        generic = find_roots(f)
+        assert seeded.converged and generic.converged
+        assert seeded.iterations <= 5 < generic.iterations
+        assert match_max_distance(seeded.points, generic.points) < 1e-14
+
+    def test_any_distinct_start_reaches_the_same_roots(self):
+        p = Polynomial(from_roots([0.5, -0.5j, 0.3 + 0.1j, -0.8 + 0.2j]).coeffs)
+        start = 0.9 * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j)
+        rs = find_roots(p, start)
+        assert rs.converged and rs.iterations > 0
+        assert match_max_distance(rs.points, find_roots(p).points) < 1e-14
+        assert find_roots(p, None).points.tobytes() == find_roots(p).points.tobytes()
+
+    def test_refuses_a_bad_start(self):
+        p = Polynomial(from_roots([0.5, -0.5j, 0.3 + 0.1j]).coeffs)
+        for start in ([0.1, 0.2], np.zeros((3, 1)), [0.1, 0.2, np.nan], [0.1, np.inf, 0.3]):
+            with pytest.raises(ValueError, match="3 finite points"):
+                find_roots(p, start)
+        with pytest.raises(ValueError, match="nonzero constant term"):
+            find_roots(Polynomial([0.0, 1.0, 1.0]), [0.5, -0.5])
 
 
 class TestZeroSets:
