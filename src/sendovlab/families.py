@@ -15,10 +15,17 @@ P + (z + c2/n) P'/(n-m), known analytically; the generic solver can
 only resolve the fat multiple root to a cluster of radius
 ~eps**(1/(n-m-1)) from coefficients.
 
+The binomial (z + c2/n)**(n-m) is expanded with exact integer
+binomials, each from the one before, and a member whose coefficients
+overflow a float is refused with ValueError.
+
 The shift profile also predicts where each zero lies, to O(1/n**2):
-:func:`predicted_zeros` places one start point per zero, and
-:func:`family_zeros` starts the Aberth solve there (3 iterations at
-n = 64 to 1024, against 10 to 16 from the Newton polygon).  When the
+:func:`predicted_zeros` places one start point per zero and polishes
+it by Newton steps on the family's own equation in log form, at O(m)
+per zero, to rounding level.  :func:`family_zeros` starts the dense
+Aberth solve there, which then converges in its first evaluation pass
+(1 iteration at n = 64 to 4096, against 10 to 16 from the Newton
+polygon), so the zeros keep the dense solve's certificate.  When the
 prediction is unusable (a start that is not finite, or two starts
 closer in angle than a quarter of the spacing 2 pi/n, as when a
 lambda_j sits on the unit circle) the solve starts from the Newton
@@ -145,20 +152,29 @@ class FamilyParams:
 def _binomial_shift_coeffs(nm: int, s: float) -> np.ndarray:
     """Ascending coefficients of (z + s)**nm, stable for large nm.
 
-    Binomials stay exact integers; entries whose s**(nm-k) underflows
-    are genuinely negligible at working precision and flush to zero.
+    The binomials C(nm, k) are exact integers, carried from one k to the
+    next by C(nm, k+1) = C(nm, k) (nm - k) // (k + 1), until ``float()``
+    rounds them; a term whose binomial or power is too large for a float
+    is combined in log space instead.  Entries whose s**(nm-k)
+    underflows are genuinely negligible at working precision and flush
+    to zero.  Raises OverflowError when an entry is too large for a
+    float.
     """
     out = np.empty(nm + 1, dtype=np.float64)
+    comb = 1
     for k in range(nm + 1):
         j = nm - k
         try:
-            out[k] = float(math.comb(nm, k)) * s**j
+            out[k] = float(comb) * s**j
         except OverflowError:
-            # comb too large for a float: combine in log space instead
+            # comb or s**j too large for a float: combine in log space instead
             out[k] = math.exp(
                 math.lgamma(nm + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
                 + j * math.log(s)
             )
+        comb = comb * j // (k + 1)
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"(z + {s:g})**{nm} has coefficients too large for a float")
     return out
 
 
@@ -168,7 +184,8 @@ def miller_family(params: FamilyParams) -> SendovInstance:
     The subtracted constant is computed in log space (log1p of the
     O(1/n) offset), which keeps |f(a)| at rounding level for all n;
     the construction raises CrossCheckError unless |f(a)| <= 1e-10
-    relative to the coefficient scale at a.  No root list is attached:
+    relative to the coefficient scale at a, and ValueError when
+    (z + c2/n)**(n-m) overflows.  No root list is attached:
     the zeros of these instances intentionally stray O(1/n) outside the
     unit disk.
     """
@@ -176,16 +193,17 @@ def miller_family(params: FamilyParams) -> SendovInstance:
     m = params.m
     a = params.a
     nm = n - m
-    shift = _binomial_shift_coeffs(nm, c2 / n).astype(np.complex128)
-    if m:
-        pcoeffs = from_roots(lams).coeffs
-        coeffs = np.convolve(shift, pcoeffs)
-        p_at_a = complex(np.prod(a - lams))
-    else:
-        coeffs = shift
-        p_at_a = 1.0 + 0.0j
-    # (a + c2/n)**nm = exp(nm * log1p((c2 - c1)/n)) exactly in log space
-    const = p_at_a * math.exp(nm * math.log1p((c2 - c1) / n))
+    p_at_a = complex(np.prod(a - lams))
+    try:
+        shift = _binomial_shift_coeffs(nm, c2 / n).astype(np.complex128)
+        # (a + c2/n)**nm = exp(nm * log1p((c2 - c1)/n)) exactly in log space
+        const = p_at_a * math.exp(nm * math.log1p((c2 - c1) / n))
+    except OverflowError:
+        raise ValueError(
+            f"(z + c2/n)**(n-m) overflows at n = {n}, c2 = {c2:g}: "
+            "its coefficients are too large for a float"
+        ) from None
+    coeffs = np.convolve(shift, from_roots(lams).coeffs) if m else shift
     coeffs[0] -= const
     f = Polynomial(coeffs)
     scale = 1.0 + float(_horner(np.abs(coeffs), a).real)
@@ -241,8 +259,10 @@ def predicted_zero_shift(params: FamilyParams, theta) -> np.ndarray | float:
     return t
 
 
-# Newton steps on the zeros' angles in :func:`predicted_zeros`.
+# Newton steps in :func:`predicted_zeros`: on the zeros' angles, then on
+# the zeros themselves in the family's own form.
 _ANGLE_STEPS = 3
+_POLISH_STEPS = 3
 
 
 def predicted_zeros(params: FamilyParams) -> np.ndarray | None:
@@ -252,15 +272,33 @@ def predicted_zeros(params: FamilyParams) -> np.ndarray | None:
     has the argument of P(a).  The angle theta_k of the k-th zero solves
     (n-m) theta + arg P(e^{i theta} - c2/n) = arg P(a) + 2 pi k, found
     by a few Newton steps from (arg P(a) + 2 pi k)/n, and its radius is
-    1 + t(theta_k)/n (:func:`predicted_zero_shift`).  None when a start
-    is not finite or two are closer in angle than a quarter of 2 pi/n;
-    the check sorts the angles, so it costs O(n log n).
+    1 + t(theta_k)/n (:func:`predicted_zero_shift`), which places the
+    zero to O(1/n**2).  A few Newton steps on the family's own equation
+    in log form,
+
+        h(z) = (n-m) log(z + c2/n) + sum_j log(z - lambda_j) - log C,
+
+    with the imaginary part of h wrapped into (-pi, pi] and
+    log C = log|P(a)| + (n-m) log1p((c2 - c1)/n) + i arg P(a), the
+    log-space constant of :func:`miller_family`, then polish each start
+    to rounding level at O(m) per zero and O(n m) memory, so the dense
+    solve converges in its first evaluation pass.  A start that the
+    polish would move by a quarter of the spacing 2 pi/n or more, as
+    next to a lambda_j on the unit circle, keeps its unpolished place.
+    None when a start is not finite or two are closer in angle
+    arg(z + c2/n) than a quarter of 2 pi/n; the check sorts the angles,
+    so it costs O(n log n).  None also when P(a) = 0 (a = lambda_j = 0):
+    then C = 0 and the zeros are -c2/n and the lambda_j.
     """
-    n, c2, lams = params.n, params.c2, params.lambdas
+    n, c1, c2, lams = params.n, params.c1, params.c2, params.lambdas
     nm = n - params.m
-    target = float(np.angle(np.prod(params.a - lams)))
+    p_at_a = complex(np.prod(params.a - lams))
+    if p_at_a == 0:
+        return None
+    target = float(np.angle(p_at_a))
     theta = (target + 2.0 * np.pi * np.arange(n)) / n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_c = np.log(abs(p_at_a)) + nm * math.log1p((c2 - c1) / n) + 1j * target
         for _ in range(_ANGLE_STEPS):
             u = np.exp(1j * theta)
             gap = u[:, None] - (lams + c2 / n)
@@ -268,6 +306,17 @@ def predicted_zeros(params: FamilyParams) -> np.ndarray | None:
             slope = nm + (u[:, None] / gap).real.sum(axis=1)
             theta = theta - (np.remainder(phase + np.pi, 2.0 * np.pi) - np.pi) / slope
         z = (1.0 + predicted_zero_shift(params, theta) / n) * np.exp(1j * theta) - c2 / n
+        polished = z
+        for _ in range(_POLISH_STEPS):
+            w = polished + c2 / n
+            gap = polished[:, None] - lams
+            h = nm * np.log(w) + np.log(gap).sum(axis=1) - log_c
+            h.imag = np.pi - np.remainder(np.pi - h.imag, 2.0 * np.pi)
+            polished = polished - h / (nm / w + (1.0 / gap).sum(axis=1))
+        # a start the polish moves by a quarter spacing or more (or to a
+        # non-finite point) was not near its zero
+        z = np.where(np.abs(polished - z) < 0.5 * np.pi / n, polished, z)
+        theta = np.angle(z + c2 / n)
     if not np.all(np.isfinite(z)):
         return None
     ordered = np.sort(np.remainder(theta, 2.0 * np.pi))

@@ -521,6 +521,14 @@ class TestMain:
         assert main(["balayage", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == "error: balayage cross-check failed: routes disagree\n"
 
+    def test_overflowing_family_is_an_error(self, tmp_path, capsys):
+        # (z + 2500)**399 has coefficients past the float range
+        family = {"kind": "miller", "c1": 1, "c2": 1e6, "lambdas": [[0.3, 0.8]], "n": 400}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"family": family}}))
+        assert main(["family", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: (z + c2/n)**(n-m) overflows")
+
     def test_n_refused_for_a_polynomial(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         instance = {"polynomial": {"coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}, "a": 1.0}

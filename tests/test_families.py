@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import match_max_distance
 from sendovlab.families import (
     FamilyParams,
+    _binomial_shift_coeffs,
     example_circle,
     example_origin,
     family_critical_points,
@@ -115,6 +118,35 @@ class TestMillerFamily:
             direct = (z + w) ** 16 - (params.a + w) ** 16
             assert evaluate(inst.f, z) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("nm", [1, 2, 63, 191, 1100])
+    @pytest.mark.parametrize("c2", [1.0, 2.0, 3.5])
+    def test_binomial_recurrence_matches_the_per_k_formula(self, nm, c2):
+        # C(1100, 550) ~ 1e329 takes the log-space branch
+        s = c2 / (nm + 1)
+        expected = np.empty(nm + 1)
+        for k in range(nm + 1):
+            j = nm - k
+            try:
+                expected[k] = float(math.comb(nm, k)) * s**j
+            except OverflowError:
+                expected[k] = math.exp(
+                    math.lgamma(nm + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
+                    + j * math.log(s)
+                )
+        assert _binomial_shift_coeffs(nm, s).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, c2, lambdas",
+        [(400, 1e6, [0.3 + 0.8j]), (100, 1e6, []), (100, 120840.0, [])],
+        ids=["coefficients", "m-zero", "constant-only"],
+    )
+    def test_overflowing_binomial_is_refused(self, n, c2, lambdas):
+        # at c2 = 120840 and n = 100 each coefficient fits a float, but
+        # (a + c2/n)**n does not
+        params = FamilyParams(n=n, c1=1.0, c2=c2, lambdas=np.array(lambdas, dtype=complex))
+        with pytest.raises(ValueError, match=r"\(z \+ c2/n\)\*\*\(n-m\) overflows"):
+            miller_family(params)
+
     def test_zeros_stay_order_one_over_n_outside(self):
         params = FamilyParams(n=128, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
         rs = find_roots(miller_family(params).f)
@@ -179,6 +211,22 @@ class TestPredictedZeros:
         assert predicted_zeros(params) is None
         assert certified(family_zeros(params, miller_family(params).f)).converged
 
+    def test_zero_at_a_falls_back_to_the_newton_polygon(self):
+        # c1 = n puts a at 0 = lambda_1, so C = 0 and f has a root at 0
+        params = FamilyParams(n=8, c1=8.0, c2=8.0, lambdas=np.array([0.0]))
+        assert predicted_zeros(params) is None
+        zeros = certified(family_zeros(params, miller_family(params).f))
+        assert np.count_nonzero(zeros.points == 0) == 1
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("lambdas", [[], [0.3 + 0.8j], [0.3 + 0.8j, -0.5 + 0.5j]])
+    def test_polished_starts_are_the_certified_zeros(self, n, lambdas):
+        params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array(lambdas, dtype=complex))
+        z = predicted_zeros(params)
+        zeros = certified(family_zeros(params, miller_family(params).f))
+        assert zeros.iterations == 1
+        assert match_max_distance(z, zeros.points) < 1e-14
+
     @pytest.mark.parametrize(
         "n, lambdas",
         [
@@ -222,13 +270,16 @@ class TestVerifyFamily:
         assert rep.fine["sigma2"] > 0
         assert rep.fine["one_minus_a"] == pytest.approx(1.0 / 64.0)
 
-    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
     def test_large_degree_member(self, n):
         # the degrees where the paper's asymptotics matter
         params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
         rep = verify_family(params, theta_grid=512)
         assert rep.ten_residuals.max() < 1e-9
         assert params.n * rep.t_prediction_errors.max() < 20.0
+        if n == 4096:
+            zeros = family_zeros(params, miller_family(params).f)
+            assert zeros.converged and zeros.iterations == 1
 
     def test_arc_lambda_mean_obstruction(self):
         # mean of the profile t - c2 cos over theta equals
