@@ -1,13 +1,14 @@
 """Experiment driver: configured runs with reproducible records.
 
 Every experiment is a JSON config naming a command, an instance
-source, and numeric options, each declared in one table; a key no
-table declares raises.  Running one produces a record whose numeric
-payload is a pure function of config and seed: reruns are
-byte-identical.  A record is written as JSON or as one CSV table.
+source, and numeric options, each declared in one table that
+:func:`_read` parses; a key no table declares raises.  Running one
+produces a record whose numeric payload is a pure function of config
+and seed: reruns are byte-identical.  A record is written as JSON or
+as one CSV table, each field of which :func:`_cell` formats.
 
 Usage:  sendov-lab <command> --config cfg.json [--n N] [--seed S]
-                             [--out PATH] [--format json|csv]
+                             [--out PATH [--format json|csv]]
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .families import (
     verify_family,
 )
 from .measures import empirical_measure, moment, quantitative_zetas
-from .poly_core import SendovInstance, derivative
+from .poly_core import Polynomial, SendovInstance, derivative
 from .potential import (
     IDENTITY_STANDOFF,
     CircleDensity,
@@ -49,49 +50,27 @@ from .potential import (
 # bench/test_smoke.py checks that the tracer rebinds it in this module
 from .rootfind import certified, find_roots, zero_sets  # noqa: F401
 from .sendov_check import sendov_margin
-from .serialize import cpair, dumps, finite_float, fmt17, from_cpair, poly_from_json
+from .serialize import cpair, dumps, finite_float, fmt17, from_cpair
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "main", "run"]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description: every field determines the record."""
 
     command: str
     instance: dict
     options: dict
     seed: int = 0
-    out: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(
-                f"unknown command {self.command!r}; expected one of {', '.join(COMMANDS)}"
-            )
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
-        if not isinstance(self.instance, dict):
-            raise ValueError("instance must be an object")
-        if not isinstance(self.options, dict):
-            raise ValueError("options must be an object")
+        _read(_CONFIG, vars(self), "config")
 
     @classmethod
-    def from_json(cls, obj: dict, **overrides) -> "ExperimentConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        merged = {"command": "", "instance": {}, "options": {}, **obj}
-        merged.update((key, val) for key, val in overrides.items() if val is not None)
-        seed = merged.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"bad value for 'seed': {seed!r} is not an integer")
-        return cls(**merged)
-
-    def as_dict(self) -> dict:
-        """The fields that determine the results; out and format only say where the record goes."""
-        return {k: v for k, v in asdict(self).items() if k not in ("out", "format")}
+    def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """The config of a JSON object, where options may be left out."""
+        return cls(**_read(_CONFIG, {"options": {}, **obj}, "config"))
 
 
 @dataclass(frozen=True)
@@ -141,12 +120,43 @@ def _list_of(parse):
     return lambda values: [parse(v) for v in _list(values)]
 
 
+_pairs = _list_of(from_cpair)
+
+
+def _optional(parse):
+    """Parser of a JSON value that is null or goes through parse."""
+    return lambda value: None if value is None else parse(value)
+
+
+def _command(name):
+    if name not in COMMANDS:
+        raise ValueError(f"unknown command {name!r}; expected one of {', '.join(COMMANDS)}")
+    return name
+
+
+# The keys of a config and of a polynomial as {key: (parser, default)}; ... marks a required key
+_CONFIG = {
+    "command": (_command, ...),
+    "instance": (_object, ...),
+    "options": (_object, ...),
+    "seed": (_int, 0),
+}
+_POLYNOMIAL = {"coeffs": (_pairs, ...), "roots": (_optional(_pairs), None)}
+
+
+def _polynomial(obj) -> Polynomial:
+    """The polynomial of a JSON object: its coefficients and, optionally, its roots."""
+    poly = _read(_POLYNOMIAL, _object(obj), "polynomial")
+    roots = poly["roots"]
+    return Polynomial(np.array(poly["coeffs"]), None if roots is None else np.array(roots))
+
+
 # Each instance source with its keys as {key: (parser, default)}: random, a
 # polynomial (whose keys sit at the instance's top level), and each family kind.
 # A family's kind is one of _FAMILY_KINDS by the time its keys are read.
 _SOURCES = {
     "random": {"count": (_int, 1), "degree": (_int, 8)},
-    "polynomial": {"polynomial": (poly_from_json, None), "a": (finite_float, None)},
+    "polynomial": {"polynomial": (_polynomial, ...), "a": (finite_float, ...)},
     "circle": {"kind": (str, ""), "n": (_int, 0)},
     "origin": {"kind": (str, ""), "n": (_int, 0)},
     "miller": {
@@ -154,17 +164,23 @@ _SOURCES = {
         "n": (_int, 0),
         "c1": (finite_float, 1.0),
         "c2": (finite_float, 1.0),
-        "lambdas": (_list_of(from_cpair), ()),
+        "lambdas": (_pairs, ()),
     },
 }
 _FAMILY_KINDS = ("circle", "origin", "miller")
 
 
 def _read(spec: dict, given: dict, what: str) -> dict:
-    """Parse given by spec's {key: (parser, default)}; an undeclared key or bad value raises."""
+    """Parse given by spec's {key: (parser, default)}, where a default of ... marks a required key.
+
+    An undeclared key, a missing required key or a bad value raises.
+    """
     unknown = set(given) - set(spec)
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} in {what}; expected {list(spec)}")
+    missing = [key for key, (_, default) in spec.items() if default is ... and key not in given]
+    if missing:
+        raise ValueError(f"missing key(s) {missing} in {what}")
     out = {}
     for key, (parse, default) in spec.items():
         try:
@@ -217,8 +233,6 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
             insts = random_instances(rng, degree, count)
             labels = [f"random-{i}" for i in range(count)]
         elif kind == "polynomial":
-            if src["a"] is None:
-                raise ValueError("polynomial instances need an explicit 'a'")
             if crit and src["polynomial"].degree < 2:
                 raise ValueError(
                     "critical points need a polynomial instance of degree at least 2, "
@@ -480,7 +494,7 @@ _COMMANDS = {
     "identities": (_run_identities, {"tol": (finite_float, 1e-8), "points": (_int, 20)}),
     "balayage": (
         _run_balayage,
-        {"R": (finite_float, 1.5), "N": (lambda v: None if v is None else _int(v), None)},
+        {"R": (finite_float, 1.5), "N": (_optional(_int), None)},
     ),
     "winding": (_run_winding, {"r1": (finite_float, 0.2), "r2": (finite_float, 0.4)}),
     "family": (_run_family, {"theta_grid": (_int, 2048), "tol": (finite_float, 1e-9)}),
@@ -501,7 +515,7 @@ def run(cfg: ExperimentConfig) -> ExperimentRecord:
     source = _read_instance(cfg.instance)
     results, ok = runner(source, np.random.default_rng(cfg.seed), **options)
     return ExperimentRecord(
-        config=cfg.as_dict(),
+        config=asdict(cfg),
         results=results,
         ok=bool(ok),
         version=__version__,
@@ -509,99 +523,61 @@ def run(cfg: ExperimentConfig) -> ExperimentRecord:
     )
 
 
-def _csv_rows(record: ExperimentRecord) -> tuple[list[str], list[list[str]]]:
-    """Flatten the record into a command-appropriate table."""
+def _cell(value) -> str:
+    """One CSV field: a float to 17 digits, a bool in lower case, None empty, else str."""
+    if isinstance(value, float):
+        return fmt17(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
+
+
+def _csv_rows(record: ExperimentRecord) -> list[list]:
+    """The record as a command-appropriate table of raw values, header row first."""
     cmd = record.config["command"]
     res = record.results
     if cmd == "check":
-        header = ["label", "re", "im", "is_critical", "margin"]
-        rows = []
+        rows = [["label", "re", "im", "is_critical", "margin"]]
         for inst in res["instances"]:
             for (re, im), mg in zip(inst["zeros"], inst["margins"]):
-                rows.append([inst["label"], fmt17(re), fmt17(im), "0", fmt17(mg)])
+                rows.append([inst["label"], re, im, 0, mg])
             for re, im in inst["critical_points"]:
-                rows.append([inst["label"], fmt17(re), fmt17(im), "1", ""])
-        return header, rows
+                rows.append([inst["label"], re, im, 1, None])
+        return rows
     if cmd == "identities":
-        header = ["label", "identity", "max_residual"]
-        rows = [
-            [inst["label"], lab, fmt17(v)]
+        return [["label", "identity", "max_residual"]] + [
+            [inst["label"], lab, v]
             for inst in res["instances"]
             for lab, v in inst["per_identity_max"].items()
         ]
-        return header, rows
     if cmd == "balayage":
         header = ["theta", "zero_density", "crit_density"]
-        thetas = CircleDensity(res["R"], res["zero_density"]).thetas.tolist()
-        rows = [
-            [fmt17(t), fmt17(z), fmt17(x)]
-            for t, z, x in zip(thetas, res["zero_density"], res["crit_density"])
-        ]
-        return header, rows
+        thetas = CircleDensity(res["R"], res["zero_density"]).thetas
+        return [header, *zip(thetas, res["zero_density"], res["crit_density"])]
     if cmd == "winding":
         header = ["radius", "objective", "winding", "zero_pole_count", "agree"]
-        return header, [
-            [
-                fmt17(res["radius"]),
-                fmt17(res["objective"]),
-                str(res["winding"]),
-                str(res["zero_pole_count"]),
-                str(res["agree"]).lower(),
-            ]
-        ]
+        return [header, [res[k] for k in header]]
     if cmd == "family":
-        header = ["theta", "lamin"]
-        rows = [
-            [fmt17(t), fmt17(v)]
-            for t, v in zip(res["lamin_thetas"], res["lamin_values"])
-        ]
-        return header, rows
+        return [["theta", "lamin"], *zip(res["lamin_thetas"], res["lamin_values"])]
     if cmd == "fourier":
         header = ["k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"]
-        rows = [
-            [
-                str(r["k"]),
-                fmt17(r["coeff"][0]),
-                fmt17(r["coeff"][1]),
-                fmt17(r["closed_form"][0]),
-                fmt17(r["closed_form"][1]),
-                fmt17(r["residual"]),
-            ]
-            for r in res["rows"]
-        ]
-        return header, rows
+        rows = [[r["k"], *r["coeff"], *r["closed_form"], r["residual"]] for r in res["rows"]]
+        return [header, *rows]
     # sweep: union of scalar keys across rows, in first-seen order
     keys: list[str] = []
     for row in res["rows"]:
         for k, v in row.items():
             if isinstance(v, (int, float, bool, str)) and k not in keys:
                 keys.append(k)
-    rows = []
-    for row in res["rows"]:
-        out = []
-        for k in keys:
-            v = row.get(k)
-            if isinstance(v, bool):
-                out.append(str(v).lower())
-            elif isinstance(v, (int, float)):
-                out.append(fmt17(v) if isinstance(v, float) else str(v))
-            else:
-                out.append("" if v is None else str(v))
-        rows.append(out)
-    return keys, rows
+    return [keys, *([row.get(k) for k in keys] for row in res["rows"])]
 
 
 def write_record(record: ExperimentRecord, path: str, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w") as fh:
-            fh.write(dumps(record.to_json()))
-            fh.write("\n")
-        return
-    header, rows = _csv_rows(record)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if fmt == "json":
+            fh.write(dumps(record.to_json()) + "\n")
+        else:
+            csv.writer(fh).writerows([_cell(v) for v in row] for row in _csv_rows(record))
 
 
 def main(argv=None) -> int:
@@ -613,9 +589,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--n", type=int, default=None, help="override instance degree")
     parser.add_argument("--seed", type=int, default=None, help="override rng seed")
-    parser.add_argument("--out", default=None, help="override output path")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--out", default=None, help="write the record to this path")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
+    if args.format == "csv" and not args.out:
+        parser.error("--format csv needs --out")
 
     try:
         with open(args.config) as fh:
@@ -625,26 +603,27 @@ def main(argv=None) -> int:
     try:
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        raw["command"] = args.command
+        named = raw.setdefault("command", args.command)
+        if named != args.command:
+            raise ValueError(
+                f"config names command {named!r} but the command line runs {args.command!r}"
+            )
+        if args.seed is not None:
+            raw["seed"] = args.seed
         inst = raw.get("instance")
         if args.n is not None and isinstance(inst, dict):
             if "polynomial" in inst:
                 raise ValueError("--n does not apply to a polynomial instance")
-            for key in ("family", "random"):
-                if key in inst:
-                    if not isinstance(inst[key], dict):
-                        raise ValueError(f"bad value for {key!r} in instance: --n needs an object")
-                    inst[key]["n" if key == "family" else "degree"] = args.n
-        cfg = ExperimentConfig.from_json(
-            raw, seed=args.seed, out=args.out, format=args.format
-        )
-        record = run(cfg)
+            for key, degree in (("family", "n"), ("random", "degree")):
+                if isinstance(inst.get(key), dict):
+                    inst[key][degree] = args.n
+        record = run(ExperimentConfig.from_json(raw))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.out:
-        write_record(record, cfg.out, cfg.format)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        write_record(record, args.out, args.format)
+        print(f"wrote {args.out}")
     else:
         print(dumps(record.to_json()))
     print(f"ok={record.ok}")

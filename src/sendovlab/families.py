@@ -362,6 +362,8 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
     """Locate the zeros, test the radial law, and collect diagnostics."""
     if theta_grid < 1:
         raise ValueError(f"theta_grid must be at least 1, not {theta_grid}")
+    if np.prod(params.a - params.lambdas) == 0:
+        raise ValueError("the radial law needs P(a) != 0, but a = lambda_j gives P(a) = 0")
     inst = miller_family(params)
     n, c1, c2, lams = params.n, params.c1, params.c2, params.lambdas
     m = params.m

@@ -341,7 +341,7 @@ def _solve(polys, start: np.ndarray | None = None) -> list[RootSet]:
             _, res = _newton_pass(_horner_table(rows), 1, np.arange(len(members)), pts[:, 0])
             res, iterations = res[:, None], 0
         else:
-            pts, res, iterations = _aberth(rows) if start is None else _aberth(rows, start)
+            pts, res, iterations = _aberth(rows, start)
         for i, row_pts, row_res in zip(members, pts, res):
             k = zeros[i]
             points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])

@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from .poly_core import Polynomial
-
 __all__ = [
     "cpair",
     "dumps",
@@ -26,7 +24,6 @@ __all__ = [
     "fmt17",
     "from_cpair",
     "loads",
-    "poly_from_json",
 ]
 
 
@@ -92,19 +89,3 @@ def loads(text: str):
     """
     return json.loads(text, object_hook=_decode_array)
 
-
-def poly_from_json(obj: dict) -> Polynomial:
-    unknown = set(obj) - {"coeffs", "roots", "leading"}
-    if unknown:
-        raise ValueError(f"unknown polynomial JSON key(s) {sorted(unknown)}")
-    try:
-        coeffs = [from_cpair(c) for c in obj["coeffs"]]
-    except KeyError as exc:
-        raise ValueError("polynomial JSON needs a 'coeffs' field") from exc
-    roots = obj.get("roots")
-    if roots is not None:
-        roots = [from_cpair(r) for r in roots]
-    p = Polynomial(np.array(coeffs), np.array(roots) if roots is not None else None)
-    if "leading" in obj and from_cpair(obj["leading"]) != p.leading:
-        raise ValueError("leading field disagrees with the last coefficient")
-    return p

@@ -161,8 +161,8 @@ def test_random_record_solves_its_critical_points_in_one_batch(monkeypatch):
 def test_one_unconverged_batch_row_fails_the_record(monkeypatch):
     aberth = rootfind._aberth
 
-    def one_row_stuck(coeffs):
-        pts, res, iterations = aberth(coeffs)
+    def one_row_stuck(coeffs, start=None):
+        pts, res, iterations = aberth(coeffs, start)
         res[5, 0] = 10 * rootfind._TOL
         return pts, res, iterations
 

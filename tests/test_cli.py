@@ -19,7 +19,7 @@ from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
 from sendovlab.rootfind import certified, critical_points, zero_sets
-from sendovlab.serialize import fmt17, loads
+from sendovlab.serialize import dumps, fmt17, loads
 
 
 def _cfg(command, instance, options=None, seed=0):
@@ -34,6 +34,7 @@ ORIGIN64 = {"family": {"kind": "origin", "n": 64}}
 MILLER = {
     "family": {"kind": "miller", "n": 64, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}
 }
+QUADRATIC = {"coeffs": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
 
 
 class TestConfig:
@@ -42,28 +43,78 @@ class TestConfig:
             _cfg("frobnicate", CIRCLE12)
 
     def test_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown config fields"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['instanc'\] in config"):
             ExperimentConfig.from_json({"command": "check", "instanc": {}})
 
-    def test_bad_format(self):
-        with pytest.raises(ValueError, match="format"):
-            ExperimentConfig(command="check", instance=CIRCLE12, options={}, format="xml")
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("instance", [], "bad value for 'instance' in config"),
+            ("options", None, "bad value for 'options' in config"),
+            ("seed", 1.5, "bad value for 'seed' in config"),
+        ],
+    )
+    def test_fields_are_read_when_built(self, field, value, message):
+        # a config built in code goes through the same reader as one from JSON
+        fields = {"command": "check", "instance": CIRCLE12, "options": {}, field: value}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(fields)
 
-    def test_overrides_apply(self):
-        cfg = ExperimentConfig.from_json(
-            {"command": "check", "instance": CIRCLE12}, seed=7, format="csv"
-        )
-        assert cfg.seed == 7
-        assert cfg.format == "csv"
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"command": "check", "instance": CIRCLE12, "out": "rec.json"}, "out"),
+            ({"command": "check", "instance": CIRCLE12, "format": "csv"}, "format"),
+            (
+                {
+                    "command": "check",
+                    "instance": {"polynomial": dict(QUADRATIC, leading=[1.0, 0.0]), "a": 1.0},
+                },
+                "leading",
+            ),
+        ],
+        ids=["out", "format", "leading"],
+    )
+    def test_removed_keys_are_unknown(self, config, key):
+        # out and format are command-line flags only; a polynomial is its
+        # coeffs and roots, and its leading coefficient is the last of coeffs
+        with pytest.raises(ValueError, match=rf"unknown key\(s\) \[{key!r}\]"):
+            run(ExperimentConfig.from_json(config))
 
-    def test_output_fields_stay_out_of_the_record(self):
-        # out and format say where the record goes, not what it holds
-        cfg = ExperimentConfig.from_json(
-            {"command": "check", "instance": CIRCLE12}, out="rec.csv", format="csv"
-        )
-        rec = run(cfg)
-        assert set(rec.config) == {"command", "instance", "options", "seed"}
-        assert rec.payload() == run(_cfg("check", CIRCLE12)).payload()
+    def test_bad_format(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": CIRCLE12}))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", str(cfg_path), "--out", "rec.xml", "--format", "xml"])
+        assert exc.value.code == 2
+        assert "--format: invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_overrides_apply(self, tmp_path):
+        # --seed and --n replace the config's seed and degree before it is read
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"random": {"degree": 8}}, "seed": 1}))
+        out = tmp_path / "rec.json"
+        args = ["--seed", "7", "--n", "10", "--out", str(out)]
+        assert main(["check", "--config", str(cfg_path), *args]) == 0
+        written = loads(out.read_text())
+        assert written["config"]["seed"] == 7
+        expected = run(_cfg("check", {"random": {"degree": 10}}, seed=7))
+        assert written["config"] == expected.config
+        assert _plain(written["results"]) == _plain(expected.results)
+
+    def test_output_fields_stay_out_of_the_record(self, tmp_path):
+        # --out and --format say where the record goes, not what it holds
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": CIRCLE12}))
+        out = tmp_path / "rec.json"
+        args = ["--out", str(out), "--format", "json"]
+        assert main(["check", "--config", str(cfg_path), *args]) == 0
+        written = loads(out.read_text())
+        assert set(written["config"]) == {"command", "instance", "options", "seed"}
+        written.pop("wall_time_s")
+        assert dumps(written) == run(_cfg("check", CIRCLE12)).payload()
 
     def test_instance_must_be_unique(self):
         cfg = _cfg("check", {"family": CIRCLE12["family"], "random": {"count": 1}})
@@ -112,6 +163,25 @@ class TestReader:
     def test_unknown_instance_key_raises(self, instance, key):
         with pytest.raises(ValueError, match=key):
             run(_cfg("check", instance))
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({}, r"missing key\(s\) \['command', 'instance'\] in config"),
+            (
+                {"command": "check", "instance": {"polynomial": LINEAR}},
+                r"missing key\(s\) \['a'\] in polynomial instance",
+            ),
+            (
+                {"command": "check", "instance": {"polynomial": {"roots": [[1.0, 0.0]]}, "a": 1.0}},
+                r"bad value for 'polynomial' .*: missing key\(s\) \['coeffs'\] in polynomial",
+            ),
+        ],
+        ids=["config", "a", "coeffs"],
+    )
+    def test_missing_required_key_raises(self, config, message):
+        with pytest.raises(ValueError, match=message):
+            run(ExperimentConfig.from_json(config))
 
     @pytest.mark.parametrize("command", ["winding", "balayage", "fourier"])
     def test_single_instance_commands_refuse_a_count(self, monkeypatch, command):
@@ -263,8 +333,8 @@ class TestRunners:
     def test_unconverged_critical_points_raise(self, monkeypatch, command):
         aberth = rootfind._aberth
 
-        def unconverged(coeffs):
-            pts, res, iterations = aberth(coeffs)
+        def unconverged(coeffs, start=None):
+            pts, res, iterations = aberth(coeffs, start)
             return pts, res + 1e-3, iterations
 
         options = {"n_list": [64]} if command == "sweep" else {}
@@ -425,6 +495,115 @@ def _plain(obj):
     return obj
 
 
+def _bit(flag):
+    return "true" if flag else "false"
+
+
+def _check_table(res):
+    rows = []
+    for inst in res["instances"]:
+        label = inst["label"]
+        rows += [
+            [label, fmt17(re), fmt17(im), "0", fmt17(mg)]
+            for (re, im), mg in zip(inst["zeros"], inst["margins"])
+        ]
+        rows += [[label, fmt17(re), fmt17(im), "1", ""] for re, im in inst["critical_points"]]
+    return rows
+
+
+# the diagnostics of a circle or origin sweep row
+ZETA_KEYS = ["e_log_inv_zeta", "e_log_xi_minus_a", "n_e_log_inv_zeta", "n_e_log_xi_minus_a"]
+# Each command's CSV header, and its cells written out from the record
+CSV_TABLES = {
+    "check": (["label", "re", "im", "is_critical", "margin"], _check_table),
+    "identities": (
+        ["label", "identity", "max_residual"],
+        lambda res: [
+            [inst["label"], name, fmt17(v)]
+            for inst in res["instances"]
+            for name, v in inst["per_identity_max"].items()
+        ],
+    ),
+    "balayage": (
+        ["theta", "zero_density", "crit_density"],
+        lambda res: [
+            [fmt17(2.0 * math.pi * k / len(z)), fmt17(z[k]), fmt17(x[k])]
+            for z, x in [(res["zero_density"], res["crit_density"])]
+            for k in range(len(z))
+        ],
+    ),
+    "winding": (
+        ["radius", "objective", "winding", "zero_pole_count", "agree"],
+        lambda res: [
+            [
+                fmt17(res["radius"]),
+                fmt17(res["objective"]),
+                str(res["winding"]),
+                str(res["zero_pole_count"]),
+                _bit(res["agree"]),
+            ]
+        ],
+    ),
+    "family": (
+        ["theta", "lamin"],
+        lambda res: [
+            [fmt17(t), fmt17(v)] for t, v in zip(res["lamin_thetas"], res["lamin_values"])
+        ],
+    ),
+    "fourier": (
+        ["k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"],
+        lambda res: [
+            [str(r["k"]), *map(fmt17, r["coeff"] + r["closed_form"]), fmt17(r["residual"])]
+            for r in res["rows"]
+        ],
+    ),
+    "sweep": (
+        ["n", "min_margin", "holds", *ZETA_KEYS],
+        lambda res: [
+            [str(r["n"]), fmt17(r["min_margin"]), _bit(r["holds"])]
+            + [fmt17(r[k]) for k in ZETA_KEYS]
+            for r in res["rows"]
+        ],
+    ),
+}
+
+
+class TestCsvTables:
+    """Every command's CSV table: its header and every cell."""
+
+    def test_every_command_has_a_table(self):
+        assert set(CSV_TABLES) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_header_and_cells(self, tmp_path, command):
+        instance, options = SMALL[command]
+        rec = run(_cfg(command, instance, options, seed=2))
+        write_record(rec, str(tmp_path / "rec.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "rec.csv").open(newline="")))
+        header, cells = CSV_TABLES[command]
+        assert rows[0] == header
+        assert rows[1:] == cells(rec.results)
+        assert len(rows) > 1
+
+    def test_miller_sweep_keeps_the_scalar_keys(self, tmp_path):
+        # lists and the nested fine dict have no column; booleans are lower case
+        rec = run(_cfg("sweep", {"family": dict(MILLER["family"])}, {"n_list": [16, 24]}))
+        write_record(rec, str(tmp_path / "rec.csv"), "csv")
+        rows = list(csv.reader((tmp_path / "rec.csv").open(newline="")))
+        keys = ["n", "c1", "c2", "m", "ten_max", "zon_max", "terr_max", "n_terr_max"]
+        keys += ["lamin_mean", "lamin_max", "arc_argument_ok", "sum_abs_lambda_sq"]
+        assert rows[0] == keys
+        for row, res in zip(rows[1:], rec.results["rows"]):
+            expected = [
+                _bit(res[k]) if isinstance(res[k], bool)
+                else fmt17(res[k]) if isinstance(res[k], float)
+                else str(res[k])
+                for k in keys
+            ]
+            assert row == expected
+        assert len(rows) == 3
+
+
 class TestRecordText:
     """A record's text is one compact JSON line carrying exactly its fields."""
 
@@ -484,6 +663,51 @@ class TestMain:
         assert json.loads(out_path.read_text())["ok"] is True
         assert "ok=True" in capsys.readouterr().out
 
+    def test_out_and_format_write_both_formats(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": CIRCLE12}))
+        rec = run(_cfg("check", CIRCLE12))
+        for name, extra in [
+            ("a.json", []),
+            ("b.json", ["--format", "json"]),
+            ("c.csv", ["--format", "csv"]),
+        ]:
+            out = tmp_path / name
+            assert main(["check", "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+            assert capsys.readouterr().out == f"wrote {out}\nok=True\n"
+            expected = tmp_path / "expected"
+            write_record(rec, str(expected), "csv" if name.endswith(".csv") else "json")
+            if name.endswith(".csv"):
+                assert out.read_bytes() == expected.read_bytes()
+            else:
+                written, direct = loads(out.read_text()), loads(expected.read_text())
+                assert written.pop("wall_time_s") >= 0.0 and direct.pop("wall_time_s") >= 0.0
+                assert _plain(written) == _plain(direct)
+
+    def test_csv_needs_out(self, tmp_path, capsys):
+        # a CSV table is written only to a file; stdout takes the JSON record
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": CIRCLE12}))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", str(cfg_path), "--format", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: --format csv needs --out" in err
+
+    @pytest.mark.parametrize("named, code", [("check", 0), ("family", 1), (5, 1)])
+    def test_config_command_must_match(self, tmp_path, capsys, named, code):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": named, "instance": CIRCLE12}))
+        assert main(["check", "--config", str(cfg_path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err == (
+                f"error: config names command {named!r} but the command line runs 'check'\n"
+            )
+        else:
+            assert out.endswith("ok=True\n") and err == ""
+
     def test_n_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"instance": CIRCLE12}))
@@ -528,6 +752,21 @@ class TestMain:
         cfg_path.write_text(json.dumps({"instance": {"family": family}}))
         assert main(["family", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error: (z + c2/n)**(n-m) overflows")
+
+    @pytest.mark.parametrize("command", ["family", "check", "winding"])
+    def test_family_with_a_zero_at_a(self, tmp_path, capsys, command):
+        # c1 = n puts a at lambda_1 = 0: family's radial law needs P(a) != 0,
+        # while the commands that only read the zeros still run the member
+        family = {"kind": "miller", "c1": 8, "c2": 8, "lambdas": [[0, 0]], "n": 8}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"family": family}}))
+        code = main([command, "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        if command == "family":
+            assert code == 1 and out == ""
+            assert err == "error: the radial law needs P(a) != 0, but a = lambda_j gives P(a) = 0\n"
+        else:
+            assert err == "" and "NaN" not in out and out.startswith('{"config"')
 
     def test_n_refused_for_a_polynomial(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

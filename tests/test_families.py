@@ -218,6 +218,12 @@ class TestPredictedZeros:
         zeros = certified(family_zeros(params, miller_family(params).f))
         assert np.count_nonzero(zeros.points == 0) == 1
 
+    def test_zero_at_a_refuses_the_radial_law(self):
+        # log|P(a)| is -inf: the per-zero identity would be 0/0 at z = a
+        params = FamilyParams(n=8, c1=8.0, c2=8.0, lambdas=np.array([0.0]))
+        with pytest.raises(ValueError, match="P\\(a\\) = 0"):
+            verify_family(params, theta_grid=16)
+
     @pytest.mark.parametrize("n", [64, 1024])
     @pytest.mark.parametrize("lambdas", [[], [0.3 + 0.8j], [0.3 + 0.8j, -0.5 + 0.5j]])
     def test_polished_starts_are_the_certified_zeros(self, n, lambdas):
