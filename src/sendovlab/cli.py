@@ -48,7 +48,7 @@ from .potential import (
 )
 # find_roots stays bound here, though the CLI calls family_zeros instead:
 # bench/test_smoke.py checks that the tracer rebinds it in this module
-from .rootfind import certified, find_roots, zero_sets  # noqa: F401
+from .rootfind import certified, find_roots, paired_starts, zero_sets  # noqa: F401
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair
 
@@ -214,7 +214,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     points.  Every other source takes all its sets
     from one :func:`zero_sets` call: the instances' attached zeros are
     evaluated in one pass, z**n - z's closed-form critical points in the
-    same pass, and every other f' is solved, one batch per degree.
+    same pass, and every other f' is solved, one batch per degree, from
+    the paired starts of its instance's zeros (:func:`paired_starts`)
+    where they serve and otherwise from the Newton polygon.
     Runners that never read crit pass ``crit=False`` and get None;
     those that read it refuse a polynomial source of degree below 2,
     whose derivative is a constant.
@@ -242,12 +244,14 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
         else:
             insts = [(example_circle if kind == "circle" else example_origin)(src["n"])]
             labels = [kind]
-        derivs = (
-            [origin_derivative(i.n) if kind == "origin" else derivative(i.f) for i in insts]
-            if crit
-            else []
-        )
-        sets = zero_sets([i.f for i in insts] + derivs)
+        fs = [i.f for i in insts]
+        if not crit:
+            derivs, starts = [], []
+        elif kind == "origin":
+            derivs, starts = [origin_derivative(i.n) for i in insts], [None] * len(insts)
+        else:
+            derivs, starts = [derivative(f) for f in fs], paired_starts(fs)
+        sets = zero_sets(fs + derivs, [None] * len(fs) + starts)
         rows = zip(labels, insts, sets, sets[len(insts) :] or [None] * len(insts))
     return [
         (label, inst, certified(zeros), None if cps is None else certified(cps, "critical point"))

@@ -139,7 +139,11 @@ def _leja_orders(roots: np.ndarray) -> np.ndarray:
     Each row starts at its largest-modulus root; each next root is the
     unchosen one with the largest product of distances to the roots
     chosen so far, the first such index on ties.  Rows of two or fewer
-    roots keep their order.
+    roots keep their order.  The score of each root is its log distance
+    sum; a chosen root scores log 0 = -inf against itself from the next
+    step on, so a plain argmax skips it.  Where every unchosen score is
+    -inf too (each is a repeat of a chosen root), the first unchosen
+    index is taken.
     """
     b, m = roots.shape
     order = np.tile(np.arange(m), (b, 1))
@@ -150,16 +154,17 @@ def _leja_orders(roots: np.ndarray) -> np.ndarray:
     order[:, 0] = np.argmax(np.abs(roots), axis=1)
     chosen[rows, order[:, 0]] = True
     score = np.zeros((b, m))
-    for k in range(1, m):
-        with np.errstate(divide="ignore"):
-            score += np.log(np.abs(roots - roots[rows, order[:, k - 1], None]))
-        masked = np.where(chosen, -np.inf, score)
-        best = masked.max(axis=1)
-        # repeated roots leave unchosen scores at -inf, which chosen
-        # entries share, so the tie is broken among unchosen ones only
-        nxt = np.argmax(~chosen & (masked == best[:, None]), axis=1)
-        order[:, k] = nxt
-        chosen[rows, nxt] = True
+    dist = np.empty((b, m))
+    with np.errstate(divide="ignore"):
+        for k in range(1, m):
+            np.abs(roots - roots[rows, order[:, k - 1], None], out=dist)
+            score += np.log(dist, out=dist)
+            nxt = np.argmax(score, axis=1)
+            stuck = score[rows, nxt] == -np.inf
+            if stuck.any():
+                nxt[stuck] = np.argmax(~chosen[stuck], axis=1)
+            order[:, k] = nxt
+            chosen[rows, nxt] = True
     return order
 
 

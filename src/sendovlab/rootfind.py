@@ -6,9 +6,11 @@ is certified in the backward sense: the scaled residual
 |p(z)| / sum_k |c_k| |z|^k is the exact relative coefficient
 perturbation that would make z a true root, so iterates below the
 tolerance are roots of a polynomial indistinguishable from the input
-at that precision.  Start points come from the Newton polygon of the
-coefficients, and evaluation outside the unit disk goes through the
-reversed polynomial, so no degree overflows.  Multiple roots are
+at that precision.  Start points are given per polynomial where they
+are known (a family's predicted zeros, or the critical points paired
+with attached zeros by :func:`paired_starts`) and otherwise come from
+the Newton polygon of the coefficients.  Evaluation outside the unit
+disk goes through the reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
 coefficient form is eps**(1/m)).
 
@@ -37,6 +39,7 @@ __all__ = [
     "certified",
     "critical_points",
     "find_roots",
+    "paired_starts",
     "zero_sets",
 ]
 
@@ -224,8 +227,8 @@ def _newton_pass(table, d, rows, z):
     return p / den, np.abs(p) / scale
 
 
-def _aberth_step(z, wn, rows, cols):
-    """Aberth corrections for the iterates z[rows, cols] given p/p' there.
+def _repulsion(z, rows, cols):
+    """The sums S = sum_k 1/(z[r, c] - z[r, k]) over k != c, for r, c in rows, cols.
 
     The iterates are taken in blocks of about ``_ABERTH_BLOCK`` entries
     of their (iterates x d) difference matrix, formed and inverted in
@@ -237,23 +240,28 @@ def _aberth_step(z, wn, rows, cols):
     step = max(1, _ABERTH_BLOCK // z.shape[1])
     buf = np.empty((min(step, rows.size), z.shape[1]), dtype=np.complex128)
     for lo in range(0, rows.size, step):
-        r, c, w = rows[lo : lo + step], cols[lo : lo + step], wn[lo : lo + step]
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
         # mode "raise" would gather through a temporary as large as out
         diff = np.take(z, r, axis=0, out=buf[: r.size], mode="clip")
         np.subtract(z[r, c][:, None], diff, out=diff)
         diff[np.arange(r.size), c] = np.inf
-        s = np.sum(np.divide(1.0, diff, out=diff), axis=1)
-        denom = 1.0 - w * s
-        out[lo : lo + step] = w / np.where(denom == 0, 1.0, denom)
+        out[lo : lo + step] = np.sum(np.divide(1.0, diff, out=diff), axis=1)
     return out
 
 
-def _aberth(coeffs: np.ndarray, start: np.ndarray | None = None):
+def _aberth_step(z, wn, rows, cols):
+    """Aberth corrections w / (1 - w S) for the iterates z[rows, cols] given w = p/p' there."""
+    denom = 1.0 - wn * _repulsion(z, rows, cols)
+    return wn / np.where(denom == 0, 1.0, denom)
+
+
+def _aberth(coeffs: np.ndarray, start: list):
     """Core batched Aberth iteration on monic-normalized coefficient rows.
 
     Returns (points, residuals, iterations_used).  coeffs: (B, d+1).
-    The iterates start at ``start``, shape (B, d), when it is given, and
-    otherwise at the Newton polygon's circles (:func:`_start_points`).
+    Row r's iterates start at ``start[r]``, d points, or where that is
+    None at the Newton polygon's circles (:func:`_start_points`), placed
+    for those rows only.
     Iterates freeze once their backward error is at most ``_TOL`` and
     are no longer evaluated.  After the loop every iterate takes one
     more Aberth step, kept only where it does not raise the backward
@@ -267,7 +275,13 @@ def _aberth(coeffs: np.ndarray, start: np.ndarray | None = None):
     # coefficients -0 parts, which would keep their Horner blocks live
     coeffs[coeffs == 0] = 0
     table = _horner_table(coeffs)
-    z = _start_points(np.abs(coeffs)) if start is None else start.copy()
+    z = np.empty((b, d), dtype=np.complex128)
+    polygon = [r for r, s in enumerate(start) if s is None]
+    if polygon:
+        z[polygon] = _start_points(np.abs(coeffs[polygon]))
+    for r, s in enumerate(start):
+        if s is not None:
+            z[r] = s
     restart = z * np.exp(0.37j)
 
     wn = np.zeros((b, d), dtype=np.complex128)
@@ -318,17 +332,26 @@ def _by_degree(polys):
     return zeros, groups
 
 
-def _solve(polys, start: np.ndarray | None = None) -> list[RootSet]:
+def _solve(polys, starts) -> list[RootSet]:
     """Solve each polynomial, one Aberth batch per degree after stripping.
 
-    Each row's arithmetic is the same at any batch size, so every set
-    equals that of solving its polynomial alone bit for bit; only
-    ``iterations`` is the count of the whole batch, since a batch
+    ``starts[i]`` is the start of polynomial i: p.degree finite points
+    for a p with c_0 != 0, or None for the Newton polygon.  Each row's
+    arithmetic is the same at any batch size, so every set equals that
+    of solving its polynomial alone from the same start bit for bit;
+    only ``iterations`` is the count of the whole batch, since a batch
     iterates until its last row is done.  A degree-1 row takes its root
     -c_0/c_1 in closed form (``iterations`` 0), with its backward error
-    from the evaluation pass of a solve.  ``start``, start points of
-    shape (B, d), is given only for one batch of B rows with c_0 != 0.
+    from the evaluation pass of a solve.
     """
+    starts = [None if s is None else np.asarray(s, dtype=np.complex128) for s in starts]
+    for p, start in zip(polys, starts):
+        if start is None:
+            continue
+        if start.shape != (p.degree,) or not np.all(np.isfinite(start)):
+            raise ValueError(f"start must be {p.degree} finite points")
+        if p.coeffs[0] == 0:
+            raise ValueError("a start needs a polynomial with a nonzero constant term")
     zeros, groups = _by_degree(polys)
     out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
@@ -341,7 +364,7 @@ def _solve(polys, start: np.ndarray | None = None) -> list[RootSet]:
             _, res = _newton_pass(_horner_table(rows), 1, np.arange(len(members)), pts[:, 0])
             res, iterations = res[:, None], 0
         else:
-            pts, res, iterations = _aberth(rows, start)
+            pts, res, iterations = _aberth(rows, [starts[i] for i in members])
         for i, row_pts, row_res in zip(members, pts, res):
             k = zeros[i]
             points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
@@ -412,14 +435,7 @@ def find_roots(p: Polynomial, start=None) -> RootSet:
     points, for a p with c_0 != 0.  With None it starts from the Newton
     polygon.
     """
-    if start is None:
-        return _solve([p])[0]
-    start = np.asarray(start, dtype=np.complex128)
-    if start.shape != (p.degree,) or not np.all(np.isfinite(start)):
-        raise ValueError(f"start must be {p.degree} finite points")
-    if p.coeffs[0] == 0:
-        raise ValueError("a start needs a polynomial with a nonzero constant term")
-    return _solve([p], start[None])[0]
+    return _solve([p], [start])[0]
 
 
 def certified(rs: RootSet, what: str = "zero") -> RootSet:
@@ -432,26 +448,72 @@ def certified(rs: RootSet, what: str = "zero") -> RootSet:
     return rs
 
 
-def zero_sets(polys) -> list[RootSet]:
+def zero_sets(polys, starts=None) -> list[RootSet]:
     """One zero set per polynomial, in input order, not yet certified.
 
     A polynomial's attached roots come with their backward errors,
     evaluated together in one pass per degree (:func:`_attached`); the
     polynomials without roots are solved together, one Aberth batch per
-    degree after their zero roots are stripped (:func:`_solve`).
+    degree after their zero roots are stripped (:func:`_solve`), each
+    from ``starts[i]`` as in :func:`find_roots` (None, or no list at
+    all, for the Newton polygon).  A start given for a polynomial with
+    attached roots is not read.
     """
     polys = list(polys)
+    starts = [None] * len(polys) if starts is None else list(starts)
+    if len(starts) != len(polys):
+        raise ValueError(f"{len(starts)} starts for {len(polys)} polynomials")
+    bare = [i for i, p in enumerate(polys) if p.roots is None]
     attached = iter(_attached([p for p in polys if p.roots is not None]))
-    solved = iter(_solve([p for p in polys if p.roots is None]))
+    solved = iter(_solve([polys[i] for i in bare], [starts[i] for i in bare]))
     return [next(solved) if p.roots is None else next(attached) for p in polys]
+
+
+def paired_starts(polys) -> list[np.ndarray | None]:
+    """Start points for the solve of each polynomial's f' from its attached zeros.
+
+    Each zero z_j of f has a critical point near z_j - 1/S_j, with
+    S_j = sum_{k != j} 1/(z_j - z_k) the repulsion sum of an Aberth
+    step (O'Rourke and Williams, Trans. AMS 371, 2019): there
+    f'/f(z) = 1/(z - z_j) + S_j to first order.  One candidate is
+    formed per zero and the one with the largest |1/S_j| dropped, which
+    leaves the n - 1 starts of f', in the order of the zeros.  The sums
+    come from :func:`_repulsion` in row blocks, one call per degree, so
+    a row's starts do not depend on the batch they are computed in.
+    A polynomial gets None, the Newton polygon, when it has no attached
+    zeros, when c_1 = 0 (f' has a zero root, which a solve strips), when
+    two of its starts coincide or when a start is not finite.
+    """
+    polys = list(polys)
+    out: list[np.ndarray | None] = [None] * len(polys)
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(polys):
+        if p.roots is not None and p.coeffs[1] != 0:
+            groups.setdefault(p.degree, []).append(i)
+    for n, members in groups.items():
+        zeros = np.stack([polys[i].roots for i in members])
+        rows, cols = np.divmod(np.arange(zeros.size), n)
+        # coincident zeros divide by zero; their rows fall back below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = 1.0 / _repulsion(zeros, rows, cols).reshape(zeros.shape)
+            drop = np.argmax(np.abs(shift), axis=1)
+            keep = np.ones(zeros.shape, dtype=bool)
+            keep[np.arange(len(members)), drop] = False
+            starts = (zeros - shift)[keep].reshape(len(members), n - 1)
+        ordered = np.sort(starts, axis=1)
+        distinct = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+        usable = distinct & np.all(np.isfinite(starts), axis=1)
+        for i, row, ok in zip(members, starts, usable):
+            out[i] = row if ok else None
+    return out
 
 
 def critical_points(p: Polynomial) -> RootSet:
     """Zeros of p', with the solver's backward-error certificates.
 
-    A k-fold zero of p' is returned as a cluster of k nearby points
-    whose radius reflects its conditioning in coefficient form, not as
-    a single point.
+    When p carries its zeros, the solve starts at their paired starts
+    (:func:`paired_starts`), as the CLI's does.  A k-fold zero of p' is
+    returned as a cluster of k nearby points whose radius reflects its
+    conditioning in coefficient form, not as a single point.
     """
-    return find_roots(derivative(p))
-
+    return _solve([derivative(p)], paired_starts([p]))[0]

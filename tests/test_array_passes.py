@@ -14,7 +14,7 @@ import pytest
 
 from sendovlab.cli import _sample_points
 from sendovlab.families import FamilyParams, miller_family, random_instances
-from sendovlab.poly_core import derivative
+from sendovlab.poly_core import _leja_orders, derivative
 from sendovlab.potential import IDENTITY_STANDOFF
 from sendovlab.rootfind import (
     _START_ROTATION,
@@ -97,6 +97,28 @@ def _newton_pass_out_of_place(table, d, rows, z):
     return p / den, np.abs(p) / scale
 
 
+def _leja_orders_masked(roots):
+    """Leja order with the chosen roots masked to -inf and the ties broken among unchosen ones."""
+    b, m = roots.shape
+    order = np.tile(np.arange(m), (b, 1))
+    if m <= 2:
+        return order
+    rows = np.arange(b)
+    chosen = np.zeros((b, m), dtype=bool)
+    order[:, 0] = np.argmax(np.abs(roots), axis=1)
+    chosen[rows, order[:, 0]] = True
+    score = np.zeros((b, m))
+    for k in range(1, m):
+        with np.errstate(divide="ignore"):
+            score += np.log(np.abs(roots - roots[rows, order[:, k - 1], None]))
+        masked = np.where(chosen, -np.inf, score)
+        best = masked.max(axis=1)
+        nxt = np.argmax(~chosen & (masked == best[:, None]), axis=1)
+        order[:, k] = nxt
+        chosen[rows, nxt] = True
+    return order
+
+
 def _aberth_step_unblocked(z, wn, rows, cols):
     diff = z[rows, cols][:, None] - z[rows]
     diff[np.arange(rows.size), cols] = np.inf
@@ -152,6 +174,29 @@ class TestStartPoints:
         coeffs[0], coeffs[-1] = -1.0, n
         moduli = _monic_moduli(coeffs)
         assert _same_bits(_start_points(moduli), _start_points_loop(moduli))
+
+
+class TestLejaOrders:
+    @pytest.mark.parametrize("b", [1, 64])
+    @pytest.mark.parametrize("kind", ["random", "tied", "repeated", "all-equal", "mixed"])
+    def test_equals_the_masked_order(self, b, kind):
+        rng = np.random.default_rng(b)
+        for m in (1, 2, 3, 7, 24, 48):
+            roots = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
+            if kind == "tied":
+                # integer points: many equal distance products
+                roots = np.round(2 * roots)
+            elif kind == "repeated":
+                roots[:, m // 2 :] = roots[:, : m - m // 2]
+            elif kind == "all-equal":
+                roots[:] = roots[:, :1]
+            elif kind == "mixed":
+                roots[::3, 1:] = roots[::3, :1]
+                roots[1::3, m // 2 :] = roots[1::3, : m - m // 2]
+            got = _leja_orders(roots)
+            assert got.dtype == np.intp and got.shape == (b, m)
+            assert np.array_equal(got, _leja_orders_masked(roots))
+            assert np.array_equal(np.sort(got, axis=1), np.tile(np.arange(m), (b, 1)))
 
 
 def _sparse(d, terms):

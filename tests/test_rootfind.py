@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,10 +7,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import match_max_distance
-from sendovlab.families import FamilyParams, example_origin, family_zeros, miller_family
+from sendovlab import cli, rootfind
+from sendovlab.families import (
+    FamilyParams,
+    example_origin,
+    family_zeros,
+    miller_family,
+    random_instances,
+)
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
-from sendovlab import rootfind
-from sendovlab.rootfind import RootSet, find_roots, zero_sets
+from sendovlab.rootfind import (
+    RootSet,
+    certified,
+    critical_points,
+    find_roots,
+    paired_starts,
+    zero_sets,
+)
 from sendovlab.rootfind import _horner_table, _newton_pass
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -200,6 +215,114 @@ class TestSeededStart:
             find_roots(Polynomial([0.0, 1.0, 1.0]), [0.5, -0.5])
 
 
+def _as_points(pairs):
+    """The complex points of a record's (re, im) rows, bit for bit."""
+    return np.ascontiguousarray(pairs).view(np.complex128)[:, 0]
+
+
+def _random_fs(degree, count, seed=5):
+    return [inst.f for inst in random_instances(np.random.default_rng(seed), degree, count)]
+
+
+class TestPairedStarts:
+    """The f' solve seeded at z_j - 1/S_j, against the Newton-polygon solve as the oracle."""
+
+    def test_row_equals_its_single_solve_and_starts(self):
+        fs = _random_fs(24, 8)
+        derivs = [derivative(f) for f in fs]
+        starts = paired_starts(fs)
+        assert all(s is not None and s.shape == (23,) for s in starts)
+        sets = zero_sets(derivs, starts)
+        for f, d, start, rs in zip(fs, derivs, starts, sets):
+            # a row's starts and its solve do not depend on the batch
+            assert paired_starts([f])[0].tobytes() == start.tobytes()
+            single = find_roots(d, start)
+            assert rs.points.tobytes() == single.points.tobytes()
+            assert rs.residuals.tobytes() == single.residuals.tobytes()
+
+    @pytest.mark.parametrize("degree, count", [(24, 64), (48, 16), (256, 4)])
+    def test_agrees_with_the_newton_polygon_solve(self, degree, count):
+        fs = _random_fs(degree, count)
+        derivs = [derivative(f) for f in fs]
+        seeded = zero_sets(derivs, paired_starts(fs))
+        generic = zero_sets(derivs)
+        assert all(rs.converged for rs in seeded + generic)
+        assert seeded[0].iterations <= generic[0].iterations
+        for a, b in zip(seeded, generic):
+            assert match_max_distance(a.points, b.points) < 1e-12
+
+    def _assert_polygon_solve(self, p):
+        assert paired_starts([p]) == [None]
+        rs = certified(critical_points(p), "critical point")
+        assert rs.points.tobytes() == find_roots(derivative(p)).points.tobytes()
+        return rs
+
+    def test_double_zero_falls_back(self):
+        # the two starts of a double zero coincide (or are not finite)
+        p = from_roots([0.5, 0.5, -0.3j, 0.2 + 0.6j, -0.7])
+        rs = self._assert_polygon_solve(p)
+        assert np.min(np.abs(rs.points - 0.5)) < 1e-12
+
+    def test_stripped_zero_root_falls_back(self):
+        # c_1 = 0: f' has the root 0, which a solve strips
+        coeffs = np.array([0.2, 0.0, -0.5, 1.0], dtype=complex)
+        roots = find_roots(Polynomial(coeffs)).points
+        p = Polynomial(coeffs, roots)
+        assert certified(zero_sets([p])[0]).points is p.roots
+        rs = self._assert_polygon_solve(p)
+        assert 0 in rs.points.tolist()
+
+    def test_polynomial_without_roots_falls_back(self):
+        f = _random_fs(12, 1)[0]
+        self._assert_polygon_solve(Polynomial(f.coeffs))
+        assert paired_starts([f, Polynomial(f.coeffs)])[1] is None
+
+    @pytest.mark.parametrize(
+        "roots",
+        [[[0.5, 0.0], [0.5, 0.0], [0.0, -0.3], [0.2, 0.6]], [[0.9, 0.0], [-0.2, 0.5], [0.0, -0.7]]],
+        ids=["double-zero", "simple-zeros"],
+    )
+    def test_polynomial_config_is_certified(self, roots):
+        zeros = np.array(roots) @ np.array([1.0, 1j])
+        coeffs = from_roots(zeros).coeffs
+        poly = {"coeffs": [[c.real, c.imag] for c in coeffs], "roots": roots}
+        cfg = cli.ExperimentConfig(
+            command="check", instance={"polynomial": poly, "a": roots[0][0]}, options={}, seed=0
+        )
+        rec = cli.run(cfg)
+        assert rec.ok
+        crit = _as_points(rec.results["instances"][0]["critical_points"])
+        assert crit.tobytes() == critical_points(from_roots(zeros)).points.tobytes()
+
+    def test_critical_points_are_the_cli_set(self):
+        # critical_points solves f' the way the CLI's check does, bit for bit
+        cfg = cli.ExperimentConfig(
+            command="check", instance={"random": {"count": 4, "degree": 24}}, options={}, seed=3
+        )
+        rec = cli.run(cfg)
+        fs = _random_fs(24, 4, seed=3)
+        for row, f in zip(rec.results["instances"], fs):
+            crit = _as_points(row["critical_points"])
+            assert crit.tobytes() == critical_points(f).points.tobytes()
+
+    def test_memory_stays_linear_in_the_degree(self):
+        # 16 rows of degree 512: a (B, n, n) difference array would be
+        # 67 MB; the blocked repulsion sum holds one 16.8 MB block
+        rng = np.random.default_rng(2)
+        polys = [
+            Polynomial(np.ones(513), rng.uniform(-1, 1, 512) + 1j * rng.uniform(-1, 1, 512))
+            for _ in range(16)
+        ]
+        tracemalloc.start()
+        try:
+            starts = paired_starts(polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(s is not None for s in starts)
+        assert peak < 24e6
+
+
 class TestZeroSets:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -234,6 +357,13 @@ class TestZeroSets:
 
     def test_empty(self):
         assert zero_sets([]) == []
+
+    def test_one_start_per_polynomial(self):
+        p = Polynomial([1.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="2 starts for 1 polynomials"):
+            zero_sets([p], [None, None])
+        with pytest.raises(ValueError, match="2 finite points"):
+            zero_sets([p], [[0.5]])
 
     def test_mixed_list_in_input_order(self):
         # attached and solved sets of one degree: the rooted ones come back
