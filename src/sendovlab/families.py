@@ -44,10 +44,9 @@ from .poly_core import (
     CrossCheckError,
     Polynomial,
     SendovInstance,
-    _horner,
+    _residual_at,
     _sendov_instances,
     derivative,
-    evaluate,
     from_roots,
 )
 from .potential import log_potential
@@ -205,12 +204,10 @@ def miller_family(params: FamilyParams) -> SendovInstance:
         ) from None
     coeffs = np.convolve(shift, from_roots(lams).coeffs) if m else shift
     coeffs[0] -= const
-    f = Polynomial(coeffs)
-    scale = 1.0 + float(_horner(np.abs(coeffs), a).real)
-    resid = abs(evaluate(f, a))
+    resid, scale = _residual_at(coeffs, a)
     if resid > 1e-10 * scale:
         raise CrossCheckError(f"family construction residual {resid:.3e} too large")
-    return SendovInstance(f, a)
+    return SendovInstance(Polynomial(coeffs), a)
 
 
 def family_critical_points(params: FamilyParams) -> RootSet:

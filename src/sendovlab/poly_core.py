@@ -57,6 +57,21 @@ def _horner(coeffs: np.ndarray, z):
     return acc
 
 
+def _residual_at(coeffs: np.ndarray, a: float) -> tuple[float, float]:
+    """|f(a)| and the scale 1 + sum_k |c_k| a^k, from one Horner walk over both series.
+
+    The walk runs on Python floats and complexes: at a real a they round
+    as :func:`_horner` does, and a step costs less than a ufunc call.
+    The moduli are taken before reversing, as np.abs of a reversed view
+    can round differently.
+    """
+    value = scale = 0.0
+    for c, m in zip(coeffs.tolist()[::-1], np.abs(coeffs).tolist()[::-1]):
+        value = value * a + c
+        scale = scale * a + m
+    return abs(value), 1.0 + scale
+
+
 def _fold(rows: np.ndarray, N: int) -> np.ndarray:
     """Sum the entries of each row whose indices agree mod N, in index order."""
     padded = np.pad(rows, [(0, 0), (0, -rows.shape[1] % N)])
@@ -261,8 +276,7 @@ class SendovInstance:
         if not (0.0 <= a <= 1.0 + 1e-12):
             raise ValueError("a must lie in [0, 1]")
         object.__setattr__(self, "a", min(a, 1.0))
-        scale = 1.0 + float(_horner(np.abs(self.f.coeffs), a).real)
-        residual = abs(evaluate(self.f, a))
+        residual, scale = _residual_at(self.f.coeffs, a)
         if residual > 1e-8 * scale:
             raise ValueError(f"f(a) residual {residual:.3e} exceeds tolerance")
         if self.f.roots is not None:

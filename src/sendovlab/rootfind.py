@@ -263,10 +263,16 @@ def _aberth(coeffs: np.ndarray, start: list):
     None at the Newton polygon's circles (:func:`_start_points`), placed
     for those rows only.
     Iterates freeze once their backward error is at most ``_TOL`` and
-    are no longer evaluated.  After the loop every iterate takes one
-    more Aberth step, kept only where it does not raise the backward
+    are no longer evaluated.  After the loop every iterate the iteration
+    moved, one that did not pass ``_TOL`` at its first evaluation, takes
+    one more Aberth step, kept only where it does not raise the backward
     error: freezing at the tolerance leaves an m-fold cluster spread
-    over about _TOL**(1/m), which the extra step tightens.
+    over about _TOL**(1/m), which the extra step tightens, and a simple
+    root that froze just under ``_TOL`` is polished by it.  An iterate
+    that passed at its start keeps that start and its residual, so a
+    start whose points all pass costs one evaluation pass.  A trial
+    depends only on its own row's iterates before the step, so the
+    moved iterates get the values that stepping every iterate gives.
     """
     b, w = coeffs.shape
     d = w - 1
@@ -297,6 +303,8 @@ def _aberth(coeffs: np.ndarray, start: list):
             rows, cols = np.nonzero(~frozen)
             refresh(rows, cols)
             frozen[rows, cols] = residual[rows, cols] <= _TOL
+            if iterations == 1:
+                moved = ~frozen
             if frozen.all():
                 break
             rows, cols = np.nonzero(~frozen)
@@ -307,12 +315,13 @@ def _aberth(coeffs: np.ndarray, start: list):
         else:
             refresh(*np.nonzero(~frozen))
 
-        rows, cols = np.divmod(np.arange(b * d), d)
-        trial = z - _aberth_step(z, wn.ravel(), rows, cols).reshape(b, d)
-        _, trial_res = _newton_pass(table, d, rows, trial.ravel())
-        keep = (trial_res <= residual.ravel()).reshape(b, d)
-        z = np.where(keep, trial, z)
-        residual = np.where(keep, trial_res.reshape(b, d), residual)
+        rows, cols = np.nonzero(moved)
+        if rows.size:
+            trial = z[moved] - _aberth_step(z, wn[moved], rows, cols)
+            _, trial_res = _newton_pass(table, d, rows, trial)
+            keep = trial_res <= residual[moved]
+            z[moved] = np.where(keep, trial, z[moved])
+            residual[moved] = np.where(keep, trial_res, residual[moved])
     return z, residual, iterations
 
 
@@ -433,7 +442,9 @@ def find_roots(p: Polynomial, start=None) -> RootSet:
     polynomials like z**n - z report their origin roots exactly.  The
     iteration starts at ``start`` when it is given: p.degree finite
     points, for a p with c_0 != 0.  With None it starts from the Newton
-    polygon.
+    polygon.  At degree 2 or more, a start whose points all pass the
+    backward-error test at the first evaluation is returned as given
+    (``iterations`` 1).
     """
     return _solve([p], [start])[0]
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sendovlab import cli, rootfind
+from sendovlab import cli, families, rootfind
 from sendovlab.cli import (
     COMMANDS,
     ExperimentConfig,
@@ -371,6 +371,21 @@ class TestRunners:
         assert rec.ok
         assert rec.results["ten_max"] < 1e-9
         assert len(rec.results["lamin_values"]) == 128
+
+    def test_family_member_at_degree_16384(self, monkeypatch):
+        # the seeded solve takes at most two dense evaluation passes here
+        sets = []
+        solve = families.family_zeros
+
+        def recording(params, f):
+            sets.append(solve(params, f))
+            return sets[-1]
+
+        monkeypatch.setattr(families, "family_zeros", recording)
+        rec = run(_cfg("family", {"family": dict(MILLER["family"], n=16384)}))
+        assert rec.ok
+        assert rec.results["ten_max"] < 1e-9
+        assert len(sets) == 1 and sets[0].iterations <= 2
 
     def test_fourier_closed_forms(self):
         rec = run(_cfg("fourier", {"family": {"kind": "circle", "n": 8}}, {"R": 1.5}))

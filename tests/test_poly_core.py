@@ -11,7 +11,7 @@ from sendovlab.poly_core import (
     from_roots,
     from_roots_batch,
 )
-from sendovlab.poly_core import _leja_orders, _sendov_instances
+from sendovlab.poly_core import _horner, _leja_orders, _residual_at, _sendov_instances
 from sendovlab.rootfind import certified, zero_sets
 
 
@@ -284,6 +284,19 @@ class TestSendovInstance:
     def test_n_property(self):
         inst = SendovInstance(from_roots([0.7, -0.1, 0.2]), 0.7)
         assert inst.n == 3
+
+    @pytest.mark.parametrize("d", [1, 24, 48, 191, 512])
+    def test_residual_walk_equals_two_horner_walks(self, d):
+        # f(a) and sum |c_k| a^k in one walk, bit for bit as the two walks gave them
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            c = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
+            c = c + 1j * rng.standard_normal(d + 1)
+            c[rng.uniform(size=d + 1) < 0.2] = 0
+            a = float(rng.uniform(0.0, 1.0))
+            residual, scale = _residual_at(c, a)
+            assert residual == abs(complex(_horner(c, a)))
+            assert scale == 1.0 + float(_horner(np.abs(c), a).real)
 
 
 class TestNormalizeSendov:

@@ -13,6 +13,7 @@ from sendovlab.families import (
     example_origin,
     family_zeros,
     miller_family,
+    predicted_zeros,
     random_instances,
 )
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
@@ -213,6 +214,116 @@ class TestSeededStart:
                 find_roots(p, start)
         with pytest.raises(ValueError, match="nonzero constant term"):
             find_roots(Polynomial([0.0, 1.0, 1.0]), [0.5, -0.5])
+
+
+def _aberth_reference(coeffs, start, post_step=True):
+    """``rootfind._aberth`` as it was when every iterate took the post-convergence step."""
+    b, w = coeffs.shape
+    d = w - 1
+    coeffs = coeffs / coeffs[:, -1, None]
+    coeffs[coeffs == 0] = 0
+    table = _horner_table(coeffs)
+    z = np.empty((b, d), dtype=np.complex128)
+    polygon = [r for r, s in enumerate(start) if s is None]
+    if polygon:
+        z[polygon] = rootfind._start_points(np.abs(coeffs[polygon]))
+    for r, s in enumerate(start):
+        if s is not None:
+            z[r] = s
+    restart = z * np.exp(0.37j)
+    wn = np.zeros((b, d), dtype=np.complex128)
+    residual = np.full((b, d), np.inf)
+    frozen = np.zeros((b, d), dtype=bool)
+
+    def refresh(rows, cols):
+        wn[rows, cols], residual[rows, cols] = _newton_pass(table, d, rows, z[rows, cols])
+
+    iterations = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, rootfind._MAX_ITER + 1):
+            rows, cols = np.nonzero(~frozen)
+            refresh(rows, cols)
+            frozen[rows, cols] = residual[rows, cols] <= rootfind._TOL
+            if frozen.all():
+                break
+            rows, cols = np.nonzero(~frozen)
+            z[rows, cols] -= rootfind._aberth_step(z, wn[rows, cols], rows, cols)
+            lost = ~np.isfinite(z)
+            if lost.any():
+                z[lost] = restart[lost]
+        else:
+            refresh(*np.nonzero(~frozen))
+        if post_step:
+            rows, cols = np.divmod(np.arange(b * d), d)
+            trial = z - rootfind._aberth_step(z, wn.ravel(), rows, cols).reshape(b, d)
+            _, trial_res = _newton_pass(table, d, rows, trial.ravel())
+            keep = (trial_res <= residual.ravel()).reshape(b, d)
+            z = np.where(keep, trial, z)
+            residual = np.where(keep, trial_res.reshape(b, d), residual)
+    return z, residual, iterations
+
+
+class TestPostStep:
+    """The post-convergence step is taken only by the iterates the iteration moved."""
+
+    def test_seeded_family_solve_is_one_evaluation_pass(self, monkeypatch):
+        params = FamilyParams(n=1024, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        f = miller_family(params).f
+        passes = []
+        newton_pass = rootfind._newton_pass
+
+        def counted(table, d, rows, z):
+            passes.append(z.size)
+            return newton_pass(table, d, rows, z)
+
+        monkeypatch.setattr(rootfind, "_newton_pass", counted)
+        rs = family_zeros(params, f)
+        assert rs.converged and rs.iterations == 1
+        assert passes == [1024]
+        assert rs.points.tobytes() == predicted_zeros(params).tobytes()
+
+    def _assert_reference(self, coeffs, start):
+        z, res, iterations = rootfind._aberth(coeffs, start)
+        ref_z, ref_res, ref_iterations = _aberth_reference(coeffs, start)
+        assert z.tobytes() == ref_z.tobytes()
+        assert res.tobytes() == ref_res.tobytes()
+        assert iterations == ref_iterations
+        return z
+
+    def test_newton_polygon_solve_equals_the_reference(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.standard_normal((5, 61)) + 1j * rng.standard_normal((5, 61))
+        self._assert_reference(coeffs, [None] * 5)
+
+    def test_paired_start_batch_equals_the_reference(self):
+        fs = _random_fs(24, 64)
+        coeffs = np.stack([derivative(f).coeffs for f in fs])
+        starts = paired_starts(fs)
+        assert coeffs.shape == (64, 24) and all(s is not None for s in starts)
+        self._assert_reference(coeffs, starts)
+
+    def test_double_root_cluster_equals_the_reference_and_is_tightened(self):
+        coeffs = from_roots([1.0, 1.0, -2.0]).coeffs[None, :]
+        z = self._assert_reference(coeffs, [None])
+        loose = _aberth_reference(coeffs, [None], post_step=False)[0]
+        cluster = np.abs(z[0] - 1.0) < 1e-3
+        assert cluster.sum() == 2
+        assert np.abs(z[0, cluster] - 1.0).max() < np.abs(loose[0, cluster] - 1.0).min()
+
+    def test_a_start_that_passes_is_kept(self):
+        r = np.array([0.5, -0.5j, 0.3 + 0.1j, -0.8 + 0.2j, 0.7j, -0.3 - 0.4j])
+        coeffs = from_roots(r).coeffs[None, :]
+        start = r.copy()
+        start[3:] += 1e-3
+        z, res, _ = rootfind._aberth(coeffs, [start])
+        ref_z, ref_res, _ = _aberth_reference(coeffs, [start])
+        _, first_res = _newton_pass(_horner_table(coeffs), 6, np.zeros(3, np.intp), r[:3])
+        # the reference steps these exact zeros too, by rounding
+        assert ref_z[0, :3].tobytes() != r[:3].tobytes()
+        assert z[0, :3].tobytes() == r[:3].tobytes()
+        assert res[0, :3].tobytes() == first_res.tobytes()
+        assert z[0, 3:].tobytes() == ref_z[0, 3:].tobytes()
+        assert res[0, 3:].tobytes() == ref_res[0, 3:].tobytes()
 
 
 def _as_points(pairs):
