@@ -17,8 +17,8 @@ from sendovlab import (
     example_circle,
     random_instance,
     verify_basic_identities,
+    zero_sets,
 )
-from sendovlab.rootfind import zero_sets
 
 
 def main():

@@ -21,8 +21,8 @@ from sendovlab import (
     example_origin,
     random_instance,
     sendov_margin,
+    zero_sets,
 )
-from sendovlab.rootfind import zero_sets
 
 
 def margins(inst):

@@ -19,8 +19,8 @@ from sendovlab import (
     select_radius,
     winding_number,
     zero_pole_count,
+    zero_sets,
 )
-from sendovlab.rootfind import zero_sets
 
 
 def main():

@@ -5,139 +5,29 @@ disk: empirical measures of zeros and critical points, logarithmic
 potentials and Stieltjes transforms, harmonic sweeps onto circles,
 argument-principle winding counts, and a family of near-extremal
 instances for the Sendov problem.
+
+Each layer module declares its public names in its own ``__all__``;
+the package re-exports exactly those names.
 """
 
-from .contour import (
-    AmbiguousCountError,
-    RadiusSelection,
-    WindingResult,
-    select_radius,
-    winding_number,
-    zero_pole_count,
-)
-from .families import (
-    FamilyParams,
-    FamilyReport,
-    example_circle,
-    example_origin,
-    family_critical_points,
-    family_zeros,
-    miller_family,
-    origin_derivative,
-    predicted_zero_shift,
-    predicted_zeros,
-    random_instance,
-    random_instances,
-    verify_family,
-)
-from .measures import (
-    EmpiricalMeasure,
-    MomentSummary,
-    ZetaDiagnostics,
-    check_matching_mean,
-    empirical_measure,
-    expect_log_distance,
-    moment,
-    prob_in_region,
-    quantitative_zetas,
-    summary,
-)
-from .poly_core import (
-    AtomCollisionError,
-    CrossCheckError,
-    Polynomial,
-    SendovInstance,
-    derivative,
-    evaluate,
-    from_roots,
-    from_roots_batch,
-)
-from .potential import (
-    CircleDensity,
-    ContourTooCloseError,
-    IdentityReport,
-    balayage,
-    circle_fourier_coeffs,
-    integrated_log_derivative,
-    log_potential,
-    poisson_kernel,
-    stieltjes,
-    stieltjes_derivative,
-    verify_basic_identities,
-)
-from .rootfind import (
-    RootSet,
-    critical_points,
-    find_roots,
-)
-from .sendov_check import (
-    DegotReport,
-    DegotRow,
-    Region,
-    SendovReport,
-    degot_suite,
-    sendov_margin,
-)
+from . import contour, families, measures, poly_core, potential, rootfind, sendov_check
+from .contour import *  # noqa: F401,F403
+from .families import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .poly_core import *  # noqa: F401,F403
+from .potential import *  # noqa: F401,F403
+from .rootfind import *  # noqa: F401,F403
+from .sendov_check import *  # noqa: F401,F403
 
 __version__ = "0.11.0"
 
 __all__ = [
-    "AmbiguousCountError",
-    "AtomCollisionError",
-    "CircleDensity",
-    "ContourTooCloseError",
-    "CrossCheckError",
-    "DegotReport",
-    "DegotRow",
-    "EmpiricalMeasure",
-    "FamilyParams",
-    "FamilyReport",
-    "IdentityReport",
-    "MomentSummary",
-    "Polynomial",
-    "RadiusSelection",
-    "Region",
-    "RootSet",
-    "SendovInstance",
-    "SendovReport",
-    "WindingResult",
-    "ZetaDiagnostics",
     "__version__",
-    "balayage",
-    "check_matching_mean",
-    "circle_fourier_coeffs",
-    "critical_points",
-    "degot_suite",
-    "derivative",
-    "empirical_measure",
-    "evaluate",
-    "example_circle",
-    "example_origin",
-    "expect_log_distance",
-    "family_critical_points",
-    "family_zeros",
-    "find_roots",
-    "from_roots",
-    "from_roots_batch",
-    "integrated_log_derivative",
-    "log_potential",
-    "miller_family",
-    "moment",
-    "origin_derivative",
-    "poisson_kernel",
-    "predicted_zero_shift",
-    "predicted_zeros",
-    "prob_in_region",
-    "quantitative_zetas",
-    "random_instance",
-    "random_instances",
-    "select_radius",
-    "sendov_margin",
-    "stieltjes",
-    "stieltjes_derivative",
-    "summary",
-    "verify_basic_identities",
-    "verify_family",
-    "winding_number",
-    "zero_pole_count",
+    *contour.__all__,
+    *families.__all__,
+    *measures.__all__,
+    *poly_core.__all__,
+    *potential.__all__,
+    *rootfind.__all__,
+    *sendov_check.__all__,
 ]

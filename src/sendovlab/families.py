@@ -362,24 +362,19 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
     if np.prod(params.a - params.lambdas) == 0:
         raise ValueError("the radial law needs P(a) != 0, but a = lambda_j gives P(a) = 0")
     inst = miller_family(params)
-    n, c1, c2, lams = params.n, params.c1, params.c2, params.lambdas
-    m = params.m
-    a = params.a
-    nm = n - m
+    n, c2, lams, a = params.n, params.c2, params.lambdas, params.a
     zeta = certified(family_zeros(params, inst.f), "family zero").points
     w = zeta + c2 / n
     radius = np.abs(w)
     theta = np.angle(w)
 
-    # exact per-zero identity: log|w/(a + c2/n)| = (1/(n-m)) sum log|(a-l)/(z-l)|
+    # exact per-zero identity: log|w/(a + c2/n)| = (1/(n-m)) sum log|(a-l)/(z-l)|,
+    # whose sum over no lambdas (m = 0) is 0
     lhs = np.log(radius / (a + c2 / n))
-    if m:
-        rhs = np.sum(
-            np.log(np.abs((a - lams[None, :]) / (zeta[:, None] - lams[None, :]))),
-            axis=1,
-        ) / nm
-    else:
-        rhs = np.zeros_like(lhs)
+    rhs = np.sum(
+        np.log(np.abs((a - lams[None, :]) / (zeta[:, None] - lams[None, :]))),
+        axis=1,
+    ) / (n - params.m)
     ten = np.abs(lhs - rhs)
 
     t_pred = predicted_zero_shift(params, theta)
@@ -412,8 +407,8 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
         lamin_thetas=thetas,
         lamin_values=lamin,
         arc_argument_ok=arc_ok,
-        sum_lambda_sq=complex(np.sum(lams**2)) if m else 0j,
-        sum_abs_lambda_sq=float(np.sum(np.abs(lams) ** 2)) if m else 0.0,
+        sum_lambda_sq=complex(np.sum(lams**2)),
+        sum_abs_lambda_sq=float(np.sum(np.abs(lams) ** 2)),
         fine=fine,
     )
 
