@@ -44,6 +44,7 @@ from .poly_core import (
     CrossCheckError,
     Polynomial,
     SendovInstance,
+    _read_only,
     _residual_at,
     _sendov_instances,
     derivative,
@@ -124,7 +125,7 @@ class FamilyParams:
             raise ValueError("n must be at least 2")
         if not (0 < self.c1 <= self.c2):
             raise ValueError("need 0 < c1 <= c2")
-        lams = np.atleast_1d(np.asarray(self.lambdas, dtype=np.complex128))
+        lams = np.atleast_1d(_read_only(self.lambdas, np.complex128))
         if lams.size >= self.n:
             raise ValueError("need fewer than n prescribed zeros of P")
         if lams.size:
@@ -136,7 +137,6 @@ class FamilyParams:
             np.fill_diagonal(d, np.inf)
             if lams.size > 1 and d.min() == 0.0:
                 raise ValueError("lambdas must be pairwise distinct")
-        lams.setflags(write=False)
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -428,15 +428,16 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     1024 seeds 0, 2, 3 and 4 of 0-4 are.  Each instance
     draws its angles and then its radii, so the instances, and the state
     ``rng`` is left in, match ``count`` calls of
-    :func:`random_instance`.  All of them are expanded in one batch.
+    :func:`random_instance`.  All the draws come from one call, whose
+    (count, 2, n) output is filled in that order, and all the instances
+    are expanded in one batch.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    roots = np.empty((count, n), dtype=np.complex128)
-    for row in range(count):
-        angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
-        radii = rng.uniform(0.7, 1.0, n)
-        roots[row] = radii * np.exp(1j * angles)
+    # filled in C order: each row's n angle offsets, then its n radii
+    draws = rng.uniform([[0.15], [0.7]], [[0.85], [1.0]], (count, 2, n))
+    angles = 2.0 * np.pi * (np.arange(n) + draws[:, 0]) / n
+    roots = draws[:, 1] * np.exp(1j * angles)
     return _sendov_instances(roots, np.argmax(np.abs(roots), axis=1))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import CrossCheckError, SendovInstance
+from .poly_core import CrossCheckError, SendovInstance, _read_only
 from .rootfind import RootSet, certified
 from .sendov_check import Region
 
@@ -41,14 +41,13 @@ class EmpiricalMeasure:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.complex128)
+        points = _read_only(self.points, np.complex128)
         if points.ndim != 1:
             raise ValueError("points must be a 1-d array")
         if points.size == 0:
             raise ValueError("a measure needs at least one atom")
-        if not np.all(np.isfinite(points.real)) or not np.all(np.isfinite(points.imag)):
+        if not np.isfinite(points).all():
             raise ValueError("points contain non-finite entries")
-        points.setflags(write=False)
         weights = np.full(points.size, 1.0 / points.size)
         weights.setflags(write=False)
         object.__setattr__(self, "points", points)

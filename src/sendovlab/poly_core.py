@@ -44,8 +44,21 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, ndmin=1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype, for a frozen dataclass to keep.
+
+    A read-only array of dtype is kept as it is; anything else is
+    copied, so the caller's array stays writeable.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
     return arr
 
 
@@ -156,30 +169,37 @@ def _leja_orders(roots: np.ndarray) -> np.ndarray:
     chosen so far, the first such index on ties.  Rows of two or fewer
     roots keep their order.  The score of each root is its log distance
     sum; a chosen root scores log 0 = -inf against itself from the next
-    step on, so a plain argmax skips it.  Where every unchosen score is
-    -inf too (each is a repeat of a chosen root), the first unchosen
-    index is taken.
+    step on, so a plain argmax skips it.  An unchosen root scores -inf
+    only when it repeats a chosen one exactly: in a row without repeats
+    each of its distances is positive, so its score stays above -inf and
+    the argmax lands on it.  So only when a row has a repeat, which one
+    sort of each row shows, is each step tested for a row whose best
+    score is -inf; such a row takes its first unchosen index.
     """
     b, m = roots.shape
     order = np.tile(np.arange(m), (b, 1))
     if m <= 2:
         return order
     rows = np.arange(b)
-    chosen = np.zeros((b, m), dtype=bool)
-    order[:, 0] = np.argmax(np.abs(roots), axis=1)
-    chosen[rows, order[:, 0]] = True
+    ordered = np.sort(roots, axis=1)
+    repeats = bool((ordered[:, 1:] == ordered[:, :-1]).any())
+    nxt = np.abs(roots).argmax(axis=1)
+    order[:, 0] = nxt
     score = np.zeros((b, m))
+    diff = np.empty((b, m), dtype=np.complex128)
     dist = np.empty((b, m))
     with np.errstate(divide="ignore"):
         for k in range(1, m):
-            np.abs(roots - roots[rows, order[:, k - 1], None], out=dist)
-            score += np.log(dist, out=dist)
-            nxt = np.argmax(score, axis=1)
-            stuck = score[rows, nxt] == -np.inf
-            if stuck.any():
-                nxt[stuck] = np.argmax(~chosen[stuck], axis=1)
+            np.subtract(roots, roots[rows, nxt][:, None], out=diff)
+            score += np.log(np.abs(diff, out=dist), out=dist)
+            nxt = score.argmax(axis=1)
+            if repeats:
+                stuck = score[rows, nxt] == -np.inf
+                if stuck.any():
+                    chosen = np.zeros((int(stuck.sum()), m), dtype=bool)
+                    np.put_along_axis(chosen, order[stuck, :k], True, axis=1)
+                    nxt[stuck] = np.argmax(~chosen, axis=1)
             order[:, k] = nxt
-            chosen[rows, nxt] = True
     return order
 
 
@@ -207,7 +227,7 @@ def from_roots_batch(roots) -> np.ndarray:
     roots = np.asarray(roots, dtype=np.complex128)
     if roots.ndim != 2:
         raise ValueError("roots must be a 2-d array")
-    if not np.all(np.isfinite(roots)):
+    if not np.isfinite(roots).all():
         raise ValueError("roots contains non-finite entries")
     roots = np.take_along_axis(roots, _leja_orders(roots), axis=1)
     b, m = roots.shape
@@ -219,7 +239,7 @@ def from_roots_batch(roots) -> np.ndarray:
             nxt[:, 1:] = coeffs
             nxt[:, :-1] -= roots[:, j, None] * coeffs
             coeffs = nxt
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("expansion overflows: coefficients are not finite")
     if np.any((coeffs[:, 0] == 0) & np.all(roots != 0, axis=1)):
         raise ValueError("expansion underflows: the constant term is 0 but no root is 0")
@@ -294,20 +314,21 @@ def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
 
     Each row is rotated by the unit conjugate phase of its zero
     ``zero_index[row]``, which lands exactly on a = |zero| in [0, 1];
-    pairwise root distances are preserved.  All rows are expanded
-    together.
+    pairwise root distances are preserved.  The phases are formed row by
+    row in Python complex arithmetic, then all rows are rotated in one
+    multiply and expanded together.
     """
-    rotated = np.empty_like(roots)
-    tops = []
+    phases, tops = [], []
     for row, k in enumerate(zero_index):
         z0 = complex(roots[row, k])
         a = abs(z0)
         if a > 1.0 + DISK_TOL:
             raise ValueError("selected zero lies outside the closed unit disk")
-        u = z0.conjugate() / a if z0 != 0 else 1.0
-        rotated[row] = roots[row] * u
-        rotated[row, k] = a  # exact by construction: z0 * conj(z0)/|z0| = |z0|
+        phases.append(z0.conjugate() / a if z0 != 0 else 1.0)
         tops.append(a)
+    rotated = roots * np.array(phases, dtype=np.complex128)[:, None]
+    # exact by construction: z0 * conj(z0)/|z0| = |z0|
+    rotated[np.arange(len(tops)), zero_index] = tops
     coeffs = from_roots_batch(rotated)
     return [
         SendovInstance(Polynomial(c, r), min(a, 1.0))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
 from .poly_core import AtomCollisionError, CrossCheckError, Polynomial, derivative, evaluate
-from .poly_core import _circle_values, _fold, _horner
+from .poly_core import _circle_values, _fold, _horner, _read_only
 from .rootfind import RootSet, certified
 
 __all__ = [
@@ -114,6 +114,23 @@ _IDENTITY_LABELS = (
 )
 
 
+def _values_to_second_derivative(f: Polynomial, z: np.ndarray):
+    """f, f' and f'' at the points z, from one Horner walk over a (n+1, 3) table.
+
+    The columns are the coefficients of f, f' and f'', each zero-padded
+    to degree n.  A walk over +0 entries stays at exactly +0 (a zero
+    times z is a signed zero, and adding +0 makes it +0), so each column
+    gives the bits of its own Horner walk.  f'' is formed by hand: for
+    n = 2 it is a constant, which Polynomial does not represent.
+    """
+    n = f.degree
+    table = np.zeros((n + 1, 3), dtype=np.complex128)
+    table[:, 0] = f.coeffs
+    table[:n, 1] = derivative(f).coeffs
+    table[: n - 1, 2] = table[1:n, 1] * np.arange(1, n)
+    return _horner(table, z[:, None]).T
+
+
 def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) -> IdentityReport:
     """Check the identities tying potentials and transforms to f and f'.
 
@@ -143,16 +160,12 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
     crit = certified(crit, "critical point").points
     mz = empirical_measure(zeros)
     mx = empirical_measure(crit)
-    fp = derivative(f)
-    # second-derivative coefficients by hand: for n = 2 the result is a
-    # constant, which Polynomial itself does not represent
-    fpp_coeffs = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
 
     zs = np.asarray(zs, dtype=np.complex128)
     near = np.concatenate([zeros, crit])
     skip = np.any(np.abs(zs[:, None] - near) < IDENTITY_STANDOFF, axis=1)
     z = zs[~skip]
-    fz, fpz, fppz = evaluate(f, z), evaluate(fp, z), _horner(fpp_coeffs, z)
+    fz, fpz, fppz = _values_to_second_derivative(f, z)
     u_z, u_x = log_potential(mz, z), log_potential(mx, z)
     s_z, s_x = stieltjes(mz, z), stieltjes(mx, z)
     sd_z = stieltjes_derivative(mz, z)
@@ -279,12 +292,11 @@ class CircleDensity:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = _read_only(self.samples, np.float64)
         if samples.ndim != 1 or samples.size < 4:
             raise ValueError("need a 1-d array of at least 4 samples")
         if self.R < 1.0:
             raise ValueError("R must be >= 1")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, derivative
+from .poly_core import Polynomial, _read_only, derivative
 
 __all__ = [
     "RootSet",
@@ -68,12 +68,10 @@ class RootSet:
     iterations: int = 0
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.complex128)
-        residuals = np.asarray(self.residuals, dtype=np.float64)
+        points = _read_only(self.points, np.complex128)
+        residuals = _read_only(self.residuals, np.float64)
         if points.shape != residuals.shape:
             raise ValueError("points and residuals must have matching shapes")
-        points.setflags(write=False)
-        residuals.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "residuals", residuals)
 
@@ -206,7 +204,9 @@ def _newton_pass(table, d, rows, z):
     groups = 2 * rows + outside
     # the three series advance by x, x and |x|; on the moduli series a
     # complex product equals the real one and its imaginary part stays 0
-    step = np.stack([x, x, np.abs(x).astype(np.complex128)])
+    step = np.empty((3, z.size), dtype=np.complex128)
+    step[0] = step[1] = x
+    step[2] = np.abs(x)
     step_b = step[:, None]
     blocks = np.take(table[b - 1], groups, axis=2)
     for i in range(b - 2, -1, -1):
@@ -263,7 +263,10 @@ def _aberth(coeffs: np.ndarray, start: list):
     None at the Newton polygon's circles (:func:`_start_points`), placed
     for those rows only.
     Iterates freeze once their backward error is at most ``_TOL`` and
-    are no longer evaluated.  After the loop every iterate the iteration
+    are no longer evaluated: the index arrays of the live iterates are
+    made once and compacted by the freeze test after each pass, so a
+    pass evaluates, steps and checks for lost iterates only those it
+    still moves.  After the loop every iterate the iteration
     moved, one that did not pass ``_TOL`` at its first evaluation, takes
     one more Aberth step, kept only where it does not raise the backward
     error: freezing at the tolerance leaves an m-fold cluster spread
@@ -292,36 +295,34 @@ def _aberth(coeffs: np.ndarray, start: list):
 
     wn = np.zeros((b, d), dtype=np.complex128)
     residual = np.full((b, d), np.inf)
-    frozen = np.zeros((b, d), dtype=bool)
-
-    def refresh(rows, cols):
-        wn[rows, cols], residual[rows, cols] = _newton_pass(table, d, rows, z[rows, cols])
+    rows, cols = np.divmod(np.arange(b * d), d)
 
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
-            rows, cols = np.nonzero(~frozen)
-            refresh(rows, cols)
-            frozen[rows, cols] = residual[rows, cols] <= _TOL
+            wn[rows, cols], res = _newton_pass(table, d, rows, z[rows, cols])
+            residual[rows, cols] = res
+            live = ~(res <= _TOL)
+            rows, cols = rows[live], cols[live]
             if iterations == 1:
-                moved = ~frozen
-            if frozen.all():
+                moved = rows, cols
+            if not rows.size:
                 break
-            rows, cols = np.nonzero(~frozen)
             z[rows, cols] -= _aberth_step(z, wn[rows, cols], rows, cols)
-            lost = ~np.isfinite(z)
+            lost = ~np.isfinite(z[rows, cols])
             if lost.any():
-                z[lost] = restart[lost]
+                r, c = rows[lost], cols[lost]
+                z[r, c] = restart[r, c]
         else:
-            refresh(*np.nonzero(~frozen))
+            wn[rows, cols], residual[rows, cols] = _newton_pass(table, d, rows, z[rows, cols])
 
-        rows, cols = np.nonzero(moved)
+        rows, cols = moved
         if rows.size:
-            trial = z[moved] - _aberth_step(z, wn[moved], rows, cols)
+            trial = z[rows, cols] - _aberth_step(z, wn[rows, cols], rows, cols)
             _, trial_res = _newton_pass(table, d, rows, trial)
-            keep = trial_res <= residual[moved]
-            z[moved] = np.where(keep, trial, z[moved])
-            residual[moved] = np.where(keep, trial_res, residual[moved])
+            keep = trial_res <= residual[rows, cols]
+            z[rows[keep], cols[keep]] = trial[keep]
+            residual[rows[keep], cols[keep]] = trial_res[keep]
     return z, residual, iterations
 
 
@@ -357,7 +358,7 @@ def _solve(polys, starts) -> list[RootSet]:
     for p, start in zip(polys, starts):
         if start is None:
             continue
-        if start.shape != (p.degree,) or not np.all(np.isfinite(start)):
+        if start.shape != (p.degree,) or not np.isfinite(start).all():
             raise ValueError(f"start must be {p.degree} finite points")
         if p.coeffs[0] == 0:
             raise ValueError("a start needs a polynomial with a nonzero constant term")
@@ -374,12 +375,16 @@ def _solve(polys, starts) -> list[RootSet]:
             res, iterations = res[:, None], 0
         else:
             pts, res, iterations = _aberth(rows, [starts[i] for i in members])
-        for i, row_pts, row_res in zip(members, pts, res):
+        # read-only rows pass into their root sets uncopied
+        pts.setflags(write=False)
+        res.setflags(write=False)
+        converged = (res <= _TOL).all(axis=1).tolist()
+        for i, row_pts, row_res, ok in zip(members, pts, res, converged):
             k = zeros[i]
-            points = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
-            residuals = np.concatenate([np.zeros(k, dtype=np.float64), row_res])
-            converged = bool(np.all(residuals <= _TOL))
-            out[i] = RootSet(points, residuals, converged, iterations)
+            if k:
+                row_pts = np.concatenate([np.zeros(k, dtype=np.complex128), row_pts])
+                row_res = np.concatenate([np.zeros(k, dtype=np.float64), row_res])
+            out[i] = RootSet(row_pts, row_res, ok, iterations)
     return out
 
 
@@ -430,6 +435,7 @@ def _attached(polys) -> list[RootSet]:
             if zeros[i]:
                 res[lo + np.flatnonzero(r == 0)[: zeros[i]]] = 0.0
         passed = np.logical_and.reduceat(res <= 2 * d * u / (1 - 2 * d * u) * (1 + slope), starts)
+        res.setflags(write=False)  # so each root set keeps its slice uncopied
         for i, r, lo, ok in zip(members, roots, starts, passed):
             out[i] = RootSet(r, res[lo : lo + r.size], bool(ok))
     return out

@@ -1,9 +1,11 @@
 """The array passes of the small-solve path against the loops they replace.
 
 Each reference below is the per-row, per-edge or per-point loop the
-package used before, or for the Newton pass its dense Horner table,
-kept here as the oracle: the array pass must give the same bits, and
-for the sampler the same generator state.
+package used before, or for the Newton pass its dense Horner table, for
+the Leja order its per-step masking of the chosen roots and for the
+identity suite its three Horner walks, kept here as the oracle: the
+array pass must give the same bits, and for the samplers (the identity
+points and the random instances) the same generator state.
 """
 
 import math
@@ -14,8 +16,8 @@ import pytest
 
 from sendovlab.cli import _sample_points
 from sendovlab.families import FamilyParams, miller_family, random_instances
-from sendovlab.poly_core import _leja_orders, derivative
-from sendovlab.potential import IDENTITY_STANDOFF
+from sendovlab.poly_core import _horner, _leja_orders, derivative, from_roots, from_roots_batch
+from sendovlab.potential import IDENTITY_STANDOFF, _values_to_second_derivative
 from sendovlab.rootfind import (
     _START_ROTATION,
     _aberth_step,
@@ -33,6 +35,24 @@ def _sample_points_loop(rng, count, avoid):
         if abs(z) <= 2.0 and np.min(np.abs(z - avoid)) >= IDENTITY_STANDOFF:
             out.append(z)
     return np.array(out, dtype=np.complex128)
+
+
+def _random_instances_loop(rng, n, count):
+    """Roots, coefficients and a of each instance, drawn and rotated one row at a time."""
+    roots = np.empty((count, n), dtype=np.complex128)
+    for row in range(count):
+        angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.15, 0.85, n)) / n
+        radii = rng.uniform(0.7, 1.0, n)
+        roots[row] = radii * np.exp(1j * angles)
+    rotated = np.empty_like(roots)
+    tops = []
+    for row, k in enumerate(np.argmax(np.abs(roots), axis=1)):
+        z0 = complex(roots[row, k])
+        a = abs(z0)
+        rotated[row] = roots[row] * (z0.conjugate() / a if z0 != 0 else 1.0)
+        rotated[row, k] = a
+        tops.append(min(a, 1.0))
+    return rotated, from_roots_batch(rotated), tops
 
 
 def _start_points_loop(abs_coeffs):
@@ -153,6 +173,37 @@ class TestSamplePoints:
         assert rng.uniform() == ref.uniform()
 
 
+class TestRandomInstances:
+    @pytest.mark.parametrize("count", [1, 16, 64])
+    @pytest.mark.parametrize("n", [2, 24, 48])
+    def test_instances_and_stream_equal_the_loop(self, count, n):
+        rng, ref = np.random.default_rng(count + n), np.random.default_rng(count + n)
+        insts = random_instances(rng, n, count)
+        roots, coeffs, tops = _random_instances_loop(ref, n, count)
+        assert _same_bits(np.stack([inst.f.roots for inst in insts]), roots)
+        assert _same_bits(np.stack([inst.f.coeffs for inst in insts]), coeffs)
+        assert [inst.a for inst in insts] == tops
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.uniform() == ref.uniform()
+
+
+class TestIdentityEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 24, 64])
+    def test_one_walk_equals_three(self, n):
+        # n = 2 has a constant f''; the iterates lie inside and outside
+        # |z| = 1, on the axes with either sign of zero in the other part
+        rng = np.random.default_rng(n)
+        f = from_roots(rng.uniform(0.7, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+        z = _iterates(rng, 200)
+        assert (np.abs(z) > 1).any() and (np.abs(z) < 1).any()
+        fp = derivative(f).coeffs
+        fpp = fp[1:] * np.arange(1, fp.size)
+        got = _values_to_second_derivative(f, z)
+        want = (_horner(f.coeffs, z), _horner(fp, z), _horner(fpp, z))
+        assert len(got) == 3
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+
+
 class TestStartPoints:
     def test_random_batch(self):
         insts = random_instances(np.random.default_rng(5), 24, 64)
@@ -177,7 +228,7 @@ class TestStartPoints:
 
 
 class TestLejaOrders:
-    @pytest.mark.parametrize("b", [1, 64])
+    @pytest.mark.parametrize("b", [1, 16, 64])
     @pytest.mark.parametrize("kind", ["random", "tied", "repeated", "all-equal", "mixed"])
     def test_equals_the_masked_order(self, b, kind):
         rng = np.random.default_rng(b)
@@ -197,6 +248,13 @@ class TestLejaOrders:
             assert got.dtype == np.intp and got.shape == (b, m)
             assert np.array_equal(got, _leja_orders_masked(roots))
             assert np.array_equal(np.sort(got, axis=1), np.tile(np.arange(m), (b, 1)))
+
+    def test_repeat_free_row_of_512(self):
+        # no root repeats, so no step tests for a row without a finite score
+        rng = np.random.default_rng(512)
+        roots = (rng.standard_normal(512) + 1j * rng.standard_normal(512))[None, :]
+        assert np.unique(roots).size == 512
+        assert np.array_equal(_leja_orders(roots), _leja_orders_masked(roots))
 
 
 def _sparse(d, terms):

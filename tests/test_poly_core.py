@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sendovlab.families import FamilyParams
+from sendovlab.measures import EmpiricalMeasure
 from sendovlab.poly_core import (
     Polynomial,
     SendovInstance,
@@ -12,7 +14,8 @@ from sendovlab.poly_core import (
     from_roots_batch,
 )
 from sendovlab.poly_core import _horner, _leja_orders, _residual_at, _sendov_instances
-from sendovlab.rootfind import certified, zero_sets
+from sendovlab.potential import CircleDensity
+from sendovlab.rootfind import RootSet, certified, zero_sets
 
 
 class TestPolynomialConstruction:
@@ -66,6 +69,32 @@ class TestPolynomialConstruction:
         assert p.roots[0] == 0.5
         assert q.coeffs[0] == -1.0
         assert a.roots[0] == 1.0
+
+    def test_frozen_classes_leave_callers_arrays_writeable(self):
+        # each keeps a read-only copy of a writeable array it is built
+        # from, and keeps an array that is already read-only as it is
+        pts = np.array([0.5, -0.5j])
+        res = np.array([1e-16, 2e-16])
+        samples = np.array([1.0, 2.0, 3.0, 4.0])
+        lams = np.array([0.3 + 0.8j])
+        rs = RootSet(pts, res, True)
+        em = EmpiricalMeasure(pts)
+        cd = CircleDensity(1.5, samples)
+        fp = FamilyParams(n=8, c1=1.0, c2=2.0, lambdas=lams)
+        for arr in (pts, res, samples, lams):
+            assert arr.flags.writeable
+        kept = (rs.points, rs.residuals, em.points, cd.samples, fp.lambdas)
+        for arr in kept:
+            assert not arr.flags.writeable
+        pts[0], res[0], samples[0], lams[0] = 9.0, 9.0, 9.0, 9.0
+        assert rs.points[0] == em.points[0] == 0.5
+        assert rs.residuals[0] == 1e-16
+        assert cd.samples[0] == 1.0
+        assert fp.lambdas[0] == 0.3 + 0.8j
+        assert RootSet(rs.points, rs.residuals, True).points is rs.points
+        assert EmpiricalMeasure(rs.points).points is rs.points
+        assert CircleDensity(1.5, cd.samples).samples is cd.samples
+        assert FamilyParams(n=8, c1=1.0, c2=2.0, lambdas=fp.lambdas).lambdas is fp.lambdas
 
     def test_consistency_check_accepts_cyclic_roots_degree_64(self):
         # angular-ordered roots of unity are the worst case for naive
