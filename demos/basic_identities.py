@@ -25,7 +25,7 @@ def main():
     rng = np.random.default_rng(11)
     inst = random_instance(rng, 24)
     zeros = zero_sets([inst.f])[0]
-    crit = critical_points(inst.f)
+    crit = critical_points([inst.f])[0]
     avoid = np.concatenate([inst.f.roots, crit.points])
     pts = []
     while len(pts) < 12:
@@ -46,7 +46,7 @@ def main():
     print()
     print("derivative envelope on z**50 - 1 (boundary case):")
     circle = example_circle(50)
-    suite = degot_suite(circle, (0.2, 0.35, 0.5), critical_points(circle.f))
+    suite = degot_suite(circle, (0.2, 0.35, 0.5), critical_points([circle.f])[0])
     print(
         f"  hypothesis = {suite.hypothesis}, "
         f"|f'(a)|/n - 1 = {suite.fp_abs_at_a_over_n - 1:+.3e}"

@@ -16,7 +16,7 @@ Everything else we can draw at random sits comfortably inside.
 import numpy as np
 
 from sendovlab import (
-    derivative,
+    critical_points,
     example_circle,
     example_origin,
     random_instance,
@@ -26,8 +26,8 @@ from sendovlab import (
 
 
 def margins(inst):
-    """The Sendov margins of an instance, from its zeros and the solved zeros of f'."""
-    return sendov_margin(*zero_sets([inst.f, derivative(inst.f)]))
+    """The Sendov margins of an instance, from its zeros and critical points."""
+    return sendov_margin(zero_sets([inst.f])[0], critical_points([inst.f])[0])
 
 
 def main():

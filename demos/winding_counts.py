@@ -11,7 +11,7 @@ integrates f'/f along open polylines to transport values of f.
 import numpy as np
 
 from sendovlab import (
-    derivative,
+    critical_points,
     evaluate,
     example_origin,
     integrated_log_derivative,
@@ -25,7 +25,7 @@ from sendovlab import (
 
 def main():
     inst = example_origin(100)
-    zeros, crit = zero_sets([inst.f, derivative(inst.f)])
+    zeros, crit = zero_sets([inst.f])[0], critical_points([inst.f])[0]
     sel = select_radius(0.2, 0.4, zeros, crit)
     res = winding_number(inst.f, sel.radius)
     direct = zero_pole_count(sel.radius, zeros, crit)
@@ -42,7 +42,7 @@ def main():
     rng = np.random.default_rng(23)
     for _ in range(5):
         f = random_instance(rng, 10).f
-        zeros, crit = zero_sets([f, derivative(f)])
+        zeros, crit = zero_sets([f])[0], critical_points([f])[0]
         sel = select_radius(0.5, 0.9, zeros, crit)
         w = winding_number(f, sel.radius).winding
         d = zero_pole_count(sel.radius, zeros, crit)

@@ -48,7 +48,7 @@ from .potential import (
 )
 # find_roots stays bound here, though the CLI calls family_zeros instead:
 # bench/test_smoke.py checks that the tracer rebinds it in this module
-from .rootfind import certified, find_roots, paired_starts, zero_sets  # noqa: F401
+from .rootfind import certified, critical_points, find_roots, zero_sets  # noqa: F401
 from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair
 
@@ -211,12 +211,13 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     zeros and crit are root sets, each certified once here.  The miller
     family, which carries no roots, solves its zeros from their predicted
     positions (:func:`family_zeros`) and takes its analytic critical
-    points.  Every other source takes all its sets
-    from one :func:`zero_sets` call: the instances' attached zeros are
-    evaluated in one pass, z**n - z's closed-form critical points in the
-    same pass, and every other f' is solved, one batch per degree, from
-    the paired starts of its instance's zeros (:func:`paired_starts`)
-    where they serve and otherwise from the Newton polygon.
+    points.  Every other source takes its zeros from one
+    :func:`zero_sets` call, which evaluates the instances' attached
+    zeros in one pass and, for the origin, z**n - z's closed-form
+    critical points in the same pass; every other f' comes from one
+    :func:`critical_points` call, solved one batch per degree from the
+    paired starts of its instance's zeros where they serve and otherwise
+    from the Newton polygon.
     Runners that never read crit pass ``crit=False`` and get None;
     those that read it refuse a polynomial source of degree below 2,
     whose derivative is a constant.
@@ -246,13 +247,13 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
             labels = [kind]
         fs = [i.f for i in insts]
         if not crit:
-            derivs, starts = [], []
+            sets, cps = zero_sets(fs), [None] * len(fs)
         elif kind == "origin":
-            derivs, starts = [origin_derivative(i.n) for i in insts], [None] * len(insts)
+            sets = zero_sets(fs + [origin_derivative(i.n) for i in insts])
+            cps = sets[len(fs) :]
         else:
-            derivs, starts = [derivative(f) for f in fs], paired_starts(fs)
-        sets = zero_sets(fs + derivs, [None] * len(fs) + starts)
-        rows = zip(labels, insts, sets, sets[len(insts) :] or [None] * len(insts))
+            sets, cps = zero_sets(fs), critical_points(fs)
+        rows = zip(labels, insts, sets, cps)
     return [
         (label, inst, certified(zeros), None if cps is None else certified(cps, "critical point"))
         for label, inst, zeros, cps in rows
@@ -300,6 +301,10 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
     return np.concatenate(kept)
 
 
+# Pass bounds: an identities record's largest residual, a family record's per-zero log identity
+_IDENTITY_TOL, _FAMILY_TOL = 1e-8, 1e-9
+
+
 def _run_check(source, rng):
     rows = []
     for label, inst, rs, crit in _build_instances(source, rng):
@@ -324,7 +329,7 @@ def _run_check(source, rng):
     return results, True
 
 
-def _run_identities(source, rng, tol, points):
+def _run_identities(source, rng, points):
     if points < 1:
         raise ValueError(f"points must be at least 1, not {points}")
     rows = []
@@ -351,10 +356,10 @@ def _run_identities(source, rng, tol, points):
     results = {
         "instances": rows,
         "max_residual": worst,
-        "mean_residual": float(np.mean(means)) if means else 0.0,
-        "tol": tol,
+        "mean_residual": float(np.mean(means)),
+        "tol": _IDENTITY_TOL,
     }
-    return results, worst <= tol
+    return results, worst <= _IDENTITY_TOL
 
 
 def _run_balayage(source, rng, R, N):
@@ -430,7 +435,7 @@ def _family_result(params: FamilyParams, rep: FamilyReport) -> dict:
     }
 
 
-def _run_family(source, rng, theta_grid, tol):
+def _run_family(source, rng, theta_grid):
     kind, fam = source
     if kind != "miller":
         raise ValueError("this command needs instance.family of kind 'miller'")
@@ -439,7 +444,7 @@ def _run_family(source, rng, theta_grid, tol):
     flat = _family_result(params, rep)
     flat["lamin_thetas"] = rep.lamin_thetas
     flat["lamin_values"] = rep.lamin_values
-    ok = bool(rep.arc_argument_ok and rep.ten_residuals.max() < tol)
+    ok = bool(rep.arc_argument_ok and rep.ten_residuals.max() < _FAMILY_TOL)
     return flat, ok
 
 
@@ -495,13 +500,13 @@ def _run_sweep(source, rng, n_list, theta_grid):
 # Each command once: its runner and its options as {key: (parser, default)}.
 _COMMANDS = {
     "check": (_run_check, {}),
-    "identities": (_run_identities, {"tol": (finite_float, 1e-8), "points": (_int, 20)}),
+    "identities": (_run_identities, {"points": (_int, 20)}),
     "balayage": (
         _run_balayage,
         {"R": (finite_float, 1.5), "N": (_optional(_int), None)},
     ),
     "winding": (_run_winding, {"r1": (finite_float, 0.2), "r2": (finite_float, 0.4)}),
-    "family": (_run_family, {"theta_grid": (_int, 2048), "tol": (finite_float, 1e-9)}),
+    "family": (_run_family, {"theta_grid": (_int, 2048)}),
     "fourier": (
         _run_fourier,
         {"R": (finite_float, 1.0), "ks": (_list_of(_int), range(9)), "N": (_int, 4096)},

@@ -46,9 +46,9 @@ from .poly_core import (
     SendovInstance,
     _read_only,
     _residual_at,
-    _sendov_instances,
     derivative,
     from_roots,
+    from_roots_batch,
 )
 from .potential import log_potential
 from .rootfind import RootSet, certified, find_roots
@@ -126,6 +126,8 @@ class FamilyParams:
         if not (0 < self.c1 <= self.c2):
             raise ValueError("need 0 < c1 <= c2")
         lams = np.atleast_1d(_read_only(self.lambdas, np.complex128))
+        if lams.ndim != 1:
+            raise ValueError("lambdas must be one-dimensional")
         if lams.size >= self.n:
             raise ValueError("need fewer than n prescribed zeros of P")
         if lams.size:
@@ -417,7 +419,8 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     """``count`` random instances with angularly separated zeros.
 
     Zeros at jittered equispaced angles with radii in [0.7, 1], rotated
-    so the largest-modulus zero lands on the positive real axis.  The
+    by the unit conjugate phase of the largest-modulus zero z0, so z0
+    lands exactly on a = |z0| and pairwise distances are kept.  The
     angular separation keeps the coefficient representation better
     conditioned (dense uniform configurations lose ~n digits in the
     products of pairwise distances).  The zeros are attached as drawn,
@@ -438,7 +441,16 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     draws = rng.uniform([[0.15], [0.7]], [[0.85], [1.0]], (count, 2, n))
     angles = 2.0 * np.pi * (np.arange(n) + draws[:, 0]) / n
     roots = draws[:, 1] * np.exp(1j * angles)
-    return _sendov_instances(roots, np.argmax(np.abs(roots), axis=1))
+    rows, top = np.arange(count), np.argmax(np.abs(roots), axis=1)
+    # in Python arithmetic: np.abs and numpy's complex-by-real division
+    # round some points differently
+    z0 = roots[rows, top].tolist()
+    tops = [abs(z) for z in z0]
+    roots *= np.array([z.conjugate() / a for z, a in zip(z0, tops)], dtype=np.complex128)[:, None]
+    # exact by construction: z0 * conj(z0)/|z0| = |z0|
+    roots[rows, top] = tops
+    coeffs = from_roots_batch(roots)
+    return [SendovInstance(Polynomial(c, r), a) for c, r, a in zip(coeffs, roots, tops)]
 
 
 def random_instance(rng: np.random.Generator, n: int) -> SendovInstance:

@@ -307,31 +307,3 @@ class SendovInstance:
     @property
     def n(self) -> int:
         return self.f.degree
-
-
-def _sendov_instances(roots: np.ndarray, zero_index) -> list[SendovInstance]:
-    """The monic polynomial on each row of roots, as a Sendov instance.
-
-    Each row is rotated by the unit conjugate phase of its zero
-    ``zero_index[row]``, which lands exactly on a = |zero| in [0, 1];
-    pairwise root distances are preserved.  The phases are formed row by
-    row in Python complex arithmetic, then all rows are rotated in one
-    multiply and expanded together.
-    """
-    phases, tops = [], []
-    for row, k in enumerate(zero_index):
-        z0 = complex(roots[row, k])
-        a = abs(z0)
-        if a > 1.0 + DISK_TOL:
-            raise ValueError("selected zero lies outside the closed unit disk")
-        phases.append(z0.conjugate() / a if z0 != 0 else 1.0)
-        tops.append(a)
-    rotated = roots * np.array(phases, dtype=np.complex128)[:, None]
-    # exact by construction: z0 * conj(z0)/|z0| = |z0|
-    rotated[np.arange(len(tops)), zero_index] = tops
-    coeffs = from_roots_batch(rotated)
-    return [
-        SendovInstance(Polynomial(c, r), min(a, 1.0))
-        for c, r, a in zip(coeffs, rotated, tops)
-    ]
-

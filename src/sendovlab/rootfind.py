@@ -8,7 +8,7 @@ perturbation that would make z a true root, so iterates below the
 tolerance are roots of a polynomial indistinguishable from the input
 at that precision.  Start points are given per polynomial where they
 are known (a family's predicted zeros, or the critical points paired
-with attached zeros by :func:`paired_starts`) and otherwise come from
+with attached zeros by :func:`_paired_starts`) and otherwise come from
 the Newton polygon of the coefficients.  Evaluation outside the unit
 disk goes through the reversed polynomial, so no degree overflows.  Multiple roots are
 reported as clusters of simple roots (their intrinsic resolution in
@@ -19,7 +19,8 @@ certificates checked.  :func:`zero_sets` turns a list of polynomials
 into root sets: attached roots become a root set whose residuals are
 their backward errors from the evaluator that certifies a solve,
 checked against a rounding bound at every degree, and every other
-polynomial is solved, one batch per degree.  No other layer solves:
+polynomial is solved, one batch per degree; :func:`critical_points`
+solves the derivatives of a list the same way.  No other layer solves:
 each takes its zeros and critical points as root sets and passes them
 through :func:`certified`, which raises ``RuntimeError`` for a set
 whose certificate fails.
@@ -39,7 +40,6 @@ __all__ = [
     "certified",
     "critical_points",
     "find_roots",
-    "paired_starts",
     "zero_sets",
 ]
 
@@ -465,28 +465,23 @@ def certified(rs: RootSet, what: str = "zero") -> RootSet:
     return rs
 
 
-def zero_sets(polys, starts=None) -> list[RootSet]:
+def zero_sets(polys) -> list[RootSet]:
     """One zero set per polynomial, in input order, not yet certified.
 
     A polynomial's attached roots come with their backward errors,
     evaluated together in one pass per degree (:func:`_attached`); the
-    polynomials without roots are solved together, one Aberth batch per
-    degree after their zero roots are stripped (:func:`_solve`), each
-    from ``starts[i]`` as in :func:`find_roots` (None, or no list at
-    all, for the Newton polygon).  A start given for a polynomial with
-    attached roots is not read.
+    polynomials without roots are solved together from the Newton
+    polygon, one Aberth batch per degree after their zero roots are
+    stripped (:func:`_solve`).
     """
     polys = list(polys)
-    starts = [None] * len(polys) if starts is None else list(starts)
-    if len(starts) != len(polys):
-        raise ValueError(f"{len(starts)} starts for {len(polys)} polynomials")
-    bare = [i for i, p in enumerate(polys) if p.roots is None]
+    bare = [p for p in polys if p.roots is None]
     attached = iter(_attached([p for p in polys if p.roots is not None]))
-    solved = iter(_solve([polys[i] for i in bare], [starts[i] for i in bare]))
+    solved = iter(_solve(bare, [None] * len(bare)))
     return [next(solved) if p.roots is None else next(attached) for p in polys]
 
 
-def paired_starts(polys) -> list[np.ndarray | None]:
+def _paired_starts(polys) -> list[np.ndarray | None]:
     """Start points for the solve of each polynomial's f' from its attached zeros.
 
     Each zero z_j of f has a critical point near z_j - 1/S_j, with
@@ -525,12 +520,14 @@ def paired_starts(polys) -> list[np.ndarray | None]:
     return out
 
 
-def critical_points(p: Polynomial) -> RootSet:
-    """Zeros of p', with the solver's backward-error certificates.
+def critical_points(polys) -> list[RootSet]:
+    """The zeros of each polynomial's p', in input order, not yet certified.
 
-    When p carries its zeros, the solve starts at their paired starts
-    (:func:`paired_starts`), as the CLI's does.  A k-fold zero of p' is
-    returned as a cluster of k nearby points whose radius reflects its
-    conditioning in coefficient form, not as a single point.
+    The p' are solved together as in :func:`zero_sets`, each from the
+    paired starts of p's attached zeros (:func:`_paired_starts`) or,
+    where those are None, from the Newton polygon.  A k-fold zero of p'
+    is returned as a cluster of k nearby points whose radius reflects
+    its conditioning in coefficient form, not as a single point.
     """
-    return _solve([derivative(p)], paired_starts([p]))[0]
+    polys = list(polys)
+    return _solve([derivative(p) for p in polys], _paired_starts(polys))

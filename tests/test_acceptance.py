@@ -250,7 +250,7 @@ def test_criterion_05_winding_oracle():
     for _ in range(50):
         f = random_instance(rng, int(rng.integers(3, 13))).f
         rs = find_roots(f)
-        crit = critical_points(f)
+        crit = critical_points([f])[0]
         radius = select_radius(0.2, 0.4, rs, crit).radius
         moduli = np.concatenate([np.abs(rs.points), np.abs(crit.points)])
         while np.min(np.abs(moduli - radius)) < 1e-6:
@@ -291,7 +291,7 @@ def test_criterion_06_example_closed_forms():
         circle_max = max(circle_max, float(np.max(np.abs(rep.margins))))
     origin_max = 0.0
     for n in (8, 16, 64, 100, 256):
-        crit = critical_points(example_origin(n).f)
+        crit = critical_points([example_origin(n).f])[0]
         target = float(n) ** (-1.0 / (n - 1.0))
         origin_max = max(
             origin_max, float(np.max(np.abs(np.abs(crit.points) - target)))

@@ -90,7 +90,7 @@ def test_unconverged_zeros_argument_raises(layer):
 
 def test_certified_passes_converged_sets_through():
     inst = random_instance(np.random.default_rng(3), 10)
-    crit = critical_points(inst.f)
+    crit = critical_points([inst.f])[0]
     assert rootfind.certified(crit) is crit
     assert rootfind.certified(crit, "critical point") is crit
     assert rootfind.certified(rootfind.zero_sets([inst.f])[0]).points is inst.f.roots

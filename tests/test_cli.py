@@ -210,10 +210,10 @@ class TestReader:
 # The JSON type of every declared option and instance key
 OPTION_TYPES = {
     "check": {},
-    "identities": {"tol": "float", "points": "int"},
+    "identities": {"points": "int"},
     "balayage": {"R": "float", "N": "int"},
     "winding": {"r1": "float", "r2": "float"},
-    "family": {"theta_grid": "int", "tol": "float"},
+    "family": {"theta_grid": "int"},
     "fourier": {"R": "float", "ks": "int list", "N": "int"},
     "sweep": {"n_list": "int list", "theta_grid": "int"},
 }
@@ -471,7 +471,7 @@ class TestOutputs:
         inst = example_origin(64)
         zeros = certified(zero_sets([inst.f])[0]).points
         dz = balayage(empirical_measure(zeros), 1.3, p=inst.f)
-        crit = critical_points(inst.f).points
+        crit = critical_points([inst.f])[0].points
         dx = balayage(empirical_measure(crit), 1.3, dz.samples.size, p=derivative(inst.f))
         # the record's crit_density, from the closed-form critical points,
         # equals the solver route's bit for bit

@@ -177,7 +177,7 @@ class TestSelectRadius:
             radii = np.sqrt(rng.uniform(0.0, 1.0, n))
             f = from_roots(radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n)))
             zero_moduli = np.abs(f.roots)
-            points = critical_points(f).points
+            points = critical_points([f])[0].points
             best, _ = self._brute_force(n, zero_moduli, np.abs(points))
             offset = (0.0, -0.5, 0.5)[trial % 3] * WINDING_BAND * best
             points = np.append(points, best + offset)

@@ -41,7 +41,7 @@ class TestExamples:
     def test_origin_critical_radius(self):
         for n in (16, 64):
             inst = example_origin(n)
-            crit = critical_points(inst.f)
+            crit = critical_points([inst.f])[0]
             expected = n ** (-1.0 / (n - 1))
             assert np.max(np.abs(np.abs(crit.points) - expected)) < 1e-10
 
@@ -98,6 +98,11 @@ class TestFamilyParams:
             FamilyParams(n=8, c1=1.0, c2=1.0, lambdas=np.array([0.3j, 0.3j]))
         with pytest.raises(ValueError, match="fewer"):
             FamilyParams(n=2, c1=1.0, c2=1.0, lambdas=np.array([0.3j, -0.3j]))
+
+    @pytest.mark.parametrize("lambdas", [[[0.3 + 0.8j]], [[0.3 + 0.8j], [-0.5 + 0.1j]]])
+    def test_lambdas_must_be_one_dimensional(self, lambdas):
+        with pytest.raises(ValueError, match="lambdas must be one-dimensional"):
+            FamilyParams(n=8, c1=1.0, c2=1.0, lambdas=lambdas)
 
 
 class TestMillerFamily:
@@ -320,7 +325,7 @@ class TestSecondMoment:
         assert summary(mx).variance > 0
 
     def test_circle_example_degenerate(self):
-        mx = empirical_measure(critical_points(example_circle(16).f).points)
+        mx = empirical_measure(critical_points([example_circle(16).f])[0].points)
         second = moment(mx, 2)
         assert abs(second) < 1e-15
         assert abs(second - 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]) < 1e-10

@@ -132,7 +132,7 @@ class TestProbInRegion:
 class TestQuantitativeZetas:
     def test_circle_example_exactness(self):
         inst = example_circle(16)
-        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points(inst.f))
+        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points([inst.f])[0])
         # critical points of z^n - 1 sit exactly at 0, so E log|xi - 1| = 0.0
         assert diag.e_log_xi_minus_a == 0.0
         assert abs(diag.e_log_inv_zeta) <= 1e-15
@@ -141,5 +141,5 @@ class TestQuantitativeZetas:
 
     def test_origin_example_atom_flag(self):
         inst = example_origin(16)
-        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points(inst.f))
+        diag = quantitative_zetas(inst, zero_sets([inst.f])[0], critical_points([inst.f])[0])
         assert math.isinf(diag.e_log_inv_zeta)

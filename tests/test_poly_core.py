@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sendovlab.families import FamilyParams
+from sendovlab.families import FamilyParams, random_instances
 from sendovlab.measures import EmpiricalMeasure
 from sendovlab.poly_core import (
     Polynomial,
@@ -13,7 +13,7 @@ from sendovlab.poly_core import (
     from_roots,
     from_roots_batch,
 )
-from sendovlab.poly_core import _horner, _leja_orders, _residual_at, _sendov_instances
+from sendovlab.poly_core import _horner, _leja_orders, _residual_at
 from sendovlab.potential import CircleDensity
 from sendovlab.rootfind import RootSet, certified, zero_sets
 
@@ -328,16 +328,25 @@ class TestSendovInstance:
             assert scale == 1.0 + float(_horner(np.abs(c), a).real)
 
 
+def _drawn_roots(seed, n, count):
+    """The zeros that random_instances draws from seed, before it rotates them."""
+    draws = np.random.default_rng(seed).uniform([[0.15], [0.7]], [[0.85], [1.0]], (count, 2, n))
+    angles = 2.0 * np.pi * (np.arange(n) + draws[:, 0]) / n
+    return draws[:, 1] * np.exp(1j * angles)
+
+
 class TestNormalizeSendov:
     def test_selected_zero_lands_exactly_on_axis(self):
-        roots = np.array([0.6 + 0.3j, -0.5 + 0.1j, 0.2 - 0.7j])
-        (inst,) = _sendov_instances(roots[None, :], [0])
-        assert inst.a == abs(roots[0])
-        assert inst.f.roots[0] == abs(roots[0]) + 0j
+        insts = random_instances(np.random.default_rng(7), 12, 4)
+        for inst, roots in zip(insts, _drawn_roots(7, 12, 4)):
+            top = int(np.argmax(np.abs(roots)))
+            # Python's abs, which rounds some moduli apart from np.abs
+            assert inst.a == abs(complex(roots[top]))
+            assert inst.f.roots[top] == inst.a + 0j
 
     def test_pairwise_distances_preserved(self):
-        roots = np.array([0.6 + 0.3j, -0.5 + 0.1j, 0.2 - 0.7j, 0.9j])
-        (inst,) = _sendov_instances(roots[None, :], [3])
-        before = np.abs(roots[:, None] - roots[None, :])
-        after = np.abs(inst.f.roots[:, None] - inst.f.roots[None, :])
-        assert np.max(np.abs(before - after)) < 1e-14
+        insts = random_instances(np.random.default_rng(8), 16, 4)
+        for inst, roots in zip(insts, _drawn_roots(8, 16, 4)):
+            before = np.abs(roots[:, None] - roots[None, :])
+            after = np.abs(inst.f.roots[:, None] - inst.f.roots[None, :])
+            assert np.max(np.abs(before - after)) < 1e-14

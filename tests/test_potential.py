@@ -101,7 +101,8 @@ class TestIdentitySuite:
     def test_circle_example_residuals_at_rounding_level(self):
         inst = example_circle(16)
         zs = np.array([1.7 + 0.3j, -1.5 + 1.1j, 0.4 + 1.6j, 0.31 + 0.12j])
-        rep = verify_basic_identities(inst.f, zs, zero_sets([inst.f])[0], critical_points(inst.f))
+        zeros, crit = zero_sets([inst.f])[0], critical_points([inst.f])[0]
+        rep = verify_basic_identities(inst.f, zs, zeros, crit)
         # the last two identities consume s_zeta, a root sum that cancels
         # to ~|z|^15 at the innermost point, so those rows are only
         # conditioned to ~1e-9 there; the four direct comparisons stay at
@@ -152,7 +153,7 @@ class TestIdentitySuite:
         n = f.degree
         fp = derivative(f)
         fpp = fp.coeffs[1:] * np.arange(1, fp.coeffs.size)
-        crit = critical_points(f)
+        crit = critical_points([f])[0]
         mz, mx = empirical_measure(f.roots), empirical_measure(crit.points)
         zs = rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)
         rep = verify_basic_identities(f, zs, zero_sets([f])[0], crit)

@@ -114,7 +114,7 @@ def test_every_public_name_has_a_caller():
     sources += sorted((repo / "bench").glob("*.py"))
     surface = _public_surface()
     assert {"Region.closed_disk", "EmpiricalMeasure.weights"} <= surface
-    assert {"zero_sets", "certified", "paired_starts"} <= surface
+    assert {"zero_sets", "certified", "critical_points"} <= surface
     assert _uncalled(surface, [p.read_text() for p in sources]) == []
 
 

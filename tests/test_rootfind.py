@@ -10,6 +10,7 @@ from conftest import match_max_distance
 from sendovlab import cli, rootfind
 from sendovlab.families import (
     FamilyParams,
+    example_circle,
     example_origin,
     family_zeros,
     miller_family,
@@ -22,10 +23,9 @@ from sendovlab.rootfind import (
     certified,
     critical_points,
     find_roots,
-    paired_starts,
     zero_sets,
 )
-from sendovlab.rootfind import _horner_table, _newton_pass
+from sendovlab.rootfind import _horner_table, _newton_pass, _paired_starts
 
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -298,7 +298,7 @@ class TestPostStep:
     def test_paired_start_batch_equals_the_reference(self):
         fs = _random_fs(24, 64)
         coeffs = np.stack([derivative(f).coeffs for f in fs])
-        starts = paired_starts(fs)
+        starts = _paired_starts(fs)
         assert coeffs.shape == (64, 24) and all(s is not None for s in starts)
         self._assert_reference(coeffs, starts)
 
@@ -340,31 +340,29 @@ class TestPairedStarts:
 
     def test_row_equals_its_single_solve_and_starts(self):
         fs = _random_fs(24, 8)
-        derivs = [derivative(f) for f in fs]
-        starts = paired_starts(fs)
+        starts = _paired_starts(fs)
         assert all(s is not None and s.shape == (23,) for s in starts)
-        sets = zero_sets(derivs, starts)
-        for f, d, start, rs in zip(fs, derivs, starts, sets):
+        sets = critical_points(fs)
+        for f, start, rs in zip(fs, starts, sets):
             # a row's starts and its solve do not depend on the batch
-            assert paired_starts([f])[0].tobytes() == start.tobytes()
-            single = find_roots(d, start)
+            assert _paired_starts([f])[0].tobytes() == start.tobytes()
+            single = find_roots(derivative(f), start)
             assert rs.points.tobytes() == single.points.tobytes()
             assert rs.residuals.tobytes() == single.residuals.tobytes()
 
     @pytest.mark.parametrize("degree, count", [(24, 64), (48, 16), (256, 4)])
     def test_agrees_with_the_newton_polygon_solve(self, degree, count):
         fs = _random_fs(degree, count)
-        derivs = [derivative(f) for f in fs]
-        seeded = zero_sets(derivs, paired_starts(fs))
-        generic = zero_sets(derivs)
+        seeded = critical_points(fs)
+        generic = zero_sets([derivative(f) for f in fs])
         assert all(rs.converged for rs in seeded + generic)
         assert seeded[0].iterations <= generic[0].iterations
         for a, b in zip(seeded, generic):
             assert match_max_distance(a.points, b.points) < 1e-12
 
     def _assert_polygon_solve(self, p):
-        assert paired_starts([p]) == [None]
-        rs = certified(critical_points(p), "critical point")
+        assert _paired_starts([p]) == [None]
+        rs = certified(critical_points([p])[0], "critical point")
         assert rs.points.tobytes() == find_roots(derivative(p)).points.tobytes()
         return rs
 
@@ -386,7 +384,7 @@ class TestPairedStarts:
     def test_polynomial_without_roots_falls_back(self):
         f = _random_fs(12, 1)[0]
         self._assert_polygon_solve(Polynomial(f.coeffs))
-        assert paired_starts([f, Polynomial(f.coeffs)])[1] is None
+        assert _paired_starts([f, Polynomial(f.coeffs)])[1] is None
 
     @pytest.mark.parametrize(
         "roots",
@@ -403,7 +401,7 @@ class TestPairedStarts:
         rec = cli.run(cfg)
         assert rec.ok
         crit = _as_points(rec.results["instances"][0]["critical_points"])
-        assert crit.tobytes() == critical_points(from_roots(zeros)).points.tobytes()
+        assert crit.tobytes() == critical_points([from_roots(zeros)])[0].points.tobytes()
 
     def test_critical_points_are_the_cli_set(self):
         # critical_points solves f' the way the CLI's check does, bit for bit
@@ -411,10 +409,9 @@ class TestPairedStarts:
             command="check", instance={"random": {"count": 4, "degree": 24}}, options={}, seed=3
         )
         rec = cli.run(cfg)
-        fs = _random_fs(24, 4, seed=3)
-        for row, f in zip(rec.results["instances"], fs):
-            crit = _as_points(row["critical_points"])
-            assert crit.tobytes() == critical_points(f).points.tobytes()
+        sets = critical_points(_random_fs(24, 4, seed=3))
+        for row, rs in zip(rec.results["instances"], sets):
+            assert _as_points(row["critical_points"]).tobytes() == rs.points.tobytes()
 
     def test_memory_stays_linear_in_the_degree(self):
         # 16 rows of degree 512: a (B, n, n) difference array would be
@@ -426,12 +423,38 @@ class TestPairedStarts:
         ]
         tracemalloc.start()
         try:
-            starts = paired_starts(polys)
+            starts = _paired_starts(polys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert all(s is not None for s in starts)
         assert peak < 24e6
+
+
+class TestCriticalPoints:
+    def test_batch_equals_single_calls_bit_for_bit(self):
+        # random rows of two degrees, a repeated zero (its paired starts
+        # fall back to the Newton polygon), a polynomial without roots,
+        # and z^16 - 1, whose f' = 16 z^15 strips to degree 0
+        fs = _random_fs(24, 3) + _random_fs(48, 2)
+        polys = [
+            fs[0],
+            fs[3],
+            from_roots([0.5, 0.5, -0.3j, 0.2 + 0.6j, -0.7]),
+            fs[1],
+            Polynomial(fs[2].coeffs),
+            example_circle(16).f,
+            fs[4],
+        ]
+        assert [i for i, s in enumerate(_paired_starts(polys)) if s is None] == [2, 4, 5]
+        many = critical_points(polys)
+        assert len(many) == len(polys)
+        for p, rs in zip(polys, many):
+            single = critical_points([p])[0]
+            assert rs.points.tobytes() == single.points.tobytes()
+            assert rs.residuals.tobytes() == single.residuals.tobytes()
+            assert rs.converged == single.converged
+        assert many[5].points.tolist() == [0j] * 15
 
 
 class TestZeroSets:
@@ -468,13 +491,6 @@ class TestZeroSets:
 
     def test_empty(self):
         assert zero_sets([]) == []
-
-    def test_one_start_per_polynomial(self):
-        p = Polynomial([1.0, 2.0, 1.0])
-        with pytest.raises(ValueError, match="2 starts for 1 polynomials"):
-            zero_sets([p], [None, None])
-        with pytest.raises(ValueError, match="2 finite points"):
-            zero_sets([p], [[0.5]])
 
     def test_mixed_list_in_input_order(self):
         # attached and solved sets of one degree: the rooted ones come back

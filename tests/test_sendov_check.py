@@ -34,12 +34,12 @@ class TestRegion:
 
 class TestCriticalPoints:
     def test_quadratic(self):
-        rs = critical_points(from_roots([1.0, -1.0]))
+        rs = critical_points([from_roots([1.0, -1.0])])[0]
         assert rs.points.tolist() == [0.0]
 
     def test_cubic(self):
         # f = z^3 - 3z, f' = 3z^2 - 3
-        rs = critical_points(Polynomial([0.0, -3.0, 0.0, 1.0]))
+        rs = critical_points([Polynomial([0.0, -3.0, 0.0, 1.0])])[0]
         assert match_max_distance(rs.points, [1.0, -1.0]) < 1e-14
 
 
@@ -106,17 +106,17 @@ def test_margin_bound_is_checked_under_optimization():
 class TestGaussLucas:
     def test_square_configuration(self):
         p = from_roots([0.0, 1.0, 1j, 1.0 + 1j])
-        assert _hull_gap(p, critical_points(p).points) < 1e-12
+        assert _hull_gap(p, critical_points([p])[0].points) < 1e-12
 
     def test_collinear_roots(self):
         p = from_roots([-1.0, 0.0, 1.0])
-        assert _hull_gap(p, critical_points(p).points) < 1e-12
+        assert _hull_gap(p, critical_points([p])[0].points) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             inst = random_instance(rng, 10)
-            assert _hull_gap(inst.f, critical_points(inst.f).points) < 1e-10
+            assert _hull_gap(inst.f, critical_points([inst.f])[0].points) < 1e-10
 
     def test_detects_exterior_point(self):
         # a fake critical point far outside the hull is no weighted mean
@@ -128,7 +128,7 @@ class TestDegotSuite:
     def test_circle_example_is_boundary_case(self):
         n = 50
         inst = example_circle(n)
-        rep = degot_suite(inst, [0.5], critical_points(inst.f))
+        rep = degot_suite(inst, [0.5], critical_points([inst.f])[0])
         assert rep.hypothesis == "boundary"
         assert rep.fp_abs_at_a_over_n == pytest.approx(1.0, abs=1e-12)
         row = rep.rows[0]
@@ -144,7 +144,8 @@ class TestDegotSuite:
         inst_poly = from_roots([1.0, -0.2])
         from sendovlab.poly_core import SendovInstance
 
-        rep = degot_suite(SendovInstance(inst_poly, 1.0), [0.3, 0.6], critical_points(inst_poly))
+        crit = critical_points([inst_poly])[0]
+        rep = degot_suite(SendovInstance(inst_poly, 1.0), [0.3, 0.6], crit)
         assert rep.hypothesis == "violated"
         assert len(rep.rows) == 2
         for row in rep.rows:
@@ -152,7 +153,7 @@ class TestDegotSuite:
 
     def test_delta_range_validated(self):
         inst = example_circle(8)
-        crit = critical_points(inst.f)
+        crit = critical_points([inst.f])[0]
         with pytest.raises(ValueError, match="outside"):
             degot_suite(inst, [1.5], crit)
         with pytest.raises(ValueError, match="outside"):
@@ -161,4 +162,4 @@ class TestDegotSuite:
     def test_requires_positive_a(self):
         inst = example_origin(8)
         with pytest.raises(ValueError, match="a > 0"):
-            degot_suite(inst, [0.1], critical_points(inst.f))
+            degot_suite(inst, [0.1], critical_points([inst.f])[0])
