@@ -17,7 +17,7 @@ from sendovlab import (
     empirical_measure,
     example_origin,
     moment,
-    random_instance,
+    random_instances,
 )
 
 
@@ -35,7 +35,7 @@ def main():
     print()
     print("moment recovery through circle Fourier coefficients (random n = 12)")
     rng = np.random.default_rng(3)
-    inst = random_instance(rng, 12)
+    inst = random_instances(rng, 12, 1)[0]
     m = empirical_measure(inst.f.roots)
     for k in (1, 2, 3):
         direct = moment(m, k)

@@ -15,7 +15,7 @@ from sendovlab import (
     critical_points,
     degot_suite,
     example_circle,
-    random_instance,
+    random_instances,
     verify_basic_identities,
     zero_sets,
 )
@@ -23,7 +23,7 @@ from sendovlab import (
 
 def main():
     rng = np.random.default_rng(11)
-    inst = random_instance(rng, 24)
+    inst = random_instances(rng, 24, 1)[0]
     zeros = zero_sets([inst.f])[0]
     crit = critical_points([inst.f])[0]
     avoid = np.concatenate([inst.f.roots, crit.points])

@@ -19,7 +19,7 @@ from sendovlab import (
     critical_points,
     example_circle,
     example_origin,
-    random_instance,
+    random_instances,
     sendov_margin,
     zero_sets,
 )
@@ -44,7 +44,7 @@ def main():
     rng = np.random.default_rng(7)
     worst = np.inf
     for _ in range(200):
-        inst = random_instance(rng, 12)
+        inst = random_instances(rng, 12, 1)[0]
         rep = margins(inst)
         worst = min(worst, rep.min_margin)
     print(f"  worst margin over 200 draws: {worst:.6f}  (strictly positive)")

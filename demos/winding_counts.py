@@ -15,7 +15,7 @@ from sendovlab import (
     evaluate,
     example_origin,
     integrated_log_derivative,
-    random_instance,
+    random_instances,
     select_radius,
     winding_number,
     zero_pole_count,
@@ -41,7 +41,7 @@ def main():
     print("random degree-10 instances: winding vs direct count")
     rng = np.random.default_rng(23)
     for _ in range(5):
-        f = random_instance(rng, 10).f
+        f = random_instances(rng, 10, 1)[0].f
         zeros, crit = zero_sets([f])[0], critical_points([f])[0]
         sel = select_radius(0.5, 0.9, zeros, crit)
         w = winding_number(f, sel.radius).winding
@@ -50,7 +50,7 @@ def main():
 
     print()
     print("value transport along a contour (zero-free corridor)")
-    f = random_instance(rng, 8).f
+    f = random_instances(rng, 8, 1)[0].f
     path = [2.0 + 0.0j, 2.0 + 1.5j, -1.0 + 2.0j]
     carried = integrated_log_derivative(f, path, zero_sets([f])[0])
     direct_val = evaluate(f, path[-1])

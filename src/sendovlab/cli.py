@@ -218,9 +218,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     :func:`critical_points` call, solved one batch per degree from the
     paired starts of its instance's zeros where they serve and otherwise
     from the Newton polygon.
-    Runners that never read crit pass ``crit=False`` and get None;
-    those that read it refuse a polynomial source of degree below 2,
-    whose derivative is a constant.
+    Runners that never read crit pass ``crit=False`` and get None.  The
+    rules on an instance are the layers': :func:`random_instances` and
+    :func:`critical_points` refuse what they cannot draw or solve.
     """
     kind, src = source
     if kind == "miller":
@@ -230,17 +230,9 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
         rows = [("miller", inst, family_zeros(params, inst.f), fcrit)]
     else:
         if kind == "random":
-            count, degree = src["count"], src["degree"]
-            if count < 1 or degree < 2:
-                raise ValueError("random instances need count >= 1 and degree >= 2")
-            insts = random_instances(rng, degree, count)
-            labels = [f"random-{i}" for i in range(count)]
+            insts = random_instances(rng, src["degree"], src["count"])
+            labels = [f"random-{i}" for i in range(len(insts))]
         elif kind == "polynomial":
-            if crit and src["polynomial"].degree < 2:
-                raise ValueError(
-                    "critical points need a polynomial instance of degree at least 2, "
-                    f"not {src['polynomial'].degree}"
-                )
             insts, labels = [SendovInstance(src["polynomial"], src["a"])], [kind]
         else:
             insts = [(example_circle if kind == "circle" else example_origin)(src["n"])]
@@ -301,8 +293,8 @@ def _sample_points(rng: np.random.Generator, count: int, avoid: np.ndarray) -> n
     return np.concatenate(kept)
 
 
-# Pass bounds: an identities record's largest residual, a family record's per-zero log identity
-_IDENTITY_TOL, _FAMILY_TOL = 1e-8, 1e-9
+# Pass bounds: identities' largest residual, family's per-zero log identity, fourier's
+_IDENTITY_TOL, _FAMILY_TOL, _FOURIER_TOL = 1e-8, 1e-9, 1e-8
 
 
 def _run_check(source, rng):
@@ -466,7 +458,7 @@ def _run_fourier(source, rng, R, ks, N):
             {"k": k, "coeff": cpair(coeff), "closed_form": cpair(closed), "residual": resid}
         )
     results = {"label": label, "R": R, "N": N, "rows": rows, "max_residual": worst}
-    return results, worst <= 1e-8
+    return results, worst <= _FOURIER_TOL
 
 
 def _sweep_case(kind: str, fam: dict, n: int, theta_grid: int) -> dict:

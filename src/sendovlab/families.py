@@ -46,7 +46,6 @@ from .poly_core import (
     SendovInstance,
     _read_only,
     _residual_at,
-    derivative,
     from_roots,
     from_roots_batch,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "origin_derivative",
     "predicted_zero_shift",
     "predicted_zeros",
-    "random_instance",
     "random_instances",
     "verify_family",
 ]
@@ -101,14 +99,19 @@ def example_origin(n: int) -> SendovInstance:
 def origin_derivative(n: int) -> Polynomial:
     """f' = n z**(n-1) - 1 of :func:`example_origin`, its zeros attached in closed form.
 
-    The critical points of z**n - z are n**(-1/(n-1)) times the (n-1)th
-    roots of unity.  ``rootfind.zero_sets`` of this polynomial is their
+    The coefficients are set directly, equal to those of
+    ``derivative(example_origin(n).f)`` byte for byte.  The critical
+    points of z**n - z are n**(-1/(n-1)) times the (n-1)th roots of
+    unity.  ``rootfind.zero_sets`` of this polynomial is their
     uncertified root set, which carries the same backward-error
     certificate as attached zeros, so no solve is needed.
     """
-    f = example_origin(n).f
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    coeffs = np.zeros(n, dtype=np.complex128)
+    coeffs[[0, n - 1]] = -1.0, n
     roots = n ** (-1.0 / (n - 1)) * np.exp(2j * np.pi * np.arange(n - 1) / (n - 1))
-    return Polynomial(derivative(f).coeffs, roots)
+    return Polynomial(coeffs, roots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,15 +431,15 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     against the expanded coefficients, so an instance whose expansion
     loses more than the rounding bound is refused where it is used: at
     degree 256 one of 20 instances over seeds 0-4 is, and at degree
-    1024 seeds 0, 2, 3 and 4 of 0-4 are.  Each instance
-    draws its angles and then its radii, so the instances, and the state
-    ``rng`` is left in, match ``count`` calls of
-    :func:`random_instance`.  All the draws come from one call, whose
-    (count, 2, n) output is filled in that order, and all the instances
-    are expanded in one batch.
+    1024 seeds 0, 2, 3 and 4 of 0-4 are.  Each instance draws its
+    angles and then its radii, so the instances, and the state ``rng``
+    is left in, are those of ``count`` one-instance calls.  All the
+    draws come from one call, whose (count, 2, n) output is filled in
+    that order, and all the instances are expanded in one batch.
+    Raises ValueError unless count >= 1 and n >= 2.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if count < 1 or n < 2:
+        raise ValueError("random instances need count >= 1 and degree >= 2")
     # filled in C order: each row's n angle offsets, then its n radii
     draws = rng.uniform([[0.15], [0.7]], [[0.85], [1.0]], (count, 2, n))
     angles = 2.0 * np.pi * (np.arange(n) + draws[:, 0]) / n
@@ -451,8 +454,3 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     roots[rows, top] = tops
     coeffs = from_roots_batch(roots)
     return [SendovInstance(Polynomial(c, r), a) for c, r, a in zip(coeffs, roots, tops)]
-
-
-def random_instance(rng: np.random.Generator, n: int) -> SendovInstance:
-    """One instance of :func:`random_instances`."""
-    return random_instances(rng, n, 1)[0]

@@ -527,7 +527,11 @@ def critical_points(polys) -> list[RootSet]:
     paired starts of p's attached zeros (:func:`_paired_starts`) or,
     where those are None, from the Newton polygon.  A k-fold zero of p'
     is returned as a cluster of k nearby points whose radius reflects
-    its conditioning in coefficient form, not as a single point.
+    its conditioning in coefficient form, not as a single point.  A p of
+    degree below 2, whose p' is a constant, raises ValueError naming it.
     """
     polys = list(polys)
+    low = [p.degree for p in polys if p.degree < 2]
+    if low:
+        raise ValueError(f"critical points need a polynomial of degree at least 2, not {low[0]}")
     return _solve([derivative(p) for p in polys], _paired_starts(polys))

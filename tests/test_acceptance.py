@@ -29,7 +29,7 @@ from sendovlab.families import (
     FamilyParams,
     example_circle,
     example_origin,
-    random_instance,
+    random_instances,
     verify_family,
 )
 from sendovlab.measures import (
@@ -72,7 +72,7 @@ def test_criterion_01_identity_suite():
     worst = 0.0
     worst_mean = 0.0
     for _ in range(100):
-        inst = random_instance(rng, int(rng.integers(3, 33)))
+        inst = random_instances(rng, int(rng.integers(3, 33)), 1)[0]
         zeros, crit = zero_sets([inst.f, derivative(inst.f)])
         avoid = np.concatenate([inst.f.roots, crit.points])
         pts = _sample_points(rng, avoid, 20)
@@ -94,7 +94,7 @@ def test_criterion_02_integrated_log_derivative():
     rng = np.random.default_rng(202)
     open_max = 0.0
     for _ in range(10):
-        p = random_instance(rng, int(rng.integers(3, 11))).f
+        p = random_instances(rng, int(rng.integers(3, 11)), 1)[0].f
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         dphi = rng.uniform(0.3, 1.2)
         arc = [2.0 * np.exp(1j * (alpha + t * dphi)) for t in (0.0, 0.5, 1.0)]
@@ -103,7 +103,7 @@ def test_criterion_02_integrated_log_derivative():
         open_max = max(open_max, rel)
     closed_max = 0.0
     for _ in range(10):
-        p = random_instance(rng, int(rng.integers(3, 11))).f
+        p = random_instances(rng, int(rng.integers(3, 11)), 1)[0].f
         c = 2.5 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         loop = [c + 0.35 * w for w in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
         start = evaluate(p, loop[0])
@@ -248,7 +248,7 @@ def test_criterion_05_winding_oracle():
     rng = np.random.default_rng(505)
     checked = 0
     for _ in range(50):
-        f = random_instance(rng, int(rng.integers(3, 13))).f
+        f = random_instances(rng, int(rng.integers(3, 13)), 1)[0].f
         rs = find_roots(f)
         crit = critical_points([f])[0]
         radius = select_radius(0.2, 0.4, rs, crit).radius

@@ -24,7 +24,6 @@ from sendovlab import (
     from_roots,
     integrated_log_derivative,
     quantitative_zetas,
-    random_instance,
     random_instances,
     select_radius,
     sendov_margin,
@@ -67,7 +66,7 @@ def test_every_layer_takes_a_root_set():
 
 def _refuses_unconverged(layer, argument, what):
     fn, others = LAYERS[layer]
-    inst = random_instance(np.random.default_rng(3), 10)
+    inst = random_instances(np.random.default_rng(3), 10, 1)[0]
     sets = dict(zip(("zeros", "crit"), rootfind.zero_sets([inst.f, derivative(inst.f)])))
     params = inspect.signature(fn).parameters
     kwargs = {**others(inst), **{k: v for k, v in sets.items() if k in params}}
@@ -89,7 +88,7 @@ def test_unconverged_zeros_argument_raises(layer):
 
 
 def test_certified_passes_converged_sets_through():
-    inst = random_instance(np.random.default_rng(3), 10)
+    inst = random_instances(np.random.default_rng(3), 10, 1)[0]
     crit = critical_points([inst.f])[0]
     assert rootfind.certified(crit) is crit
     assert rootfind.certified(crit, "critical point") is crit

@@ -401,6 +401,30 @@ class TestRunners:
         with pytest.raises(ValueError, match="count"):
             run(_cfg("check", {"random": {"count": 0}}))
 
+    @pytest.mark.parametrize(
+        "command, instance, options, message",
+        [
+            ("family", {"family": {"kind": "circle", "n": 16}}, {}, "kind 'miller'"),
+            ("sweep", {"random": {}}, {"n_list": [8]}, "sweep needs instance.family"),
+            ("sweep", {"family": {"kind": "circle", "n": 16}}, {}, "options.n_list"),
+            (
+                "winding",
+                {"family": {"kind": "circle", "n": 8}},
+                {"r1": 0.9999999, "r2": 1.0000001},
+                "no admissible radius",
+            ),
+        ],
+    )
+    def test_command_refuses(self, command, instance, options, message):
+        with pytest.raises(ValueError, match=message):
+            run(_cfg(command, instance, options))
+
+    @pytest.mark.parametrize("command", ["family", "winding"])
+    def test_miller_without_lambdas(self, command):
+        # m = 0: P = 1, and the critical points are -c2/n alone
+        instance = {"family": {"kind": "miller", "n": 48, "c1": 1.0, "c2": 2.0}}
+        assert run(_cfg(command, instance)).ok
+
 
 class TestDeterminism:
     def test_payload_reproducible(self):
@@ -739,6 +763,15 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("random", [{"count": 0}, {"degree": 1}])
+    def test_random_source_refused_by_the_layer(self, tmp_path, capsys, random):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"instance": {"random": random}}))
+        assert main(["check", "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: random instances need count >= 1 and degree >= 2\n"
+
     def test_balayage_past_the_term_cap_is_an_error(self, tmp_path, capsys):
         # zeros on the unit circle and R = 1.0001: the moment series would
         # need 414,489 terms
@@ -804,9 +837,7 @@ class TestMain:
             assert code == 0 and out.endswith("ok=True\n")
         else:
             assert code == 1
-            assert err == (
-                "error: critical points need a polynomial instance of degree at least 2, not 1\n"
-            )
+            assert err == "error: critical points need a polynomial of degree at least 2, not 1\n"
 
     @pytest.mark.parametrize(
         "command, options, key",

@@ -18,7 +18,7 @@ from sendovlab.families import (
     example_origin,
     family_critical_points,
     miller_family,
-    random_instance,
+    random_instances,
 )
 from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots
 from sendovlab.rootfind import RootSet, critical_points, find_roots, zero_sets
@@ -124,7 +124,7 @@ class TestZeroPoleCount:
     def test_agreement_with_winding(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            inst = random_instance(rng, 9)
+            inst = random_instances(rng, 9, 1)[0]
             zeros, crit = zero_sets([inst.f, derivative(inst.f)])
             sel = select_radius(0.2, 0.4, zeros, crit)
             assert winding_number(inst.f, sel.radius).winding == zero_pole_count(

@@ -18,7 +18,6 @@ from sendovlab.families import (
     origin_derivative,
     predicted_zero_shift,
     predicted_zeros,
-    random_instance,
     random_instances,
     verify_family,
 )
@@ -48,7 +47,7 @@ class TestExamples:
     @pytest.mark.parametrize("n", [*range(2, 65), 512, 4096, 8192, 16384])
     def test_origin_closed_form_critical_points_certified(self, n):
         p = origin_derivative(n)
-        assert np.array_equal(p.coeffs, derivative(example_origin(n).f).coeffs)
+        assert p.coeffs.tobytes() == derivative(example_origin(n).f).coeffs.tobytes()
         crit = certified(zero_sets([p])[0], "critical point")
         assert crit.points is p.roots and crit.iterations == 0
         assert np.max(np.abs(np.abs(crit.points) - n ** (-1.0 / (n - 1)))) < 1e-15
@@ -74,6 +73,8 @@ class TestExamples:
             example_circle(1)
         with pytest.raises(ValueError):
             example_origin(1)
+        with pytest.raises(ValueError):
+            origin_derivative(1)
 
 
 class TestFamilyParams:
@@ -335,27 +336,34 @@ class TestSecondMoment:
 class TestRandomInstance:
     def test_shape_and_normalization(self):
         rng = np.random.default_rng(0)
-        inst = random_instance(rng, 12)
+        inst = random_instances(rng, 12, 1)[0]
         assert inst.n == 12
         assert np.max(np.abs(inst.f.roots)) <= 1.0 + 1e-12
         assert abs(inst.a - np.max(np.abs(inst.f.roots))) < 1e-14
         assert abs(evaluate(inst.f, inst.a)) < 1e-10
 
     def test_reproducible(self):
-        a = random_instance(np.random.default_rng(42), 10)
-        b = random_instance(np.random.default_rng(42), 10)
+        a = random_instances(np.random.default_rng(42), 10, 1)[0]
+        b = random_instances(np.random.default_rng(42), 10, 1)[0]
         assert np.array_equal(a.f.coeffs, b.f.coeffs)
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            random_instance(np.random.default_rng(0), 1)
+            random_instances(np.random.default_rng(0), 1, 1)
+
+    def test_count_validation(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"need count >= 1 and degree >= 2"):
+            random_instances(rng, 8, 0)
+        assert rng.bit_generator.state == state
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6))
     def test_batch_equals_one_at_a_time(self, seed, n, count):
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = random_instances(rng_a, n, count)
-        singles = [random_instance(rng_b, n) for _ in range(count)]
+        singles = [random_instances(rng_b, n, 1)[0] for _ in range(count)]
         assert len(batch) == count
         for x, y in zip(batch, singles):
             assert x.f.coeffs.tobytes() == y.f.coeffs.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sendovlab.families import example_circle, example_origin, random_instance
+from sendovlab.families import example_circle, example_origin, random_instances
 from sendovlab.measures import (
     EmpiricalMeasure,
     check_matching_mean,
@@ -90,7 +90,7 @@ class TestMeanMatching:
     def test_random_instances(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            inst = random_instance(rng, 10)
+            inst = random_instances(rng, 10, 1)[0]
             assert check_matching_mean(*zero_sets([inst.f, derivative(inst.f)])) < 1e-10
 
 

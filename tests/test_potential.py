@@ -11,7 +11,7 @@ from sendovlab.families import (
     example_circle,
     family_critical_points,
     miller_family,
-    random_instance,
+    random_instances,
 )
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import (
@@ -123,7 +123,7 @@ class TestIdentitySuite:
         rng = np.random.default_rng(12)
         zs = np.array([1.8 + 0.2j, -1.4 + 1.2j, 2.1 - 0.8j])
         for _ in range(5):
-            inst = random_instance(rng, 14)
+            inst = random_instances(rng, 14, 1)[0]
             rep = verify_basic_identities(inst.f, zs, *zero_sets([inst.f, derivative(inst.f)]))
             assert rep.max_residual < 1e-10
 
@@ -148,7 +148,7 @@ class TestIdentitySuite:
         # calls; only the rounding of abs and log differs, so 1e-14 bounds
         # the change in a relative residual
         rng = np.random.default_rng(21)
-        inst = random_instance(rng, 20)
+        inst = random_instances(rng, 20, 1)[0]
         f = inst.f
         n = f.degree
         fp = derivative(f)

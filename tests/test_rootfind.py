@@ -456,6 +456,21 @@ class TestCriticalPoints:
             assert rs.converged == single.converged
         assert many[5].points.tolist() == [0j] * 15
 
+    def test_refuses_degree_below_two_by_its_degree(self):
+        # p' of a degree-1 p is a constant: the message names p's degree
+        with pytest.raises(ValueError, match=r"degree at least 2, not 1$"):
+            critical_points([Polynomial([1.0, 2.0])])
+        with pytest.raises(ValueError, match=r"not 1$"):
+            critical_points([example_circle(4).f, Polynomial([1.0, 2.0])])
+
+    def test_iteration_budget_exit_is_not_certified(self, monkeypatch):
+        # one Aberth iteration from the paired starts does not converge
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
+        rs = critical_points(_random_fs(12, 1))[0]
+        assert not rs.converged and rs.iterations == 1
+        with pytest.raises(RuntimeError, match="zero finding did not converge"):
+            certified(rs)
+
 
 class TestZeroSets:
     @settings(max_examples=30, deadline=None, derandomize=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import match_max_distance
-from sendovlab.families import example_circle, example_origin, random_instance
+from sendovlab.families import example_circle, example_origin, random_instances
 from sendovlab.poly_core import Polynomial, derivative, from_roots
 from sendovlab.rootfind import certified, critical_points, zero_sets
 from sendovlab.sendov_check import Region, degot_suite, sendov_margin
@@ -63,7 +63,7 @@ class TestSendovMargin:
     def test_margins_live_in_diameter_bound(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            inst = random_instance(rng, 12)
+            inst = random_instances(rng, 12, 1)[0]
             rep = sendov_margin(*zero_sets([inst.f, derivative(inst.f)]))
             assert rep.holds
             assert rep.margins.min() >= -1.0
@@ -115,7 +115,7 @@ class TestGaussLucas:
     def test_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            inst = random_instance(rng, 10)
+            inst = random_instances(rng, 10, 1)[0]
             assert _hull_gap(inst.f, critical_points([inst.f])[0].points) < 1e-10
 
     def test_detects_exterior_point(self):
