@@ -41,6 +41,7 @@ import numpy as np
 
 from .measures import empirical_measure, summary
 from .poly_core import (
+    DISK_TOL,
     CrossCheckError,
     Polynomial,
     SendovInstance,
@@ -134,9 +135,9 @@ class FamilyParams:
         if lams.size >= self.n:
             raise ValueError("need fewer than n prescribed zeros of P")
         if lams.size:
-            if np.any(np.abs(lams) > 1.0 + 1e-10):
+            if np.any(np.abs(lams) > 1.0 + DISK_TOL):
                 raise ValueError("each lambda must lie in the closed unit disk")
-            if np.any(np.abs(lams - 1.0) < 1.0 - 1e-10):
+            if np.any(np.abs(lams - 1.0) < 1.0 - DISK_TOL):
                 raise ValueError("each lambda must avoid the open disk D(1, 1)")
             d = np.abs(lams[:, None] - lams[None, :])
             np.fill_diagonal(d, np.inf)

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import CrossCheckError, SendovInstance, _read_only
+from .poly_core import DISK_TOL, CrossCheckError, SendovInstance, _read_only
 from .rootfind import RootSet, certified
-from .sendov_check import Region
 
 __all__ = [
     "EmpiricalMeasure",
@@ -120,9 +119,12 @@ def expect_log_distance(m: EmpiricalMeasure, z):
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def prob_in_region(m: EmpiricalMeasure, region: Region) -> float:
-    """Total weight of atoms inside the region."""
-    return float(math.fsum(m.weights[region.mask(m.points)].tolist()))
+def prob_in_region(m: EmpiricalMeasure, center: complex, radius: float) -> float:
+    """Total weight of the atoms in the closed disk |z - center| <= radius + DISK_TOL."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    inside = np.abs(m.points - complex(center)) <= float(radius) + DISK_TOL
+    return float(math.fsum(m.weights[inside].tolist()))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ __all__ = [
 
 # Absolute slack on |leading - 1| below which a polynomial counts as monic.
 MONIC_TOL = 1e-12
-# Slack on |root| <= 1 when validating unit-disk membership.
+# The one slack of every closed-disk test |z - c| <= r in the package, so
+# that points computed to rounding accuracy do not flip sides on the circle.
 DISK_TOL = 1e-10
 
 

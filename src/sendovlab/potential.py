@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import AtomCollisionError, CrossCheckError, Polynomial, derivative, evaluate
-from .poly_core import _circle_values, _fold, _horner, _read_only
+from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial
+from .poly_core import _circle_values, _fold, _horner, _read_only, derivative, evaluate
 from .rootfind import RootSet, certified
 
 __all__ = [
@@ -425,7 +425,7 @@ def circle_fourier_coeffs(
     if N < 8 * (max(ks) + 1):
         raise ValueError("N too small for this k")
     top = float(np.max(np.abs(m.points)))
-    if top > R * (1.0 + 1e-10):
+    if top > R * (1.0 + DISK_TOL):
         raise ValueError("atoms must lie in the closed disk |z| <= R")
     rho = np.abs(m.points)
     near = (R - rho) < NEAR_CIRCLE

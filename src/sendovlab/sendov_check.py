@@ -1,4 +1,4 @@
-"""Sendov margins of zeros, the classical small-|f| bounds near a, and closed disks.
+"""Sendov margins of zeros, and the classical small-|f| bounds near a.
 
 The central quantity is the margin of a zero: 1 minus the distance to
 the nearest critical point.  Sendov's conjecture asserts every zero of
@@ -13,46 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import CrossCheckError, SendovInstance, derivative, evaluate
+from .poly_core import DISK_TOL, CrossCheckError, SendovInstance, derivative, evaluate
 from .rootfind import RootSet, certified
 
 __all__ = [
     "DegotReport",
     "DegotRow",
-    "Region",
     "SendovReport",
     "degot_suite",
     "sendov_margin",
 ]
 
-# Tolerance band for closed-set membership decisions.
-REGION_BAND = 1e-10
 # A conjecture "holds" verdict allows this much rounding slack below zero.
 MARGIN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Region:
-    """Closed disk |z - center| <= radius, with a tolerance band.
-
-    Membership carries a band of 1e-10 so that points computed to
-    ordinary rounding accuracy never flip sides on the boundary.
-    """
-
-    center: complex
-    radius: float
-
-    @classmethod
-    def closed_disk(cls, center: complex, radius: float) -> "Region":
-        """The closed disk about center; radius must be positive."""
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return cls(complex(center), float(radius))
-
-    def mask(self, points) -> np.ndarray:
-        """Boolean membership mask for an array of complex points."""
-        z = np.asarray(points, dtype=np.complex128)
-        return np.abs(z - self.center) <= self.radius + REGION_BAND
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +54,7 @@ def sendov_margin(zeros: RootSet, crit: RootSet) -> SendovReport:
     low = float(margins.min())
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
     # zeros stay in the closed unit disk.
-    if np.max(np.abs(zeros)) <= 1.0 + 1e-10 and not low >= -1.0 - 1e-9:
+    if np.max(np.abs(zeros)) <= 1.0 + DISK_TOL and not low >= -1.0 - MARGIN_TOL:
         raise CrossCheckError("margin below the diameter bound")
     if not margins.max() <= 1.0 + 1e-12:
         raise CrossCheckError("margin above 1 is impossible")

@@ -47,7 +47,7 @@ from sendovlab.potential import (
     verify_basic_identities,
 )
 from sendovlab.rootfind import critical_points, find_roots, zero_sets
-from sendovlab.sendov_check import Region, sendov_margin
+from sendovlab.sendov_check import sendov_margin
 from sendovlab.serialize import dumps, loads
 
 
@@ -347,12 +347,11 @@ def test_criterion_07_family_sweep():
 
 
 def test_criterion_08_concentration_probes():
-    target = Region.closed_disk(0.5 + 0.0j, 0.2)
     probs = []
     for n in (100, 300, 1000):
         inst = example_origin(n)  # the a = 0 end of the family
         assert inst.a <= 0.01
-        p = prob_in_region(empirical_measure(inst.f.roots), target)
+        p = prob_in_region(empirical_measure(inst.f.roots), 0.5, 0.2)
         envelope = inst.a + math.log(n) / n ** (1.0 / 3.0)
         assert p <= 1.0 * envelope
         probs.append(p)

@@ -121,6 +121,12 @@ class TestZeroPoleCount:
         with pytest.raises(AmbiguousCountError):
             zero_pole_count(1.0, *zero_sets([f, derivative(f)]))
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_radius_must_be_positive(self, r):
+        f = from_roots([1.0, -1.0])
+        with pytest.raises(ValueError, match="r must be positive"):
+            zero_pole_count(r, *zero_sets([f, derivative(f)]))
+
     def test_agreement_with_winding(self):
         rng = np.random.default_rng(6)
         for _ in range(10):

@@ -83,6 +83,10 @@ class TestFamilyParams:
         assert params.a == 1.0 - 1.0 / 64.0
         assert params.m == 0
 
+    def test_degree_at_least_two(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            FamilyParams(n=1, c1=1.0, c2=2.0, lambdas=np.array([]))
+
     def test_orderings_enforced(self):
         with pytest.raises(ValueError, match="c1"):
             FamilyParams(n=8, c1=2.0, c2=1.0, lambdas=np.array([]))

@@ -18,13 +18,16 @@ from sendovlab.measures import (
 )
 from sendovlab.poly_core import derivative, from_roots
 from sendovlab.rootfind import critical_points, find_roots, zero_sets
-from sendovlab.sendov_check import Region
 
 
 class TestEmpiricalMeasure:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="1-d"):
             EmpiricalMeasure(np.array([[0j, 1j]]))
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            EmpiricalMeasure(np.array([0j, complex(np.nan, 0.0)]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one atom"):
@@ -121,12 +124,28 @@ class TestProbInRegion:
     def test_origin_example_oracle(self):
         inst = example_origin(10)
         m = empirical_measure(inst.f.roots)
-        assert prob_in_region(m, Region.closed_disk(0.0, 0.5)) == pytest.approx(0.1, abs=1e-15)
+        assert prob_in_region(m, 0.0, 0.5) == pytest.approx(0.1, abs=1e-15)
 
     def test_whole_disk(self):
         inst = example_origin(10)
         m = empirical_measure(inst.f.roots)
-        assert prob_in_region(m, Region.closed_disk(0.0, 1.0)) == pytest.approx(1.0)
+        assert prob_in_region(m, 0.0, 1.0) == pytest.approx(1.0)
+
+    def test_closed_disk_boundary(self):
+        # the second atom is within DISK_TOL of the circle
+        points = (1.0, 1.0 + 5e-11, 1.1)
+        inside = [prob_in_region(empirical_measure([z]), 0.0, 1.0) for z in points]
+        assert inside == [1.0, 1.0, 0.0]
+
+    def test_off_centre_disk(self):
+        inside = [prob_in_region(empirical_measure([z]), 0.5j, 1.0) for z in (0.0, 2.0, 1.5j)]
+        assert inside == [1.0, 0.0, 1.0]
+
+    def test_validation(self):
+        m = empirical_measure([0.0])
+        for radius in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                prob_in_region(m, 0.0, radius)
 
 
 class TestQuantitativeZetas:

@@ -29,8 +29,12 @@ def test_a_refusal_is_digested_by_its_error_text():
     lines = [line.rsplit(" ", 1) for line in done.stdout.splitlines()]
     digests = dict(lines)
     assert len(digests) == len(lines)
+    payloads = [label for label in digests if not label.endswith("/csv")]
     # 7 commands x 7 sources x 2 seeds, before the workloads and probes
-    assert len([label for label in digests if label.count("/") == 2]) == 98
+    assert len([label for label in payloads if label.count("/") == 2]) == 98
     text = "ValueError: this command needs instance.family of kind 'miller'"
     assert digests["family/circle-16/seed0"] == sha256(text.encode()).hexdigest()[:16]
+    # the CSV bytes of a record that runs are digested too, and a refusal has none
+    assert "family/miller-48/seed0/csv" in digests
+    assert "family/circle-16/seed0/csv" not in digests
     assert all(re.fullmatch(r"[0-9a-f]{16}", d) for d in digests.values())

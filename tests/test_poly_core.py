@@ -37,6 +37,10 @@ class TestPolynomialConstruction:
         with pytest.raises(ValueError, match="finite"):
             Polynomial([1.0, np.inf])
 
+    def test_rejects_2d_coeffs(self):
+        with pytest.raises(ValueError, match="coeffs must be one-dimensional"):
+            Polynomial([[1.0, 2.0], [3.0, 4.0]])
+
     def test_rejects_root_count_mismatch(self):
         with pytest.raises(ValueError, match="root count"):
             Polynomial([-1.0, 0.0, 1.0], roots=[1.0])
@@ -181,6 +185,10 @@ class TestFromRootsBatch:
     def test_rejects_1d(self):
         with pytest.raises(ValueError, match="2-d"):
             from_roots_batch(np.array([1.0, 2.0]))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            from_roots_batch(np.array([[0.5, np.nan], [1.0, 2.0]]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

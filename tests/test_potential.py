@@ -253,6 +253,11 @@ class TestPoissonKernel:
         with pytest.raises(ValueError, match="inside"):
             poisson_kernel(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0])
+    def test_radius_must_be_positive(self, R):
+        with pytest.raises(ValueError, match="R must be positive"):
+            poisson_kernel(R, 0.0, 0.0)
+
     def test_mean_is_one(self):
         thetas = 2 * np.pi * np.arange(512) / 512
         vals = poisson_kernel(1.0, 0.6 + 0.25j, thetas)
@@ -457,6 +462,12 @@ class TestBalayage:
     def test_atom_hugging_circle_rejected(self):
         with pytest.raises(AtomCollisionError):
             _swept([1.4999985 + 0j], 1.5)
+        with pytest.raises(AtomCollisionError, match="strictly inside"):
+            _swept([0.5, 1.5j], 1.5)
+
+    def test_fewer_than_16_nodes_rejected(self):
+        with pytest.raises(ValueError, match="N too small"):
+            _swept([0.5, -0.5j], 1.0, N=8)
 
     def test_series_past_the_term_cap_refused(self, monkeypatch):
         # one atom at 1 on |z| = 1.0001 needs 414,489 terms of the moment
@@ -521,6 +532,8 @@ class TestCircleFourier:
             circle_fourier_coeffs(m, 1.0, [-1])
         with pytest.raises(ValueError, match="closed disk"):
             circle_fourier_coeffs(empirical_measure(np.array([1.6 + 0j])), 1.5, [1])
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            circle_fourier_coeffs(empirical_measure(np.array([0.5 + 0j])), 0.9, [1])
 
     @pytest.mark.parametrize("w", [1.2 + 0j, 1.48j], ids=["far", "near"])
     def test_atoms_outside_unit_disk_inside_R(self, w):

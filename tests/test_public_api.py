@@ -113,7 +113,7 @@ def test_every_public_name_has_a_caller():
     sources.append(repo / "tests" / "test_acceptance.py")
     sources += sorted((repo / "bench").glob("*.py"))
     surface = _public_surface()
-    assert {"Region.closed_disk", "EmpiricalMeasure.weights"} <= surface
+    assert {"Polynomial.monic", "EmpiricalMeasure.weights"} <= surface
     assert {"zero_sets", "certified", "critical_points"} <= surface
     assert _uncalled(surface, [p.read_text() for p in sources]) == []
 
@@ -135,7 +135,7 @@ def test_every_exported_parameter_is_read():
     # a parameter that its function never reads is one that every caller
     # passes for nothing
     functions = _exported_functions()
-    assert {"degot_suite", "Region.mask"} <= {qualname for qualname, _ in functions}
+    assert {"degot_suite", "CircleDensity.mean"} <= {qualname for qualname, _ in functions}
     unread = []
     for qualname, fn in functions:
         args = fn.args

@@ -146,6 +146,25 @@ class TestFindRoots:
         assert np.all(np.isfinite(rs.residuals))
         assert np.all(np.isfinite(rs.points))
 
+    def test_lost_iterate_restarts_from_its_rotated_start(self, monkeypatch):
+        # the first Aberth step sends one iterate to NaN: it restarts from
+        # its start turned by 0.37 rad, and the set still converges
+        roots = np.array([0.5, -0.5j, 0.3 + 0.1j, -0.8 + 0.2j, 0.7j, -0.3 - 0.4j, 0.9, -0.6])
+        steps = []
+        aberth_step = rootfind._aberth_step
+
+        def losing_one(z, wn, rows, cols):
+            step = aberth_step(z, wn, rows, cols)
+            if not steps:
+                step[0] = np.nan
+            steps.append(step)
+            return step
+
+        monkeypatch.setattr(rootfind, "_aberth_step", losing_one)
+        rs = certified(find_roots(from_roots(roots)))
+        assert len(steps) > 1 and np.isnan(steps[0][0])
+        assert match_max_distance(rs.points, roots) < 1e-12
+
     def test_iteration_counts(self):
         # Newton-polygon start circles sit on the root moduli, so the
         # count stays flat in the degree

@@ -9,27 +9,15 @@ import pytest
 
 from conftest import match_max_distance
 from sendovlab.families import example_circle, example_origin, random_instances
-from sendovlab.poly_core import Polynomial, derivative, from_roots
-from sendovlab.rootfind import certified, critical_points, zero_sets
-from sendovlab.sendov_check import Region, degot_suite, sendov_margin
-
-
-class TestRegion:
-    def test_closed_disk_boundary(self):
-        r = Region.closed_disk(0.0, 1.0)
-        # the second point is within the tolerance band
-        assert r.mask([1.0, 1.0 + 5e-11, 1.1]).tolist() == [True, True, False]
-
-    def test_mask_vectorized(self):
-        r = Region.closed_disk(0.5j, 1.0)
-        out = r.mask(np.array([0.0, 2.0, 1.5j]))
-        assert out.tolist() == [True, False, True]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Region.closed_disk(0.0, -1.0)
-        with pytest.raises(ValueError):
-            Region.closed_disk(0.0, 0.0)
+from sendovlab.poly_core import (
+    CrossCheckError,
+    Polynomial,
+    SendovInstance,
+    derivative,
+    from_roots,
+)
+from sendovlab.rootfind import RootSet, certified, critical_points, zero_sets
+from sendovlab.sendov_check import degot_suite, sendov_margin
 
 
 class TestCriticalPoints:
@@ -68,6 +56,14 @@ class TestSendovMargin:
             assert rep.holds
             assert rep.margins.min() >= -1.0
             assert rep.margins.max() <= 1.0
+
+    def test_diameter_bound_refuses_a_far_critical_set(self):
+        # zeros +-1 in the closed disk and a certified critical point at 5:
+        # a margin of -5 is below the Gauss-Lucas bound of -1
+        zeros = zero_sets([from_roots([1.0, -1.0])])[0]
+        far = RootSet(np.array([5.0 + 0j]), np.zeros(1), True)
+        with pytest.raises(CrossCheckError, match="margin below the diameter bound"):
+            sendov_margin(zeros, far)
 
 
 def _hull_gap(p, crit) -> float:
@@ -140,9 +136,14 @@ class TestDegotSuite:
             1.25 ** (n / 2) - (1.0 - 0.5**n), rel=1e-10
         )
 
+    def test_far_critical_set_satisfies_hypothesis(self):
+        # no critical point in the closed disk D(a, 1): the nearest is 4 away
+        inst = SendovInstance(from_roots([1.0, -0.2]), 1.0)
+        far = RootSet(np.array([5.0 + 0j]), np.zeros(1), True)
+        assert degot_suite(inst, [0.5], far).hypothesis == "holds"
+
     def test_typical_instance_violates_hypothesis(self):
         inst_poly = from_roots([1.0, -0.2])
-        from sendovlab.poly_core import SendovInstance
 
         crit = critical_points([inst_poly])[0]
         rep = degot_suite(SendovInstance(inst_poly, 1.0), [0.3, 0.6], crit)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sendovlab.cli import ExperimentConfig, run
-from sendovlab.serialize import dumps, loads
+from sendovlab.serialize import dumps, from_cpair, loads
 
 # -0.0, the smallest subnormal, a subnormal near the normal range, +-inf
 # and values whose shortest decimal form takes all 17 digits
@@ -61,6 +61,12 @@ def test_other_dtypes_raise(arr):
 def test_other_objects_still_raise():
     with pytest.raises(TypeError):
         dumps({"a": object()})
+
+
+@pytest.mark.parametrize("pair", [[1, 2, 3], [1.0], 1.0], ids=["three", "one", "scalar"])
+def test_from_cpair_refuses_a_non_pair(pair):
+    with pytest.raises(ValueError, match=r"expected a \[re, im\] pair"):
+        from_cpair(pair)
 
 
 MILLER32 = {"kind": "miller", "n": 32, "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]]}

@@ -8,7 +8,9 @@ Usage (from the repository root):
 The first form prints one line ``label digest`` per config: the first 16
 hex digits of the sha256 of the record's payload or, where the run
 refuses the config (ValueError or RuntimeError, as the CLI reports
-them), of its ``ErrorType: message`` text.  The matrix is
+them), of its ``ErrorType: message`` text.  A config that runs has a
+second line, ``label/csv digest``, for the bytes that ``--format csv``
+writes of its record.  The matrix is
 
 - every command on each of seven sources (see :func:`configs`), at seeds 0 and 3
 - every benchmark workload at size ``tiny``, at seeds 0, 1 and 5
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import subprocess
 import sys
+import tempfile
 from hashlib import sha256
 from pathlib import Path
 
@@ -76,17 +79,26 @@ def configs(tiny: bool):
     return out
 
 
+def _digest(data: bytes) -> str:
+    return sha256(data).hexdigest()[:16]
+
+
 def digests(tiny: bool) -> dict[str, str]:
     """{label: digest} of the matrix on the imported package."""
-    from sendovlab.cli import run
+    from sendovlab.cli import run, write_record
 
     out = {}
-    for label, cfg in configs(tiny):
-        try:
-            text = run(cfg).payload()
-        except (ValueError, RuntimeError) as exc:  # the refusals of the CLI
-            text = f"{type(exc).__name__}: {exc}"
-        out[label] = sha256(text.encode()).hexdigest()[:16]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "record.csv"
+        for label, cfg in configs(tiny):
+            try:
+                record = run(cfg)
+            except (ValueError, RuntimeError) as exc:  # the refusals of the CLI
+                out[label] = _digest(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            out[label] = _digest(record.payload().encode())
+            write_record(record, str(path), "csv")
+            out[f"{label}/csv"] = _digest(path.read_bytes())
     return out
 
 
