@@ -71,7 +71,9 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     circle needs N of about pi r / delta nodes unless it lies on a node's
     ray, so one closer than about pi r / 2^20 (9e-7 at r = 0.3) raises
     :class:`AmbiguousCountError`, a band far wider than the 1e-8 of
-    :func:`zero_pole_count`.  It never returns a silently wrong integer.
+    :func:`zero_pole_count`.  The jump test assures the winding of the
+    polygon through the samples of g, not of g: two zeros of f' just
+    inside the circle in one gap turn arg g by 2 pi unseen.
     """
     if r <= 0:
         raise ValueError("r must be positive")

@@ -15,9 +15,9 @@ P + (z + c2/n) P'/(n-m), known analytically; the generic solver can
 only resolve the fat multiple root to a cluster of radius
 ~eps**(1/(n-m-1)) from coefficients.
 
-The binomial (z + c2/n)**(n-m) is expanded with exact integer
-binomials, each from the one before, and a member whose coefficients
-overflow a float is refused with ValueError.
+The binomial (z + c2/n)**(n-m) is expanded from its top term with
+exact integer binomials, each from the one before, and a member whose
+coefficients overflow a float is refused with ValueError.
 
 The shift profile also predicts where each zero lies, to O(1/n**2):
 :func:`predicted_zeros` places one start point per zero and polishes
@@ -45,8 +45,8 @@ from .poly_core import (
     CrossCheckError,
     Polynomial,
     SendovInstance,
+    _horner,
     _read_only,
-    _residual_at,
     from_roots,
     from_roots_batch,
 )
@@ -157,27 +157,27 @@ class FamilyParams:
 def _binomial_shift_coeffs(nm: int, s: float) -> np.ndarray:
     """Ascending coefficients of (z + s)**nm, stable for large nm.
 
-    The binomials C(nm, k) are exact integers, carried from one k to the
-    next by C(nm, k+1) = C(nm, k) (nm - k) // (k + 1), until ``float()``
-    rounds them; a term whose binomial or power is too large for a float
-    is combined in log space instead.  Entries whose s**(nm-k)
-    underflows are genuinely negligible at working precision and flush
-    to zero.  Raises OverflowError when an entry is too large for a
-    float.
+    The walk runs down from the top: the binomial of s**j is the exact
+    integer C(nm, j), carried by C(nm, j+1) = C(nm, j) (nm - j) // (j + 1)
+    until ``float()`` rounds it; a term too large for a float is combined
+    in log space instead.  Past the peak (j (1 + s) > nm s) the terms
+    fall, so the walk stops at the first 0 and every lower coefficient
+    stays 0.  Raises OverflowError when an entry is too large for a float.
     """
-    out = np.empty(nm + 1, dtype=np.float64)
+    out = np.zeros(nm + 1, dtype=np.float64)
     comb = 1
-    for k in range(nm + 1):
-        j = nm - k
+    for j in range(nm + 1):
+        k = nm - j
         try:
             out[k] = float(comb) * s**j
         except OverflowError:
-            # comb or s**j too large for a float: combine in log space instead
             out[k] = math.exp(
                 math.lgamma(nm + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
                 + j * math.log(s)
             )
-        comb = comb * j // (k + 1)
+        if out[k] == 0 and j * (1.0 + s) > nm * s:
+            break
+        comb = comb * k // (j + 1)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"(z + {s:g})**{nm} has coefficients too large for a float")
     return out
@@ -210,8 +210,9 @@ def miller_family(params: FamilyParams) -> SendovInstance:
         ) from None
     coeffs = np.convolve(shift, from_roots(lams).coeffs) if m else shift
     coeffs[0] -= const
-    resid, scale = _residual_at(coeffs, a)
-    if resid > 1e-10 * scale:
+    resid = abs(_horner(coeffs, a))
+    # the scale 1 + sum |c_k| a^k is at least 1: walk it only past 1e-10
+    if resid > 1e-10 and resid > 1e-10 * (1.0 + _horner(np.abs(coeffs), a).real):
         raise CrossCheckError(f"family construction residual {resid:.3e} too large")
     return SendovInstance(Polynomial(coeffs), a)
 

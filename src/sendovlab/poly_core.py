@@ -64,26 +64,18 @@ def _read_only(values, dtype) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, z):
-    """Evaluate sum coeffs[k] z^k by Horner's rule (z scalar or array)."""
-    acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
+    """Evaluate sum coeffs[k] z^k by Horner's rule (z scalar or array).
+
+    At one point the walk runs on Python complexes, which round as 0-d
+    arrays do at less cost per step, and returns a Python complex.
+    """
+    if np.ndim(z) == 0:
+        z, acc, coeffs = complex(z), 0j, coeffs.tolist()
+    else:
+        acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
     for c in coeffs[::-1]:
         acc = acc * z + c
     return acc
-
-
-def _residual_at(coeffs: np.ndarray, a: float) -> tuple[float, float]:
-    """|f(a)| and the scale 1 + sum_k |c_k| a^k, from one Horner walk over both series.
-
-    The walk runs on Python floats and complexes: at a real a they round
-    as :func:`_horner` does, and a step costs less than a ufunc call.
-    The moduli are taken before reversing, as np.abs of a reversed view
-    can round differently.
-    """
-    value = scale = 0.0
-    for c, m in zip(coeffs.tolist()[::-1], np.abs(coeffs).tolist()[::-1]):
-        value = value * a + c
-        scale = scale * a + m
-    return abs(value), 1.0 + scale
 
 
 def _fold(rows: np.ndarray, N: int) -> np.ndarray:
@@ -263,10 +255,7 @@ def from_roots(roots) -> Polynomial:
 
 def evaluate(p: Polynomial, z):
     """Evaluate p at z (scalar or array) by Horner's rule."""
-    out = _horner(p.coeffs, z)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(out)
-    return out
+    return _horner(p.coeffs, z)
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -297,8 +286,9 @@ class SendovInstance:
         if not (0.0 <= a <= 1.0 + 1e-12):
             raise ValueError("a must lie in [0, 1]")
         object.__setattr__(self, "a", min(a, 1.0))
-        residual, scale = _residual_at(self.f.coeffs, a)
-        if residual > 1e-8 * scale:
+        residual = abs(_horner(self.f.coeffs, a))
+        # the scale 1 + sum |c_k| a^k is at least 1: walk it only past 1e-8
+        if residual > 1e-8 and residual > 1e-8 * (1.0 + _horner(np.abs(self.f.coeffs), a).real):
             raise ValueError(f"f(a) residual {residual:.3e} exceeds tolerance")
         if self.f.roots is not None:
             top = float(np.max(np.abs(self.f.roots)))

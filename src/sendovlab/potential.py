@@ -45,8 +45,10 @@ NEAR_CIRCLE = 0.05
 # Sample points closer than this to a zero or critical point are skipped
 # by the identity suite (the identities degrade as log of the distance).
 IDENTITY_STANDOFF = 0.05
-# Relative tolerance of integrated_log_derivative's adaptive Simpson rule.
+# Relative gap within which integrated_log_derivative's successive
+# Gauss-Legendre rules on a segment agree, and the most nodes of one.
 TRANSPORT_RTOL = 1e-13
+_TRANSPORT_MAX_NODES = 1024
 
 
 class ContourTooCloseError(ValueError):
@@ -194,22 +196,6 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
     )
 
 
-def _adaptive_simpson(func, a: float, b: float, fa, fm, fb, whole, tol: float, depth: int):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = func(lm), func(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        return left + right
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * tol
-    return _adaptive_simpson(
-        func, a, m, fa, flm, fm, left, half, depth - 1
-    ) + _adaptive_simpson(func, m, b, fm, frm, fb, right, half, depth - 1)
-
-
 def _segment_distance(z, a: complex, b: complex):
     """Distance from z (a point or an array of points) to the segment [a, b]."""
     ab = b - a
@@ -225,17 +211,20 @@ def integrated_log_derivative(p: Polynomial, contour, zeros: RootSet) -> complex
     """Transport p along a polyline by integrating its Stieltjes transform.
 
     With s the Stieltjes transform of p's zero measure and d = deg p,
-    p(gamma(1)) = p(gamma(0)) exp(d * int_gamma s(z) dz); the integral
-    is evaluated with genuine adaptive Simpson quadrature per segment,
-    not the telescoping closed form, so this is an independent route to
-    the endpoint value.  ``zeros`` is p's zero set, which must pass its
-    certificate; the polyline must stay at distance >= 0.05 from every
-    zero.
+    p(gamma(1)) = p(gamma(0)) exp(d * int_gamma s(z) dz).  Each segment's
+    integral is a Gauss-Legendre rule on :func:`stieltjes` at 16, 32, ...
+    nodes until two successive rules agree to ``TRANSPORT_RTOL``: an
+    independent route to the endpoint value, not the telescoping closed
+    form.  ``zeros`` is p's zero set, which must pass its certificate.  A
+    polyline within 0.05 of a zero, or a segment still unsettled at 1024
+    nodes, raises :class:`ContourTooCloseError`.
     """
     pts = np.asarray(contour, dtype=np.complex128)
     if pts.ndim != 1 or pts.size < 2:
         raise ValueError("contour must be a polyline of at least two points")
     zeros = certified(zeros).points
+    m = empirical_measure(zeros)
+    total = 0.0 + 0.0j
     for z0, z1 in zip(pts[:-1], pts[1:]):
         close = _segment_distance(zeros, z0, z1)
         close = close[close < NEAR_CIRCLE]
@@ -243,25 +232,22 @@ def integrated_log_derivative(p: Polynomial, contour, zeros: RootSet) -> complex
             raise ContourTooCloseError(
                 f"segment passes within {close[0]:.3g} of a zero (need >= 0.05)"
             )
-    d_deg = p.degree
-    w = np.full(zeros.size, 1.0 / zeros.size)
-    total = 0.0 + 0.0j
-    for z0, z1 in zip(pts[:-1], pts[1:]):
         seg = z1 - z0
-        if seg == 0:
-            continue
-
-        def integrand(t: float, z0=z0, seg=seg):
-            z = z0 + t * seg
-            return complex(np.sum(w / (z - zeros)))
-
-        fa, fb = integrand(0.0), integrand(1.0)
-        fm = integrand(0.5)
-        whole = (fa + 4.0 * fm + fb) / 6.0
-        tol = TRANSPORT_RTOL * max(1.0, abs(whole))
-        val = _adaptive_simpson(integrand, 0.0, 1.0, fa, fm, fb, whole, tol, 40)
-        total += seg * val
-    return evaluate(p, complex(pts[0])) * np.exp(d_deg * total)
+        # the mean of s over the segment, on nodes mapped from [-1, 1]
+        prev, k = math.nan, 16
+        while k <= _TRANSPORT_MAX_NODES:
+            x, w = np.polynomial.legendre.leggauss(k)
+            mean = complex(w @ stieltjes(m, z0 + 0.5 * (x + 1.0) * seg)) / 2.0
+            if abs(mean - prev) <= TRANSPORT_RTOL * max(1.0, abs(mean)):
+                break
+            prev, k = mean, 2 * k
+        else:
+            raise ContourTooCloseError(
+                f"segment {complex(z0):.6g} to {complex(z1):.6g} is unsettled at"
+                f" {_TRANSPORT_MAX_NODES} nodes: it runs too close to a zero for its length"
+            )
+        total += seg * mean
+    return evaluate(p, complex(pts[0])) * np.exp(p.degree * total)
 
 
 def poisson_kernel(R: float, w: complex, theta):
@@ -394,8 +380,9 @@ def balayage(
             f"balayage cross-check failed: coefficients vs series differ by {gap:.3e}"
         )
     density = CircleDensity(R, samples)
-    if abs(density.mean() - 1.0) > 1e-8:
-        raise CrossCheckError("balayage density does not average to 1")
+    off = abs(density.mean() - 1.0)
+    if off > 1e-8:
+        raise CrossCheckError(f"balayage density does not average to 1: off by {off:.2e} at N = {N}")
     return density
 
 

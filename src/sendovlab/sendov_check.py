@@ -113,14 +113,14 @@ def degot_suite(inst: SendovInstance, deltas, crit: RootSet) -> DegotReport:
 
     fp_at_a = abs(evaluate(derivative(f), a))
 
-    # zero mean from the subleading coefficient: exact, no root finding
-    mu = -f.coeffs[-2] / (n * f.coeffs[-1])
+    # the zero mean, exact from c_{n-1}; in Python numbers, so an overflow raises
+    mu = -complex(f.coeffs[-2]) / (n * f.leading)
     rows = []
     for d in deltas:
         fd = abs(evaluate(f, d))
         lower = (1.0 - math.sqrt(1.0 + d * d - d * a)) / n * fp_at_a
         try:
-            upper = (1.0 + d * d - 2.0 * d * mu.real) ** (n / 2.0)
+            upper = math.pow(1.0 + d * d - 2.0 * d * mu.real, n / 2.0)
         except OverflowError:
             upper = math.inf
         rows.append(DegotRow(delta=d, lower_slack=fd - lower, upper_slack=upper - fd))

@@ -783,6 +783,16 @@ class TestMain:
         assert err.startswith("error: atoms too close to the circle")
         assert "needs 414489 terms" in err
 
+    def test_balayage_on_too_few_nodes_names_them(self, tmp_path, capsys):
+        # 16 nodes alias a degree-8 density: its mean misses 1 by 9.06e-5
+        cfg_path = tmp_path / "cfg.json"
+        config = {"instance": {"random": {"count": 1, "degree": 8}}, "options": {"N": 16}}
+        cfg_path.write_text(json.dumps(config))
+        assert main(["balayage", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: balayage density does not average to 1: off by 9.06e-05 at N = 16\n"
+        )
+
     def test_failed_cross_check_is_an_error(self, monkeypatch, tmp_path, capsys):
         def disagree(*args, **kwargs):
             raise CrossCheckError("balayage cross-check failed: routes disagree")

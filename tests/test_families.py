@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import match_max_distance
+from sendovlab import families
 from sendovlab.families import (
     FamilyParams,
     _binomial_shift_coeffs,
@@ -28,6 +29,27 @@ from sendovlab.rootfind import certified, critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import sendov_margin
 
 ARC_LAMBDA = np.exp(1j * np.pi / 3)  # |lam| = 1 and |lam - 1| = 1: on the arc
+
+
+def _per_k_binomial(nm, s):
+    """(z + s)**nm by the per-k formula at every k, each binomial exact.
+
+    The binomials are carried up from k = 0 as integers, which costs
+    O(nm**2) digit work but no rounding.
+    """
+    out = np.empty(nm + 1)
+    comb = 1
+    for k in range(nm + 1):
+        j = nm - k
+        try:
+            out[k] = float(comb) * s**j
+        except OverflowError:
+            out[k] = math.exp(
+                math.lgamma(nm + 1) - math.lgamma(k + 1) - math.lgamma(j + 1)
+                + j * math.log(s)
+            )
+        comb = comb * j // (k + 1)
+    return out
 
 
 class TestExamples:
@@ -145,14 +167,32 @@ class TestMillerFamily:
                 )
         assert _binomial_shift_coeffs(nm, s).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("nm", [4096, 16384])
+    def test_binomial_walk_stops_at_its_first_zero_past_the_peak(self, nm, monkeypatch):
+        # the per-k formula keeps, through its log-space branch, terms
+        # below one whose s**j underflows; the walk from the top stops
+        # there and leaves them 0, and the zeros do not move
+        params = FamilyParams(n=nm + 1, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        s = params.c2 / params.n
+        walked, expected = _binomial_shift_coeffs(nm, s), _per_k_binomial(nm, s)
+        stop = int(np.flatnonzero(walked).min()) - 1
+        assert expected[stop] == 0 and (nm - stop) * (1.0 + s) > nm * s
+        assert walked[stop + 1 :].tobytes() == expected[stop + 1 :].tobytes()
+        assert not walked[: stop + 1].any()
+        assert 0 < expected[:stop].max() < 2.2e-165
+        zeros = family_zeros(params, miller_family(params).f).points
+        monkeypatch.setattr(families, "_binomial_shift_coeffs", _per_k_binomial)
+        assert zeros.tobytes() == family_zeros(params, miller_family(params).f).points.tobytes()
+
     @pytest.mark.parametrize(
         "n, c2, lambdas",
-        [(400, 1e6, [0.3 + 0.8j]), (100, 1e6, []), (100, 120840.0, [])],
-        ids=["coefficients", "m-zero", "constant-only"],
+        [(400, 1e6, [0.3 + 0.8j]), (100, 1e6, []), (100, 120840.0, []), (1000, 2000.0, [])],
+        ids=["coefficients", "m-zero", "constant-only", "product"],
     )
     def test_overflowing_binomial_is_refused(self, n, c2, lambdas):
         # at c2 = 120840 and n = 100 each coefficient fits a float, but
-        # (a + c2/n)**n does not
+        # (a + c2/n)**n does not; at c2 = 2000 and n = 1000 the binomial
+        # and the power of a coefficient each fit, but their product does not
         params = FamilyParams(n=n, c1=1.0, c2=c2, lambdas=np.array(lambdas, dtype=complex))
         with pytest.raises(ValueError, match=r"\(z \+ c2/n\)\*\*\(n-m\) overflows"):
             miller_family(params)

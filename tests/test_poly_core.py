@@ -13,7 +13,7 @@ from sendovlab.poly_core import (
     from_roots,
     from_roots_batch,
 )
-from sendovlab.poly_core import _horner, _leja_orders, _residual_at
+from sendovlab.poly_core import _horner, _leja_orders
 from sendovlab.potential import CircleDensity
 from sendovlab.rootfind import RootSet, certified, zero_sets
 
@@ -283,6 +283,31 @@ class TestEvaluate:
         p = Polynomial([-1.0, 0.0, 1.0])
         assert isinstance(evaluate(p, 1.5), complex)
 
+    @pytest.mark.parametrize("d", [1, 24, 48, 191, 512])
+    def test_point_walk_equals_the_array_walk(self, d):
+        # _horner at one point walks Python complexes; it rounds, bit for
+        # bit, as the walk on 0-d complex arrays it replaced
+        def array_walk(coeffs, z):
+            acc = np.zeros((), dtype=np.complex128)
+            for c in coeffs[::-1]:
+                acc = acc * z + c
+            return acc.tobytes()
+
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            c = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
+            c = c + 1j * rng.standard_normal(d + 1)
+            c[rng.uniform(size=d + 1) < 0.2] = 0
+            a = float(rng.uniform(0.0, 1.0))
+            z = complex(*rng.uniform(-1.2, 1.2, 2))
+            for point in (a, z):
+                value = _horner(c, point)
+                assert type(value) is complex
+                assert np.complex128(value).tobytes() == array_walk(c, point)
+            # the scale walk of SendovInstance and miller_family
+            scale = np.complex128(_horner(np.abs(c), a)).tobytes()
+            assert scale == array_walk(np.abs(c), a)
+
 
 class TestDerivative:
     def test_coefficients(self):
@@ -321,19 +346,6 @@ class TestSendovInstance:
     def test_n_property(self):
         inst = SendovInstance(from_roots([0.7, -0.1, 0.2]), 0.7)
         assert inst.n == 3
-
-    @pytest.mark.parametrize("d", [1, 24, 48, 191, 512])
-    def test_residual_walk_equals_two_horner_walks(self, d):
-        # f(a) and sum |c_k| a^k in one walk, bit for bit as the two walks gave them
-        rng = np.random.default_rng(d)
-        for _ in range(20):
-            c = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-4, 4, d + 1)
-            c = c + 1j * rng.standard_normal(d + 1)
-            c[rng.uniform(size=d + 1) < 0.2] = 0
-            a = float(rng.uniform(0.0, 1.0))
-            residual, scale = _residual_at(c, a)
-            assert residual == abs(complex(_horner(c, a)))
-            assert scale == 1.0 + float(_horner(np.abs(c), a).real)
 
 
 def _drawn_roots(seed, n, count):

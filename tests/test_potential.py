@@ -230,6 +230,12 @@ class TestIntegratedLogDerivative:
         with pytest.raises(ContourTooCloseError):
             integrated_log_derivative(p, [2.0, 0.9], zero_sets([p])[0])
 
+    def test_segment_unsettled_at_the_node_cap_rejected(self):
+        # 80 long, 0.06 from both zeros: its rules would need some 10,000 nodes
+        p = from_roots([1.0, -1.0])
+        with pytest.raises(ContourTooCloseError, match="unsettled at 1024 nodes"):
+            integrated_log_derivative(p, [-40.0 + 0.06j, 40.0 + 0.06j], zero_sets([p])[0])
+
     def test_degenerate_contour_rejected(self):
         p = from_roots([1.0, -1.0])
         with pytest.raises(ValueError, match="polyline"):

@@ -136,6 +136,13 @@ class TestDegotSuite:
             1.25 ** (n / 2) - (1.0 - 0.5**n), rel=1e-10
         )
 
+    def test_upper_bound_past_the_float_range_is_infinite(self):
+        # 1.25**4096 overflows: the bound reads inf, with no numpy warning
+        inst = example_circle(8192)
+        row = degot_suite(inst, [0.5], critical_points([inst.f])[0]).rows[0]
+        assert row.upper_slack == math.inf
+        assert type(row.upper_slack) is float
+
     def test_far_critical_set_satisfies_hypothesis(self):
         # no critical point in the closed disk D(a, 1): the nearest is 4 away
         inst = SendovInstance(from_roots([1.0, -0.2]), 1.0)
