@@ -67,9 +67,10 @@ def _horner(coeffs: np.ndarray, z):
     """Evaluate sum coeffs[k] z^k by Horner's rule (z scalar or array).
 
     At one point the walk runs on Python complexes, which round as 0-d
-    arrays do at less cost per step, and returns a Python complex.
+    arrays do at less cost per step, and returns a Python complex.  A
+    Python number is told by its type, which costs less than ``np.ndim``.
     """
-    if np.ndim(z) == 0:
+    if type(z) in (float, complex, int) or np.ndim(z) == 0:
         z, acc, coeffs = complex(z), 0j, coeffs.tolist()
     else:
         acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
@@ -93,7 +94,7 @@ def _circle_values(p: Polynomial, R: float, N: int):
     index t of the largest, so R^d, which overflows for d >~ 1,700 at
     R = 1.5 and underflows for d >~ 440 at R = 0.2, never forms, and
     the terms near the largest carry no rounding of k log R.  Also
-    returns log(M'/M), which scales the ratio z p'/p back, and
+    returns log M and log M', which scale the values back, and
     sum |c_k| R^k / M, the scale of the rounding of p.
     """
     k = np.arange(p.degree + 1)
@@ -105,7 +106,7 @@ def _circle_values(p: Polynomial, R: float, N: int):
         rows.append(c * np.exp(powers) / abs(c[t]))
         logs.append(math.log(abs(c[t])) + t * math.log(R))
     values = np.fft.ifft(_fold(np.stack(rows), N), norm="forward")
-    return values[0], values[1], logs[1] - logs[0], float(np.sum(np.abs(rows[0])))
+    return values[0], values[1], logs[0], logs[1], float(np.sum(np.abs(rows[0])))
 
 
 @dataclass(frozen=True, eq=False)

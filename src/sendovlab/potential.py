@@ -8,9 +8,13 @@ coefficients of potentials on circles recover moments of the measure.
 
 Quadrature on circles is the trapezoid rule on equispaced angles,
 which is spectrally accurate for these smooth periodic integrands.
-Atoms within 0.05 of the circle would wreck that accuracy, so their
-contributions are added in closed form and only the smooth remainder
-is quadratured.
+The integrands come from coefficients, not roots: on |z| = R the
+potential of the zeros of p is -(log|p| - log|c_n|) / n and the
+balayage density is Re(2 z p' / (n p)) - 1, both from one FFT of p's
+coefficients.  Atoms within 0.05 of the circle would wreck the
+quadrature's accuracy, so the Fourier coefficients of the potential
+take their contributions in closed form and quadrature only the
+polynomial of the far atoms.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial
+from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial, from_roots
 from .poly_core import _circle_values, _fold, _horner, _read_only, derivative, evaluate
 from .rootfind import RootSet, certified
 
@@ -296,7 +300,8 @@ class CircleDensity:
 
 
 # Largest gap allowed between the two routes of balayage, relative to
-# max(1, the largest density sample).
+# max(1, the largest density sample); also the largest rounding bound
+# allowed on a balayage sample or on the potential at a node.
 _BALAYAGE_TOL = 1e-10
 # Powers of the atoms per matrix-vector product in the moment series.
 _SERIES_BLOCK = 64
@@ -369,10 +374,10 @@ def balayage(
             f"atoms too close to the circle: the moment series needs {terms} terms,"
             f" more than {_MAX_SERIES_TERMS}"
         )
-    pz, zdpz, shift, scale = _circle_values(p, R, N)
+    pz, zdpz, log_m, log_dm, scale = _circle_values(p, R, N)
     if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * np.min(np.abs(pz)):
         raise AtomCollisionError("p is too ill-conditioned on the circle for a resolvable sweep")
-    samples = np.real(2.0 * np.exp(shift) / p.degree * (zdpz / pz)) - 1.0
+    samples = np.real(2.0 * np.exp(log_dm - log_m) / p.degree * (zdpz / pz)) - 1.0
     series = 1.0 + 2.0 * np.real(np.fft.fft(_moment_series(m, R, terms, N)))
     gap = float(np.max(np.abs(samples - series)))
     if gap > _BALAYAGE_TOL * max(1.0, float(np.max(np.abs(samples)))):
@@ -387,17 +392,23 @@ def balayage(
 
 
 def circle_fourier_coeffs(
-    m: EmpiricalMeasure, R: float, ks, N: int = 4096
+    m: EmpiricalMeasure, R: float, ks, N: int = 4096, *, p: Polynomial
 ) -> list[complex]:
     """Fourier coefficients (1/2pi) int e^{i k theta} U(R e^{i theta}) dtheta, k in ks.
 
-    For k >= 1 each equals E[eta^k] / (2 k R^k) for any measure inside
-    the closed disk |z| <= R, which every atom must lie in; for k = 0 it
-    is -log R.  Atoms within 0.05 of the circle contribute through that
-    closed form directly (exact up to rounding, including atoms on the
-    circle itself); the smooth remainder is quadratured on N equispaced
-    nodes, and one FFT of the potential there gives every k at once, so
-    each coefficient equals the one computed for its k alone.
+    U is the potential of the uniform measure m on the zeros of p.  For
+    k >= 1 each coefficient equals E[eta^k] / (2 k R^k) for any measure
+    inside the closed disk |z| <= R, which every atom must lie in; for
+    k = 0 it is -log R.  Atoms within 0.05 of the circle contribute
+    through that closed form directly (exact up to rounding, including
+    atoms on the circle itself).  The far atoms' potential
+    -(log|q| - log|lead q|) / n, with q = p when no atom is near and
+    otherwise the monic polynomial of the far atoms, is quadratured on N
+    equispaced nodes from one FFT of q's coefficients, in O(N + n)
+    memory; one more FFT of it gives every k at once, so each
+    coefficient equals the one computed for its k alone.  Raises
+    AtomCollisionError where the rounding bound of that potential,
+    eps log2(N) sum|c_k| R^k / (n min|q|), exceeds 1e-10.
     """
     R = float(R)
     if R < 1.0:
@@ -407,6 +418,8 @@ def circle_fourier_coeffs(
         if k < 0 or k != int(k):
             raise ValueError("k must be a nonnegative integer")
     ks = [int(k) for k in ks]
+    if p.degree != len(m):
+        raise ValueError(f"p has degree {p.degree} but m has {len(m)} atoms")
     if not ks:
         return []
     if N < 8 * (max(ks) + 1):
@@ -414,8 +427,7 @@ def circle_fourier_coeffs(
     top = float(np.max(np.abs(m.points)))
     if top > R * (1.0 + DISK_TOL):
         raise ValueError("atoms must lie in the closed disk |z| <= R")
-    rho = np.abs(m.points)
-    near = (R - rho) < NEAR_CIRCLE
+    near = (R - np.abs(m.points)) < NEAR_CIRCLE
     totals = [0.0 + 0.0j for _ in ks]
     if np.any(near):
         wn, pn = m.weights[near], m.points[near]
@@ -424,11 +436,18 @@ def circle_fourier_coeffs(
                 totals[i] += -math.log(R) * float(np.sum(wn))
             else:
                 totals[i] += complex(np.sum(wn * pn**k)) / (2.0 * k * R**k)
-    if np.any(~near):
-        wf, pf = m.weights[~near], m.points[~near]
-        thetas = 2.0 * np.pi * np.arange(N) / N
-        z = R * np.exp(1j * thetas)
-        u = -(np.log(np.abs(z[:, None] - pf[None, :])) @ wf)
+    if not np.all(near):
+        # dividing p by the near atoms on the nodes would take log 0 - log 0
+        # where a node hits one, so q is multiplied out from the far atoms
+        q = from_roots(m.points[~near]) if np.any(near) else p
+        qz, _, log_m, _, scale = _circle_values(q, R, N)
+        n, low = len(m), float(np.min(np.abs(qz)))
+        if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * n * low:
+            raise AtomCollisionError(
+                "the far atoms' polynomial is too ill-conditioned on the circle for a"
+                f" resolvable potential: min|q| is {low:.2e} of its largest term"
+            )
+        u = -(np.log(np.abs(qz)) + (log_m - math.log(abs(q.leading)))) / n
         coeffs = np.fft.ifft(u)
         for i, k in enumerate(ks):
             totals[i] += complex(coeffs[k])

@@ -119,8 +119,15 @@ def degot_suite(inst: SendovInstance, deltas, crit: RootSet) -> DegotReport:
     for d in deltas:
         fd = abs(evaluate(f, d))
         lower = (1.0 - math.sqrt(1.0 + d * d - d * a)) / n * fp_at_a
+        base = 1.0 + d * d - 2.0 * d * mu.real
+        if base < 0.0 and n % 2:
+            # only zeros outside the closed unit disk can move mu this far
+            raise ValueError(
+                f"upper bound base 1 + delta^2 - 2 delta Re mu = {base:.6g} < 0 at"
+                f" delta = {d}, odd n = {n}: the zero mean mu = {mu:.6g} lies outside the disk"
+            )
         try:
-            upper = math.pow(1.0 + d * d - 2.0 * d * mu.real, n / 2.0)
+            upper = math.pow(base, n / 2.0)
         except OverflowError:
             upper = math.inf
         rows.append(DegotRow(delta=d, lower_slack=fd - lower, upper_slack=upper - fd))

@@ -300,10 +300,14 @@ class TestEvaluate:
             c[rng.uniform(size=d + 1) < 0.2] = 0
             a = float(rng.uniform(0.0, 1.0))
             z = complex(*rng.uniform(-1.2, 1.2, 2))
-            for point in (a, z):
+            # a Python number is dispatched by its type, a numpy scalar or a
+            # 0-d array by np.ndim: each walks Python complexes
+            for point in (a, z, 1, np.float64(a)):
                 value = _horner(c, point)
                 assert type(value) is complex
                 assert np.complex128(value).tobytes() == array_walk(c, point)
+            value = _horner(c, np.array(z))
+            assert type(value) is complex and value == _horner(c, z)
             # the scale walk of SendovInstance and miller_family
             scale = np.complex128(_horner(np.abs(c), a)).tobytes()
             assert scale == array_walk(np.abs(c), a)

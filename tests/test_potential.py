@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -41,8 +42,12 @@ from sendovlab.potential import (
 from sendovlab.rootfind import RootSet, critical_points, zero_sets
 
 
+def _unity(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
 def _unity_measure(n):
-    return empirical_measure(np.exp(2j * np.pi * np.arange(n) / n))
+    return empirical_measure(_unity(n))
 
 
 class TestPointwiseTransforms:
@@ -298,7 +303,7 @@ class TestCircleValues:
 
     @staticmethod
     def _oracle(p, R, N, js):
-        """p and z p' at the nodes js, each divided by its largest term, and log(M'/M)."""
+        """p and z p' at the nodes js, each divided by its largest term, and log M, log M'."""
         with mpmath.workdps(50):
             cs = [mpmath.mpc(complex(c)) for c in p.coeffs]
             terms = [abs(c) * mpmath.mpf(R) ** k for k, c in enumerate(cs)]
@@ -309,7 +314,7 @@ class TestCircleValues:
                 z = mpmath.mpf(R) * mpmath.expjpi(mpmath.mpf(2 * j) / N)
                 v, dv = mpmath.polyval(cs[::-1], z, derivative=True)
                 out.append((complex(v / top), complex(z * dv / dtop)))
-            return np.array(out).T, float(mpmath.log(dtop / top))
+            return np.array(out).T, float(mpmath.log(top)), float(mpmath.log(dtop))
 
     @pytest.mark.parametrize(
         "degree, R, N, js",
@@ -330,21 +335,23 @@ class TestCircleValues:
         else:
             rng = np.random.default_rng(degree)
             p = Polynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
-        pz, zdpz, shift, scale = _circle_values(p, R, N)
+        pz, zdpz, log_m, log_dm, scale = _circle_values(p, R, N)
         js = list(js)
-        (ref_p, ref_zdp), ref_shift = self._oracle(p, R, N, js)
+        (ref_p, ref_zdp), ref_log_m, ref_log_dm = self._oracle(p, R, N, js)
         bound = np.finfo(float).eps * math.log2(N) * scale
         assert np.all(np.isfinite(pz)) and np.all(np.isfinite(zdpz))
         assert np.max(np.abs(pz[js] - ref_p)) <= bound
         assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
-        assert shift == pytest.approx(ref_shift, abs=1e-12 * max(1.0, abs(ref_shift)))
+        for ours, ref in ((log_m, ref_log_m), (log_dm, ref_log_dm)):
+            assert ours == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
 
     def test_scale_is_the_coefficient_sum(self):
         # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum
         p = Polynomial(np.array([2.0, -1.0j, 0.0, 3.0]))
-        _, _, shift, scale = _circle_values(p, 2.0, 16)
+        _, _, log_m, log_dm, scale = _circle_values(p, 2.0, 16)
         assert scale == pytest.approx(28.0 / 24.0, rel=1e-15)
-        assert shift == pytest.approx(math.log(72.0 / 24.0), rel=1e-15)
+        assert log_m == pytest.approx(math.log(24.0), rel=1e-15)
+        assert log_dm == pytest.approx(math.log(72.0), rel=1e-15)
 
 
 class TestBalayage:
@@ -501,53 +508,151 @@ class TestBalayage:
             CircleDensity(0.5, np.ones(8))
 
 
+def _fourier(pts, R, ks, N=4096):
+    """circle_fourier_coeffs of the uniform measure on pts, the zeros of from_roots(pts)."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    return circle_fourier_coeffs(empirical_measure(pts), R, ks, N, p=from_roots(pts))
+
+
+def _log_distance_quadrature(m, R, ks, N):
+    """The coefficients by the log-distance quadrature over the roots.
+
+    Near atoms by the closed form, the far atoms' potential on the N
+    nodes from the log distances to them, summed in blocks of nodes.
+    """
+    near = (R - np.abs(m.points)) < potential.NEAR_CIRCLE
+    wn, pn = m.weights[near], m.points[near]
+    wf, pf = m.weights[~near], m.points[~near]
+    z = R * np.exp(2j * np.pi * np.arange(N) / N)
+    u = np.concatenate(
+        [-(np.log(np.abs(z[lo : lo + 1024, None] - pf)) @ wf) for lo in range(0, N, 1024)]
+    )
+    coeffs = np.fft.ifft(u)
+    out = []
+    for k in ks:
+        closed = -math.log(R) * np.sum(wn) if k == 0 else np.sum(wn * pn**k) / (2 * k * R**k)
+        out.append(complex(closed) + complex(coeffs[k]))
+    return out
+
+
 class TestCircleFourier:
     def test_k0_gives_minus_log_r(self):
-        coeff = circle_fourier_coeffs(_unity_measure(8), 1.5, [0])[0]
+        coeff = _fourier(_unity(8), 1.5, [0])[0]
         assert coeff == pytest.approx(-math.log(1.5), abs=1e-12)
 
     def test_k2_quarter_square_far_branch(self):
         w = 0.5 + 0.3j  # 0.42 inside: quadrature branch
-        m = empirical_measure(np.array([w]))
-        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
+        coeff = _fourier([w], 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-10)
 
     def test_k2_quarter_square_near_branch(self):
         w = 0.96 * np.exp(0.4j)  # within 0.05 of the circle: closed form
-        m = empirical_measure(np.array([w]))
-        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
+        coeff = _fourier([w], 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-14)
 
     def test_atoms_on_circle_exact(self):
-        coeff = circle_fourier_coeffs(_unity_measure(8), 1.0, [2])[0]
+        coeff = _fourier(_unity(8), 1.0, [2])[0]
         assert abs(coeff) < 1e-15  # E eta^2 vanishes over the 8th roots
 
     def test_moment_recovery_at_larger_radius(self):
         rng = np.random.default_rng(8)
         pts = 0.7 * np.exp(2j * np.pi * rng.uniform(0, 1, 9))
-        m = empirical_measure(pts)
         for k in (1, 2, 3):
             expected = complex(np.mean(pts**k)) / (2 * k * 1.3**k)
-            assert circle_fourier_coeffs(m, 1.3, [k])[0] == pytest.approx(expected, abs=1e-12)
+            assert _fourier(pts, 1.3, [k])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
-        m = _unity_measure(8)
         with pytest.raises(ValueError, match="N too small"):
-            circle_fourier_coeffs(m, 1.0, [100], N=128)
+            _fourier(_unity(8), 1.0, [100], N=128)
         with pytest.raises(ValueError):
-            circle_fourier_coeffs(m, 1.0, [-1])
+            _fourier(_unity(8), 1.0, [-1])
         with pytest.raises(ValueError, match="closed disk"):
-            circle_fourier_coeffs(empirical_measure(np.array([1.6 + 0j])), 1.5, [1])
+            _fourier([1.6 + 0j], 1.5, [1])
         with pytest.raises(ValueError, match="R must be >= 1"):
-            circle_fourier_coeffs(empirical_measure(np.array([0.5 + 0j])), 0.9, [1])
+            _fourier([0.5 + 0j], 0.9, [1])
+        with pytest.raises(ValueError, match="p has degree 2 but m has 1 atoms"):
+            circle_fourier_coeffs(empirical_measure([0.5]), 1.0, [1], p=from_roots([0.5, 0.1]))
 
     @pytest.mark.parametrize("w", [1.2 + 0j, 1.48j], ids=["far", "near"])
     def test_atoms_outside_unit_disk_inside_R(self, w):
         # the closed form E[eta^k] / (2 k R^k) holds for every atom with |eta| <= R
-        m = empirical_measure(np.array([w]))
         for k in (1, 2, 3):
             expected = w**k / (2 * k * 1.5**k)
-            assert circle_fourier_coeffs(m, 1.5, [k])[0] == pytest.approx(expected, abs=1e-15)
+            assert _fourier([w], 1.5, [k])[0] == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("N", [4096, 65536])
+    @pytest.mark.parametrize(
+        "source, n, R",
+        [
+            *[("random", n, R) for n in (64, 256) for R in (1.0, 1.02, 1.2)],
+            ("miller", 64, 1.1),
+            ("miller", 256, 1.1),
+        ],
+    )
+    def test_coefficient_route_matches_the_log_distance_quadrature(self, source, n, R, N):
+        # -(log|q| - log|lead q|) / n from q's coefficients against the
+        # sum of log distances to the roots, on the same nodes; at degree
+        # 256 and R <= 1.02 the gap grows as the nearest far atom nears
+        # 0.05 from the circle (up to 6.1e-15 over seeds 0-19, see
+        # test_unrefused_coefficients_are_within_the_refusal_bound)
+        if source == "random":
+            f = random_instances(np.random.default_rng(0), n, 1)[0].f
+            zeros = f.roots
+        else:
+            params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+            f = miller_family(params).f
+            zeros = zero_sets([f])[0].points
+        m = empirical_measure(zeros)
+        ks = range(17)
+        ours = circle_fourier_coeffs(m, R, ks, N, p=f)
+        theirs = _log_distance_quadrature(m, R, ks, N)
+        assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-15
+        closed = [-math.log(R), *(complex(np.mean(zeros**k)) / (2 * k * R**k) for k in ks[1:])]
+        assert max(abs(a - b) for a, b in zip(ours, closed)) <= 1e-15
+
+    @pytest.mark.parametrize("R", [1.0, 1.2], ids=["far-atoms-multiplied-out", "p-itself"])
+    def test_memory_is_linear_in_the_nodes(self, R):
+        # degree 256 on 65,536 nodes: the (N x atoms) log-distance matrix
+        # alone would take 128 MB
+        f = random_instances(np.random.default_rng(256), 256, 1)[0].f
+        m = empirical_measure(f.roots)
+        tracemalloc.start()
+        try:
+            circle_fourier_coeffs(m, R, range(17), 65536, p=f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_ill_conditioned_far_polynomial_refused(self):
+        # 101 real atoms on [-0.9, 0.9]: sum |c_k| = prod (1 + |x_k|) dwarfs
+        # min |q| on the unit circle, so the rounding bound passes 1e-10
+        pts = 0.9 * np.linspace(-1.0, 1.0, 101) + 0j
+        with pytest.raises(AtomCollisionError, match="ill-conditioned"):
+            _fourier(pts, 1.0, [1])
+        # 21 such atoms stay resolvable
+        pts = 0.9 * np.linspace(-1.0, 1.0, 21) + 0j
+        assert _fourier(pts, 1.0, [2])[0] == pytest.approx(np.mean(pts**2) / 4.0, abs=1e-14)
+        # random degree 256 at seed 7: a far atom 0.0502 inside the unit
+        # circle leaves min |q| at 9.1e-8 of its largest term
+        f = random_instances(np.random.default_rng(7), 256, 1)[0].f
+        with pytest.raises(AtomCollisionError, match="ill-conditioned"):
+            circle_fourier_coeffs(empirical_measure(f.roots), 1.0, [1], p=f)
+
+    def test_unrefused_coefficients_are_within_the_refusal_bound(self):
+        # the refusal bounds the potential's rounding on every node by 1e-10,
+        # so every coefficient it lets through is that close to the sum of
+        # log distances; degree 256 on the unit circle is where the
+        # coefficient route loses the most digits
+        for seed in range(10):
+            f = random_instances(np.random.default_rng(seed), 256, 1)[0].f
+            m = empirical_measure(f.roots)
+            try:
+                ours = circle_fourier_coeffs(m, 1.0, range(17), p=f)
+            except AtomCollisionError:
+                continue
+            theirs = _log_distance_quadrature(m, 1.0, range(17), 4096)
+            assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-10
 
 
 class TestCircleFourierBatch:
@@ -556,25 +661,23 @@ class TestCircleFourierBatch:
     @pytest.mark.parametrize(
         "pts, R",
         [
-            (np.exp(2j * np.pi * np.arange(12) / 12), 1.0),  # every atom near the circle
+            (_unity(12), 1.0),  # every atom near the circle
             (0.6 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j), 1.2),  # every atom far
             (np.array([0.2 + 0.1j, 0.97j, -0.5, 0.99 + 0j]), 1.0),  # both kinds
         ],
         ids=["near", "far", "mixed"],
     )
     def test_equals_one_index_at_a_time(self, pts, R):
-        m = empirical_measure(pts)
-        batch = circle_fourier_coeffs(m, R, self.KS, N=512)
-        assert batch == [circle_fourier_coeffs(m, R, [k], N=512)[0] for k in self.KS]
+        batch = _fourier(pts, R, self.KS, N=512)
+        assert batch == [_fourier(pts, R, [k], N=512)[0] for k in self.KS]
 
     def test_empty_ks(self):
-        assert circle_fourier_coeffs(_unity_measure(8), 1.0, []) == []
+        assert _fourier(_unity(8), 1.0, []) == []
 
     def test_validation_uses_largest_k(self):
-        m = _unity_measure(8)
         # 8 * (15 + 1) = 128 nodes are enough for k = 15, 127 are not
-        assert len(circle_fourier_coeffs(m, 1.0, [15, 0], N=128)) == 2
+        assert len(_fourier(_unity(8), 1.0, [15, 0], N=128)) == 2
         with pytest.raises(ValueError, match="N too small"):
-            circle_fourier_coeffs(m, 1.0, [0, 15, 1], N=127)
+            _fourier(_unity(8), 1.0, [0, 15, 1], N=127)
         with pytest.raises(ValueError, match="nonnegative"):
-            circle_fourier_coeffs(m, 1.0, [2, -1], N=4096)
+            _fourier(_unity(8), 1.0, [2, -1], N=4096)

@@ -143,6 +143,14 @@ class TestDegotSuite:
         assert row.upper_slack == math.inf
         assert type(row.upper_slack) is float
 
+    def test_negative_base_at_odd_degree_refused(self):
+        # zeros 0.9, 10 and 9 put the zero mean at 6.63: at delta = 0.8 the
+        # base 1 + delta^2 - 2 delta Re mu is -8.97, and n/2 = 1.5 is no integer
+        inst = SendovInstance(Polynomial(from_roots([0.9, 10.0, 9.0]).coeffs), 0.9)
+        crit = critical_points([inst.f])[0]
+        with pytest.raises(ValueError, match=r"-8\.97333 < 0 .* mu = 6\.63333"):
+            degot_suite(inst, [0.8], crit)
+
     def test_far_critical_set_satisfies_hypothesis(self):
         # no critical point in the closed disk D(a, 1): the nearest is 4 away
         inst = SendovInstance(from_roots([1.0, -0.2]), 1.0)
