@@ -39,7 +39,7 @@ def main():
     m = empirical_measure(inst.f.roots)
     for k in (1, 2, 3):
         direct = moment(m, k)
-        via_circle = 2.0 * k * 1.3**k * circle_fourier_coeffs(m, 1.3, [k], p=inst.f)[0]
+        via_circle = 2.0 * k * 1.3**k * circle_fourier_coeffs(m, 1.3, [k])[0]
         print(
             f"  k = {k}: E[zeta^{k}] = {direct:.6f}, "
             f"from circle = {via_circle:.6f}, |diff| = {abs(direct - via_circle):.1e}"

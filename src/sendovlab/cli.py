@@ -447,7 +447,7 @@ def _run_fourier(source, rng, R, ks, N):
     mz = empirical_measure(rs.points)
     rows = []
     worst = 0.0
-    for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N, p=inst.f)):
+    for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N)):
         if k == 0:
             closed = complex(-math.log(R))
         else:

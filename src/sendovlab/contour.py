@@ -80,7 +80,7 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     n = f.degree
     N = 1 << (max(1024, 4 * n) - 1).bit_length()
     while True:
-        pz, zdpz, log_m, log_dm, _ = _circle_values(f, r, N)
+        pz, zdpz, shift, _ = _circle_values(f, r, N)
         if np.any(pz == 0) or np.any(zdpz == 0):
             raise AmbiguousCountError("a zero of f or f' lies on the circle")
         # arg g = arg(z f') - arg(f) - theta; the divisors are positive
@@ -98,8 +98,8 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     nearest = round(total)
     if abs(total - nearest) > 1e-6:
         raise CrossCheckError(f"winding total {total} is not an integer")
-    # |g| = |z f' / f| (M'/M) / (n r), in log space: M'/M may underflow
-    log_min = np.log(np.min(np.abs(zdpz / pz))) + (log_dm - log_m) - np.log(n * r)
+    # |g| = |z f' / f| e^shift / (n r), in log space: e^shift may underflow
+    log_min = np.log(np.min(np.abs(zdpz / pz))) + shift - np.log(n * r)
     return WindingResult(
         winding=int(nearest),
         min_modulus=float(np.exp(log_min)),

@@ -81,32 +81,50 @@ def _horner(coeffs: np.ndarray, z):
 
 def _fold(rows: np.ndarray, N: int) -> np.ndarray:
     """Sum the entries of each row whose indices agree mod N, in index order."""
+    if rows.shape[1] <= N:
+        # one block: added to zeros, as the sum does (-0.0 comes out +0.0)
+        out = np.zeros((rows.shape[0], N), dtype=rows.dtype)
+        out[:, : rows.shape[1]] += rows
+        return out
     padded = np.pad(rows, [(0, 0), (0, -rows.shape[1] % N)])
     return padded.reshape(rows.shape[0], -1, N).sum(axis=1)
 
 
-def _circle_values(p: Polynomial, R: float, N: int):
-    """p and z p' on the N points R e^{2 pi i j / N}, each divided by its largest term.
+def _scaled_values(rows: np.ndarray, R: float, N: int):
+    """Each row's polynomial on the N points R e^{2 pi i j / N}, over its largest term.
 
-    One inverse FFT of c_k R^k / M and k c_k R^k / M', folded k mod N
-    (exact on the nodes, where z^N = R^N), with M = max |c_k| R^k and
-    M' = max k |c_k| R^k.  Each term is c_k R^(k - t) / |c_t| for the
-    index t of the largest, so R^d, which overflows for d >~ 1,700 at
-    R = 1.5 and underflows for d >~ 440 at R = 0.2, never forms, and
-    the terms near the largest carry no rounding of k log R.  Also
-    returns log M and log M', which scale the values back, and
-    sum |c_k| R^k / M, the scale of the rounding of p.
+    For a row of coefficients c, one inverse FFT of c_k R^k / M, folded
+    k mod N (exact on the nodes, where z^N = R^N), with M = max |c_k| R^k.
+    Each term is c_k R^(k - t) / |c_t| for the index t of the largest,
+    so R^d, which overflows for d >~ 1,700 at R = 1.5 and underflows for
+    d >~ 440 at R = 0.2, never forms, and the terms near the largest
+    carry no rounding of k log R.  Returns the values (one row each),
+    each row's log M, which scales them back, and each row's
+    sum |c_k| R^k / M, the scale of their rounding.
+    """
+    k = np.arange(rows.shape[1])
+    with np.errstate(divide="ignore"):
+        ts = np.argmax(np.log(np.abs(rows)) + k * np.log(R), axis=1).tolist()
+    scaled, logs = np.empty_like(rows), []
+    for c, t, out in zip(rows, ts, scaled):
+        powers = np.where(c != 0, (k - t) * np.log(R), -np.inf)
+        np.divide(c * np.exp(powers), abs(c[t]), out=out)
+        logs.append(math.log(abs(c[t])) + t * math.log(R))
+    values = _fold(scaled, N)
+    np.fft.ifft(values, norm="forward", out=values)
+    return values, logs, np.sum(np.abs(scaled), axis=1)
+
+
+def _circle_values(p: Polynomial, R: float, N: int):
+    """p and z p' on the N points R e^{2 pi i j / N}, each over its largest term.
+
+    Both come from one :func:`_scaled_values`, z p' from the coefficients
+    k c_k.  Also returns log(M'/M), which scales the ratio z p'/p back,
+    and sum |c_k| R^k / M, the scale of the rounding of p.
     """
     k = np.arange(p.degree + 1)
-    rows, logs = [], []
-    for c in (p.coeffs, k * p.coeffs):
-        with np.errstate(divide="ignore"):
-            t = int(np.argmax(np.log(np.abs(c)) + k * np.log(R)))
-        powers = np.where(c != 0, (k - t) * np.log(R), -np.inf)
-        rows.append(c * np.exp(powers) / abs(c[t]))
-        logs.append(math.log(abs(c[t])) + t * math.log(R))
-    values = np.fft.ifft(_fold(np.stack(rows), N), norm="forward")
-    return values[0], values[1], logs[0], logs[1], float(np.sum(np.abs(rows[0])))
+    values, logs, scales = _scaled_values(np.stack([p.coeffs, k * p.coeffs]), R, N)
+    return values[0], values[1], logs[1] - logs[0], float(scales[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from sendovlab.measures import (
     prob_in_region,
     quantitative_zetas,
 )
-from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots, from_roots_batch
+from sendovlab.poly_core import Polynomial, derivative, evaluate, from_roots_batch
 from sendovlab.potential import (
     balayage,
     circle_fourier_coeffs,
@@ -126,8 +126,7 @@ def test_criterion_03_fourier_and_poisson_closed_forms():
     coeff_max = 0.0
     for w in ws:
         m = empirical_measure(np.array([w]))
-        coeff = circle_fourier_coeffs(m, 1.0, [2], p=from_roots([w]))[0]
-        coeff_max = max(coeff_max, abs(coeff - w * w / 4.0))
+        coeff_max = max(coeff_max, abs(circle_fourier_coeffs(m, 1.0, [2])[0] - w * w / 4.0))
 
     thetas = 2.0 * np.pi * np.arange(4096) / 4096
     mean_max = 0.0

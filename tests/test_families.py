@@ -366,16 +366,14 @@ class TestSecondMoment:
     def test_fourier_route_matches_direct(self):
         params = FamilyParams(n=32, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
         mx = empirical_measure(family_critical_points(params).points)
-        fp = derivative(miller_family(params).f)
-        assert abs(moment(mx, 2) - 4.0 * circle_fourier_coeffs(mx, 1.0, [2], p=fp)[0]) < 1e-8
+        assert abs(moment(mx, 2) - 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]) < 1e-8
         assert summary(mx).variance > 0
 
     def test_circle_example_degenerate(self):
-        f = example_circle(16).f
-        mx = empirical_measure(critical_points([f])[0].points)
+        mx = empirical_measure(critical_points([example_circle(16).f])[0].points)
         second = moment(mx, 2)
         assert abs(second) < 1e-15
-        assert abs(second - 4.0 * circle_fourier_coeffs(mx, 1.0, [2], p=derivative(f))[0]) < 1e-10
+        assert abs(second - 4.0 * circle_fourier_coeffs(mx, 1.0, [2])[0]) < 1e-10
         assert summary(mx).variance == 0.0
 
 

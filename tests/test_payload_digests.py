@@ -41,19 +41,15 @@ def test_a_refusal_is_digested_by_its_error_text():
     assert all(re.fullmatch(r"[0-9a-f]{16}", d) for d in digests.values())
 
 
-def test_masked_version_leaves_only_real_byte_changes(tmp_path):
+def test_a_version_bump_alone_changes_no_digest(tmp_path):
     # the same package under another version number: every payload names
-    # its version, so unmasked each payload label differs, and masked none
+    # its version, which is blanked before digesting
     shutil.copytree(ROOT / "src" / "sendovlab", tmp_path / "src" / "sendovlab")
     init = tmp_path / "src" / "sendovlab" / "__init__.py"
     text = init.read_text()
     assert text.count('__version__ = "') == 1
     init.write_text(re.sub(r'__version__ = "[^"]*"', '__version__ = "0.0.0+other"', text))
-    listed = [line.split(" ", 1)[0] for line in _tool("--tiny").stdout.splitlines()]
     done = _tool("--tiny", "--against", str(tmp_path))
-    assert done.returncode == 1, done.stdout + done.stderr
-    differ = [line.split(" ", 1)[0] for line in done.stdout.splitlines()[:-1]]
-    assert sorted(differ) == sorted(label for label in listed if not label.endswith("/csv"))
-    done = _tool("--tiny", "--mask-version", "--against", str(tmp_path))
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.fullmatch(r"0 of (\d+) records differ from .*\n", done.stdout)
+    match = re.fullmatch(r"0 of (\d+) records differ from .*\n", done.stdout)
+    assert match and int(match.group(1)) > 0

@@ -20,6 +20,7 @@ from sendovlab.poly_core import (
     CrossCheckError,
     Polynomial,
     _circle_values,
+    _fold,
     _horner,
     derivative,
     evaluate,
@@ -42,12 +43,8 @@ from sendovlab.potential import (
 from sendovlab.rootfind import RootSet, critical_points, zero_sets
 
 
-def _unity(n):
-    return np.exp(2j * np.pi * np.arange(n) / n)
-
-
 def _unity_measure(n):
-    return empirical_measure(_unity(n))
+    return empirical_measure(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 class TestPointwiseTransforms:
@@ -303,7 +300,7 @@ class TestCircleValues:
 
     @staticmethod
     def _oracle(p, R, N, js):
-        """p and z p' at the nodes js, each divided by its largest term, and log M, log M'."""
+        """p and z p' at the nodes js, each divided by its largest term, and log(M'/M)."""
         with mpmath.workdps(50):
             cs = [mpmath.mpc(complex(c)) for c in p.coeffs]
             terms = [abs(c) * mpmath.mpf(R) ** k for k, c in enumerate(cs)]
@@ -314,7 +311,7 @@ class TestCircleValues:
                 z = mpmath.mpf(R) * mpmath.expjpi(mpmath.mpf(2 * j) / N)
                 v, dv = mpmath.polyval(cs[::-1], z, derivative=True)
                 out.append((complex(v / top), complex(z * dv / dtop)))
-            return np.array(out).T, float(mpmath.log(top)), float(mpmath.log(dtop))
+            return np.array(out).T, float(mpmath.log(dtop / top))
 
     @pytest.mark.parametrize(
         "degree, R, N, js",
@@ -335,23 +332,28 @@ class TestCircleValues:
         else:
             rng = np.random.default_rng(degree)
             p = Polynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
-        pz, zdpz, log_m, log_dm, scale = _circle_values(p, R, N)
+        pz, zdpz, shift, scale = _circle_values(p, R, N)
         js = list(js)
-        (ref_p, ref_zdp), ref_log_m, ref_log_dm = self._oracle(p, R, N, js)
+        (ref_p, ref_zdp), ref_shift = self._oracle(p, R, N, js)
         bound = np.finfo(float).eps * math.log2(N) * scale
         assert np.all(np.isfinite(pz)) and np.all(np.isfinite(zdpz))
         assert np.max(np.abs(pz[js] - ref_p)) <= bound
         assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
-        for ours, ref in ((log_m, ref_log_m), (log_dm, ref_log_dm)):
-            assert ours == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+        assert shift == pytest.approx(ref_shift, abs=1e-12 * max(1.0, abs(ref_shift)))
 
     def test_scale_is_the_coefficient_sum(self):
         # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum
         p = Polynomial(np.array([2.0, -1.0j, 0.0, 3.0]))
-        _, _, log_m, log_dm, scale = _circle_values(p, 2.0, 16)
+        _, _, shift, scale = _circle_values(p, 2.0, 16)
         assert scale == pytest.approx(28.0 / 24.0, rel=1e-15)
-        assert log_m == pytest.approx(math.log(24.0), rel=1e-15)
-        assert log_dm == pytest.approx(math.log(72.0), rel=1e-15)
+        assert shift == pytest.approx(math.log(72.0 / 24.0), rel=1e-15)
+
+    @pytest.mark.parametrize("width", [1, 9, 16])
+    def test_fold_keeps_the_bits_of_the_block_sum(self, width):
+        # a row no longer than N is padded, not summed: the same bits, signed zeros included
+        rows = np.array([[-0.0, 1.5 - 0.0j, -2.0j] * 6, [0.25, -0.0, 3.0] * 6])[:, :width]
+        padded = np.pad(rows, [(0, 0), (0, 16 - width)])
+        assert _fold(rows, 16).tobytes() == padded.reshape(2, -1, 16).sum(axis=1).tobytes()
 
 
 class TestBalayage:
@@ -508,12 +510,6 @@ class TestBalayage:
             CircleDensity(0.5, np.ones(8))
 
 
-def _fourier(pts, R, ks, N=4096):
-    """circle_fourier_coeffs of the uniform measure on pts, the zeros of from_roots(pts)."""
-    pts = np.asarray(pts, dtype=np.complex128)
-    return circle_fourier_coeffs(empirical_measure(pts), R, ks, N, p=from_roots(pts))
-
-
 def _log_distance_quadrature(m, R, ks, N):
     """The coefficients by the log-distance quadrature over the roots.
 
@@ -537,48 +533,51 @@ def _log_distance_quadrature(m, R, ks, N):
 
 class TestCircleFourier:
     def test_k0_gives_minus_log_r(self):
-        coeff = _fourier(_unity(8), 1.5, [0])[0]
+        coeff = circle_fourier_coeffs(_unity_measure(8), 1.5, [0])[0]
         assert coeff == pytest.approx(-math.log(1.5), abs=1e-12)
 
     def test_k2_quarter_square_far_branch(self):
         w = 0.5 + 0.3j  # 0.42 inside: quadrature branch
-        coeff = _fourier([w], 1.0, [2])[0]
+        m = empirical_measure(np.array([w]))
+        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-10)
 
     def test_k2_quarter_square_near_branch(self):
         w = 0.96 * np.exp(0.4j)  # within 0.05 of the circle: closed form
-        coeff = _fourier([w], 1.0, [2])[0]
+        m = empirical_measure(np.array([w]))
+        coeff = circle_fourier_coeffs(m, 1.0, [2])[0]
         assert coeff == pytest.approx(w * w / 4.0, abs=1e-14)
 
     def test_atoms_on_circle_exact(self):
-        coeff = _fourier(_unity(8), 1.0, [2])[0]
+        coeff = circle_fourier_coeffs(_unity_measure(8), 1.0, [2])[0]
         assert abs(coeff) < 1e-15  # E eta^2 vanishes over the 8th roots
 
     def test_moment_recovery_at_larger_radius(self):
         rng = np.random.default_rng(8)
         pts = 0.7 * np.exp(2j * np.pi * rng.uniform(0, 1, 9))
+        m = empirical_measure(pts)
         for k in (1, 2, 3):
             expected = complex(np.mean(pts**k)) / (2 * k * 1.3**k)
-            assert _fourier(pts, 1.3, [k])[0] == pytest.approx(expected, abs=1e-12)
+            assert circle_fourier_coeffs(m, 1.3, [k])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):
+        m = _unity_measure(8)
         with pytest.raises(ValueError, match="N too small"):
-            _fourier(_unity(8), 1.0, [100], N=128)
+            circle_fourier_coeffs(m, 1.0, [100], N=128)
         with pytest.raises(ValueError):
-            _fourier(_unity(8), 1.0, [-1])
+            circle_fourier_coeffs(m, 1.0, [-1])
         with pytest.raises(ValueError, match="closed disk"):
-            _fourier([1.6 + 0j], 1.5, [1])
+            circle_fourier_coeffs(empirical_measure(np.array([1.6 + 0j])), 1.5, [1])
         with pytest.raises(ValueError, match="R must be >= 1"):
-            _fourier([0.5 + 0j], 0.9, [1])
-        with pytest.raises(ValueError, match="p has degree 2 but m has 1 atoms"):
-            circle_fourier_coeffs(empirical_measure([0.5]), 1.0, [1], p=from_roots([0.5, 0.1]))
+            circle_fourier_coeffs(empirical_measure(np.array([0.5 + 0j])), 0.9, [1])
 
     @pytest.mark.parametrize("w", [1.2 + 0j, 1.48j], ids=["far", "near"])
     def test_atoms_outside_unit_disk_inside_R(self, w):
         # the closed form E[eta^k] / (2 k R^k) holds for every atom with |eta| <= R
+        m = empirical_measure(np.array([w]))
         for k in (1, 2, 3):
             expected = w**k / (2 * k * 1.5**k)
-            assert _fourier([w], 1.5, [k])[0] == pytest.approx(expected, abs=1e-15)
+            assert circle_fourier_coeffs(m, 1.5, [k])[0] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("N", [4096, 65536])
     @pytest.mark.parametrize(
@@ -590,69 +589,58 @@ class TestCircleFourier:
         ],
     )
     def test_coefficient_route_matches_the_log_distance_quadrature(self, source, n, R, N):
-        # -(log|q| - log|lead q|) / n from q's coefficients against the
-        # sum of log distances to the roots, on the same nodes; at degree
-        # 256 and R <= 1.02 the gap grows as the nearest far atom nears
-        # 0.05 from the circle (up to 6.1e-15 over seeds 0-19, see
-        # test_unrefused_coefficients_are_within_the_refusal_bound)
+        # -(1/n) sum_g log|q_g| from the coefficients of the far atoms'
+        # groups against the sum of log distances to the roots, on the same nodes
         if source == "random":
-            f = random_instances(np.random.default_rng(0), n, 1)[0].f
-            zeros = f.roots
+            zeros = random_instances(np.random.default_rng(0), n, 1)[0].f.roots
         else:
             params = FamilyParams(n=n, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
-            f = miller_family(params).f
-            zeros = zero_sets([f])[0].points
+            zeros = zero_sets([miller_family(params).f])[0].points
         m = empirical_measure(zeros)
         ks = range(17)
-        ours = circle_fourier_coeffs(m, R, ks, N, p=f)
+        ours = circle_fourier_coeffs(m, R, ks, N)
         theirs = _log_distance_quadrature(m, R, ks, N)
         assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-15
         closed = [-math.log(R), *(complex(np.mean(zeros**k)) / (2 * k * R**k) for k in ks[1:])]
         assert max(abs(a - b) for a, b in zip(ours, closed)) <= 1e-15
 
-    @pytest.mark.parametrize("R", [1.0, 1.2], ids=["far-atoms-multiplied-out", "p-itself"])
+    @pytest.mark.parametrize("R", [1.0, 1.2], ids=["near-and-far", "all-far"])
     def test_memory_is_linear_in_the_nodes(self, R):
         # degree 256 on 65,536 nodes: the (N x atoms) log-distance matrix
         # alone would take 128 MB
-        f = random_instances(np.random.default_rng(256), 256, 1)[0].f
-        m = empirical_measure(f.roots)
+        m = empirical_measure(random_instances(np.random.default_rng(256), 256, 1)[0].f.roots)
         tracemalloc.start()
         try:
-            circle_fourier_coeffs(m, R, range(17), 65536, p=f)
+            circle_fourier_coeffs(m, R, range(17), 65536)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_ill_conditioned_far_polynomial_refused(self):
-        # 101 real atoms on [-0.9, 0.9]: sum |c_k| = prod (1 + |x_k|) dwarfs
-        # min |q| on the unit circle, so the rounding bound passes 1e-10
-        pts = 0.9 * np.linspace(-1.0, 1.0, 101) + 0j
+    def test_ill_conditioned_group_refused(self):
+        # 8 atoms 0.06 inside the unit circle within 0.01 radians: their
+        # polynomial, about (z - 0.94)^8, has terms near 1.94^8 = 200 and
+        # falls to 0.06^8 = 1.7e-10 on the circle, so a rounding of 2e-16
+        # in the terms is 2.6e-4 of its value there
+        pts = 0.94 * np.exp(1j * np.linspace(0.0, 0.01, 8))
         with pytest.raises(AtomCollisionError, match="ill-conditioned"):
-            _fourier(pts, 1.0, [1])
-        # 21 such atoms stay resolvable
-        pts = 0.9 * np.linspace(-1.0, 1.0, 21) + 0j
-        assert _fourier(pts, 1.0, [2])[0] == pytest.approx(np.mean(pts**2) / 4.0, abs=1e-14)
-        # random degree 256 at seed 7: a far atom 0.0502 inside the unit
-        # circle leaves min |q| at 9.1e-8 of its largest term
-        f = random_instances(np.random.default_rng(7), 256, 1)[0].f
-        with pytest.raises(AtomCollisionError, match="ill-conditioned"):
-            circle_fourier_coeffs(empirical_measure(f.roots), 1.0, [1], p=f)
+            circle_fourier_coeffs(empirical_measure(pts), 1.0, [1])
+        # spread round the circle, the same 8 atoms resolve
+        pts = 0.94 * np.exp(2j * np.pi * np.arange(8) / 8)
+        coeff = circle_fourier_coeffs(empirical_measure(pts), 1.0, [8])[0]
+        assert coeff == pytest.approx(0.94**8 / 16.0, abs=1e-15)
 
-    def test_unrefused_coefficients_are_within_the_refusal_bound(self):
-        # the refusal bounds the potential's rounding on every node by 1e-10,
-        # so every coefficient it lets through is that close to the sum of
-        # log distances; degree 256 on the unit circle is where the
-        # coefficient route loses the most digits
-        for seed in range(10):
-            f = random_instances(np.random.default_rng(seed), 256, 1)[0].f
-            m = empirical_measure(f.roots)
-            try:
-                ours = circle_fourier_coeffs(m, 1.0, range(17), p=f)
-            except AtomCollisionError:
-                continue
-            theirs = _log_distance_quadrature(m, 1.0, range(17), 4096)
-            assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-10
+    def test_random_degree_256_near_the_unit_circle_resolves(self):
+        # multiplied out whole, the far atoms' polynomial loses up to 9
+        # digits here, and its rounding bound passes 1e-10 at 11 of these 40
+        # (seed 7 at R = 1 among them: a far atom 0.0502 inside the circle);
+        # in groups none is refused
+        for seed in range(20):
+            m = empirical_measure(random_instances(np.random.default_rng(seed), 256, 1)[0].f.roots)
+            for R in (1.0, 1.02):
+                ours = circle_fourier_coeffs(m, R, range(17))
+                theirs = _log_distance_quadrature(m, R, range(17), 4096)
+                assert max(abs(a - b) for a, b in zip(ours, theirs)) <= 1e-14
 
 
 class TestCircleFourierBatch:
@@ -661,23 +649,25 @@ class TestCircleFourierBatch:
     @pytest.mark.parametrize(
         "pts, R",
         [
-            (_unity(12), 1.0),  # every atom near the circle
+            (np.exp(2j * np.pi * np.arange(12) / 12), 1.0),  # every atom near the circle
             (0.6 * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j), 1.2),  # every atom far
             (np.array([0.2 + 0.1j, 0.97j, -0.5, 0.99 + 0j]), 1.0),  # both kinds
         ],
         ids=["near", "far", "mixed"],
     )
     def test_equals_one_index_at_a_time(self, pts, R):
-        batch = _fourier(pts, R, self.KS, N=512)
-        assert batch == [_fourier(pts, R, [k], N=512)[0] for k in self.KS]
+        m = empirical_measure(pts)
+        batch = circle_fourier_coeffs(m, R, self.KS, N=512)
+        assert batch == [circle_fourier_coeffs(m, R, [k], N=512)[0] for k in self.KS]
 
     def test_empty_ks(self):
-        assert _fourier(_unity(8), 1.0, []) == []
+        assert circle_fourier_coeffs(_unity_measure(8), 1.0, []) == []
 
     def test_validation_uses_largest_k(self):
+        m = _unity_measure(8)
         # 8 * (15 + 1) = 128 nodes are enough for k = 15, 127 are not
-        assert len(_fourier(_unity(8), 1.0, [15, 0], N=128)) == 2
+        assert len(circle_fourier_coeffs(m, 1.0, [15, 0], N=128)) == 2
         with pytest.raises(ValueError, match="N too small"):
-            _fourier(_unity(8), 1.0, [0, 15, 1], N=127)
+            circle_fourier_coeffs(m, 1.0, [0, 15, 1], N=127)
         with pytest.raises(ValueError, match="nonnegative"):
-            _fourier(_unity(8), 1.0, [2, -1], N=4096)
+            circle_fourier_coeffs(m, 1.0, [2, -1], N=4096)

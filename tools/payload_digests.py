@@ -2,11 +2,12 @@
 
 Usage (from the repository root):
 
-    python tools/payload_digests.py [--tiny] [--mask-version] [--src SRC]
-    python tools/payload_digests.py [--tiny] [--mask-version] --against DIR
+    python tools/payload_digests.py [--tiny] [--src SRC]
+    python tools/payload_digests.py [--tiny] --against DIR
 
 The first form prints one line ``label digest`` per config: the first 16
-hex digits of the sha256 of the record's payload or, where the run
+hex digits of the sha256 of the record's payload, its ``version`` field
+blanked so that a version bump alone changes no digest, or, where the run
 refuses the config (ValueError or RuntimeError, as the CLI reports
 them), of its ``ErrorType: message`` text.  A config that runs has a
 second line, ``label/csv digest``, for the bytes that ``--format csv``
@@ -16,11 +17,8 @@ writes of its record.  The matrix is
 - every benchmark workload at size ``tiny``, at seeds 0, 1 and 5
 - the benchmark's ``KNOWN_DEFECTS`` probes
 
-and ``--tiny`` keeps only the workloads.  ``--mask-version`` blanks each
-record's ``version`` field before digesting, so that two trees whose only
-difference in a record is the package version agree on it.  The package
-digested is the one in ``SRC``, this tree's ``src/`` by default.
-``--against DIR`` computes the
+and ``--tiny`` keeps only the workloads.  The package digested is the one
+in ``SRC``, this tree's ``src/`` by default.  ``--against DIR`` computes the
 same matrix on the package in ``DIR/src``, in a fresh interpreter, lists
 each label whose digest differs between the two trees, and exits 1 if any
 does.  Digests depend on numpy and the BLAS, so compare two trees on one
@@ -87,8 +85,8 @@ def _digest(data: bytes) -> str:
     return sha256(data).hexdigest()[:16]
 
 
-def digests(tiny: bool, mask_version: bool) -> dict[str, str]:
-    """{label: digest} of the matrix on the imported package, version blanked if asked."""
+def digests(tiny: bool) -> dict[str, str]:
+    """{label: digest} of the matrix on the imported package."""
     from sendovlab.cli import run, write_record
 
     out = {}
@@ -100,8 +98,7 @@ def digests(tiny: bool, mask_version: bool) -> dict[str, str]:
             except (ValueError, RuntimeError) as exc:  # the refusals of the CLI
                 out[label] = _digest(f"{type(exc).__name__}: {exc}".encode())
                 continue
-            if mask_version:
-                record = dataclasses.replace(record, version="")
+            record = dataclasses.replace(record, version="")
             out[label] = _digest(record.payload().encode())
             write_record(record, str(path), "csv")
             out[f"{label}/csv"] = _digest(path.read_bytes())
@@ -122,21 +119,17 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true", help="the workloads at tiny only")
     parser.add_argument("--against", type=Path, help="a tree whose src/ to compare with")
     parser.add_argument(
-        "--mask-version", action="store_true", help="blank each record's version before digesting"
-    )
-    parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="the package source to digest"
     )
     args = parser.parse_args(argv)
     import_from(args.src)
-    ours = digests(args.tiny, args.mask_version)
+    ours = digests(args.tiny)
     if args.against is None:
         for label, digest in ours.items():
             print(label, digest)
         return 0
     cmd = [sys.executable, __file__, "--src", str(args.against / "src")]
-    cmd += ["--tiny"] * args.tiny + ["--mask-version"] * args.mask_version
-    child = subprocess.run(cmd, capture_output=True, text=True)
+    child = subprocess.run(cmd + ["--tiny"] * args.tiny, capture_output=True, text=True)
     if child.returncode != 0:
         sys.exit(f"error: the run on {args.against} failed:\n{child.stderr}")
     theirs = dict(line.rsplit(" ", 1) for line in child.stdout.splitlines())
