@@ -332,6 +332,21 @@ def _moment_series(m: EmpiricalMeasure, R: float, terms: int, N: int) -> np.ndar
     return _fold(moments[None, : terms + 1], N)[0]
 
 
+def _hermitian_half(moments: np.ndarray) -> np.ndarray:
+    """h_k = conj(m_k) + m_{N-k} for k = 0..N//2, of N moments m.
+
+    h is Hermitian, so its real transform, ``np.fft.irfft(h, n=N,
+    norm="forward")``, is 2 Re sum_k m_k e^{-2 pi i j k / N} at every j,
+    for even and odd N alike: the real part of a full complex FFT of m
+    from one transform of half its length.
+    """
+    half = moments.size // 2 + 1
+    h = np.conj(moments[:half])
+    h[0] += moments[0]
+    h[1:] += moments[:-half:-1]
+    return h
+
+
 def balayage(
     m: EmpiricalMeasure, R: float, N: int | None = None, *, p: Polynomial
 ) -> CircleDensity:
@@ -344,7 +359,10 @@ def balayage(
 
         1 + 2 Re sum_{k>=1} R^{-k} E[eta^k] e^{-i k theta},
 
-    coefficients against roots, which must agree to 1e-10.  Raises
+    coefficients against roots, which must agree to 1e-10 at every node.
+    The moments are folded k mod N, and the real part comes from one
+    real-output transform of half length (:func:`_hermitian_half`), not
+    from a full complex FFT of which only the real part is kept.  Raises
     AtomCollisionError for an atom not strictly inside the circle, where
     the series needs more than 200,000 terms to fall below 1e-14, and
     where the rounding bound eps log2(N) sum|c_k| R^k / min|p| of the
@@ -387,11 +405,10 @@ def balayage(
     ratio = np.divide(zdpz, pz, out=zdpz)
     ratio *= 2.0 * np.exp(shift) / p.degree
     samples = ratio.real - 1.0
+    samples.setflags(write=False)  # so that CircleDensity keeps it uncopied
     del pz, zdpz, ratio
-    series = _moment_series(m, R, terms, N)
-    np.fft.fft(series, out=series)
-    series = series.real
-    series *= 2.0
+    # the moments are freed as _hermitian_half returns, before the transform
+    series = np.fft.irfft(_hermitian_half(_moment_series(m, R, terms, N)), n=N, norm="forward")
     series += 1.0
     series -= samples
     gap = float(np.max(np.abs(series, out=series)))

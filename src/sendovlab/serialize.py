@@ -4,14 +4,18 @@ JSON text is compact (no whitespace) with sorted keys, which ``json``
 encodes in C.  Complex scalars serialize as [re, im] pairs.  A float64
 ndarray serializes as ``{"f64": <base64>, "shape": [...]}``, the base64
 of its little-endian bytes, and :func:`loads` rebuilds it bit for bit;
-complex arrays are stacked as (n, 2) arrays of [re, im] first.  CSV
-numeric fields use 17 significant digits, enough to round-trip binary64
-exactly, so reruns with identical inputs produce byte-identical files.
+complex arrays are stacked as (n, 2) arrays of [re, im] first.  The
+base64 texts are joined into the encoded text after ``json`` has written
+the rest, which gives the same bytes without ``json`` scanning them for
+escapes.  CSV numeric fields use 17 significant digits, enough to
+round-trip binary64 exactly, so reruns with identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import binascii
+import itertools
 import json
 import math
 
@@ -78,8 +82,28 @@ def _decode_array(obj: dict):
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, compact separators, one line, arrays in base64."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode_array)
+    """Canonical JSON text: sorted keys, compact separators, one line, arrays in base64.
+
+    Each array is encoded with the placeholder ``"\\u0000"`` for its base64
+    text, which is joined in after, so that ``json`` does not scan it for
+    escapes: the same bytes, as base64 never needs one.  Where the text
+    holds another ``"\\u0000"`` (a string of ``"\\x00"`` in the object),
+    the arrays go through ``json`` whole.
+    """
+    texts = []
+
+    def stash(arr) -> dict:
+        encoded = _encode_array(arr)
+        texts.append(encoded["f64"])
+        encoded["f64"] = "\x00"
+        return encoded
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=stash)
+    pieces = text.split("\\u0000")
+    if len(pieces) != len(texts) + 1:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode_array)
+    texts.append("")
+    return "".join(itertools.chain.from_iterable(zip(pieces, texts)))
 
 
 def loads(text: str):

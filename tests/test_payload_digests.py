@@ -1,5 +1,6 @@
 """tools/payload_digests.py: the payload digests of one tree, and two processes of it agreeing."""
 
+import importlib.util
 import re
 import shutil
 import subprocess
@@ -53,3 +54,15 @@ def test_a_version_bump_alone_changes_no_digest(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     match = re.fullmatch(r"0 of (\d+) records differ from .*\n", done.stdout)
     assert match and int(match.group(1)) > 0
+
+
+def test_the_workloads_run_at_full_size_outside_tiny(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # configs() puts bench/ on it
+    spec = importlib.util.spec_from_file_location("payload_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    full = [label for label, _ in tool.configs(tiny=False) if "/full/" in label]
+    assert {label.split("/")[0] for label in full} == {"family-scale", "ensemble-small", "kernels"}
+    assert all(label.split("/")[2] == "seed0" for label in full)
+    assert "kernels/full/seed0/balayage-origin-512" in full
+    assert not [label for label, _ in tool.configs(tiny=True) if "/full/" in label]

@@ -30,6 +30,7 @@ from sendovlab import potential
 from sendovlab.potential import (
     CircleDensity,
     ContourTooCloseError,
+    _hermitian_half,
     _moment_series,
     balayage,
     circle_fourier_coeffs,
@@ -452,6 +453,58 @@ class TestBalayage:
             ref[k % N] += scale * np.sum(m.weights * power)
         got = _moment_series(m, R, terms, N)
         assert np.max(np.abs(got - ref)) <= terms * np.finfo(float).eps
+
+    @pytest.mark.parametrize("N", [16, 17, 19201])
+    def test_half_length_transform_is_the_real_part_of_the_fft(self, N):
+        # a random vector and the moments of 12 atoms, one at 0.9995, folded
+        # from 3N + 5 terms: every entry is nonzero, the first included
+        rng = np.random.default_rng(N)
+        pts = 0.9 * np.sqrt(rng.uniform(0, 1, 12)) * np.exp(2j * np.pi * rng.uniform(0, 1, 12))
+        pts[0] = 0.9995j
+        folded = _moment_series(empirical_measure(pts), 1.0, 3 * N + 5, N)
+        for moments in (rng.standard_normal(N) + 1j * rng.standard_normal(N), folded):
+            assert np.all(moments != 0)
+            ref = 2.0 * np.fft.fft(moments).real
+            got = np.fft.irfft(_hermitian_half(moments), n=N, norm="forward")
+            assert got.shape == (N,)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [64, 67])
+    def test_series_longer_than_the_nodes(self, N, monkeypatch):
+        # an atom at 0.7 R needs 95 terms to fall below 1e-14, folded onto
+        # N nodes; q^N is below 1.2e-10, so the sweep still averages to 1
+        terms = []
+
+        def spy(m, R, n_terms, n_nodes):
+            terms.append(n_terms)
+            return _moment_series(m, R, n_terms, n_nodes)
+
+        monkeypatch.setattr(potential, "_moment_series", spy)
+        rng = np.random.default_rng(N)
+        pts = 0.7 * np.sqrt(rng.uniform(0, 1, 9)) * np.exp(2j * np.pi * rng.uniform(0, 1, 9))
+        pts[0] = 0.77
+        d = _swept(pts, 1.1, N)
+        assert terms == [95] and terms[0] > N
+        z = 1.1 * np.exp(1j * d.thetas)
+        one_shot = np.mean((1.1**2 - np.abs(pts) ** 2) / np.abs(z[:, None] - pts) ** 2, axis=1)
+        assert np.max(np.abs(d.samples - one_shot)) <= 1e-13 * np.max(one_shot)
+        moved = pts.copy()
+        moved[3] += 1e-6
+        with pytest.raises(CrossCheckError, match="cross-check"):
+            balayage(empirical_measure(moved), 1.1, N, p=from_roots(pts))
+
+    def test_samples_are_kept_uncopied(self, monkeypatch):
+        # balayage hands CircleDensity a read-only array, which it keeps
+        made = []
+
+        class Spy(CircleDensity):
+            def __post_init__(self):
+                made.append(self.samples)
+                super().__post_init__()
+
+        monkeypatch.setattr(potential, "CircleDensity", Spy)
+        d = _swept([0.5, -0.25j, 0.1 + 0.3j], 1.2)
+        assert d.samples is made[0] and not d.samples.flags.writeable
 
     def test_routes_do_not_share_the_roots(self):
         # the density comes from p's coefficients and the cross-check from

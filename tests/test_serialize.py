@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from sendovlab.cli import ExperimentConfig, run
-from sendovlab.serialize import dumps, from_cpair, loads
+from sendovlab.cli import COMMANDS, ExperimentConfig, run
+from sendovlab.serialize import _encode_array, dumps, from_cpair, loads
 
 # -0.0, the smallest subnormal, a subnormal near the normal range, +-inf
 # and values whose shortest decimal form takes all 17 digits
@@ -100,3 +100,63 @@ def test_decoded_arrays_carry_the_json_list_values(command):
     assert decoded.keys() == in_memory.keys() and decoded
     for path, arr in in_memory.items():
         assert decoded[path].tolist() == json.loads(json.dumps(arr.tolist())), path
+
+
+def _one_call(obj):
+    """The text of one json.dumps call with every array's base64 inside it."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode_array)
+
+
+PAYLOADS = {
+    **RECORDS,
+    "identities": ({"random": {"count": 2, "degree": 8}}, {"points": 5}),
+    "winding": ({"family": MILLER32}, {}),
+    "fourier": ({"random": {"count": 1, "degree": 12}}, {"R": 1.2, "N": 512}),
+    "sweep": ({"family": {"kind": "origin"}}, {"n_list": [8, 12]}),
+}
+
+
+def test_every_command_has_a_payload():
+    assert set(PAYLOADS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOADS))
+def test_payload_is_the_text_of_one_call(command):
+    # the base64 texts, joined in after encoding, give the bytes json wrote
+    instance, options = PAYLOADS[command]
+    rec = run(ExperimentConfig(command=command, instance=instance, options=options, seed=4))
+    obj = {k: v for k, v in rec.to_json().items() if k != "wall_time_s"}
+    assert rec.payload() == _one_call(obj)
+
+
+ARR = np.array(SPECIALS)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ARR,
+        np.zeros(0),
+        [np.zeros(0), ARR, np.zeros((0, 2))],
+        {"big": ARR.astype(">f8"), "strided": ARR.reshape(3, 3)[:, ::2], "n": 1},
+        # a "\x00" elsewhere in the object: json writes the arrays whole
+        {"a": ARR, "note": "\x00"},
+        {"\x00": ARR, "b": [ARR]},
+        {"a": ARR, "escaped": "\\u0000"},
+        {"note": "\x00", "n": 1},
+    ],
+    ids=[
+        "top-level",
+        "empty",
+        "list-of-three",
+        "big-endian-and-strided",
+        "nul-value",
+        "nul-key",
+        "escaped-backslash",
+        "nul-without-arrays",
+    ],
+)
+def test_text_is_the_text_of_one_call(obj):
+    text = dumps(obj)
+    assert text == _one_call(obj)
+    json.loads(text)

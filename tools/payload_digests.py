@@ -15,14 +15,16 @@ writes of its record.  The matrix is
 
 - every command on each of seven sources (see :func:`configs`), at seeds 0 and 3
 - every benchmark workload at size ``tiny``, at seeds 0, 1 and 5
+- every benchmark workload at full size, at seed 0
 - the benchmark's ``KNOWN_DEFECTS`` probes
 
-and ``--tiny`` keeps only the workloads.  The package digested is the one
-in ``SRC``, this tree's ``src/`` by default.  ``--against DIR`` computes the
-same matrix on the package in ``DIR/src``, in a fresh interpreter, lists
-each label whose digest differs between the two trees, and exits 1 if any
-does.  Digests depend on numpy and the BLAS, so compare two trees on one
-machine; ``--against .`` checks that two processes of one tree agree.
+and ``--tiny`` keeps only the workloads at size ``tiny``.  The package
+digested is the one in ``SRC``, this tree's ``src/`` by default.
+``--against DIR`` computes the same matrix on the package in ``DIR/src``,
+in a fresh interpreter, lists each label whose digest differs between the
+two trees, and exits 1 if any does.  Digests depend on numpy and the
+BLAS, so compare two trees on one machine; ``--against .`` checks that
+two processes of one tree agree.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # sweep refuses every source without an n_list
 OPTIONS = {"sweep": {"n_list": [8, 16]}}
-SEEDS, WORKLOAD_SEEDS = (0, 3), (0, 1, 5)
+SEEDS, WORKLOAD_SEEDS, FULL_SEEDS = (0, 3), (0, 1, 5), (0,)
 
 
 def configs(tiny: bool):
@@ -72,10 +74,12 @@ def configs(tiny: bool):
                 for seed in SEEDS:
                     cfg = ExperimentConfig(command, instance, OPTIONS.get(command, {}), seed)
                     out.append((f"{command}/{name}/seed{seed}", cfg))
+    sizes = {"tiny": WORKLOAD_SEEDS} if tiny else {"tiny": WORKLOAD_SEEDS, "full": FULL_SEEDS}
     for workload, build in WORKLOADS.items():
-        for seed in WORKLOAD_SEEDS:
-            for label, cfg in build(seed, "tiny"):
-                out.append((f"{workload}/tiny/seed{seed}/{label}", cfg))
+        for size, seeds in sizes.items():
+            for seed in seeds:
+                for label, cfg in build(seed, size):
+                    out.append((f"{workload}/{size}/seed{seed}/{label}", cfg))
     if not tiny:
         out += [(f"defect/{label}", cfg) for label, cfg in KNOWN_DEFECTS]
     return out
