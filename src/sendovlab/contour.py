@@ -4,11 +4,13 @@ The normalized logarithmic derivative g = f'/(n f) winds around the
 origin along |z| = r exactly (#critical points - #zeros) inside, each
 counted with multiplicity.  The winding is accumulated from principal
 argument differences on an equispaced grid, whose values of f and z f'
-come from the coefficients by one FFT (``poly_core._circle_values``);
-the grid doubles until every jump is small, up to 2^20 nodes, which
-resolves zeros of f and f' down to about pi r / 2^20 from the circle.
-No root enters, so the count cross-validates the root finder: both
-routes must produce the same integer.
+come from the coefficients (``poly_core._circle_values``): the N nodes
+are N/L cosets of the L-th roots of unity, L >= n + 1, each one
+transform of length L.  The grid doubles until every jump is small,
+up to 2^20 nodes, which resolves zeros of f and f' down to about
+pi r / 2^20 from the circle.  No root enters, so the count
+cross-validates the root finder: both routes must produce the same
+integer.
 """
 
 from __future__ import annotations

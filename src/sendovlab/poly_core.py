@@ -90,19 +90,64 @@ def _fold(rows: np.ndarray, N: int) -> np.ndarray:
     return padded.reshape(rows.shape[0], -1, N).sum(axis=1)
 
 
+def _cosets(w: int, N: int) -> int:
+    """N / L for L the smallest divisor of N with L >= max(w, ceil(sqrt N)), or 1 where none is.
+
+    That is the largest divisor of N up to N / max(w, ceil(sqrt N)),
+    which is at most sqrt N, so the search down from there takes
+    O(sqrt N) steps even for a prime N.
+    """
+    M = max(1, N // max(w, math.isqrt(N - 1) + 1))
+    while N % M:
+        M -= 1
+    return M
+
+
+def _twiddles(w: int, M: int, N: int) -> np.ndarray:
+    """e^{2 pi i k r / N} for k < w (rows) and 1 <= r < M (columns), with w M <= N.
+
+    With K = ceil(sqrt w) and k = k1 + K k2, each entry is the one
+    product e^{2 pi i k1 r / N} e^{2 pi i K k2 r / N}, so cos and sin
+    are taken of (K + ceil(w / K)) (M - 1) angles, not w (M - 1).  Each
+    angle is 2 pi m / N for an exact integer m = k1 r or K k2 r below N.
+    """
+    K = math.isqrt(w - 1) + 1
+    m = np.outer(np.concatenate([np.arange(K), np.arange(0, w, K)]), np.arange(1, M))
+    tables = np.exp((2j * np.pi / N) * m)
+    return (tables[K:, None, :] * tables[None, :K, :]).reshape(-1, M - 1)[:w]
+
+
 def _scaled_values(rows: np.ndarray, R: float, N: int):
     """Each row's polynomial on the N points R e^{2 pi i j / N}, over its largest term.
 
-    For a row of coefficients c, one inverse FFT of c_k R^k / M, folded
-    k mod N (exact on the nodes, where z^N = R^N), with M = max |c_k| R^k.
-    Each term is c_k R^(k - t) / |c_t| for the index t of the largest,
-    so R^d, which overflows for d >~ 1,700 at R = 1.5 and underflows for
-    d >~ 440 at R = 0.2, never forms, and the terms near the largest
-    carry no rounding of k log R.  Returns the values (one row each),
-    each row's log M, which scales them back, and each row's
-    sum |c_k| R^k / M, the scale of their rounding.
+    For a row of coefficients c, the values of sum_k c_k R^k z^k / T on
+    the N-th roots of unity, with T = max |c_k| R^k.  Each term is
+    c_k R^(k - t) / |c_t| for the index t of the largest, so R^d, which
+    overflows for d >~ 1,700 at R = 1.5 and underflows for d >~ 440 at
+    R = 0.2, never forms, and the terms near the largest carry no
+    rounding of k log R.
+
+    The N nodes are M = N / L cosets of the L-th roots of unity, L the
+    smallest divisor of N with L >= max(w, ceil(sqrt N)) for rows of w
+    coefficients (:func:`_cosets`).  Node j = r + M s (r < M, s < L) is
+    the length-L inverse transform over s of a_k = c_k R^k omega^{r k} / T,
+    omega = e^{2 pi i / N}: every row's (L, M) block of twisted
+    coefficients (:func:`_twiddles`) is transformed along its L axis in
+    place, and the block read row by row is then in node order, with no
+    transform or scratch of length N.  Where no divisor lies in that
+    range (as for a prime N, or w > N / 2) M is 1: every twiddle is 1,
+    the row is folded k mod N (exact on the nodes, where z^N = 1) and
+    the one transform has length N.  The rounding of a length-L
+    transform grows as eps log2 L sum |a_k|, and the twist adds one
+    rounded stage; for M >= 2, log2 L + 1 <= log2 N, so the bound
+    eps log2(N) sum |c_k| R^k / T covers the rounding at every M.
+
+    Returns the values (one row each), each row's log T, which scales
+    them back, and each row's sum |c_k| R^k / T, the scale of their
+    rounding.
     """
-    k = np.arange(rows.shape[1])
+    B, w = rows.shape
+    k = np.arange(w)
     with np.errstate(divide="ignore"):
         ts = np.argmax(np.log(np.abs(rows)) + k * np.log(R), axis=1).tolist()
     scaled, logs = np.empty_like(rows), []
@@ -110,17 +155,24 @@ def _scaled_values(rows: np.ndarray, R: float, N: int):
         powers = np.where(c != 0, (k - t) * np.log(R), -np.inf)
         np.divide(c * np.exp(powers), abs(c[t]), out=out)
         logs.append(math.log(abs(c[t])) + t * math.log(R))
-    values = _fold(scaled, N)
-    np.fft.ifft(values, norm="forward", out=values)
-    return values, logs, np.sum(np.abs(scaled), axis=1)
+    M = _cosets(w, N)
+    L = N // M
+    values = np.zeros((B, L, M), dtype=np.complex128)
+    values[:, :, 0] = _fold(scaled, L)
+    if M > 1:
+        np.multiply(scaled[:, :, None], _twiddles(w, M, N), out=values[:, :w, 1:])
+    np.fft.ifft(values, axis=1, norm="forward", out=values)
+    return values.reshape(B, N), logs, np.sum(np.abs(scaled), axis=1)
 
 
 def _circle_values(p: Polynomial, R: float, N: int):
     """p and z p' on the N points R e^{2 pi i j / N}, each over its largest term.
 
     Both come from one :func:`_scaled_values`, z p' from the coefficients
-    k c_k.  Also returns log(M'/M), which scales the ratio z p'/p back,
-    and sum |c_k| R^k / M, the scale of the rounding of p.
+    k c_k, as two rows of its coset transforms: a degree-d p costs M
+    transforms of length L >= d + 1, not one of length N.  Also returns
+    log(T'/T), which scales the ratio z p'/p back, and sum |c_k| R^k / T,
+    the scale of the rounding of p (the same bound at every coset count).
     """
     k = np.arange(p.degree + 1)
     values, logs, scales = _scaled_values(np.stack([p.coeffs, k * p.coeffs]), R, N)

@@ -9,10 +9,11 @@ coefficients of potentials on circles recover moments of the measure.
 Quadrature on circles is the trapezoid rule on equispaced angles,
 which is spectrally accurate for these smooth periodic integrands.
 The integrands come from coefficients: the balayage density of the
-zeros of p is Re(2 z p' / (n p)) - 1 on |z| = R, from one FFT of p's
-coefficients, and the potential of n atoms is -(1/n) sum_g log|q_g|
-over the monic polynomials q_g of groups of at most 8 of them, one FFT
-each.  Atoms within 0.05 of the circle would wreck the quadrature's
+zeros of p is Re(2 z p' / (n p)) - 1 on |z| = R, from p's coefficients
+in transforms shorter than N (``poly_core._scaled_values``), and the
+potential of n atoms is -(1/n) sum_g log|q_g| over the monic
+polynomials q_g of groups of at most 8 of them, evaluated alike.
+Atoms within 0.05 of the circle would wreck the quadrature's
 accuracy, so the Fourier coefficients of the potential take their
 contributions in closed form and quadrature only the far atoms.
 """
@@ -354,8 +355,9 @@ def balayage(
 
     The density against normalized arclength, E P_R(theta - arg eta) with
     P_R the Poisson kernel at pole eta, equals Re(2 z p'(z) / (d p(z))) - 1
-    on |z| = R, d = deg p.  It is computed from p's coefficients by one
-    FFT and returned.  The cross-check is the moment series of m's atoms,
+    on |z| = R, d = deg p.  It is computed from p's coefficients by N/L
+    inverse transforms of length L >= d + 1 (``poly_core._scaled_values``)
+    and returned.  The cross-check is the moment series of m's atoms,
 
         1 + 2 Re sum_{k>=1} R^{-k} E[eta^k] e^{-i k theta},
 
@@ -366,7 +368,10 @@ def balayage(
     AtomCollisionError for an atom not strictly inside the circle, where
     the series needs more than 200,000 terms to fall below 1e-14, and
     where the rounding bound eps log2(N) sum|c_k| R^k / min|p| of the
-    coefficients exceeds 1e-10.  The result integrates to exactly 1.
+    coefficients exceeds 1e-10; the coset transforms add one rounded
+    stage to transforms of length L <= N / 2 where they split the nodes,
+    so the bound holds for them unchanged.  The result integrates to
+    exactly 1.
     """
     R = float(R)
     if R < 1.0:
@@ -435,11 +440,13 @@ def circle_fourier_coeffs(
     circle itself).  The G far atoms' groups, each every G-th far atom in
     order of argument and at most 8 of them, are multiplied out into
     monic polynomials q_g, and the far potential -(1/n) sum_g log|q_g| is
-    quadratured on N equispaced nodes from one FFT of each q_g's
-    coefficients, in O(N + n) memory; one more FFT of it gives every k at
-    once, so each coefficient equals the one computed for its k alone.
+    quadratured on N equispaced nodes from each q_g's coefficients, by
+    N/L transforms of length L (``poly_core._scaled_values``), in
+    O(N + n) memory; one more FFT of it gives every k at once, so each
+    coefficient equals the one computed for its k alone.
     Raises AtomCollisionError where the rounding bound of that potential,
-    (1/n) sum_g eps log2(N) sum|c_k| R^k / min|q_g|, exceeds 1e-10.
+    (1/n) sum_g eps log2(N) sum|c_k| R^k / min|q_g|, exceeds 1e-10; it
+    covers the coset transforms at every L, as for :func:`balayage`.
     """
     R = float(R)
     if R < 1.0:

@@ -26,6 +26,8 @@ __all__ = [
 
 # A conjecture "holds" verdict allows this much rounding slack below zero.
 MARGIN_TOL = 1e-9
+# Largest (zeros x critical points) block of distances sendov_margin forms.
+_MARGIN_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +48,17 @@ def sendov_margin(zeros: RootSet, crit: RootSet) -> SendovReport:
     Critical points known analytically may be passed for a derivative
     with high-multiplicity zeros: the generic solver can only resolve
     an m-fold zero to a cluster of radius ~eps**(1/m) from coefficients.
+    Each zero's nearest critical point is taken in row blocks of about
+    ``_MARGIN_BLOCK`` distances, so memory stays O(block) at any degree;
+    a row's minimum does not depend on its block.
     """
     zeros = certified(zeros).points
-    crit = certified(crit, "critical point")
-    dist = np.abs(zeros[:, None] - crit.points[None, :])
-    margins = 1.0 - dist.min(axis=1)
+    crit = certified(crit, "critical point").points
+    margins = np.empty(zeros.size)
+    step = max(1, _MARGIN_BLOCK // max(1, crit.size))
+    for lo in range(0, zeros.size, step):
+        dist = np.abs(zeros[lo : lo + step, None] - crit[None, :])
+        margins[lo : lo + step] = 1.0 - dist.min(axis=1)
     low = float(margins.min())
     # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
     # zeros stay in the closed unit disk.

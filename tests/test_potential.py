@@ -20,8 +20,10 @@ from sendovlab.poly_core import (
     CrossCheckError,
     Polynomial,
     _circle_values,
+    _cosets,
     _fold,
     _horner,
+    _scaled_values,
     derivative,
     evaluate,
     from_roots,
@@ -320,6 +322,13 @@ class TestCircleValues:
             (100, 1.3, 32, range(32)),
             (2000, 1.5, 4096, range(0, 4096, 512)),
             (1023, 0.2, 4096, range(0, 4096, 512)),
+            # nodes in every coset (test_coset_count has the counts)
+            (100, 1.3, 4099, range(0, 4099, 257)),  # a prime N: one transform
+            (1999, 1.5, 4096, range(0, 4096, 257)),
+            (999, 1.1, 4096, range(0, 4096, 257)),
+            (512, 1.05, 32768, range(0, 32768, 1025)),  # kernels' origin-512
+            (8, 1.2, 8192, range(0, 8192, 129)),  # a Fourier group of 8 atoms
+            (1024, 1.0, 12288, range(0, 12288, 769)),  # cosets of length 3 * 2^9
         ],
     )
     def test_matches_mpmath_within_the_bound(self, degree, R, N, js):
@@ -341,6 +350,39 @@ class TestCircleValues:
         assert np.max(np.abs(pz[js] - ref_p)) <= bound
         assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
         assert shift == pytest.approx(ref_shift, abs=1e-12 * max(1.0, abs(ref_shift)))
+
+    @pytest.mark.parametrize(
+        "w, N, cosets",
+        [
+            (513, 32768, 32),
+            (9, 8192, 64),
+            (49, 1024, 16),
+            (1025, 12288, 8),
+            (2000, 4096, 2),
+            (1000, 4096, 4),
+            (101, 4099, 1),
+            (2, 1048573, 1),  # a prime near 2^20
+            (600, 1024, 1),  # w > N / 2
+            (101, 32, 1),  # w > N: folded
+        ],
+    )
+    def test_coset_count(self, w, N, cosets):
+        assert _cosets(w, N) == cosets
+        L = N // cosets
+        assert L >= w or cosets == 1
+        # no divisor of N below L reaches max(w, ceil(sqrt N))
+        assert not any(N % d == 0 for d in range(max(w, math.isqrt(N - 1) + 1), L))
+
+    @pytest.mark.parametrize("w, N", [(101, 4099), (600, 1024), (101, 32)])
+    def test_one_coset_is_the_folded_transform_bit_for_bit(self, w, N):
+        # at R = 1, rows whose largest entry is exactly 1 scale to themselves
+        rng = np.random.default_rng(w)
+        rows = rng.uniform(-0.5, 0.5, (2, w)) + 1j * rng.uniform(-0.5, 0.5, (2, w))
+        rows[:, 0] = 1.0
+        assert _cosets(w, N) == 1
+        values, logs, _ = _scaled_values(rows, 1.0, N)
+        assert logs == [0.0, 0.0]
+        assert values.tobytes() == np.fft.ifft(_fold(rows, N), norm="forward").tobytes()
 
     def test_scale_is_the_coefficient_sum(self):
         # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum

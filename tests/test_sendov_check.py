@@ -4,11 +4,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import match_max_distance
-from sendovlab.families import example_circle, example_origin, random_instances
+from sendovlab import sendov_check
+from sendovlab.families import (
+    FamilyParams,
+    example_circle,
+    example_origin,
+    family_critical_points,
+    family_zeros,
+    miller_family,
+    random_instances,
+)
 from sendovlab.poly_core import (
     CrossCheckError,
     Polynomial,
@@ -64,6 +75,38 @@ class TestSendovMargin:
         far = RootSet(np.array([5.0 + 0j]), np.zeros(1), True)
         with pytest.raises(CrossCheckError, match="margin below the diameter bound"):
             sendov_margin(zeros, far)
+
+    @pytest.mark.parametrize("source", ["random-64", "miller-1024"])
+    def test_blocked_margins_keep_the_bits_of_the_full_matrix(self, source, monkeypatch):
+        if source == "random-64":
+            inst = random_instances(np.random.default_rng(64), 64, 1)[0]
+            zeros, crit = zero_sets([inst.f, derivative(inst.f)])
+        else:
+            params = FamilyParams(n=1024, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+            zeros = family_zeros(params, miller_family(params).f)
+            crit = family_critical_points(params)
+        full = 1.0 - np.abs(zeros.points[:, None] - crit.points[None, :]).min(axis=1)
+        # blocks of 7 rows at degree 64 and 3 at 1024, the last one short
+        monkeypatch.setattr(sendov_check, "_MARGIN_BLOCK", 3 * len(crit) + 2)
+        assert sendov_margin(zeros, crit).margins.tobytes() == full.tobytes()
+
+    def test_margins_need_memory_of_one_block(self):
+        # certified sets of 4096 zeros and 4095 critical points: the full
+        # (zeros x critical points) distances alone would take 400 MB
+        n = 4096
+        zeros = np.exp(2j * np.pi * np.arange(n) / n)
+        zeros = RootSet(zeros, np.zeros(n), True)
+        crit = RootSet(0.5 * zeros.points[:-1], np.zeros(n - 1), True)
+        tracemalloc.start()
+        try:
+            rep = sendov_margin(zeros, crit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # each zero but the last has its critical point at half its radius
+        assert np.max(np.abs(rep.margins[:-1] - 0.5)) < 1e-12
+        assert rep.min_margin == rep.margins[-1] < 0.5
 
 
 def _hull_gap(p, crit) -> float:
