@@ -42,14 +42,14 @@ from .poly_core import Polynomial, SendovInstance, derivative
 from .potential import (
     IDENTITY_STANDOFF,
     CircleDensity,
+    _identity_reports,
     balayage,
     circle_fourier_coeffs,
-    verify_basic_identities,
 )
 # find_roots stays bound here, though the CLI calls family_zeros instead:
 # bench/test_smoke.py checks that the tracer rebinds it in this module
 from .rootfind import certified, critical_points, find_roots, zero_sets  # noqa: F401
-from .sendov_check import sendov_margin
+from .sendov_check import _sendov_margins, sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "main", "run"]
@@ -298,9 +298,14 @@ _IDENTITY_TOL, _FAMILY_TOL, _FOURIER_TOL = 1e-8, 1e-9, 1e-8
 
 
 def _run_check(source, rng):
+    built = _build_instances(source, rng)
+    reports = _sendov_margins([(rs, crit) for _, _, rs, crit in built])
+    # each instance's points as [re, im] rows: views of one (instances, n, 2) array per set
+    count = len(built)
+    zeros = np.stack([rs.points for _, _, rs, _ in built]).view(np.float64).reshape(count, -1, 2)
+    crits = np.stack([crit.points for *_, crit in built]).view(np.float64).reshape(count, -1, 2)
     rows = []
-    for label, inst, rs, crit in _build_instances(source, rng):
-        rep = sendov_margin(rs, crit)
+    for (label, inst, _, _), rep, pts, cps in zip(built, reports, zeros, crits):
         rows.append(
             {
                 "label": label,
@@ -309,8 +314,8 @@ def _run_check(source, rng):
                 "margins": rep.margins,
                 "min_margin": rep.min_margin,
                 "holds": rep.holds,
-                "zeros": np.column_stack((rs.points.real, rs.points.imag)),
-                "critical_points": np.column_stack((crit.points.real, crit.points.imag)),
+                "zeros": pts,
+                "critical_points": cps,
             }
         )
     results = {
@@ -324,13 +329,16 @@ def _run_check(source, rng):
 def _run_identities(source, rng, points):
     if points < 1:
         raise ValueError(f"points must be at least 1, not {points}")
+    built = _build_instances(source, rng)
+    # every instance draws its points, in order, before any is evaluated
+    cases = [
+        (inst.f, _sample_points(rng, points, np.concatenate([rs.points, crit.points])), rs, crit)
+        for _, inst, rs, crit in built
+    ]
     rows = []
     worst = 0.0
     means = []
-    for label, inst, rs, crit in _build_instances(source, rng):
-        avoid = np.concatenate([rs.points, crit.points])
-        zs = _sample_points(rng, points, avoid)
-        rep = verify_basic_identities(inst.f, zs, rs, crit)
+    for (label, inst, _, _), rep in zip(built, _identity_reports(cases)):
         maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
         per = dict(zip(rep.labels, maxima.tolist()))
         rows.append(

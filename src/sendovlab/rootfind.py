@@ -170,7 +170,7 @@ def _horner_table(coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
     live = table.view(np.uint64).reshape(3 * b, nb, 4 * n_rows).any(axis=0).any(axis=1)
     live[-1] = True
     slots = np.where(live, np.cumsum(live) - 1, -1).tolist()
-    return (table if live.all() else np.take(table, np.flatnonzero(live), axis=2)), slots
+    return (table if live.all() else table.take(np.flatnonzero(live), axis=2)), slots
 
 
 def _newton_pass(table, d, rows, z):
@@ -208,10 +208,10 @@ def _newton_pass(table, d, rows, z):
     step[0] = step[1] = x
     step[2] = np.abs(x)
     step_b = step[:, None]
-    blocks = np.take(table[b - 1], groups, axis=2)
+    blocks = table[b - 1].take(groups, axis=2)
     for i in range(b - 2, -1, -1):
         blocks *= step_b
-        blocks += np.take(table[i], groups, axis=2)
+        blocks += table[i].take(groups, axis=2)
     xb = step  # to the power b by binary powering, leading bit first
     for bit in bin(b)[3:]:
         xb = xb * xb
@@ -227,31 +227,40 @@ def _newton_pass(table, d, rows, z):
     return p / den, np.abs(p) / scale
 
 
-def _repulsion(z, rows, cols):
-    """The sums S = sum_k 1/(z[r, c] - z[r, k]) over k != c, for r, c in rows, cols.
+def _repulsion(z, rows, idx):
+    """The sums S = sum_k 1/(z[r, c] - z[r, k]) over k != c, for the iterates idx of z.
 
-    The iterates are taken in blocks of about ``_ABERTH_BLOCK`` entries
-    of their (iterates x d) difference matrix, formed and inverted in
-    one buffer, so memory stays O(block) at any degree.  Each iterate's sum
-    runs over its own row of the matrix, so the blocking does not change
-    its value.
+    ``idx`` indexes ``z.reshape(-1)`` and ``rows = idx // d`` is each
+    iterate's row, for z of shape (rows, d).  The iterates are taken in
+    blocks of about ``_ABERTH_BLOCK`` entries of their (iterates x d)
+    difference matrix, formed and inverted in one buffer, so memory
+    stays O(block) at any degree.  Each iterate's sum runs over its own
+    row of the matrix, so the blocking does not change its value.
     """
-    out = np.empty(rows.size, dtype=np.complex128)
-    step = max(1, _ABERTH_BLOCK // z.shape[1])
-    buf = np.empty((min(step, rows.size), z.shape[1]), dtype=np.complex128)
-    for lo in range(0, rows.size, step):
-        r, c = rows[lo : lo + step], cols[lo : lo + step]
+    d = z.shape[1]
+    flat = z.reshape(-1)
+    out = np.empty(idx.size, dtype=np.complex128)
+    step = max(1, _ABERTH_BLOCK // d)
+    buf = np.empty((min(step, idx.size), d), dtype=np.complex128)
+    for lo in range(0, idx.size, step):
+        r, k = rows[lo : lo + step], idx[lo : lo + step]
         # mode "raise" would gather through a temporary as large as out
-        diff = np.take(z, r, axis=0, out=buf[: r.size], mode="clip")
-        np.subtract(z[r, c][:, None], diff, out=diff)
-        diff[np.arange(r.size), c] = np.inf
+        diff = z.take(r, axis=0, out=buf[: r.size], mode="clip")
+        np.subtract(flat.take(k)[:, None], diff, out=diff)
+        # the iterate's own entry, at column k - r d of its row of diff, is
+        # entry k + (i - r) d of the flat block; formed in place, in one array
+        own = np.arange(r.size)
+        own -= r
+        own *= d
+        own += k
+        diff.reshape(-1)[own] = np.inf
         out[lo : lo + step] = np.sum(np.divide(1.0, diff, out=diff), axis=1)
     return out
 
 
-def _aberth_step(z, wn, rows, cols):
-    """Aberth corrections w / (1 - w S) for the iterates z[rows, cols] given w = p/p' there."""
-    denom = 1.0 - wn * _repulsion(z, rows, cols)
+def _aberth_step(z, wn, rows, idx):
+    """Aberth corrections w / (1 - w S) at the iterates idx of z.reshape(-1), w = p/p' there."""
+    denom = 1.0 - wn * _repulsion(z, rows, idx)
     return wn / np.where(denom == 0, 1.0, denom)
 
 
@@ -263,10 +272,14 @@ def _aberth(coeffs: np.ndarray, start: list):
     None at the Newton polygon's circles (:func:`_start_points`), placed
     for those rows only.
     Iterates freeze once their backward error is at most ``_TOL`` and
-    are no longer evaluated: the index arrays of the live iterates are
-    made once and compacted by the freeze test after each pass, so a
-    pass evaluates, steps and checks for lost iterates only those it
-    still moves.  After the loop every iterate the iteration
+    are no longer evaluated.  The live iterates are one flat index into
+    ``z.reshape(-1)``, with each one's row ``idx // d`` kept alongside
+    for the Horner table and the repulsion sums; both arrays are made
+    once and compacted by the freeze test after each pass, so a pass
+    evaluates, steps and checks for lost iterates only those it still
+    moves, gathering and scattering them through one index.  A lost
+    iterate, one the step sent to inf or NaN, restarts from its start
+    turned by 0.37 rad.  After the loop every iterate the iteration
     moved, one that did not pass ``_TOL`` at its first evaluation, takes
     one more Aberth step, kept only where it does not raise the backward
     error: freezing at the tolerance leaves an m-fold cluster spread
@@ -291,39 +304,47 @@ def _aberth(coeffs: np.ndarray, start: list):
     for r, s in enumerate(start):
         if s is not None:
             z[r] = s
-    restart = z * np.exp(0.37j)
+    restart = (z * np.exp(0.37j)).reshape(-1)
 
-    wn = np.zeros((b, d), dtype=np.complex128)
-    residual = np.full((b, d), np.inf)
-    rows, cols = np.divmod(np.arange(b * d), d)
+    # p/p' and the backward error of each iterate, and the live iterates,
+    # all by index into the flat view of z
+    flat = z.reshape(-1)
+    wn = np.zeros(b * d, dtype=np.complex128)
+    residual = np.full(b * d, np.inf)
+    idx = np.arange(b * d)
+    rows = idx // d
 
     iterations = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, _MAX_ITER + 1):
-            wn[rows, cols], res = _newton_pass(table, d, rows, z[rows, cols])
-            residual[rows, cols] = res
+            wn[idx], res = _newton_pass(table, d, rows, flat.take(idx))
+            residual[idx] = res
             live = ~(res <= _TOL)
-            rows, cols = rows[live], cols[live]
+            idx, rows = idx[live], rows[live]
             if iterations == 1:
-                moved = rows, cols
-            if not rows.size:
+                moved = idx, rows
+            if not idx.size:
                 break
-            z[rows, cols] -= _aberth_step(z, wn[rows, cols], rows, cols)
-            lost = ~np.isfinite(z[rows, cols])
-            if lost.any():
-                r, c = rows[lost], cols[lost]
-                z[r, c] = restart[r, c]
+            stepped = flat.take(idx)
+            stepped -= _aberth_step(z, wn.take(idx), rows, idx)
+            finite = np.isfinite(stepped)
+            if not finite.all():
+                lost = ~finite
+                stepped[lost] = restart.take(idx[lost])
+            flat[idx] = stepped
+            del stepped  # not held through the next pass's Horner blocks
         else:
-            wn[rows, cols], residual[rows, cols] = _newton_pass(table, d, rows, z[rows, cols])
+            wn[idx], residual[idx] = _newton_pass(table, d, rows, flat.take(idx))
 
-        rows, cols = moved
-        if rows.size:
-            trial = z[rows, cols] - _aberth_step(z, wn[rows, cols], rows, cols)
+        idx, rows = moved
+        if idx.size:
+            trial = flat.take(idx)
+            trial -= _aberth_step(z, wn.take(idx), rows, idx)
             _, trial_res = _newton_pass(table, d, rows, trial)
-            keep = trial_res <= residual[rows, cols]
-            z[rows[keep], cols[keep]] = trial[keep]
-            residual[rows[keep], cols[keep]] = trial_res[keep]
-    return z, residual, iterations
+            keep = trial_res <= residual.take(idx)
+            flat[idx[keep]] = trial[keep]
+            residual[idx[keep]] = trial_res[keep]
+    return z, residual.reshape(b, d), iterations
 
 
 def _by_degree(polys):
@@ -504,10 +525,10 @@ def _paired_starts(polys) -> list[np.ndarray | None]:
             groups.setdefault(p.degree, []).append(i)
     for n, members in groups.items():
         zeros = np.stack([polys[i].roots for i in members])
-        rows, cols = np.divmod(np.arange(zeros.size), n)
+        idx = np.arange(zeros.size)
         # coincident zeros divide by zero; their rows fall back below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shift = 1.0 / _repulsion(zeros, rows, cols).reshape(zeros.shape)
+            shift = 1.0 / _repulsion(zeros, idx // n, idx).reshape(zeros.shape)
             drop = np.argmax(np.abs(shift), axis=1)
             keep = np.ones(zeros.shape, dtype=bool)
             keep[np.arange(len(members)), drop] = False

@@ -26,8 +26,8 @@ __all__ = [
 
 # A conjecture "holds" verdict allows this much rounding slack below zero.
 MARGIN_TOL = 1e-9
-# Largest (zeros x critical points) block of distances sendov_margin forms.
-_MARGIN_BLOCK = 1 << 20
+# Largest (zeros x critical points) block of distances that the margins form.
+_MARGIN_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,25 +48,62 @@ def sendov_margin(zeros: RootSet, crit: RootSet) -> SendovReport:
     Critical points known analytically may be passed for a derivative
     with high-multiplicity zeros: the generic solver can only resolve
     an m-fold zero to a cluster of radius ~eps**(1/m) from coefficients.
-    Each zero's nearest critical point is taken in row blocks of about
+    This is the one-pair call of :func:`_sendov_margins`, which takes
+    each zero's nearest critical point in blocks of about
     ``_MARGIN_BLOCK`` distances, so memory stays O(block) at any degree;
     a row's minimum does not depend on its block.
     """
-    zeros = certified(zeros).points
-    crit = certified(crit, "critical point").points
-    margins = np.empty(zeros.size)
-    step = max(1, _MARGIN_BLOCK // max(1, crit.size))
-    for lo in range(0, zeros.size, step):
-        dist = np.abs(zeros[lo : lo + step, None] - crit[None, :])
-        margins[lo : lo + step] = 1.0 - dist.min(axis=1)
-    low = float(margins.min())
-    # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
-    # zeros stay in the closed unit disk.
-    if np.max(np.abs(zeros)) <= 1.0 + DISK_TOL and not low >= -1.0 - MARGIN_TOL:
-        raise CrossCheckError("margin below the diameter bound")
-    if not margins.max() <= 1.0 + 1e-12:
-        raise CrossCheckError("margin above 1 is impossible")
-    return SendovReport(margins=margins, min_margin=low, holds=low >= -MARGIN_TOL)
+    return _sendov_margins([(zeros, crit)])[0]
+
+
+def _sendov_margins(pairs) -> list[SendovReport]:
+    """The :func:`sendov_margin` report of each (zeros, crit) pair, in input order.
+
+    Every pair's certificates are checked first.  The pairs are then
+    grouped by their numbers of zeros and critical points, and each
+    group is stacked into one (pairs x zeros) and one (pairs x critical
+    points) array.  Their distances are formed in blocks of about
+    ``_MARGIN_BLOCK``: of whole pairs, or of rows of one pair's zeros
+    where a pair alone has more distances.  A zero's margin is one
+    minimum over its own row, so it has the bits of a call on its pair
+    alone.  Each pair keeps its own two Gauss-Lucas checks, which raise
+    CrossCheckError, taken in input order.
+    """
+    groups: dict[tuple[int, int], list] = {}
+    places = []
+    for zeros, crit in pairs:
+        zeros, crit = certified(zeros).points, certified(crit, "critical point").points
+        key = zeros.size, crit.size
+        group = groups.setdefault(key, [])
+        places.append((key, len(group)))
+        group.append((zeros, crit))
+    found = {}
+    for (n, m), group in groups.items():
+        zeros = np.stack([z for z, _ in group])
+        crit = np.stack([c for _, c in group])
+        margins = np.empty(zeros.shape)
+        step = max(1, _MARGIN_BLOCK // max(1, m))
+        per = max(1, step // max(1, n))
+        for lo in range(0, len(group), per):
+            near = crit[lo : lo + per, None, :]
+            for top in range(0, n, step):
+                dist = np.abs(zeros[lo : lo + per, top : top + step, None] - near)
+                margins[lo : lo + per, top : top + step] = 1.0 - dist.min(axis=2)
+        inside = (np.abs(zeros).max(axis=1) <= 1.0 + DISK_TOL).tolist()
+        found[n, m] = margins, margins.min(axis=1).tolist(), margins.max(axis=1).tolist(), inside
+    reports = []
+    for key, k in places:
+        margins, lows, highs, inside = found[key]
+        # Gauss-Lucas diameter bound: margins live in [-1, 1] whenever the
+        # zeros stay in the closed unit disk.
+        if inside[k] and not lows[k] >= -1.0 - MARGIN_TOL:
+            raise CrossCheckError("margin below the diameter bound")
+        if not highs[k] <= 1.0 + 1e-12:
+            raise CrossCheckError("margin above 1 is impossible")
+        reports.append(
+            SendovReport(margins=margins[k], min_margin=lows[k], holds=lows[k] >= -MARGIN_TOL)
+        )
+    return reports
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,8 @@ class TestFindRoots:
         steps = []
         aberth_step = rootfind._aberth_step
 
-        def losing_one(z, wn, rows, cols):
-            step = aberth_step(z, wn, rows, cols)
+        def losing_one(z, wn, rows, idx):
+            step = aberth_step(z, wn, rows, idx)
             if not steps:
                 step[0] = np.nan
             steps.append(step)
@@ -164,6 +164,35 @@ class TestFindRoots:
         rs = certified(find_roots(from_roots(roots)))
         assert len(steps) > 1 and np.isnan(steps[0][0])
         assert match_max_distance(rs.points, roots) < 1e-12
+
+    def test_lost_iterate_past_the_first_row_restarts_from_its_rotated_start(self, monkeypatch):
+        # three rows solved together from given starts; the first step
+        # sends iterate 3 of row 2 to NaN, and the next step finds it at
+        # that start turned by 0.37 rad: the live iterates are flat
+        # indices, whose arithmetic only goes wrong past row 0
+        rng = np.random.default_rng(4)
+        d = 8
+        roots = rng.uniform(0.3, 0.9, (3, d)) * np.exp(2j * np.pi * rng.uniform(size=(3, d)))
+        coeffs = np.stack([from_roots(r).coeffs for r in roots])
+        starts = [1.05 * np.exp(0.1j) * r for r in roots]
+        seen = []
+        aberth_step = rootfind._aberth_step
+
+        def losing_one(z, wn, rows, idx):
+            seen.append(z.copy())
+            step = aberth_step(z, wn, rows, idx)
+            if len(seen) == 1:
+                assert idx.tolist() == list(range(3 * d))
+                step[2 * d + 3] = np.nan
+            return step
+
+        monkeypatch.setattr(rootfind, "_aberth_step", losing_one)
+        z, res, _ = rootfind._aberth(coeffs, starts)
+        restarted = seen[1] == np.stack(starts) * np.exp(0.37j)
+        assert np.flatnonzero(restarted).tolist() == [2 * d + 3]
+        assert (res <= rootfind._TOL).all()
+        for row, want in zip(z, roots):
+            assert match_max_distance(row, want) < 1e-12
 
     def test_iteration_counts(self):
         # Newton-polygon start circles sit on the root moduli, so the
@@ -266,7 +295,7 @@ def _aberth_reference(coeffs, start, post_step=True):
             if frozen.all():
                 break
             rows, cols = np.nonzero(~frozen)
-            z[rows, cols] -= rootfind._aberth_step(z, wn[rows, cols], rows, cols)
+            z[rows, cols] -= rootfind._aberth_step(z, wn[rows, cols], rows, rows * d + cols)
             lost = ~np.isfinite(z)
             if lost.any():
                 z[lost] = restart[lost]
@@ -274,7 +303,7 @@ def _aberth_reference(coeffs, start, post_step=True):
             refresh(*np.nonzero(~frozen))
         if post_step:
             rows, cols = np.divmod(np.arange(b * d), d)
-            trial = z - rootfind._aberth_step(z, wn.ravel(), rows, cols).reshape(b, d)
+            trial = z - rootfind._aberth_step(z, wn.ravel(), rows, rows * d + cols).reshape(b, d)
             _, trial_res = _newton_pass(table, d, rows, trial.ravel())
             keep = (trial_res <= residual.ravel()).reshape(b, d)
             z = np.where(keep, trial, z)

@@ -109,6 +109,44 @@ class TestSendovMargin:
         assert rep.min_margin == rep.margins[-1] < 0.5
 
 
+class TestMarginBatch:
+    """The margins of many pairs at once, against one call per pair."""
+
+    def test_mixed_list_equals_single_calls_bit_for_bit(self):
+        # 64 random instances of degree 24, in blocks of whole pairs, with
+        # the family at n = 1024 and its analytic critical points between
+        # them: a group of one pair whose zeros come in row blocks
+        fs = [inst.f for inst in random_instances(np.random.default_rng(24), 24, 64)]
+        pairs = list(zip(zero_sets(fs), critical_points(fs)))
+        params = FamilyParams(n=1024, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        family = family_zeros(params, miller_family(params).f), family_critical_points(params)
+        pairs.insert(5, family)
+        reports = sendov_check._sendov_margins(pairs)
+        assert len(reports) == 65
+        for (zeros, crit), rep in zip(pairs, reports):
+            one = sendov_margin(zeros, crit)
+            full = 1.0 - np.abs(zeros.points[:, None] - crit.points[None, :]).min(axis=1)
+            assert rep.margins.tobytes() == one.margins.tobytes() == full.tobytes()
+            assert rep.min_margin.hex() == one.min_margin.hex()
+            assert rep.holds == one.holds
+        assert reports[5].margins.size == 1024
+
+    def test_each_pair_keeps_its_checks(self):
+        # zeros +-1 with their critical point 0, and with one at 5: the far
+        # pair is the second of its size, so the check must read its own row
+        zeros = zero_sets([from_roots([1.0, -1.0])])[0]
+        near = RootSet(np.array([0.0 + 0j]), np.zeros(1), True)
+        far = RootSet(np.array([5.0 + 0j]), np.zeros(1), True)
+        reports = sendov_check._sendov_margins([(zeros, near)] * 2)
+        assert [rep.min_margin for rep in reports] == [0.0, 0.0]
+        with pytest.raises(CrossCheckError, match="margin below the diameter bound"):
+            sendov_check._sendov_margins([(zeros, near), (zeros, far)])
+        lost = RootSet(np.array([0.0 + 0j]), np.ones(1), False, iterations=5)
+        with pytest.raises(RuntimeError, match="critical point finding did not converge"):
+            sendov_check._sendov_margins([(zeros, near), (zeros, lost)])
+        assert sendov_check._sendov_margins([]) == []
+
+
 def _hull_gap(p, crit) -> float:
     """Largest |xi - sum_j w_j z_j / sum_j w_j|, w_j = 1/|xi - z_j|^2, over crit.
 
