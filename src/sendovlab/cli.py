@@ -42,14 +42,14 @@ from .poly_core import Polynomial, SendovInstance, derivative
 from .potential import (
     IDENTITY_STANDOFF,
     CircleDensity,
-    _identity_reports,
     balayage,
     circle_fourier_coeffs,
+    verify_basic_identities,
 )
 # find_roots stays bound here, though the CLI calls family_zeros instead:
 # bench/test_smoke.py checks that the tracer rebinds it in this module
 from .rootfind import certified, critical_points, find_roots, zero_sets  # noqa: F401
-from .sendov_check import _sendov_margins, sendov_margin
+from .sendov_check import sendov_margin
 from .serialize import cpair, dumps, finite_float, fmt17, from_cpair
 
 __all__ = ["ExperimentConfig", "ExperimentRecord", "main", "run"]
@@ -299,11 +299,12 @@ _IDENTITY_TOL, _FAMILY_TOL, _FOURIER_TOL = 1e-8, 1e-9, 1e-8
 
 def _run_check(source, rng):
     built = _build_instances(source, rng)
-    reports = _sendov_margins([(rs, crit) for _, _, rs, crit in built])
+    zsets, csets = [rs for _, _, rs, _ in built], [crit for *_, crit in built]
+    reports = sendov_margin(zsets, csets)
     # each instance's points as [re, im] rows: views of one (instances, n, 2) array per set
     count = len(built)
-    zeros = np.stack([rs.points for _, _, rs, _ in built]).view(np.float64).reshape(count, -1, 2)
-    crits = np.stack([crit.points for *_, crit in built]).view(np.float64).reshape(count, -1, 2)
+    zeros = np.stack([rs.points for rs in zsets]).view(np.float64).reshape(count, -1, 2)
+    crits = np.stack([crit.points for crit in csets]).view(np.float64).reshape(count, -1, 2)
     rows = []
     for (label, inst, _, _), rep, pts, cps in zip(built, reports, zeros, crits):
         rows.append(
@@ -329,16 +330,13 @@ def _run_check(source, rng):
 def _run_identities(source, rng, points):
     if points < 1:
         raise ValueError(f"points must be at least 1, not {points}")
-    built = _build_instances(source, rng)
-    # every instance draws its points, in order, before any is evaluated
-    cases = [
-        (inst.f, _sample_points(rng, points, np.concatenate([rs.points, crit.points])), rs, crit)
-        for _, inst, rs, crit in built
-    ]
     rows = []
     worst = 0.0
     means = []
-    for (label, inst, _, _), rep in zip(built, _identity_reports(cases)):
+    for label, inst, rs, crit in _build_instances(source, rng):
+        avoid = np.concatenate([rs.points, crit.points])
+        zs = _sample_points(rng, points, avoid)
+        rep = verify_basic_identities(inst.f, zs, rs, crit)
         maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
         per = dict(zip(rep.labels, maxima.tolist()))
         rows.append(

@@ -63,22 +63,18 @@ def _read_only(values, dtype) -> np.ndarray:
     return arr
 
 
-def _horner(coeffs: np.ndarray, z, rows=None):
+def _horner(coeffs: np.ndarray, z):
     """Evaluate sum coeffs[k] z^k by Horner's rule (z scalar or array).
 
     At one point the walk runs on Python complexes, which round as 0-d
     arrays do at less cost per step, and returns a Python complex.  A
     Python number is told by its type, which costs less than ``np.ndim``.
-    With ``rows``, each coeffs[k] holds one row per polynomial, and each
-    step gathers the rows of the points' polynomials, ``rows`` giving
-    each point's, so that points of many polynomials share one walk.
     """
     if type(z) in (float, complex, int) or np.ndim(z) == 0:
         z, acc, coeffs = complex(z), 0j, coeffs.tolist()
     else:
         acc = np.zeros_like(np.asarray(z, dtype=np.complex128))
-    steps = coeffs[::-1] if rows is None else (c.take(rows, axis=0) for c in coeffs[::-1])
-    for c in steps:
+    for c in coeffs[::-1]:
         acc = acc * z + c
     return acc
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial
+from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial, derivative
 from .poly_core import _circle_values, _fold, _horner, _read_only, _scaled_values
 from .poly_core import evaluate, from_roots_batch
 from .rootfind import RootSet, certified
@@ -67,23 +67,6 @@ def log_potential(m: EmpiricalMeasure, z):
     if np.any(e == -math.inf):
         raise AtomCollisionError("z coincides with an atom")
     return -e
-
-
-class _RowAtoms:
-    """Uniform weights on atoms given per point: row p of ``points`` holds the atoms of point p.
-
-    It stands in for an :class:`EmpiricalMeasure` in :func:`log_potential`,
-    :func:`stieltjes` and :func:`stieltjes_derivative` at a 1-d array of
-    points: they read only ``points`` and ``weights`` and subtract the
-    atoms from each point, so each point's sum runs over its own row,
-    and points with different atoms share one array pass.  ``weights``
-    is 1/k on each of the k atoms of a row.
-    """
-
-    __slots__ = ("points", "weights")
-
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
-        self.points, self.weights = points, weights
 
 
 def _atom_differences(m: EmpiricalMeasure, z) -> np.ndarray:
@@ -139,29 +122,21 @@ _IDENTITY_LABELS = (
 )
 
 
-def _values_to_second_derivative(coeffs: np.ndarray, rows: np.ndarray, z: np.ndarray):
-    """f, f' and f'' at each point z[j] of the polynomial coeffs[rows[j]], by one Horner walk.
+def _values_to_second_derivative(f: Polynomial, z: np.ndarray):
+    """f, f' and f'' at the points z, from one Horner walk over a (n+1, 3) table.
 
-    The walk (``poly_core._horner``) runs over an (n+1, polynomials, 3)
-    table whose columns are the coefficients of f, f' and f'' of each
-    row of ``coeffs``, each zero-padded to degree n; each step gathers
-    the points' entries by their rows.  A walk over +0 entries stays at
-    exactly +0 (a zero times z is a signed zero, and adding +0 makes it
-    +0), so each column gives the bits of its own Horner walk, and each
-    point those of a walk on its own polynomial.  f'' is formed by hand:
-    for n = 2 it is a constant, which Polynomial does not represent.
+    The columns are the coefficients of f, f' and f'', each zero-padded
+    to degree n.  A walk over +0 entries stays at exactly +0 (a zero
+    times z is a signed zero, and adding +0 makes it +0), so each column
+    gives the bits of its own Horner walk.  f'' is formed by hand: for
+    n = 2 it is a constant, which Polynomial does not represent.
     """
-    n = coeffs.shape[1] - 1
-    table = np.zeros((n + 1, coeffs.shape[0], 3), dtype=np.complex128)
-    table[:, :, 0] = coeffs.T
-    table[:n, :, 1] = (coeffs[:, 1:] * np.arange(1, n + 1)).T
-    table[: n - 1, :, 2] = table[1:n, :, 1] * np.arange(1, n)[:, None]
-    return _horner(table, z[:, None], rows).T
-
-
-# Largest (points x atoms) block of root sums that the identity suite
-# forms at once.
-_IDENTITY_BLOCK = 1 << 12
+    n = f.degree
+    table = np.zeros((n + 1, 3), dtype=np.complex128)
+    table[:, 0] = f.coeffs
+    table[:n, 1] = derivative(f).coeffs
+    table[: n - 1, 2] = table[1:n, 1] * np.arange(1, n)
+    return _horner(table, z[:, None]).T
 
 
 def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) -> IdentityReport:
@@ -184,115 +159,54 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
     dimensions raises ValueError.  Sample points within 0.05 of a zero
     or critical point are skipped and reported in ``skipped``.
     ``zeros`` and ``crit`` are the root sets of f and f'; each must pass
-    its certificate.  This is the one-case call of
-    :func:`_identity_reports`, which evaluates many polynomials at once.
+    its certificate.
     """
-    return _identity_reports([(f, zs, zeros, crit)])[0]
+    if not f.monic:
+        raise ValueError("identity suite requires a monic polynomial")
+    n = f.degree
+    if n < 2:
+        raise ValueError("degree must be at least 2")
+    zeros = certified(zeros).points
+    crit = certified(crit, "critical point").points
+    mz = empirical_measure(zeros)
+    mx = empirical_measure(crit)
 
-
-def _identity_reports(cases) -> list[IdentityReport]:
-    """The :func:`verify_basic_identities` report of each (f, zs, zeros, crit) case, in input order.
-
-    Every case is checked first, in order, as the one-case call checks
-    it.  The cases are then grouped by degree and numbers of zeros and
-    critical points, and each group is evaluated in one pass over all
-    of its points, each point tagged with its case's row:
-
-    - the skip test and the root sums of :func:`log_potential`,
-      :func:`stieltjes` and :func:`stieltjes_derivative` take each
-      point's own atoms from one (points x atoms) gather
-      (:class:`_RowAtoms`), in blocks of about ``_IDENTITY_BLOCK``
-      entries, so memory stays O(block) however many cases there are;
-      each row is still summed by ``math.fsum`` or numpy's row sum;
-    - f, f' and f'' of every case come from one Horner walk
-      (:func:`_values_to_second_derivative`).
-
-    Every operation is elementwise per point or a sum over its own row,
-    so each case's residuals have the bits of a call on it alone; they
-    are copied out C-contiguous, as that call makes them, since the sum
-    order of ``mean_residual`` follows the layout.
-    """
-    groups: dict[tuple[int, int, int], list] = {}
-    places = []
-    for f, zs, zeros, crit in cases:
-        if not f.monic:
-            raise ValueError("identity suite requires a monic polynomial")
-        if f.degree < 2:
-            raise ValueError("degree must be at least 2")
-        mz = empirical_measure(certified(zeros).points)
-        mx = empirical_measure(certified(crit, "critical point").points)
-        zs = np.asarray(zs, dtype=np.complex128)
-        if zs.ndim > 1:
-            raise ValueError(
-                f"sample points must be a point or a 1-d array, not an array of shape {zs.shape}"
-            )
-        key = f.degree, len(mz), len(mx)
-        group = groups.setdefault(key, [])
-        places.append((key, len(group)))
-        group.append((f, zs.reshape(-1), mz, mx))
-    reports = {key: _identity_group(group) for key, group in groups.items()}
-    return [reports[key][k] for key, k in places]
-
-
-def _identity_group(group) -> list[IdentityReport]:
-    """The reports of checked (f, zs, zeros measure, critical measure) cases of one degree."""
-    n = group[0][0].degree
-    sizes = [zs.size for _, zs, _, _ in group]
-    zs = np.concatenate([zs for _, zs, _, _ in group])
-    rows = np.repeat(np.arange(len(group)), sizes)
-    atoms_z = np.stack([mz.points for _, _, mz, _ in group])
-    atoms_x = np.stack([mx.points for _, _, _, mx in group])
-    near = np.concatenate([atoms_z, atoms_x], axis=1)
-    step = max(1, _IDENTITY_BLOCK // near.shape[1])
-    skip = np.empty(zs.size, dtype=bool)
-    for lo in range(0, zs.size, step):
-        diffs = zs[lo : lo + step, None] - near.take(rows[lo : lo + step], axis=0)
-        skip[lo : lo + step] = np.any(np.abs(diffs) < IDENTITY_STANDOFF, axis=1)
-    z, rows = zs[~skip], rows[~skip]
-    fz, fpz, fppz = _values_to_second_derivative(
-        np.stack([f.coeffs for f, _, _, _ in group]), rows, z
+    zs = np.asarray(zs, dtype=np.complex128)
+    if zs.ndim > 1:
+        raise ValueError(
+            f"sample points must be a point or a 1-d array, not an array of shape {zs.shape}"
+        )
+    zs = zs.reshape(-1)
+    near = np.concatenate([zeros, crit])
+    skip = np.any(np.abs(zs[:, None] - near) < IDENTITY_STANDOFF, axis=1)
+    z = zs[~skip]
+    fz, fpz, fppz = _values_to_second_derivative(f, z)
+    u_z, u_x = log_potential(mz, z), log_potential(mx, z)
+    s_z, s_x = stieltjes(mz, z), stieltjes(mx, z)
+    sd_z = stieltjes_derivative(mz, z)
+    # where s_z is 0, log|s_z| and 1/s_z are infinite; the last two rows
+    # read 1.0 there, the limit of the residual as one side goes to infinity
+    zero = s_z == 0
+    s_safe = np.where(zero, 1.0, s_z)
+    lhs = np.array([u_z, u_x, s_z, s_x, u_z - (n - 1) / n * u_x, s_z - (n - 1) / n * s_x])
+    rhs = np.array(
+        [
+            -np.log(np.abs(fz)) / n,
+            math.log(n) / (n - 1) - np.log(np.abs(fpz)) / (n - 1),
+            fpz / (n * fz),
+            fppz / ((n - 1) * fpz),
+            np.log(np.abs(s_safe)) / n,
+            -sd_z / (n * s_safe),
+        ]
     )
-    wz, wx = group[0][2].weights, group[0][3].weights
-    residuals = np.empty((6, z.size))
-    for lo in range(0, z.size, step):
-        hi = lo + step
-        r, x = rows[lo:hi], z[lo:hi]
-        mz, mx = _RowAtoms(atoms_z.take(r, axis=0), wz), _RowAtoms(atoms_x.take(r, axis=0), wx)
-        u_z, u_x = log_potential(mz, x), log_potential(mx, x)
-        s_z, s_x = stieltjes(mz, x), stieltjes(mx, x)
-        sd_z = stieltjes_derivative(mz, x)
-        # where s_z is 0, log|s_z| and 1/s_z are infinite; the last two rows
-        # read 1.0 there, the limit of the residual as one side goes to infinity
-        zero = s_z == 0
-        s_safe = np.where(zero, 1.0, s_z)
-        lhs = np.array([u_z, u_x, s_z, s_x, u_z - (n - 1) / n * u_x, s_z - (n - 1) / n * s_x])
-        rhs = np.array(
-            [
-                -np.log(np.abs(fz[lo:hi])) / n,
-                math.log(n) / (n - 1) - np.log(np.abs(fpz[lo:hi])) / (n - 1),
-                fpz[lo:hi] / (n * fz[lo:hi]),
-                fppz[lo:hi] / ((n - 1) * fpz[lo:hi]),
-                np.log(np.abs(s_safe)) / n,
-                -sd_z / (n * s_safe),
-            ]
-        )
-        block = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        block[4:, zero] = 1.0
-        residuals[:, lo:hi] = block
-    # each case's points are a run of zs, and its kept points a run of z
-    bounds = np.cumsum([0] + sizes).tolist()
-    kept = np.searchsorted(rows, np.arange(len(group) + 1)).tolist()
-    reports = []
-    for i in range(len(group)):
-        reports.append(
-            IdentityReport(
-                labels=_IDENTITY_LABELS,
-                residuals=residuals[:, kept[i] : kept[i + 1]].copy(),
-                evaluated=z[kept[i] : kept[i + 1]],
-                skipped=np.flatnonzero(skip[bounds[i] : bounds[i + 1]]).tolist(),
-            )
-        )
-    return reports
+    residuals = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    residuals[4:, zero] = 1.0
+    return IdentityReport(
+        labels=_IDENTITY_LABELS,
+        residuals=residuals,
+        evaluated=z,
+        skipped=np.flatnonzero(skip).tolist(),
+    )
 
 
 def _segment_distance(z, a: complex, b: complex):

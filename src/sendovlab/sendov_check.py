@@ -39,57 +39,55 @@ class SendovReport:
     holds: bool
 
 
-def sendov_margin(zeros: RootSet, crit: RootSet) -> SendovReport:
-    """Margin of every zero of a polynomial.
+def sendov_margin(
+    zeros: RootSet | list[RootSet], crit: RootSet | list[RootSet]
+) -> SendovReport | list[SendovReport]:
+    """Margin of every zero of a polynomial, or of each of many polynomials.
 
     ``zeros`` and ``crit`` are the zeros and critical points of one
-    polynomial; each must pass its certificate, or the call raises
+    polynomial, which gives its :class:`SendovReport`, or two lists of
+    them, one entry per polynomial, which give a list of reports in
+    that order.  Each set must pass its certificate, or the call raises
     RuntimeError.
     Critical points known analytically may be passed for a derivative
     with high-multiplicity zeros: the generic solver can only resolve
     an m-fold zero to a cluster of radius ~eps**(1/m) from coefficients.
-    This is the one-pair call of :func:`_sendov_margins`, which takes
-    each zero's nearest critical point in blocks of about
-    ``_MARGIN_BLOCK`` distances, so memory stays O(block) at any degree;
-    a row's minimum does not depend on its block.
+    The polynomials are grouped by their numbers of zeros and critical
+    points, and each group is stacked into one (polynomials x zeros) and
+    one (polynomials x critical points) array.  Their distances are
+    formed in blocks of about ``_MARGIN_BLOCK``: of whole polynomials,
+    or of rows of one polynomial's zeros where it alone has more
+    distances, so memory stays O(block) at any degree and count.
+    A zero's margin is one minimum over its own row, so it has the bits
+    of a call on its polynomial alone.  Each polynomial keeps its own
+    two Gauss-Lucas checks, which raise CrossCheckError, taken in order.
     """
-    return _sendov_margins([(zeros, crit)])[0]
-
-
-def _sendov_margins(pairs) -> list[SendovReport]:
-    """The :func:`sendov_margin` report of each (zeros, crit) pair, in input order.
-
-    Every pair's certificates are checked first.  The pairs are then
-    grouped by their numbers of zeros and critical points, and each
-    group is stacked into one (pairs x zeros) and one (pairs x critical
-    points) array.  Their distances are formed in blocks of about
-    ``_MARGIN_BLOCK``: of whole pairs, or of rows of one pair's zeros
-    where a pair alone has more distances.  A zero's margin is one
-    minimum over its own row, so it has the bits of a call on its pair
-    alone.  Each pair keeps its own two Gauss-Lucas checks, which raise
-    CrossCheckError, taken in input order.
-    """
+    single = isinstance(zeros, RootSet)
+    if single:
+        zeros, crit = [zeros], [crit]
+    if len(zeros) != len(crit):
+        raise ValueError(f"{len(zeros)} zero sets but {len(crit)} critical point sets")
     groups: dict[tuple[int, int], list] = {}
     places = []
-    for zeros, crit in pairs:
-        zeros, crit = certified(zeros).points, certified(crit, "critical point").points
-        key = zeros.size, crit.size
+    for z, c in zip(zeros, crit):
+        z, c = certified(z).points, certified(c, "critical point").points
+        key = z.size, c.size
         group = groups.setdefault(key, [])
         places.append((key, len(group)))
-        group.append((zeros, crit))
+        group.append((z, c))
     found = {}
     for (n, m), group in groups.items():
-        zeros = np.stack([z for z, _ in group])
-        crit = np.stack([c for _, c in group])
-        margins = np.empty(zeros.shape)
+        z = np.stack([z for z, _ in group])
+        c = np.stack([c for _, c in group])
+        margins = np.empty(z.shape)
         step = max(1, _MARGIN_BLOCK // max(1, m))
         per = max(1, step // max(1, n))
         for lo in range(0, len(group), per):
-            near = crit[lo : lo + per, None, :]
+            near = c[lo : lo + per, None, :]
             for top in range(0, n, step):
-                dist = np.abs(zeros[lo : lo + per, top : top + step, None] - near)
+                dist = np.abs(z[lo : lo + per, top : top + step, None] - near)
                 margins[lo : lo + per, top : top + step] = 1.0 - dist.min(axis=2)
-        inside = (np.abs(zeros).max(axis=1) <= 1.0 + DISK_TOL).tolist()
+        inside = (np.abs(z).max(axis=1) <= 1.0 + DISK_TOL).tolist()
         found[n, m] = margins, margins.min(axis=1).tolist(), margins.max(axis=1).tolist(), inside
     reports = []
     for key, k in places:
@@ -103,7 +101,7 @@ def _sendov_margins(pairs) -> list[SendovReport]:
         reports.append(
             SendovReport(margins=margins[k], min_margin=lows[k], holds=lows[k] >= -MARGIN_TOL)
         )
-    return reports
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)

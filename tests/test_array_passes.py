@@ -198,28 +198,10 @@ class TestIdentityEvaluation:
         assert (np.abs(z) > 1).any() and (np.abs(z) < 1).any()
         fp = derivative(f).coeffs
         fpp = fp[1:] * np.arange(1, fp.size)
-        got = _values_to_second_derivative(f.coeffs[None, :], np.zeros(z.size, dtype=np.intp), z)
+        got = _values_to_second_derivative(f, z)
         want = (_horner(f.coeffs, z), _horner(fp, z), _horner(fpp, z))
         assert len(got) == 3
         assert all(_same_bits(g, w) for g, w in zip(got, want))
-
-    @pytest.mark.parametrize("n", [2, 24])
-    def test_rows_of_a_batch_equal_their_own_walks(self, n):
-        # each point reads the table of its own row, in any order of rows
-        rng = np.random.default_rng(n + 1)
-        fs = [
-            from_roots(rng.uniform(0.7, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n)))
-            for _ in range(3)
-        ]
-        z = _iterates(rng, 60)
-        rows = rng.integers(0, 3, z.size)
-        got = _values_to_second_derivative(np.stack([f.coeffs for f in fs]), rows, z)
-        for r, f in enumerate(fs):
-            x = z[rows == r]
-            fp = derivative(f).coeffs
-            fpp = fp[1:] * np.arange(1, fp.size)
-            want = (_horner(f.coeffs, x), _horner(fp, x), _horner(fpp, x))
-            assert all(_same_bits(g[rows == r], w) for g, w in zip(got, want))
 
 
 class TestStartPoints:

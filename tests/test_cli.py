@@ -18,7 +18,7 @@ from sendovlab.cli import (
 from sendovlab.families import example_origin, origin_derivative
 from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
-from sendovlab.potential import balayage, verify_basic_identities
+from sendovlab.potential import balayage
 from sendovlab.rootfind import certified, critical_points, zero_sets
 from sendovlab.serialize import dumps, fmt17, loads
 
@@ -320,30 +320,11 @@ class TestRunners:
         assert rec.ok
         assert rec.results["max_residual"] < 1e-8
 
-    def test_identities_equal_the_per_instance_loop(self):
-        # the record draws every instance's points before it evaluates any:
-        # the rows, and the state the generator is left in, are those of
-        # drawing and checking one instance at a time
-        source = cli._read_instance({"random": {"count": 5, "degree": 12}})
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        results, _ = cli._run_identities(source, rng, 30)
-        reports = []
-        for _, inst, rs, crit in cli._build_instances(source, ref):
-            zs = cli._sample_points(ref, 30, np.concatenate([rs.points, crit.points]))
-            reports.append(verify_basic_identities(inst.f, zs, rs, crit))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert len(results["instances"]) == len(reports) == 5
-        for row, rep in zip(results["instances"], reports):
-            assert row["mean_residual"].hex() == rep.mean_residual.hex()
-            assert row["max_residual"].hex() == rep.max_residual.hex()
-            assert list(row["per_identity_max"].values()) == rep.residuals.max(axis=1).tolist()
-            assert row["skipped"] == rep.skipped
-
-    def test_batched_records_stay_under_the_solve_peak(self):
+    def test_records_stay_under_the_solve_peak(self):
         # the check record's traced peak, 1.44 MiB, is its solve; the
-        # batched margins and identity suite form their temporaries in
-        # blocks, so neither record passes 1.5 MiB, and the identities
-        # record stays near its own solve
+        # margins of its 64 instances come after it, in blocks of at most
+        # 2^14 distances, so the record stays under 1.5 MiB, and the
+        # identities record near its own solve
         bounds = {"check": 1.5 * 2**20, "identities": 0.75 * 2**20}
         for cfg in (
             _cfg("check", {"random": {"count": 64, "degree": 24}}, seed=5),

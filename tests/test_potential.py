@@ -204,63 +204,6 @@ class TestIdentitySuite:
             row = rep.labels.index("stieltjes_vs_logderiv_fprime")
             assert rep.residuals[row].max() <= 1e-6
 
-
-class TestIdentityBatch:
-    """The identity suite on many cases at once, against one call per case."""
-
-    @staticmethod
-    def _cases():
-        rng = np.random.default_rng(30)
-        cases = []
-        for k, n in enumerate([12, 9, 12, 9, 12]):
-            f = random_instances(rng, n, 1)[0].f
-            zeros, crit = zero_sets([f])[0], critical_points([f])[0]
-            count = 3 + 7 * k
-            zs = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
-            cases.append((f, zs, zeros, crit))
-        # a point 0.01 from a zero is skipped; one case has no points
-        f, zs, zeros, crit = cases[0]
-        cases[0] = f, np.concatenate([[zeros.points[0] + 0.01], zs]), zeros, crit
-        cases[3] = cases[3][0], [], *cases[3][2:]
-        # s_zeta(0) = 0 exactly for the root sums over +-1/2, while f' of
-        # the coefficients is 1e-3 there; root sets given off the origin
-        # keep the point in
-        quad = Polynomial([-0.25, 1e-3, 1.0])
-        halves = RootSet(np.array([0.5, -0.5]), np.zeros(2), True)
-        off = RootSet(np.array([0.9j]), np.zeros(1), True)
-        cases.append((quad, [0.0, 1.3 + 0.4j], halves, off))
-        return cases
-
-    @pytest.mark.parametrize("block", [None, 50], ids=["default-block", "block-of-2-points"])
-    def test_equals_single_calls_bit_for_bit(self, block, monkeypatch):
-        cases = self._cases()
-        if block is not None:
-            # blocks of 2 points straddle the cases
-            monkeypatch.setattr(potential, "_IDENTITY_BLOCK", block)
-        reports = potential._identity_reports(cases)
-        assert len(reports) == len(cases)
-        for case, rep in zip(cases, reports):
-            one = verify_basic_identities(*case)
-            assert rep.residuals.flags.c_contiguous
-            assert rep.residuals.tobytes() == one.residuals.tobytes()
-            assert rep.mean_residual.hex() == one.mean_residual.hex()
-            assert rep.evaluated.tobytes() == one.evaluated.tobytes()
-            assert rep.skipped == one.skipped
-        assert reports[0].skipped == [0]
-        assert reports[3].residuals.shape == (6, 0) and reports[3].skipped == []
-        assert reports[-1].residuals[4:, 0].tolist() == [1.0, 1.0]
-        assert [rep.residuals.shape[1] for rep in reports[:3]] == [3, 10, 17]
-
-    def test_each_case_keeps_its_checks(self):
-        cases = self._cases()
-        p = Polynomial([-0.5, 0.0, 2.0])
-        with pytest.raises(ValueError, match="monic"):
-            potential._identity_reports([cases[0], (p, [2.0], *zero_sets([p, derivative(p)]))])
-        lost = RootSet(np.zeros(11), np.ones(11), False, iterations=5)
-        with pytest.raises(RuntimeError, match="critical point finding did not converge"):
-            potential._identity_reports([cases[1], (*cases[0][:3], lost)])
-        assert potential._identity_reports([]) == []
-
     def test_a_scalar_is_one_point(self):
         f = example_circle(16).f
         sets = zero_sets([f, derivative(f)])

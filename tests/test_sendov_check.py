@@ -112,16 +112,21 @@ class TestSendovMargin:
 class TestMarginBatch:
     """The margins of many pairs at once, against one call per pair."""
 
-    def test_mixed_list_equals_single_calls_bit_for_bit(self):
-        # 64 random instances of degree 24, in blocks of whole pairs, with
-        # the family at n = 1024 and its analytic critical points between
-        # them: a group of one pair whose zeros come in row blocks
+    @pytest.mark.parametrize("block", [None, 1 << 20], ids=["default-block", "block-2^20"])
+    def test_mixed_list_equals_single_calls_bit_for_bit(self, block, monkeypatch):
+        # 64 random instances of degree 24 with the family at n = 1024 and
+        # its analytic critical points between them.  Blocks of 2^14
+        # distances take the random pairs 29 at a time, and the family,
+        # a group of one pair, in blocks of 16 rows; blocks of 2^20 take
+        # each group whole
+        if block is not None:
+            monkeypatch.setattr(sendov_check, "_MARGIN_BLOCK", block)
         fs = [inst.f for inst in random_instances(np.random.default_rng(24), 24, 64)]
         pairs = list(zip(zero_sets(fs), critical_points(fs)))
         params = FamilyParams(n=1024, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
         family = family_zeros(params, miller_family(params).f), family_critical_points(params)
         pairs.insert(5, family)
-        reports = sendov_check._sendov_margins(pairs)
+        reports = sendov_margin([z for z, _ in pairs], [c for _, c in pairs])
         assert len(reports) == 65
         for (zeros, crit), rep in zip(pairs, reports):
             one = sendov_margin(zeros, crit)
@@ -137,14 +142,16 @@ class TestMarginBatch:
         zeros = zero_sets([from_roots([1.0, -1.0])])[0]
         near = RootSet(np.array([0.0 + 0j]), np.zeros(1), True)
         far = RootSet(np.array([5.0 + 0j]), np.zeros(1), True)
-        reports = sendov_check._sendov_margins([(zeros, near)] * 2)
+        reports = sendov_margin([zeros, zeros], [near, near])
         assert [rep.min_margin for rep in reports] == [0.0, 0.0]
         with pytest.raises(CrossCheckError, match="margin below the diameter bound"):
-            sendov_check._sendov_margins([(zeros, near), (zeros, far)])
+            sendov_margin([zeros, zeros], [near, far])
         lost = RootSet(np.array([0.0 + 0j]), np.ones(1), False, iterations=5)
         with pytest.raises(RuntimeError, match="critical point finding did not converge"):
-            sendov_check._sendov_margins([(zeros, near), (zeros, lost)])
-        assert sendov_check._sendov_margins([]) == []
+            sendov_margin([zeros, zeros], [near, lost])
+        with pytest.raises(ValueError, match="2 zero sets but 1 critical point sets"):
+            sendov_margin([zeros, zeros], [near])
+        assert sendov_margin([], []) == []
 
 
 def _hull_gap(p, crit) -> float:
