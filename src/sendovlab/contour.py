@@ -77,7 +77,7 @@ def winding_number(f: Polynomial, r: float) -> WindingResult:
     polygon through the samples of g, not of g: two zeros of f' just
     inside the circle in one gap turn arg g by 2 pi unseen.
     """
-    if r <= 0:
+    if not 0 < r < np.inf:
         raise ValueError("r must be positive")
     n = f.degree
     N = 1 << (max(1024, 4 * n) - 1).bit_length()
@@ -167,7 +167,7 @@ def zero_pole_count(r: float, zeros: RootSet, crit: RootSet) -> int:
     :class:`AmbiguousCountError` when any computed root sits within
     1e-8 of the circle.  Root sets are taken as in :func:`select_radius`.
     """
-    if r <= 0:
+    if not 0 < r < np.inf:
         raise ValueError("r must be positive")
     zm = np.abs(certified(zeros).points)
     cm = np.abs(certified(crit, "critical point").points)

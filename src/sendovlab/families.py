@@ -45,7 +45,7 @@ from .poly_core import (
     CrossCheckError,
     Polynomial,
     SendovInstance,
-    _horner,
+    _root_residual,
     _read_only,
     from_roots,
     from_roots_batch,
@@ -67,6 +67,9 @@ __all__ = [
     "random_instances",
     "verify_family",
 ]
+
+_FAMILY_ROOT_TOL = 1e-10  # the largest |f(a)| of a family member, over 1 + sum |c_k| a^k
+_ARC_TOL = 1e-9  # slack of verify_family's tests that lambda_j lies on the arc |lambda - 1| = 1
 
 
 def example_circle(n: int) -> SendovInstance:
@@ -210,9 +213,7 @@ def miller_family(params: FamilyParams) -> SendovInstance:
         ) from None
     coeffs = np.convolve(shift, from_roots(lams).coeffs) if m else shift
     coeffs[0] -= const
-    resid = abs(_horner(coeffs, a))
-    # the scale 1 + sum |c_k| a^k is at least 1: walk it only past 1e-10
-    if resid > 1e-10 and resid > 1e-10 * (1.0 + _horner(np.abs(coeffs), a).real):
+    if (resid := _root_residual(coeffs, a, _FAMILY_ROOT_TOL)) is not None:
         raise CrossCheckError(f"family construction residual {resid:.3e} too large")
     return SendovInstance(Polynomial(coeffs), a)
 
@@ -393,9 +394,9 @@ def verify_family(params: FamilyParams, theta_grid: int = 2048) -> FamilyReport:
 
     arc_ok = True
     for lam in lams:
-        if lam == 0 or abs(abs(lam - 1.0) - 1.0) > 1e-9:
+        if lam == 0 or abs(abs(lam - 1.0) - 1.0) > _ARC_TOL:
             continue
-        if not (np.pi / 3 - 1e-9 <= abs(np.angle(lam)) <= np.pi / 2 + 1e-9):
+        if not (np.pi / 3 - _ARC_TOL <= abs(np.angle(lam)) <= np.pi / 2 + _ARC_TOL):
             arc_ok = False
 
     crit = family_critical_points(params)

@@ -29,6 +29,8 @@ __all__ = [
     "summary",
 ]
 
+_VARIANCE_RTOL = 1e-12  # largest gap in E|eta|^2 = |mean|^2 + variance, over max(1, E|eta|^2)
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
     """Uniform probability measure on finitely many atoms in C.
@@ -88,7 +90,7 @@ def summary(m: EmpiricalMeasure) -> MomentSummary:
     var = float(np.sum(m.weights * np.abs(m.points - mu) ** 2))
     abs_second = float(np.sum(m.weights * np.abs(m.points) ** 2))
     scale = max(1.0, abs_second)
-    if abs(abs_second - (abs(mu) ** 2 + var)) > 1e-12 * scale:
+    if abs(abs_second - (abs(mu) ** 2 + var)) > _VARIANCE_RTOL * scale:
         raise CrossCheckError("variance identity violated beyond rounding")
     return MomentSummary(mean=mu, variance=var)
 

@@ -30,6 +30,10 @@ MONIC_TOL = 1e-12
 # The one slack of every closed-disk test |z - c| <= r in the package, so
 # that points computed to rounding accuracy do not flip sides on the circle.
 DISK_TOL = 1e-10
+# The unit roundoff u of float64 (Higham, 2nd ed., 2.1); np.finfo(float).eps = 2u exactly.
+UNIT_ROUNDOFF = 2.0**-53
+_A_SLACK = 1e-12  # how far a SendovInstance's a may pass 1 before it is clipped to 1
+_ROOT_TOL = 1e-8  # the largest |f(a)| of a SendovInstance, over 1 + sum |c_k| a^k
 
 
 class AtomCollisionError(ValueError):
@@ -143,8 +147,8 @@ def _scaled_values(rows: np.ndarray, R: float, N: int):
     eps log2(N) sum |c_k| R^k / T covers the rounding at every M.
 
     Returns the values (one row each), each row's log T, which scales
-    them back, and each row's sum |c_k| R^k / T, the scale of their
-    rounding.
+    them back, and each row's bound eps log2(N) sum |c_k| R^k / T on
+    their rounding.
     """
     B, w = rows.shape
     k = np.arange(w)
@@ -162,7 +166,7 @@ def _scaled_values(rows: np.ndarray, R: float, N: int):
     if M > 1:
         np.multiply(scaled[:, :, None], _twiddles(w, M, N), out=values[:, :w, 1:])
     np.fft.ifft(values, axis=1, norm="forward", out=values)
-    return values.reshape(B, N), logs, np.sum(np.abs(scaled), axis=1)
+    return values.reshape(B, N), logs, 2 * UNIT_ROUNDOFF * math.log2(N) * np.abs(scaled).sum(1)
 
 
 def _circle_values(p: Polynomial, R: float, N: int):
@@ -171,12 +175,12 @@ def _circle_values(p: Polynomial, R: float, N: int):
     Both come from one :func:`_scaled_values`, z p' from the coefficients
     k c_k, as two rows of its coset transforms: a degree-d p costs M
     transforms of length L >= d + 1, not one of length N.  Also returns
-    log(T'/T), which scales the ratio z p'/p back, and sum |c_k| R^k / T,
-    the scale of the rounding of p (the same bound at every coset count).
+    log(T'/T), which scales the ratio z p'/p back, and the bound on the
+    rounding of p (the same bound at every coset count).
     """
     k = np.arange(p.degree + 1)
-    values, logs, scales = _scaled_values(np.stack([p.coeffs, k * p.coeffs]), R, N)
-    return values[0], values[1], logs[1] - logs[0], float(scales[0])
+    values, logs, bounds = _scaled_values(np.stack([p.coeffs, k * p.coeffs]), R, N)
+    return values[0], values[1], logs[1] - logs[0], float(bounds[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,6 +339,14 @@ def derivative(p: Polynomial) -> Polynomial:
     return Polynomial(p.coeffs[1:] * k)
 
 
+def _root_residual(coeffs: np.ndarray, a: float, tol: float) -> float | None:
+    """|p(a)| if above tol (1 + sum |c_k| a^k), else None; the sum is walked only past tol."""
+    residual = abs(_horner(coeffs, a))
+    if residual > tol and residual > tol * (1.0 + _horner(np.abs(coeffs), a).real):
+        return residual
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SendovInstance:
     """A monic polynomial paired with a distinguished real zero a in [0, 1].
@@ -354,12 +366,10 @@ class SendovInstance:
         if not self.f.monic:
             raise ValueError("instance polynomial must be monic")
         a = float(self.a)
-        if not (0.0 <= a <= 1.0 + 1e-12):
+        if not (0.0 <= a <= 1.0 + _A_SLACK):
             raise ValueError("a must lie in [0, 1]")
         object.__setattr__(self, "a", min(a, 1.0))
-        residual = abs(_horner(self.f.coeffs, a))
-        # the scale 1 + sum |c_k| a^k is at least 1: walk it only past 1e-8
-        if residual > 1e-8 and residual > 1e-8 * (1.0 + _horner(np.abs(self.f.coeffs), a).real):
+        if (residual := _root_residual(self.f.coeffs, a, _ROOT_TOL)) is not None:
             raise ValueError(f"f(a) residual {residual:.3e} exceeds tolerance")
         if self.f.roots is not None:
             top = float(np.max(np.abs(self.f.roots)))

@@ -271,7 +271,7 @@ def poisson_kernel(R: float, w: complex, theta):
     """
     R = float(R)
     w = complex(w)
-    if R <= 0:
+    if not 0 < R < math.inf:
         raise ValueError("R must be positive")
     if abs(w) >= R:
         raise ValueError("pole must lie strictly inside the circle")
@@ -294,7 +294,7 @@ class CircleDensity:
         samples = _read_only(self.samples, np.float64)
         if samples.ndim != 1 or samples.size < 4:
             raise ValueError("need a 1-d array of at least 4 samples")
-        if self.R < 1.0:
+        if not 1.0 <= self.R < math.inf:
             raise ValueError("R must be >= 1")
         object.__setattr__(self, "samples", samples)
 
@@ -312,6 +312,12 @@ class CircleDensity:
 # max(1, the largest density sample); also the largest rounding bound
 # allowed on a balayage sample or on the potential at a node.
 _BALAYAGE_TOL = 1e-10
+# balayage's fixed guards, with q = max |eta| / R:
+_INSIDE_SLACK = 1e-12  # the least gap R - |eta| of an atom strictly inside the circle
+_LOG_Q_FLOOR = 1e-12  # floor on -log q in sizing N, so a q rounded to 1 asks a finite N
+_ALIAS_TOL = 1e-13  # the largest trapezoid aliasing error q^N accepted
+_SERIES_TAIL = 1e-14  # the size of the first moment-series term left out
+_MEAN_TOL = 1e-8  # the largest gap between the density's mean and 1
 # Powers of the atoms per matrix-vector product in the moment series.
 _SERIES_BLOCK = 64
 # Most terms of the moment series balayage sums; an atom nearer the
@@ -374,43 +380,40 @@ def balayage(
     from a full complex FFT of which only the real part is kept.  Raises
     AtomCollisionError for an atom not strictly inside the circle, where
     the series needs more than 200,000 terms to fall below 1e-14, and
-    where the rounding bound eps log2(N) sum|c_k| R^k / min|p| of the
-    coefficients exceeds 1e-10; the coset transforms add one rounded
-    stage to transforms of length L <= N / 2 where they split the nodes,
-    so the bound holds for them unchanged.  The result integrates to
-    exactly 1.
+    where the rounding bound of p's values (``poly_core._scaled_values``)
+    exceeds 1e-10 min|p|.  The result integrates to exactly 1.
     """
     R = float(R)
-    if R < 1.0:
+    if not 1.0 <= R < math.inf:
         raise ValueError("R must be >= 1")
     if p.degree != len(m):
         raise ValueError(f"p has degree {p.degree} but m has {len(m)} atoms")
     top = float(np.max(np.abs(m.points)))
-    if top >= R - 1e-12:
+    if top >= R - _INSIDE_SLACK:
         raise AtomCollisionError("atoms must lie strictly inside the circle")
     q = top / R
     if N is None:
         # enough nodes that the trapezoid aliasing error q**N is negligible
         N = max(4096, 64 * len(m))
         if q > 0:
-            need = int(np.ceil(35.0 / max(1e-12, -np.log(q))))
+            need = int(np.ceil(35.0 / max(_LOG_Q_FLOOR, -np.log(q))))
             while N < need and N < 2**20:
                 N *= 2
-        if q**N > 1e-13:
+        if q**N > _ALIAS_TOL:
             raise AtomCollisionError(
                 "atoms too close to the circle for a resolvable sweep"
             )
     if N < 16:
         raise ValueError("N too small")
-    # series route: coefficients a_k = R^{-k} E eta^k, summed until below 1e-14
-    terms = 1 if q == 0.0 else int(np.ceil(np.log(1e-14 * (1.0 - q)) / np.log(q))) + 1
+    # series route: coefficients a_k = R^{-k} E eta^k, summed until below _SERIES_TAIL
+    terms = 1 if q == 0.0 else int(np.ceil(np.log(_SERIES_TAIL * (1.0 - q)) / np.log(q))) + 1
     if terms > _MAX_SERIES_TERMS:
         raise AtomCollisionError(
             f"atoms too close to the circle: the moment series needs {terms} terms,"
             f" more than {_MAX_SERIES_TERMS}"
         )
-    pz, zdpz, shift, scale = _circle_values(p, R, N)
-    if np.finfo(float).eps * math.log2(N) * scale > _BALAYAGE_TOL * np.min(np.abs(pz)):
+    pz, zdpz, shift, bound = _circle_values(p, R, N)
+    if bound > _BALAYAGE_TOL * np.min(np.abs(pz)):
         raise AtomCollisionError("p is too ill-conditioned on the circle for a resolvable sweep")
     # in place, so that the sweep's heap stays small enough for the
     # allocator to keep it, rather than return it and fault it in again
@@ -430,7 +433,7 @@ def balayage(
         )
     density = CircleDensity(R, samples)
     off = abs(density.mean() - 1.0)
-    if off > 1e-8:
+    if off > _MEAN_TOL:
         raise CrossCheckError(f"balayage density does not average to 1: off by {off:.2e} at N = {N}")
     return density
 
@@ -452,11 +455,11 @@ def circle_fourier_coeffs(
     O(N + n) memory; one more FFT of it gives every k at once, so each
     coefficient equals the one computed for its k alone.
     Raises AtomCollisionError where the rounding bound of that potential,
-    (1/n) sum_g eps log2(N) sum|c_k| R^k / min|q_g|, exceeds 1e-10; it
-    covers the coset transforms at every L, as for :func:`balayage`.
+    (1/n) sum_g b_g / min|q_g| with b_g the bound of q_g's values from
+    ``poly_core._scaled_values``, exceeds 1e-10.
     """
     R = float(R)
-    if R < 1.0:
+    if not 1.0 <= R < math.inf:
         raise ValueError("R must be >= 1")
     ks = list(ks)
     for k in ks:
@@ -502,11 +505,11 @@ def circle_fourier_coeffs(
         n, u, bound = len(m), np.zeros(N), 0.0
         step = max(1, _GROUP_FFT_ENTRIES // N)
         for lo in range(0, G, step):
-            qz, log_m, scale = _scaled_values(qs[lo : lo + step], R, N)
+            qz, log_m, bounds = _scaled_values(qs[lo : lo + step], R, N)
             abs_q = np.abs(qz)
             with np.errstate(divide="ignore"):  # a q_g rounded to 0 is refused below
                 low = np.min(abs_q, axis=1)
-                bound += np.finfo(float).eps * math.log2(N) * float(np.sum(scale / low)) / n
+                bound += float(np.sum(bounds / low)) / n
                 u -= (np.sum(np.log(abs_q, out=abs_q), axis=0) + sum(log_m)) / n
         if bound > _BALAYAGE_TOL:
             raise AtomCollisionError(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Polynomial, _read_only, derivative
+from .poly_core import UNIT_ROUNDOFF, Polynomial, _read_only, derivative
 
 __all__ = [
     "RootSet",
@@ -47,6 +47,7 @@ __all__ = [
 # of a solve.
 _TOL = 1e-12
 _MAX_ITER = 200
+_ZERO_DIVISOR = 1e-300  # stands in for a Newton divisor of exactly 0: the step stays finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +224,7 @@ def _newton_pass(table, d, rows, z):
         acc += blocks[:, k] if k >= 0 else 0.0
     p, dp, scale = acc[0], acc[1], acc[2].real
     den = np.where(outside, x * (d * p - x * dp), dp)
-    den = np.where(den == 0, 1e-300, den)
+    den = np.where(den == 0, _ZERO_DIVISOR, den)
     return p / den, np.abs(p) / scale
 
 
@@ -440,9 +441,9 @@ def _attached(polys) -> list[RootSet]:
     times the residual over |p/p'|.
     """
     zeros, groups = _by_degree(polys)
-    u = np.finfo(float).eps / 2
     out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
+        gamma = 2 * d * UNIT_ROUNDOFF / (1 - 2 * d * UNIT_ROUNDOFF)
         roots = [polys[i].roots for i in members]
         sizes = [r.size for r in roots]
         starts = np.cumsum([0] + sizes[:-1])
@@ -455,7 +456,7 @@ def _attached(polys) -> list[RootSet]:
         for i, r, lo in zip(members, roots, starts):
             if zeros[i]:
                 res[lo + np.flatnonzero(r == 0)[: zeros[i]]] = 0.0
-        passed = np.logical_and.reduceat(res <= 2 * d * u / (1 - 2 * d * u) * (1 + slope), starts)
+        passed = np.logical_and.reduceat(res <= gamma * (1 + slope), starts)
         res.setflags(write=False)  # so each root set keeps its slice uncopied
         for i, r, lo, ok in zip(members, roots, starts, passed):
             out[i] = RootSet(r, res[lo : lo + r.size], bool(ok))

@@ -23,7 +23,7 @@ from sendovlab.families import (
     verify_family,
 )
 from sendovlab.measures import empirical_measure, moment, summary
-from sendovlab.poly_core import derivative, evaluate
+from sendovlab.poly_core import CrossCheckError, derivative, evaluate
 from sendovlab.potential import circle_fourier_coeffs
 from sendovlab.rootfind import certified, critical_points, find_roots, zero_sets
 from sendovlab.sendov_check import sendov_margin
@@ -196,6 +196,22 @@ class TestMillerFamily:
         params = FamilyParams(n=n, c1=1.0, c2=c2, lambdas=np.array(lambdas, dtype=complex))
         with pytest.raises(ValueError, match=r"\(z \+ c2/n\)\*\*\(n-m\) overflows"):
             miller_family(params)
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-13])
+    def test_construction_residual_is_refused(self, offset, monkeypatch):
+        # scaling the binomial by 1 + offset leaves |f(a)| at about offset
+        # times the scale 1 + sum |c_k| a^k: refused above 1e-10, kept below
+        params = FamilyParams(n=64, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))
+        monkeypatch.setattr(
+            families,
+            "_binomial_shift_coeffs",
+            lambda nm, s: _binomial_shift_coeffs(nm, s) * (1.0 + offset),
+        )
+        if offset > 1e-10:
+            with pytest.raises(CrossCheckError, match="family construction residual"):
+                miller_family(params)
+        else:
+            assert miller_family(params).n == 64
 
     def test_zeros_stay_order_one_over_n_outside(self):
         params = FamilyParams(n=128, c1=1.0, c2=2.0, lambdas=np.array([0.3 + 0.8j]))

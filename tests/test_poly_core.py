@@ -13,7 +13,7 @@ from sendovlab.poly_core import (
     from_roots,
     from_roots_batch,
 )
-from sendovlab.poly_core import _horner, _leja_orders
+from sendovlab.poly_core import _horner, _leja_orders, _root_residual
 from sendovlab.potential import CircleDensity
 from sendovlab.rootfind import RootSet, certified, zero_sets
 
@@ -350,6 +350,12 @@ class TestSendovInstance:
     def test_n_property(self):
         inst = SendovInstance(from_roots([0.7, -0.1, 0.2]), 0.7)
         assert inst.n == 3
+
+    @pytest.mark.parametrize("tol, refused", [(0.1, 0.25), (0.2, None), (0.25, None)])
+    def test_root_residual_is_relative_to_the_scale_at_a(self, tol, refused):
+        # z - 1/2 at a = 3/4, all exact: |p(a)| = 1/4 and 1 + sum |c_k| a^k = 9/4,
+        # so 1/4 passes a tol of 1/5 through the scale and one of 1/4 outright
+        assert _root_residual(np.array([-0.5, 1.0]), 0.75, tol) == refused
 
 
 def _drawn_roots(seed, n, count):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sendovlab.contour import winding_number, zero_pole_count
 from sendovlab.families import (
     FamilyParams,
     example_circle,
@@ -307,6 +308,38 @@ class TestPoissonKernel:
         assert closed == pytest.approx(series, abs=1e-11 * max(1.0, abs(closed)))
 
 
+_RADIUS_CALLS = [
+    pytest.param(lambda p, m, zs, cs, R: balayage(m, R, p=p), "R must be >= 1", id="balayage"),
+    pytest.param(
+        lambda p, m, zs, cs, R: circle_fourier_coeffs(m, R, [0, 1, 2]),
+        "R must be >= 1",
+        id="circle_fourier_coeffs",
+    ),
+    pytest.param(
+        lambda p, m, zs, cs, R: CircleDensity(R, np.ones(8)), "R must be >= 1", id="density"
+    ),
+    pytest.param(
+        lambda p, m, zs, cs, R: poisson_kernel(R, 0.0, 0.0), "R must be positive", id="poisson"
+    ),
+    pytest.param(
+        lambda p, m, zs, cs, R: zero_pole_count(R, zs, cs), "r must be positive", id="count"
+    ),
+    pytest.param(lambda p, m, zs, cs, R: winding_number(p, R), "r must be positive", id="winding"),
+]
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, message", _RADIUS_CALLS)
+def test_non_finite_radius_is_refused(call, message, R):
+    # each radius guard refuses NaN and inf with its own message, as it
+    # refuses a radius below its range
+    pts = [0.3, -0.2j, 0.5 + 0.1j]
+    p = from_roots(pts)
+    (zeros,), (crit,) = zero_sets([p]), critical_points([p])
+    with pytest.raises(ValueError, match=message):
+        call(p, empirical_measure(pts), zeros, crit, R)
+
+
 def _swept(pts, R, N=None):
     """balayage of the uniform measure on pts, the zeros of from_roots(pts)."""
     pts = np.asarray(pts, dtype=np.complex128)
@@ -357,10 +390,9 @@ class TestCircleValues:
         else:
             rng = np.random.default_rng(degree)
             p = Polynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
-        pz, zdpz, shift, scale = _circle_values(p, R, N)
+        pz, zdpz, shift, bound = _circle_values(p, R, N)
         js = list(js)
         (ref_p, ref_zdp), ref_shift = self._oracle(p, R, N, js)
-        bound = np.finfo(float).eps * math.log2(N) * scale
         assert np.all(np.isfinite(pz)) and np.all(np.isfinite(zdpz))
         assert np.max(np.abs(pz[js] - ref_p)) <= bound
         assert np.max(np.abs(zdpz[js] - ref_zdp)) <= degree * bound
@@ -399,11 +431,11 @@ class TestCircleValues:
         assert logs == [0.0, 0.0]
         assert values.tobytes() == np.fft.ifft(_fold(rows, N), norm="forward").tobytes()
 
-    def test_scale_is_the_coefficient_sum(self):
-        # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum
+    def test_bound_is_eps_log2_n_times_the_coefficient_sum(self):
+        # terms |c_k| 2^k are 2, 2, 0, 24: the largest divides the sum, and log2(16) = 4
         p = Polynomial(np.array([2.0, -1.0j, 0.0, 3.0]))
-        _, _, shift, scale = _circle_values(p, 2.0, 16)
-        assert scale == pytest.approx(28.0 / 24.0, rel=1e-15)
+        _, _, shift, bound = _circle_values(p, 2.0, 16)
+        assert bound == pytest.approx(np.finfo(float).eps * 4 * 28.0 / 24.0, rel=1e-15)
         assert shift == pytest.approx(math.log(72.0 / 24.0), rel=1e-15)
 
     @pytest.mark.parametrize("width", [1, 9, 16])

@@ -251,6 +251,62 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+def _inline_tolerances(text):
+    """Lines of the float literals 0 < |x| < 1e-6 that no module-level constant holds.
+
+    A module-level constant is a top-level assignment to upper-case
+    names, one name or a tuple of them, as in ``_A, _B = 1e-8, 1e-9``.
+    """
+    tree = ast.parse(text)
+    held = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        names = [n for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+        if all(isinstance(name, ast.Name) and name.id.isupper() for name in names):
+            held |= {id(node) for node in ast.walk(stmt)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (float, complex))
+        and 0 < abs(node.value) < 1e-6
+        and id(node) not in held
+    )
+
+
+# Small literals held by module-level constants, in every accepted form, and
+# four that are not: a lower-case module name, a local and two inline ones.
+_INLINE_TOLERANCE = """
+_TOL = 1e-12
+_SLACK, _FLOOR = 1e-10, 1e-300
+_SCALE: float = 2.0 * 1e-9
+lowered = 1e-9
+
+
+def near(x, y):
+    tiny = 1e-9
+    return abs(x - y) <= _TOL + 1e-9 or x == -1e-8j or abs(x) > 1e-3
+"""
+
+
+def test_every_small_tolerance_is_a_named_constant():
+    # a rounding tolerance below 1e-6 is written once, as a module
+    # constant with its reason, not inline at the test that uses it
+    assert _inline_tolerances(_INLINE_TOLERANCE) == [5, 9, 10, 10]
+    root = Path(sendovlab.__file__).parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(root.glob("*.py"))
+        for line in _inline_tolerances(path.read_text())
+    ]
+    assert found == []
+
+
 def test_version_matches_pyproject():
     # read by pattern: tomllib needs Python 3.11, and the package supports 3.10
     pyproject = (Path(sendovlab.__file__).parents[2] / "pyproject.toml").read_text()

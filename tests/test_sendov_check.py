@@ -76,6 +76,13 @@ class TestSendovMargin:
         with pytest.raises(CrossCheckError, match="margin below the diameter bound"):
             sendov_margin(zeros, far)
 
+    def test_nan_margin_is_named_as_nan(self):
+        # a NaN zero lies in no disk, so only the upper check sees its NaN margin
+        zeros = RootSet(np.array([0.5, np.nan]), np.zeros(2), True)
+        crit = RootSet(np.array([0.1 + 0j]), np.zeros(1), True)
+        with pytest.raises(CrossCheckError, match="margin above 1 or NaN"):
+            sendov_margin(zeros, crit)
+
     @pytest.mark.parametrize("source", ["random-64", "miller-1024"])
     def test_blocked_margins_keep_the_bits_of_the_full_matrix(self, source, monkeypatch):
         if source == "random-64":
