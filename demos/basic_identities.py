@@ -14,8 +14,11 @@ from sendovlab import (
     check_matching_mean,
     critical_points,
     degot_suite,
+    empirical_measure,
     example_circle,
     random_instances,
+    stieltjes,
+    stieltjes_derivative,
     verify_basic_identities,
     zero_sets,
 )
@@ -37,6 +40,15 @@ def main():
     print("random degree-24 instance, 12 sample points")
     for label, row in zip(rep.labels, rep.residuals):
         print(f"  {label:<42} max residual {row.max():.3e}")
+
+    # the last identity once more, at one point, from the public transforms
+    n, z = inst.n, pts[0]
+    mz, mx = empirical_measure(zeros), empirical_measure(crit)
+    s_zeta = stieltjes(mz, z)
+    lhs = s_zeta - (n - 1) / n * stieltjes(mx, z)
+    rhs = -stieltjes_derivative(mz, z) / (n * s_zeta)
+    print(f"  identity 6 at z = {z:.3f} from stieltjes and stieltjes_derivative:"
+          f" |lhs - rhs| = {abs(lhs - rhs):.3e}")
 
     diff = check_matching_mean(zeros, crit)
     print(f"  zero mean vs critical mean: |difference| = {diff:.3e}")

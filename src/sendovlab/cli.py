@@ -205,7 +205,7 @@ def _read_instance(instance: dict) -> tuple[str, dict]:
     return kind, _read(_SOURCES[kind], given, f"{kind} instance")
 
 
-def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
+def _build_instances(source: tuple[str, dict], rng: np.random.Generator | None, crit: bool = True):
     """Resolve a parsed instance source into certified (label, instance, zeros, crit) tuples.
 
     zeros and crit are root sets, each certified once here.  The miller
@@ -218,7 +218,8 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     :func:`critical_points` call, solved one batch per degree from the
     paired starts of its instance's zeros where they serve and otherwise
     from the Newton polygon.
-    Runners that never read crit pass ``crit=False`` and get None.  The
+    Runners that never read crit pass ``crit=False`` and get None; rng
+    is read only by a random source and may otherwise be None.  The
     rules on an instance are the layers': :func:`random_instances` and
     :func:`critical_points` refuse what they cannot draw or solve.
     """
@@ -252,7 +253,7 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator, crit: b
     ]
 
 
-def _one_instance(source: tuple[str, dict], rng: np.random.Generator, crit: bool = True):
+def _one_instance(source: tuple[str, dict], rng: np.random.Generator | None, crit: bool = True):
     """The one (label, instance, zeros, crit) tuple of a command; raises before drawing more."""
     kind, src = source
     if kind == "random" and src["count"] > 1:
@@ -520,7 +521,9 @@ def run(cfg: ExperimentConfig) -> ExperimentRecord:
     runner, spec = _COMMANDS[cfg.command]
     options = _read(spec, cfg.options, f"{cfg.command} options")
     source = _read_instance(cfg.instance)
-    results, ok = runner(source, np.random.default_rng(cfg.seed), **options)
+    # only a random source and the identities' sample points draw
+    draws = source[0] == "random" or cfg.command == "identities"
+    results, ok = runner(source, np.random.default_rng(cfg.seed) if draws else None, **options)
     return ExperimentRecord(
         config=asdict(cfg),
         results=results,

@@ -438,7 +438,8 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     angles and then its radii, so the instances, and the state ``rng``
     is left in, are those of ``count`` one-instance calls.  All the
     draws come from one call, whose (count, 2, n) output is filled in
-    that order, and all the instances are expanded in one batch.
+    that order, and all the instances are expanded in one batch, whose
+    frozen coefficient and root arrays they share, a row each.
     Raises ValueError unless count >= 1 and n >= 2.
     """
     if count < 1 or n < 2:
@@ -456,4 +457,6 @@ def random_instances(rng: np.random.Generator, n: int, count: int) -> list[Sendo
     # exact by construction: z0 * conj(z0)/|z0| = |z0|
     roots[rows, top] = tops
     coeffs = from_roots_batch(roots)
+    coeffs.setflags(write=False)
+    roots.setflags(write=False)
     return [SendovInstance(Polynomial(c, r), a) for c, r, a in zip(coeffs, roots, tops)]

@@ -107,17 +107,22 @@ def check_matching_mean(zeros: RootSet, crit: RootSet) -> float:
     return abs(zm - cm)
 
 
+def _log_distance_means(diffs: np.ndarray, weights) -> np.ndarray:
+    """sum_k w_k log|diffs[i, k]| per row by math.fsum, -inf at a 0; w per column or scalar."""
+    hit = diffs == 0
+    terms = weights * np.log(np.abs(np.where(hit, 1.0, diffs)))
+    out = np.array([math.fsum(row) for row in terms.tolist()])
+    out[np.any(hit, axis=1)] = -math.inf
+    return out
+
+
 def expect_log_distance(m: EmpiricalMeasure, z):
     """E log|z - eta| at a point or an array of points, each summed by math.fsum.
 
     -inf where z hits an atom.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    diffs = zs.reshape(-1, 1) - m.points
-    hit = diffs == 0
-    terms = m.weights * np.log(np.abs(np.where(hit, 1.0, diffs)))
-    out = np.array([math.fsum(row) for row in terms.tolist()])
-    out[np.any(hit, axis=1)] = -math.inf
+    out = _log_distance_means(zs.reshape(-1, 1) - m.points, m.weights)
     return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 

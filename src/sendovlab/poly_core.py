@@ -44,16 +44,6 @@ class CrossCheckError(RuntimeError):
     """Two routes to one quantity disagree beyond their rounding bound."""
 
 
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    """A complex copy of values, so freezing it leaves the caller's array writeable."""
-    arr = np.array(values, dtype=np.complex128, ndmin=1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _read_only(values, dtype) -> np.ndarray:
     """values as a read-only array of dtype, for a frozen dataclass to keep.
 
@@ -64,6 +54,17 @@ def _read_only(values, dtype) -> np.ndarray:
         return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
+    return arr
+
+
+def _as_complex_vector(values, name: str) -> np.ndarray:
+    """values as a checked complex vector, by :func:`_read_only`: uncopied if already read-only."""
+    arr = _read_only(values, np.complex128)
+    arr = arr.reshape(1) if arr.ndim == 0 else arr
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -207,13 +208,11 @@ class Polynomial:
             raise ValueError("degree must be at least 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         if self.roots is not None:
             roots = _as_complex_vector(self.roots, "roots")
             if roots.size != self.degree:
                 raise ValueError(f"root count {roots.size} does not match degree {self.degree}")
-            roots.setflags(write=False)
             object.__setattr__(self, "roots", roots)
 
     @property
@@ -299,14 +298,16 @@ def from_roots_batch(roots) -> np.ndarray:
         raise ValueError("roots contains non-finite entries")
     roots = np.take_along_axis(roots, _leja_orders(roots), axis=1)
     b, m = roots.shape
-    coeffs = np.ones((b, 1), dtype=np.complex128)
+    # descending in one buffer: its +0 tail makes each root's in-place step
+    # give c_{k-1} - r c_k and, at the constant term, 0 - r c_0
+    desc = np.zeros((b, m + 1), dtype=np.complex128)
+    desc[:, 0] = 1.0
     # an overflow, and the NaN it may leave, is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m):
-            nxt = np.zeros((b, j + 2), dtype=np.complex128)
-            nxt[:, 1:] = coeffs
-            nxt[:, :-1] -= roots[:, j, None] * coeffs
-            coeffs = nxt
+        for j, r in enumerate(roots.T[:, :, None], 1):
+            top = desc[:, 1 : j + 1]
+            np.subtract(top, r * desc[:, :j], out=top)
+    coeffs = np.ascontiguousarray(desc[:, ::-1])
     if not np.isfinite(coeffs).all():
         raise ValueError("expansion overflows: coefficients are not finite")
     if np.any((coeffs[:, 0] == 0) & np.all(roots != 0, axis=1)):
@@ -333,10 +334,14 @@ def evaluate(p: Polynomial, z):
     return _horner(p.coeffs, z)
 
 
+def _derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """The derivative's ascending coefficients (k + 1) c_{k+1}, unchecked."""
+    return coeffs[1:] * np.arange(1, coeffs.size)
+
+
 def derivative(p: Polynomial) -> Polynomial:
     """Formal derivative; any attached roots are dropped."""
-    k = np.arange(1, p.coeffs.size)
-    return Polynomial(p.coeffs[1:] * k)
+    return Polynomial(_derivative_coeffs(p.coeffs))
 
 
 def _root_residual(coeffs: np.ndarray, a: float, tol: float) -> float | None:

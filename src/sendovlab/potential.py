@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, empirical_measure, expect_log_distance
-from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial, derivative
-from .poly_core import _circle_values, _fold, _horner, _read_only, _scaled_values
-from .poly_core import evaluate, from_roots_batch
+from .measures import EmpiricalMeasure, _log_distance_means, empirical_measure, expect_log_distance
+from .poly_core import DISK_TOL, AtomCollisionError, CrossCheckError, Polynomial
+from .poly_core import _circle_values, _derivative_coeffs, _fold, _horner, _read_only
+from .poly_core import _scaled_values, evaluate, from_roots_batch
 from .rootfind import RootSet, certified
 
 __all__ = [
@@ -77,15 +77,25 @@ def _atom_differences(m: EmpiricalMeasure, z) -> np.ndarray:
     return diffs
 
 
+def _stieltjes_sums(diffs: np.ndarray, weights) -> np.ndarray:
+    """sum_k w_k / diffs[..., k] along the last axis; weights per column or one scalar for all."""
+    return np.sum(weights / diffs, axis=-1)
+
+
+def _stieltjes_derivative_sums(diffs: np.ndarray, weights) -> np.ndarray:
+    """-sum_k w_k / diffs[..., k]^2 along the last axis, weighted as :func:`_stieltjes_sums`."""
+    return -np.sum(weights / diffs**2, axis=-1)
+
+
 def stieltjes(m: EmpiricalMeasure, z):
     """s(z) = E 1/(z - eta) at a point or an array of points."""
-    s = np.sum(m.weights / _atom_differences(m, z), axis=-1)
+    s = _stieltjes_sums(_atom_differences(m, z), m.weights)
     return complex(s) if s.ndim == 0 else s
 
 
 def stieltjes_derivative(m: EmpiricalMeasure, z):
     """s'(z) = -E 1/(z - eta)^2 at a point or an array of points."""
-    s = -np.sum(m.weights / _atom_differences(m, z) ** 2, axis=-1)
+    s = _stieltjes_derivative_sums(_atom_differences(m, z), m.weights)
     return complex(s) if s.ndim == 0 else s
 
 
@@ -134,7 +144,7 @@ def _values_to_second_derivative(f: Polynomial, z: np.ndarray):
     n = f.degree
     table = np.zeros((n + 1, 3), dtype=np.complex128)
     table[:, 0] = f.coeffs
-    table[:n, 1] = derivative(f).coeffs
+    table[:n, 1] = _derivative_coeffs(f.coeffs)
     table[: n - 1, 2] = table[1:n, 1] * np.arange(1, n)
     return _horner(table, z[:, None]).T
 
@@ -160,6 +170,10 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
     or critical point are skipped and reported in ``skipped``.
     ``zeros`` and ``crit`` are the root sets of f and f'; each must pass
     its certificate.
+    The root sums come from the one matrix of the standoff test, whose
+    column blocks are z - zeta and z - xi, by the formulas of
+    :func:`log_potential`, :func:`stieltjes` and :func:`stieltjes_derivative`
+    with the scalar weights 1/n and 1/(n-1).
     """
     if not f.monic:
         raise ValueError("identity suite requires a monic polynomial")
@@ -168,8 +182,6 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
         raise ValueError("degree must be at least 2")
     zeros = certified(zeros).points
     crit = certified(crit, "critical point").points
-    mz = empirical_measure(zeros)
-    mx = empirical_measure(crit)
 
     zs = np.asarray(zs, dtype=np.complex128)
     if zs.ndim > 1:
@@ -177,13 +189,16 @@ def verify_basic_identities(f: Polynomial, zs, zeros: RootSet, crit: RootSet) ->
             f"sample points must be a point or a 1-d array, not an array of shape {zs.shape}"
         )
     zs = zs.reshape(-1)
-    near = np.concatenate([zeros, crit])
-    skip = np.any(np.abs(zs[:, None] - near) < IDENTITY_STANDOFF, axis=1)
+    diffs = zs[:, None] - np.concatenate([zeros, crit])
+    skip = np.any(np.abs(diffs) < IDENTITY_STANDOFF, axis=1)
     z = zs[~skip]
+    kept = diffs[~skip]  # each row at least the standoff from every atom
+    dz, dx = kept[:, : zeros.size], kept[:, zeros.size :]
+    wz, wx = 1.0 / zeros.size, 1.0 / crit.size
     fz, fpz, fppz = _values_to_second_derivative(f, z)
-    u_z, u_x = log_potential(mz, z), log_potential(mx, z)
-    s_z, s_x = stieltjes(mz, z), stieltjes(mx, z)
-    sd_z = stieltjes_derivative(mz, z)
+    u_z, u_x = -_log_distance_means(dz, wz), -_log_distance_means(dx, wx)
+    s_z, s_x = _stieltjes_sums(dz, wz), _stieltjes_sums(dx, wx)
+    sd_z = _stieltjes_derivative_sums(dz, wz)
     # where s_z is 0, log|s_z| and 1/s_z are infinite; the last two rows
     # read 1.0 there, the limit of the residual as one side goes to infinity
     zero = s_z == 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import UNIT_ROUNDOFF, Polynomial, _read_only, derivative
+from .poly_core import UNIT_ROUNDOFF, Polynomial, _derivative_coeffs, _read_only
 
 __all__ = [
     "RootSet",
@@ -193,21 +193,25 @@ def _newton_pass(table, d, rows, z):
     through the reversed polynomial q(y) = y^d p(1/y) at y = 1/z, where
     p/p' = z / (d - y q'/q) and the backward error
     |q(y)| / sum_k |c_{d-k}| |y|^k equals |p(z)| / sum_k |c_k| |z|^k, so
-    no power of |z| above 1 is formed.  ``table`` is the pair that
+    no power of |z| above 1 is formed; a pass with no iterate outside
+    skips that branch, where x is z.  ``table`` is the pair that
     :func:`_horner_table` returns.  ``rows`` maps each iterate to its
     coefficient row; every operation is elementwise per iterate, so an
     iterate's values do not depend on the others in the pass.
     """
     table, slots = table
     b = table.shape[0]
-    outside = np.abs(z) > 1.0
-    x = np.where(outside, 1.0 / z, z)
-    groups = 2 * rows + outside
+    modulus = np.abs(z)
+    outside = modulus > 1.0
+    x, groups = z, 2 * rows
+    if flipped := bool(outside.any()):
+        x, groups = np.where(outside, 1.0 / z, z), groups + outside
+        modulus = np.abs(x)
     # the three series advance by x, x and |x|; on the moduli series a
     # complex product equals the real one and its imaginary part stays 0
     step = np.empty((3, z.size), dtype=np.complex128)
     step[0] = step[1] = x
-    step[2] = np.abs(x)
+    step[2] = modulus
     step_b = step[:, None]
     blocks = table[b - 1].take(groups, axis=2)
     for i in range(b - 2, -1, -1):
@@ -223,7 +227,7 @@ def _newton_pass(table, d, rows, z):
         acc *= xb
         acc += blocks[:, k] if k >= 0 else 0.0
     p, dp, scale = acc[0], acc[1], acc[2].real
-    den = np.where(outside, x * (d * p - x * dp), dp)
+    den = np.where(outside, x * (d * p - x * dp), dp) if flipped else dp
     den = np.where(den == 0, _ZERO_DIVISOR, den)
     return p / den, np.abs(p) / scale
 
@@ -348,46 +352,47 @@ def _aberth(coeffs: np.ndarray, start: list):
     return z, residual.reshape(b, d), iterations
 
 
-def _by_degree(polys):
-    """Each polynomial's count of zero low coefficients, and its index grouped by the degree left.
+def _by_degree(coeffs):
+    """Each coefficient array's count of zero low entries, and its index grouped by degree left.
 
     Those exact zero roots are stripped before evaluating: by Horner,
     z**n - z gives 0/0 at its root 0.
     """
     zeros, groups = [], {}
-    for i, p in enumerate(polys):
+    for i, c in enumerate(coeffs):
         k = 0
-        while p.coeffs[k] == 0:
+        while c[k] == 0:
             k += 1
         zeros.append(k)
-        groups.setdefault(p.degree - k, []).append(i)
+        groups.setdefault(c.size - 1 - k, []).append(i)
     return zeros, groups
 
 
-def _solve(polys, starts) -> list[RootSet]:
+def _solve(coeffs, starts) -> list[RootSet]:
     """Solve each polynomial, one Aberth batch per degree after stripping.
 
-    ``starts[i]`` is the start of polynomial i: p.degree finite points
-    for a p with c_0 != 0, or None for the Newton polygon.  Each row's
-    arithmetic is the same at any batch size, so every set equals that
-    of solving its polynomial alone from the same start bit for bit;
-    only ``iterations`` is the count of the whole batch, since a batch
-    iterates until its last row is done.  A degree-1 row takes its root
-    -c_0/c_1 in closed form (``iterations`` 0), with its backward error
-    from the evaluation pass of a solve.
+    ``coeffs[i]`` is polynomial i's coefficient array, finite with a
+    nonzero leading entry as in a :class:`Polynomial`, and ``starts[i]``
+    its start: d finite points at degree d with c_0 != 0, or None for
+    the Newton polygon.  Each row's arithmetic is the same at any batch
+    size, so every set equals that of solving its polynomial alone from
+    the same start bit for bit; only ``iterations`` is the count of the
+    whole batch, since a batch iterates until its last row is done.  A
+    degree-1 row takes its root -c_0/c_1 in closed form (``iterations``
+    0), with its backward error from the evaluation pass of a solve.
     """
     starts = [None if s is None else np.asarray(s, dtype=np.complex128) for s in starts]
-    for p, start in zip(polys, starts):
+    for c, start in zip(coeffs, starts):
         if start is None:
             continue
-        if start.shape != (p.degree,) or not np.isfinite(start).all():
-            raise ValueError(f"start must be {p.degree} finite points")
-        if p.coeffs[0] == 0:
+        if start.shape != (c.size - 1,) or not np.isfinite(start).all():
+            raise ValueError(f"start must be {c.size - 1} finite points")
+        if c[0] == 0:
             raise ValueError("a start needs a polynomial with a nonzero constant term")
-    zeros, groups = _by_degree(polys)
-    out: list[RootSet | None] = [None] * len(polys)
+    zeros, groups = _by_degree(coeffs)
+    out: list[RootSet | None] = [None] * len(coeffs)
     for d, members in groups.items():
-        rows = np.stack([polys[i].coeffs[zeros[i] :] for i in members])
+        rows = np.stack([coeffs[i][zeros[i] :] for i in members])
         if d == 0:
             pts = res = np.zeros((len(members), 0))
             iterations = 0
@@ -440,7 +445,7 @@ def _attached(polys) -> list[RootSet]:
     one zero repeated in place of another.  |z p'(z)| / S(z) is |z|
     times the residual over |p/p'|.
     """
-    zeros, groups = _by_degree(polys)
+    zeros, groups = _by_degree([p.coeffs for p in polys])
     out: list[RootSet | None] = [None] * len(polys)
     for d, members in groups.items():
         gamma = 2 * d * UNIT_ROUNDOFF / (1 - 2 * d * UNIT_ROUNDOFF)
@@ -474,7 +479,7 @@ def find_roots(p: Polynomial, start=None) -> RootSet:
     backward-error test at the first evaluation is returned as given
     (``iterations`` 1).
     """
-    return _solve([p], [start])[0]
+    return _solve([p.coeffs], [start])[0]
 
 
 def certified(rs: RootSet, what: str = "zero") -> RootSet:
@@ -499,7 +504,7 @@ def zero_sets(polys) -> list[RootSet]:
     polys = list(polys)
     bare = [p for p in polys if p.roots is None]
     attached = iter(_attached([p for p in polys if p.roots is not None]))
-    solved = iter(_solve(bare, [None] * len(bare)))
+    solved = iter(_solve([p.coeffs for p in bare], [None] * len(bare)))
     return [next(solved) if p.roots is None else next(attached) for p in polys]
 
 
@@ -550,10 +555,14 @@ def critical_points(polys) -> list[RootSet]:
     where those are None, from the Newton polygon.  A k-fold zero of p'
     is returned as a cluster of k nearby points whose radius reflects
     its conditioning in coefficient form, not as a single point.  A p of
-    degree below 2, whose p' is a constant, raises ValueError naming it.
+    degree below 2, whose p' is a constant, raises ValueError naming it,
+    and so does a p whose p' overflows, as :func:`derivative` would.
     """
     polys = list(polys)
     low = [p.degree for p in polys if p.degree < 2]
     if low:
         raise ValueError(f"critical points need a polynomial of degree at least 2, not {low[0]}")
-    return _solve([derivative(p) for p in polys], _paired_starts(polys))
+    fprimes = [_derivative_coeffs(p.coeffs) for p in polys]
+    if polys and not np.isfinite(np.concatenate(fprimes)).all():
+        raise ValueError("coeffs contains non-finite entries")
+    return _solve(fprimes, _paired_starts(polys))

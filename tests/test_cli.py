@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -937,3 +941,39 @@ class TestMain:
     def test_missing_config_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["check", "--config", str(tmp_path / "nope.json")])
+
+
+MILLER_24 = {"kind": "miller", "c1": 1.0, "c2": 2.0, "lambdas": [[0.3, 0.8]], "n": 24}
+
+
+@pytest.mark.parametrize(
+    "command, instance, draws",
+    [
+        ("family", {"family": MILLER_24}, False),
+        ("winding", {"family": MILLER_24}, False),
+        ("check", {"random": {"count": 2, "degree": 8}}, True),
+    ],
+)
+def test_only_records_that_draw_import_numpy_random(command, instance, draws):
+    # a record without random draws creates no Generator, so a fresh
+    # interpreter never imports numpy.random for it
+    script = (
+        "import json, sys\n"
+        "from sendovlab import cli\n"
+        "cfg = cli.ExperimentConfig(command=sys.argv[1], instance=json.loads(sys.argv[2]),"
+        " options={}, seed=0)\n"
+        "assert cli.run(cfg).ok\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, json.dumps(instance)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == str(draws)

@@ -99,6 +99,23 @@ class TestPolynomialConstruction:
         assert EmpiricalMeasure(rs.points).points is rs.points
         assert CircleDensity(1.5, cd.samples).samples is cd.samples
         assert FamilyParams(n=8, c1=1.0, c2=2.0, lambdas=fp.lambdas).lambdas is fp.lambdas
+        # Polynomial keeps its read-only complex vectors by the same rule
+        # and still checks them; the instances of one random batch share it
+        coeffs, roots = np.array([0.25, 0.0, -1.0 + 0j]), np.array([0.5, -0.5 + 0j])
+        p = Polynomial(coeffs, roots)
+        assert coeffs.flags.writeable and p.coeffs is not coeffs and not p.coeffs.flags.writeable
+        coeffs.setflags(write=False)
+        roots.setflags(write=False)
+        kept = Polynomial(coeffs, roots)
+        assert kept.coeffs is coeffs and kept.roots is roots
+        for bad, match in ((np.array([1.0, np.nan, 1.0 + 0j]), "non-finite"),
+                           (np.ones((2, 2), dtype=complex), "one-dimensional")):
+            bad.setflags(write=False)
+            with pytest.raises(ValueError, match=match):
+                Polynomial(bad)
+        batch = random_instances(np.random.default_rng(0), 8, 3)
+        assert batch[0].f.coeffs.base is batch[2].f.coeffs.base is not None
+        assert batch[0].f.roots.base is batch[2].f.roots.base is not None
 
     def test_consistency_check_accepts_cyclic_roots_degree_64(self):
         # angular-ordered roots of unity are the worst case for naive

@@ -511,6 +511,16 @@ class TestCriticalPoints:
         with pytest.raises(ValueError, match=r"not 1$"):
             critical_points([example_circle(4).f, Polynomial([1.0, 2.0])])
 
+    def test_refuses_an_overflowing_derivative_as_derivative_does(self):
+        # 3e308 z^2 overflows: the f' rows are checked as a Polynomial would check them
+        p = Polynomial([1.0, 0.0, 0.0, 1e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^coeffs contains non-finite entries$") as built:
+                derivative(p)
+            with pytest.raises(ValueError) as solved:
+                critical_points([example_circle(4).f, p])
+        assert str(solved.value) == str(built.value)
+
     def test_iteration_budget_exit_is_not_certified(self, monkeypatch):
         # one Aberth iteration from the paired starts does not converge
         monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
