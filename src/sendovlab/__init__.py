@@ -19,7 +19,7 @@ from .potential import *  # noqa: F401,F403
 from .rootfind import *  # noqa: F401,F403
 from .sendov_check import *  # noqa: F401,F403
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "__version__",

@@ -206,18 +206,20 @@ def _read_instance(instance: dict) -> tuple[str, dict]:
 
 
 def _build_instances(source: tuple[str, dict], rng: np.random.Generator | None, crit: bool = True):
-    """Resolve a parsed instance source into certified (label, instance, zeros, crit) tuples.
+    """Resolve a parsed instance source into certified (row, instance, zeros, crit) tuples.
 
-    zeros and crit are root sets, each certified once here.  The miller
-    family, which carries no roots, solves its zeros from their predicted
-    positions (:func:`family_zeros`) and takes its analytic critical
-    points.  Every other source takes its zeros from one
-    :func:`zero_sets` call, which evaluates the instances' attached
-    zeros in one pass and, for the origin, z**n - z's closed-form
-    critical points in the same pass; every other f' comes from one
-    :func:`critical_points` call, solved one batch per degree from the
-    paired starts of its instance's zeros where they serve and otherwise
-    from the Newton polygon.
+    Every runner that reads instances maps over this list and returns
+    one row per instance under ``results.instances``, each row started
+    here with the instance's label and degree n.  zeros and crit are
+    root sets, each certified once here.  The miller family, which
+    carries no roots, solves its zeros from their predicted positions
+    (:func:`family_zeros`) and takes its analytic critical points.
+    Every other source takes its zeros from one :func:`zero_sets` call,
+    which evaluates the instances' attached zeros in one pass and, for
+    the origin, z**n - z's closed-form critical points in the same pass;
+    every other f' comes from one :func:`critical_points` call, solved
+    one batch per degree from the paired starts of its instance's zeros
+    where they serve and otherwise from the Newton polygon.
     Runners that never read crit pass ``crit=False`` and get None; rng
     is read only by a random source and may otherwise be None.  The
     rules on an instance are the layers': :func:`random_instances` and
@@ -247,18 +249,12 @@ def _build_instances(source: tuple[str, dict], rng: np.random.Generator | None, 
         else:
             sets, cps = zero_sets(fs), critical_points(fs)
         rows = zip(labels, insts, sets, cps)
-    return [
-        (label, inst, certified(zeros), None if cps is None else certified(cps, "critical point"))
-        for label, inst, zeros, cps in rows
-    ]
-
-
-def _one_instance(source: tuple[str, dict], rng: np.random.Generator | None, crit: bool = True):
-    """The one (label, instance, zeros, crit) tuple of a command; raises before drawing more."""
-    kind, src = source
-    if kind == "random" and src["count"] > 1:
-        raise ValueError(f"this command reads one instance, not random count {src['count']}")
-    return _build_instances(source, rng, crit)[0]
+    built = []
+    for label, inst, zeros, cps in rows:
+        zeros = certified(zeros)
+        cps = None if cps is None else certified(cps, "critical point")
+        built.append(({"label": label, "n": inst.n}, inst, zeros, cps))
+    return built
 
 
 def _family_params(fam: dict, n: int) -> FamilyParams:
@@ -307,19 +303,16 @@ def _run_check(source, rng):
     zeros = np.stack([rs.points for rs in zsets]).view(np.float64).reshape(count, -1, 2)
     crits = np.stack([crit.points for crit in csets]).view(np.float64).reshape(count, -1, 2)
     rows = []
-    for (label, inst, _, _), rep, pts, cps in zip(built, reports, zeros, crits):
-        rows.append(
-            {
-                "label": label,
-                "n": inst.n,
-                "a": inst.a,
-                "margins": rep.margins,
-                "min_margin": rep.min_margin,
-                "holds": rep.holds,
-                "zeros": pts,
-                "critical_points": cps,
-            }
+    for (row, inst, _, _), rep, pts, cps in zip(built, reports, zeros, crits):
+        row.update(
+            a=inst.a,
+            margins=rep.margins,
+            min_margin=rep.min_margin,
+            holds=rep.holds,
+            zeros=pts,
+            critical_points=cps,
         )
+        rows.append(row)
     results = {
         "instances": rows,
         "min_margin": min(r["min_margin"] for r in rows),
@@ -334,22 +327,19 @@ def _run_identities(source, rng, points):
     rows = []
     worst = 0.0
     means = []
-    for label, inst, rs, crit in _build_instances(source, rng):
+    for row, inst, rs, crit in _build_instances(source, rng):
         avoid = np.concatenate([rs.points, crit.points])
         zs = _sample_points(rng, points, avoid)
         rep = verify_basic_identities(inst.f, zs, rs, crit)
         maxima = rep.residuals.max(axis=1) if rep.residuals.size else np.zeros(len(rep.labels))
         per = dict(zip(rep.labels, maxima.tolist()))
-        rows.append(
-            {
-                "label": label,
-                "n": inst.n,
-                "per_identity_max": per,
-                "max_residual": rep.max_residual,
-                "mean_residual": rep.mean_residual,
-                "skipped": rep.skipped,
-            }
+        row.update(
+            per_identity_max=per,
+            max_residual=rep.max_residual,
+            mean_residual=rep.mean_residual,
+            skipped=rep.skipped,
         )
+        rows.append(row)
         worst = max(worst, rep.max_residual)
         means.append(rep.mean_residual)
     results = {
@@ -362,47 +352,45 @@ def _run_identities(source, rng, points):
 
 
 def _run_balayage(source, rng, R, N):
-    label, inst, rs, crit = _one_instance(source, rng)
-    dz = balayage(empirical_measure(rs.points), R, N, p=inst.f)
-    dx = balayage(empirical_measure(crit.points), R, len(dz.samples), p=derivative(inst.f))
-    gap = float(np.max(np.abs(dz.samples - dx.samples)))
-    n = inst.n
-    normalized = (
-        gap * n * (R - 1.0) ** 2 / math.log(1.0 / (R - 1.0))
-        if 1.0 < R < 2.0
-        else None
-    )
-    results = {
-        "label": label,
-        "n": n,
-        "R": R,
-        "zero_density": dz.samples,
-        "crit_density": dx.samples,
-        "sup_gap": gap,
-        "normalized_gap": normalized,
-        "zero_mean": dz.mean(),
-        "crit_mean": dx.mean(),
-    }
-    return results, True
+    rows = []
+    for row, inst, rs, crit in _build_instances(source, rng):
+        dz = balayage(empirical_measure(rs.points), R, N, p=inst.f)
+        dx = balayage(empirical_measure(crit.points), R, len(dz.samples), p=derivative(inst.f))
+        gap = float(np.max(np.abs(dz.samples - dx.samples)))
+        normalized = (
+            gap * inst.n * (R - 1.0) ** 2 / math.log(1.0 / (R - 1.0))
+            if 1.0 < R < 2.0
+            else None
+        )
+        row.update(
+            zero_density=dz.samples,
+            crit_density=dx.samples,
+            sup_gap=gap,
+            normalized_gap=normalized,
+            zero_mean=dz.mean(),
+            crit_mean=dx.mean(),
+        )
+        rows.append(row)
+    return {"R": R, "instances": rows}, True
 
 
 def _run_winding(source, rng, r1, r2):
-    label, inst, rs, crit = _one_instance(source, rng)
-    sel = select_radius(r1, r2, rs, crit)
-    wind = winding_number(inst.f, sel.radius)
-    count = zero_pole_count(sel.radius, rs, crit)
-    results = {
-        "label": label,
-        "n": inst.n,
-        "radius": sel.radius,
-        "objective": sel.objective,
-        "winding": wind.winding,
-        "zero_pole_count": count,
-        "agree": wind.winding == count,
-        "min_modulus": wind.min_modulus,
-        "samples_used": wind.samples_used,
-    }
-    return results, bool(wind.winding == count)
+    rows = []
+    for row, inst, rs, crit in _build_instances(source, rng):
+        sel = select_radius(r1, r2, rs, crit)
+        wind = winding_number(inst.f, sel.radius)
+        count = zero_pole_count(sel.radius, rs, crit)
+        row.update(
+            radius=sel.radius,
+            objective=sel.objective,
+            winding=wind.winding,
+            zero_pole_count=count,
+            agree=wind.winding == count,
+            min_modulus=wind.min_modulus,
+            samples_used=wind.samples_used,
+        )
+        rows.append(row)
+    return {"instances": rows}, all(r["agree"] for r in rows)
 
 
 def _family_result(params: FamilyParams, rep: FamilyReport) -> dict:
@@ -450,21 +438,23 @@ def _run_family(source, rng, theta_grid):
 def _run_fourier(source, rng, R, ks, N):
     if not ks:
         raise ValueError("ks must name at least one k")
-    label, inst, rs, _ = _one_instance(source, rng, crit=False)
-    mz = empirical_measure(rs.points)
     rows = []
-    worst = 0.0
-    for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N)):
-        if k == 0:
-            closed = complex(-math.log(R))
-        else:
-            closed = complex(moment(mz, k)) / (2.0 * k * R**k)
-        resid = abs(coeff - closed)
-        worst = max(worst, resid)
-        rows.append(
-            {"k": k, "coeff": cpair(coeff), "closed_form": cpair(closed), "residual": resid}
-        )
-    results = {"label": label, "R": R, "N": N, "rows": rows, "max_residual": worst}
+    for row, _, rs, _ in _build_instances(source, rng, crit=False):
+        mz = empirical_measure(rs.points)
+        coeffs = []
+        for k, coeff in zip(ks, circle_fourier_coeffs(mz, R, ks, N=N)):
+            if k == 0:
+                closed = complex(-math.log(R))
+            else:
+                closed = complex(moment(mz, k)) / (2.0 * k * R**k)
+            resid = abs(coeff - closed)
+            coeffs.append(
+                {"k": k, "coeff": cpair(coeff), "closed_form": cpair(closed), "residual": resid}
+            )
+        row.update(rows=coeffs, max_residual=max(c["residual"] for c in coeffs))
+        rows.append(row)
+    worst = max(r["max_residual"] for r in rows)
+    results = {"R": R, "N": N, "instances": rows, "max_residual": worst}
     return results, worst <= _FOURIER_TOL
 
 
@@ -561,25 +551,29 @@ def _csv_rows(record: ExperimentRecord) -> list[list]:
             for lab, v in inst["per_identity_max"].items()
         ]
     if cmd == "balayage":
-        header = ["theta", "zero_density", "crit_density"]
-        thetas = CircleDensity(res["R"], res["zero_density"]).thetas
-        return [header, *zip(thetas, res["zero_density"], res["crit_density"])]
-    if cmd == "winding":
-        header = ["radius", "objective", "winding", "zero_pole_count", "agree"]
-        return [header, [res[k] for k in header]]
+        rows = [["label", "theta", "zero_density", "crit_density"]]
+        for inst in res["instances"]:
+            zero, crit = inst["zero_density"], inst["crit_density"]
+            thetas = CircleDensity(res["R"], zero).thetas
+            rows += ([inst["label"], *cells] for cells in zip(thetas, zero, crit))
+        return rows
     if cmd == "family":
         return [["theta", "lamin"], *zip(res["lamin_thetas"], res["lamin_values"])]
     if cmd == "fourier":
-        header = ["k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"]
-        rows = [[r["k"], *r["coeff"], *r["closed_form"], r["residual"]] for r in res["rows"]]
-        return [header, *rows]
-    # sweep: union of scalar keys across rows, in first-seen order
+        header = ["label", "k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"]
+        return [header] + [
+            [inst["label"], r["k"], *r["coeff"], *r["closed_form"], r["residual"]]
+            for inst in res["instances"]
+            for r in inst["rows"]
+        ]
+    # sweep and winding, one row per item: union of scalar keys across rows, in first-seen order
+    items = res["rows"] if cmd == "sweep" else res["instances"]
     keys: list[str] = []
-    for row in res["rows"]:
+    for row in items:
         for k, v in row.items():
             if isinstance(v, (int, float, bool, str)) and k not in keys:
                 keys.append(k)
-    return [keys, *([row.get(k) for k in keys] for row in res["rows"])]
+    return [keys, *([row.get(k) for k in keys] for row in items)]
 
 
 def write_record(record: ExperimentRecord, path: str, fmt: str) -> None:

@@ -47,18 +47,21 @@ class CrossCheckError(RuntimeError):
 def _read_only(values, dtype) -> np.ndarray:
     """values as a read-only array of dtype, for a frozen dataclass to keep.
 
-    A read-only array of dtype is kept as it is; anything else is
-    copied, so the caller's array stays writeable.
+    A read-only array of dtype that owns its memory or views a read-only
+    base is kept as it is; anything else is copied, so the caller's array
+    stays writeable and no write through a writeable base reaches what is kept.
     """
     if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
+        base = values.base
+        if base is None or (isinstance(base, np.ndarray) and not base.flags.writeable):
+            return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
 def _as_complex_vector(values, name: str) -> np.ndarray:
-    """values as a checked complex vector, by :func:`_read_only`: uncopied if already read-only."""
+    """values as a checked complex vector, by :func:`_read_only`: uncopied if already frozen."""
     arr = _read_only(values, np.complex128)
     arr = arr.reshape(1) if arr.ndim == 0 else arr
     if arr.ndim != 1:

@@ -312,10 +312,12 @@ def _aberth(coeffs: np.ndarray, start: list):
     restart = (z * np.exp(0.37j)).reshape(-1)
 
     # p/p' and the backward error of each iterate, and the live iterates,
-    # all by index into the flat view of z
+    # all by index into the flat views of z and of the residuals; both own
+    # their memory, so that their frozen rows pass into root sets uncopied
     flat = z.reshape(-1)
     wn = np.zeros(b * d, dtype=np.complex128)
-    residual = np.full(b * d, np.inf)
+    residuals = np.full((b, d), np.inf)
+    residual = residuals.reshape(-1)
     idx = np.arange(b * d)
     rows = idx // d
 
@@ -349,7 +351,7 @@ def _aberth(coeffs: np.ndarray, start: list):
             keep = trial_res <= residual.take(idx)
             flat[idx[keep]] = trial[keep]
             residual[idx[keep]] = trial_res[keep]
-    return z, residual.reshape(b, d), iterations
+    return z, residuals, iterations
 
 
 def _by_degree(coeffs):

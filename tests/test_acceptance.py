@@ -230,7 +230,7 @@ def test_criterion_04_companion_at_r_n():
         )
         rec = run(cfg)
         assert rec.ok
-        gap, q = rec.results["sup_gap"], R ** -(n - 1)
+        gap, q = rec.results["instances"][0]["sup_gap"], R ** -(n - 1)
         exact = 2.0 * (n - 1) / n * q / (1.0 - q) - 2.0 * (q / n) / (1.0 - q / n)
         gaps.append(gap)
         errs.append(abs(gap - exact))

@@ -24,7 +24,7 @@ from sendovlab.measures import empirical_measure
 from sendovlab.poly_core import CrossCheckError, Polynomial, derivative, evaluate, from_roots
 from sendovlab.potential import balayage
 from sendovlab.rootfind import certified, critical_points, zero_sets
-from sendovlab.serialize import dumps, fmt17, loads
+from sendovlab.serialize import cpair, dumps, fmt17, loads
 
 
 def _cfg(command, instance, options=None, seed=0):
@@ -189,12 +189,21 @@ class TestReader:
             run(ExperimentConfig.from_json(config))
 
     @pytest.mark.parametrize("command", ["winding", "balayage", "fourier"])
-    def test_single_instance_commands_refuse_a_count(self, monkeypatch, command):
-        drawn = []
-        monkeypatch.setattr(cli, "random_instances", lambda *args: drawn.append(args))
-        with pytest.raises(ValueError, match="one instance"):
-            run(_cfg(command, {"random": {"count": 2, "degree": 12}}))
-        assert drawn == []
+    def test_instance_commands_map_over_an_ensemble(self, command):
+        # each row of an ensemble's record is, byte for byte apart from its
+        # label, the record of a polynomial source holding that row's
+        # instance with its roots
+        options = {"R": 1.2, "N": 512} if command == "fourier" else {}
+        rec = run(_cfg(command, {"random": {"count": 8, "degree": 48}}, options, seed=5))
+        assert rec.ok
+        rows = rec.results["instances"]
+        assert [row["label"] for row in rows] == [f"random-{i}" for i in range(8)]
+        for row, inst in zip(rows, families.random_instances(np.random.default_rng(5), 48, 8)):
+            f = inst.f
+            poly = {"coeffs": [cpair(c) for c in f.coeffs], "roots": [cpair(r) for r in f.roots]}
+            single = run(_cfg(command, {"polynomial": poly, "a": inst.a}, options))
+            (expected,) = single.results["instances"]
+            assert dumps(dict(row, label="polynomial")) == dumps(expected)
 
     def test_sweep_accepts_a_family_degree(self):
         # the family's n is declared for every command; sweep takes its
@@ -381,14 +390,16 @@ class TestRunners:
     def test_balayage_origin(self):
         rec = run(_cfg("balayage", ORIGIN64, {"R": 1.2}))
         assert rec.ok
-        assert rec.results["zero_mean"] == pytest.approx(1.0, abs=1e-8)
-        assert rec.results["sup_gap"] > 0
+        (row,) = rec.results["instances"]
+        assert row["zero_mean"] == pytest.approx(1.0, abs=1e-8)
+        assert row["sup_gap"] > 0
 
     def test_winding_agreement(self):
         rec = run(_cfg("winding", {"family": {"kind": "origin", "n": 100}}))
         assert rec.ok
-        assert rec.results["winding"] == -1
-        assert rec.results["agree"]
+        (row,) = rec.results["instances"]
+        assert row["winding"] == -1
+        assert row["agree"]
 
     def test_family_member(self):
         rec = run(_cfg("family", MILLER, {"theta_grid": 128}))
@@ -497,8 +508,8 @@ class TestOutputs:
         bal = run(_cfg("balayage", ORIGIN64, {"R": 1.3}))
         write_record(bal, str(tmp_path / "b.csv"), "csv")
         rows = list(csv.reader((tmp_path / "b.csv").open()))
-        assert rows[0] == ["theta", "zero_density", "crit_density"]
-        assert len(rows) == 1 + len(bal.results["zero_density"])
+        assert rows[0] == ["label", "theta", "zero_density", "crit_density"]
+        assert len(rows) == 1 + len(bal.results["instances"][0]["zero_density"])
 
         fam = run(_cfg("family", MILLER, {"theta_grid": 64}))
         write_record(fam, str(tmp_path / "d.csv"), "csv")
@@ -514,7 +525,8 @@ class TestOutputs:
         # angles of the density, as when they were stored
         cfg = _cfg("balayage", ORIGIN64, {"R": 1.3})
         rec = run(cfg)
-        assert "thetas" not in rec.results
+        (row,) = rec.results["instances"]
+        assert "thetas" not in row
         assert "thetas" not in rec.payload()
         inst = example_origin(64)
         zeros = certified(zero_sets([inst.f])[0]).points
@@ -523,15 +535,15 @@ class TestOutputs:
         dx = balayage(empirical_measure(crit), 1.3, dz.samples.size, p=derivative(inst.f))
         # the record's crit_density, from the closed-form critical points,
         # equals the solver route's bit for bit
-        assert rec.results["zero_density"].tobytes() == dz.samples.tobytes()
-        assert rec.results["crit_density"].tobytes() == dx.samples.tobytes()
+        assert row["zero_density"].tobytes() == dz.samples.tobytes()
+        assert row["crit_density"].tobytes() == dx.samples.tobytes()
         thetas = [fmt17(t) for t in dz.thetas.tolist()]
 
         write_record(rec, str(tmp_path / "rec.csv"), "csv")
         rows = list(csv.reader((tmp_path / "rec.csv").open()))
-        assert rows[0] == ["theta", "zero_density", "crit_density"]
+        assert rows[0] == ["label", "theta", "zero_density", "crit_density"]
         assert rows[1:] == [
-            [t, fmt17(z), fmt17(x)] for t, z, x in zip(thetas, dz.samples, dx.samples)
+            ["origin", t, fmt17(z), fmt17(x)] for t, z, x in zip(thetas, dz.samples, dx.samples)
         ]
 
 
@@ -588,23 +600,30 @@ CSV_TABLES = {
         ],
     ),
     "balayage": (
-        ["theta", "zero_density", "crit_density"],
+        ["label", "theta", "zero_density", "crit_density"],
         lambda res: [
-            [fmt17(2.0 * math.pi * k / len(z)), fmt17(z[k]), fmt17(x[k])]
-            for z, x in [(res["zero_density"], res["crit_density"])]
+            [inst["label"], fmt17(2.0 * math.pi * k / len(z)), fmt17(z[k]), fmt17(x[k])]
+            for inst in res["instances"]
+            for z, x in [(inst["zero_density"], inst["crit_density"])]
             for k in range(len(z))
         ],
     ),
     "winding": (
-        ["radius", "objective", "winding", "zero_pole_count", "agree"],
+        ["label", "n", "radius", "objective", "winding", "zero_pole_count", "agree"]
+        + ["min_modulus", "samples_used"],
         lambda res: [
             [
-                fmt17(res["radius"]),
-                fmt17(res["objective"]),
-                str(res["winding"]),
-                str(res["zero_pole_count"]),
-                _bit(res["agree"]),
+                inst["label"],
+                str(inst["n"]),
+                fmt17(inst["radius"]),
+                fmt17(inst["objective"]),
+                str(inst["winding"]),
+                str(inst["zero_pole_count"]),
+                _bit(inst["agree"]),
+                fmt17(inst["min_modulus"]),
+                str(inst["samples_used"]),
             ]
+            for inst in res["instances"]
         ],
     ),
     "family": (
@@ -614,10 +633,16 @@ CSV_TABLES = {
         ],
     ),
     "fourier": (
-        ["k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"],
+        ["label", "k", "coeff_re", "coeff_im", "closed_re", "closed_im", "residual"],
         lambda res: [
-            [str(r["k"]), *map(fmt17, r["coeff"] + r["closed_form"]), fmt17(r["residual"])]
-            for r in res["rows"]
+            [
+                inst["label"],
+                str(r["k"]),
+                *map(fmt17, r["coeff"] + r["closed_form"]),
+                fmt17(r["residual"]),
+            ]
+            for inst in res["instances"]
+            for r in inst["rows"]
         ],
     ),
     "sweep": (
@@ -713,7 +738,7 @@ class TestRecordText:
         instance = {"polynomial": {"coeffs": [[c.real, c.imag] for c in coeffs]}, "a": 0.9}
         rec = run(_cfg("winding", instance, {"r1": 0.3, "r2": 0.4}))
         assert rec.ok
-        assert rec.results["radius"] > 0.3
+        assert rec.results["instances"][0]["radius"] > 0.3
 
 
 class TestMain:

@@ -15,7 +15,7 @@ from sendovlab.poly_core import (
 )
 from sendovlab.poly_core import _horner, _leja_orders, _root_residual
 from sendovlab.potential import CircleDensity
-from sendovlab.rootfind import RootSet, certified, zero_sets
+from sendovlab.rootfind import RootSet, certified, critical_points, zero_sets
 
 
 class TestPolynomialConstruction:
@@ -108,6 +108,15 @@ class TestPolynomialConstruction:
         roots.setflags(write=False)
         kept = Polynomial(coeffs, roots)
         assert kept.coeffs is coeffs and kept.roots is roots
+        # a read-only view of a writeable base is copied, so that a write
+        # through the base does not reach the polynomial or the root set
+        base = np.array([1, 2, 1], dtype=complex)
+        view = base[:]
+        view.setflags(write=False)
+        p, rs = Polynomial(view), RootSet(view, np.zeros(3), True)
+        base[2] = 0
+        assert p.coeffs is not view and p.degree == 2 and p.leading == 1
+        assert rs.points is not view and rs.points[2] == 1
         for bad, match in ((np.array([1.0, np.nan, 1.0 + 0j]), "non-finite"),
                            (np.ones((2, 2), dtype=complex), "one-dimensional")):
             bad.setflags(write=False)
@@ -116,6 +125,10 @@ class TestPolynomialConstruction:
         batch = random_instances(np.random.default_rng(0), 8, 3)
         assert batch[0].f.coeffs.base is batch[2].f.coeffs.base is not None
         assert batch[0].f.roots.base is batch[2].f.roots.base is not None
+        # and the critical points solved for the batch share theirs
+        sets = critical_points([inst.f for inst in batch])
+        assert sets[0].points.base is sets[2].points.base is not None
+        assert sets[0].residuals.base is sets[2].residuals.base is not None
 
     def test_consistency_check_accepts_cyclic_roots_degree_64(self):
         # angular-ordered roots of unity are the worst case for naive
